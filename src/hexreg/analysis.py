@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .controllers import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI
 from .design import DesignArtifacts, input_coupling_bound, lyapunov_decay_margin
@@ -46,6 +45,7 @@ __all__ = [
 
 _COND_LIMIT = 1e14
 _A3A_TOL = 1e-9  # slack on the largest LMI eigenvalue before declaring infeasible
+_MONITOR_BLOCK = 1024  # samples per stacked solve; bounds the (block, n, n) temporaries
 
 
 def saturation_gap(s, b, u_lo: float, u_hi: float):
@@ -110,30 +110,37 @@ class AssumptionReport:
                 return False
         return True
 
-    def all_hold(self, require_a3: bool = False) -> bool:
-        """True when every check that ran came back clean.
+    def failed_checks(self, require_a3: bool = False) -> list[str]:
+        """Names of the report fields whose check ran and came back negative.
 
-        The frozen-family checks (Hurwitz margin, nonvanishing DC gain) must
-        pass whenever present.  The robust-decay results only gate the
-        verdict when require_a3 is set, since that assumption is strictly
-        stronger and can fail on plants the base design still covers.
+        The frozen-family checks (Hurwitz margin, nonvanishing DC gain) count
+        whenever present.  The robust-decay results only count when
+        require_a3 is set, since that assumption is strictly stronger and
+        can fail on plants the base design still covers.
         """
+        failed = []
         if self.hurwitz_margin is not None and not self.hurwitz_margin < 0.0:
-            return False
+            failed.append("hurwitz_margin")
         if self.dc_gain_min_abs is not None:
             if not self.dc_gain_min_abs > 0.0 or not np.isfinite(self.dc_gain_min_abs):
-                return False
+                failed.append("dc_gain_min_abs")
         if self.dc_sign_constant is not None and not self.dc_sign_constant:
-            return False
+            failed.append("dc_sign_constant")
         if require_a3:
             if self.a3a_feasible is not None and not self.a3a_feasible:
-                return False
+                failed.append("a3a_feasible")
             if self.a3b_min_abs is not None:
-                if not self.a3b_min_abs > 0.0 or self.a3b_singular_points > 0:
-                    return False
+                if not self.a3b_min_abs > 0.0:
+                    failed.append("a3b_min_abs")
+                if self.a3b_singular_points > 0:
+                    failed.append("a3b_singular_points")
             if self.a3b_sign_constant is not None and not self.a3b_sign_constant:
-                return False
-        return True
+                failed.append("a3b_sign_constant")
+        return failed
+
+    def all_hold(self, require_a3: bool = False) -> bool:
+        """True when every check that ran came back clean (see failed_checks)."""
+        return not self.failed_checks(require_a3)
 
     def to_dict(self) -> dict:
         out = {
@@ -360,6 +367,8 @@ def observer_monitor_constants(
     Sigma = np.zeros((n + 1, n + 1))
     Sigma[:n, :n] = artifacts.k_p * artifacts.P
     Sigma[n, n] = artifacts.k_i
+    import scipy.linalg
+
     top = scipy.linalg.eigh(J @ J.T, Sigma, eigvals_only=True)[-1]
     a = float(np.sqrt(max(top, 0.0)))
     q_max = float(np.linalg.eigvalsh(obs.Q)[-1])
@@ -434,6 +443,20 @@ def _integral_only_V(ctx: MonitorContext, x: np.ndarray, z: float) -> float:
     return _quad(ctx.P, d)
 
 
+def _integral_only_V_rows(ctx: MonitorContext, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """_integral_only_V on every row, bit for bit, with stacked solves.
+
+    A stacked solve and the stacked matmul make the same LAPACK and BLAS
+    calls per row as the single-sample code (einsum would not), and the
+    clip to zero keeps max()'s handling of NaN and signed zeros.
+    """
+    v = np.clip(ctx.u_ss + ctx.sign_dc * ctx.k_i * Z, ctx.u_min, ctx.u_max) - ctx.u_ss
+    sol = np.linalg.solve(ctx.F_ss + ctx.B * v[:, None, None], ctx.g_ss[:, None])[..., 0]
+    D = (X - ctx.x_ss) - (-sol * v[:, None])
+    q = np.matmul(np.matmul(D[:, None, :], ctx.P), D[:, :, None])[:, 0, 0]
+    return np.where(0.0 > q, 0.0, q)
+
+
 def monitor_point(
     ctx: MonitorContext, x: np.ndarray, x_hat: np.ndarray | None, z: float
 ) -> tuple[float, float, float]:
@@ -486,8 +509,9 @@ def trajectory_monitors(
     if ctx.law == PI:
         return V, U, W
     if ctx.law == INTEGRAL_ONLY:
-        for k in range(T):
-            V[k] = _integral_only_V(ctx, X[k], float(Z[k]))
+        for lo in range(0, T, _MONITOR_BLOCK):
+            hi = min(lo + _MONITOR_BLOCK, T)
+            V[lo:hi] = _integral_only_V_rows(ctx, X[lo:hi], Z[lo:hi])
         W = np.sqrt(V) + ctx.gamma * np.abs(Z)
         return V, U, W
     Xc = X if ctx.law == FORWARDING else XH

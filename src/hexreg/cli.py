@@ -188,10 +188,14 @@ def _cmd_verify(args) -> int:
     rep = analysis.assumption_report(
         sys_, P=P, nu=nu, eps=eps, u_grid=args.grid, v_grid=2 * args.grid + 1
     )
+    failed = rep.failed_checks(require_a3=args.a3)
     payload = rep.to_dict()
-    payload["all_hold"] = rep.all_hold(require_a3=args.a3)
+    payload["all_hold"] = not failed
     _emit(payload, args.out)
-    return 0 if payload["all_hold"] else 1
+    if failed:
+        print(f"verification failed: {', '.join(failed)}", file=_sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_steady_state(args) -> int:

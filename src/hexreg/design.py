@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     InfeasibleError,
@@ -106,6 +105,8 @@ def solve_lyapunov(F: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
         raise ValueError("Upsilon must be symmetric")
     if np.min(np.linalg.eigvalsh(Upsilon)) <= 0.0:
         raise ValueError("Upsilon must be positive definite")
+    import scipy.linalg as sla
+
     P = sla.solve_continuous_lyapunov(F.T, -2.0 * Upsilon)
     P = 0.5 * (P + P.T)
     return P
@@ -236,6 +237,8 @@ def _placement_gain(A: np.ndarray, D: np.ndarray, shift: float) -> np.ndarray:
     targets = targets - spread * (1.0 + np.arange(n))
     G = np.zeros((p, n))
     G[np.arange(n) % p, np.arange(n)] = 1.0
+    import scipy.linalg as sla
+
     try:
         X = sla.solve_sylvester(A.T, -np.diag(targets), D.T @ G)
         L = np.linalg.solve(X.T, G.T)
@@ -300,6 +303,8 @@ def _constructive_candidate(A, D, mu, shift):
     """
     L = _placement_gain(A, D, shift)
     Ao = A - L @ D
+    import scipy.linalg as sla
+
     Q = sla.solve_continuous_lyapunov(Ao.T, -np.eye(A.shape[0]))
     Q = 0.5 * (Q + Q.T)
     if np.min(np.linalg.eigvalsh(Q)) <= 0.0:

@@ -1,46 +1,31 @@
-"""Hot-loop integration kernel: fixed-step RK4 over the stacked closed loop.
-
-One source function drives both execution paths.  By default it is compiled
-with numba's @njit; setting the environment variable HEXREG_DISABLE_NUMBA=1
-(or numba failing to import) selects the plain numpy path instead.  The
-function body sticks to slice arithmetic and np.dot so the same code object
-runs fast under the compiler and acceptably as plain numpy.
+"""Hot-loop integration kernels: fixed-step RK4 over the stacked closed loop.
 
 Stacked state s = [x (n), x_hat (n), z].  The x_hat block only moves for
 the output-feedback law; other laws carry it with zero derivative.  All
 matrix reads go through one stacked operator G = [A; B; P; M; C; D] so each
 stage costs at most two matrix-vector products per state vector.
 
-closed_loop_rk4_batch advances k such trajectories at once, for sweeps over
-initial states.  It is plain numpy only and reproduces the single-trajectory
-kernel bit for bit on every row; at k = 1 it is slower, so single runs keep
-closed_loop_rk4.
+closed_loop_rk4 advances one trajectory and is written for the
+interpreter: scalars are Python floats, the schedules are walked with one
+cursor per stage time offset, and each stage is a few vector operations.
+closed_loop_rk4_batch advances k trajectories that differ only in their
+start, for sweeps over initial states.  Both kernels perform the same
+floating-point operations in the same order, so every batch row is bit
+for bit the single-trajectory result on that start; at k = 1 the batch
+kernel is slower, so single runs keep closed_loop_rk4.  The estimate
+series XH is stored only for the output-feedback law and is None
+otherwise.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "USING_NUMBA",
     "closed_loop_rk4",
     "closed_loop_rk4_batch",
-    "closed_loop_rk4_numpy",
     "stack_operator",
 ]
-
-_DISABLE = os.environ.get("HEXREG_DISABLE_NUMBA", "0").lower() in ("1", "true", "yes")
-
-USING_NUMBA = False
-if not _DISABLE:
-    try:
-        import numba
-
-        USING_NUMBA = True
-    except ImportError:  # numba is optional; the numpy path runs without it
-        USING_NUMBA = False
 
 
 def stack_operator(A, B, P, M, C, D) -> np.ndarray:
@@ -48,7 +33,7 @@ def stack_operator(A, B, P, M, C, D) -> np.ndarray:
     return np.ascontiguousarray(np.vstack([A, B, P, M[None, :], C[None, :], D]))
 
 
-def closed_loop_rk4_numpy(
+def closed_loop_rk4(
     G,            # (3n + 2 + p, n) stacked operator
     bvec, Evec,   # (n,)
     u_lo, u_hi,
@@ -63,6 +48,10 @@ def closed_loop_rk4_numpy(
     ref_t, ref_v,
     dist_t, dist_v,
 ):
+    """Classic RK4 on one trajectory; returns X, XH, Z, U_raw, U_sat, Err, Y, bad_step.
+
+    bad_step is the first step whose state is non-finite, or -1.
+    """
     n = bvec.shape[0]
     p = L.shape[1]
     row_b = n
@@ -70,86 +59,74 @@ def closed_loop_rk4_numpy(
     row_m = 3 * n
     row_c = 3 * n + 1
     row_d = 3 * n + 2
-    nref = ref_t.shape[0]
-    ndist = dist_t.shape[0]
     Mrow = G[row_m]
+    observer = law == 1
+    feedback = law == 0 or observer
+    T = n_steps + 1
 
-    X = np.empty((n_steps + 1, n))
-    XH = np.empty((n_steps + 1, n))
-    Z = np.empty(n_steps + 1)
-    U_raw = np.empty(n_steps + 1)
-    U_sat = np.empty(n_steps + 1)
-    Err = np.empty(n_steps + 1)
-    Y = np.empty((n_steps + 1, p))
+    X = np.empty((T, n))
+    XH = np.empty((T, n)) if observer else None
+    Z = np.empty(T)
+    U_raw = np.empty(T)
+    U_sat = np.empty(T)
+    Err = np.empty(T)
+    Y = np.empty((T, p))
 
     s = np.empty(2 * n + 1)
     s[0:n] = x0
     s[n : 2 * n] = xhat0
     s[2 * n] = z0
+    kcur = np.zeros(2 * n + 1)  # the estimate block stays zero without an observer
 
-    st = np.empty(2 * n + 1)
-    kcur = np.empty(2 * n + 1)
-    kprev = np.zeros(2 * n + 1)
-    acc = np.empty(2 * n + 1)
-
-    a1 = 0.5
-    a2 = 0.5
-    a3 = 1.0
-    b0 = 1.0 / 6.0
-    b1 = 1.0 / 3.0
-    b2 = 1.0 / 3.0
-    b3 = 1.0 / 6.0
+    # Stage j is evaluated at t + a_j dt with a = (0, 1/2, 1/2, 1).  The
+    # reference is the last entry whose time is <= t_j (the first entry
+    # before that), the disturbance likewise (0 before its first entry).
+    # t_j never decreases at a fixed offset, so one cursor per offset and
+    # schedule replaces a scan from the start.
+    ref_times, ref_vals = ref_t.tolist(), ref_v.tolist()
+    dist_times, dist_vals = dist_t.tolist(), dist_v.tolist()
+    nref = len(ref_times)
+    ndist = len(dist_times)
+    r_first = ref_vals[0]
+    stage_h = (0.0, 0.5 * dt, 0.5 * dt, 1.0 * dt)   # a_j * dt
+    stage_b = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+    stage_slot = (0, 1, 1, 2)
+    ref_at = [0, 0, 0]
+    dist_at = [0, 0, 0]
 
     bad_step = -1
-    for step in range(n_steps + 1):
+    for step in range(T):
         t = step * dt
-        last = step == n_steps
-        acc[:] = 0.0
         for j in range(4):
             if j == 0:
-                st[:] = s
+                st = s
                 tj = t
             else:
-                if j == 1:
-                    aj = a1
-                elif j == 2:
-                    aj = a2
-                else:
-                    aj = a3
-                tj = t + aj * dt
-                st[:] = s
-                st += (aj * dt) * kprev
+                st = s + stage_h[j] * kcur
+                tj = t + stage_h[j]
+            slot = stage_slot[j]
+            i = ref_at[slot]
+            while i < nref and ref_times[i] <= tj:
+                i += 1
+            ref_at[slot] = i
+            r = ref_vals[i - 1] if i else r_first
+            i = dist_at[slot]
+            while i < ndist and dist_times[i] <= tj:
+                i += 1
+            dist_at[slot] = i
+            d = dist_vals[i - 1] if i else 0.0
+
             x = st[0:n]
-            xh = st[n : 2 * n]
-            z = st[2 * n]
+            z = st.item(2 * n)
             gx = G @ x
+            e = gx.item(row_c) - r + d
+            gxh = G @ st[n : 2 * n] if observer else gx
 
-            r = ref_v[0]
-            for i in range(nref):
-                if ref_t[i] <= tj:
-                    r = ref_v[i]
-                else:
-                    break
-            d = 0.0
-            for i in range(ndist):
-                if dist_t[i] <= tj:
-                    d = dist_v[i]
-                else:
-                    break
-            e = gx[row_c] - r + d
-
-            if law == 1:
-                gxh = G @ xh
-                gctl = gxh
-            else:
-                gxh = gx
-                gctl = gx
-
-            if law == 0 or law == 1:
-                w = gctl[row_b : row_b + n] - Bxss + g_ss
-                acc_p = np.dot(gctl[row_p : row_p + n] - Pxss, w)
-                mw = np.dot(Mrow, w)
-                mxt = gctl[row_m] - Mxss
+            if feedback:
+                w = gxh[row_b : row_b + n] - Bxss + g_ss
+                acc_p = float(np.dot(gxh[row_p : row_p + n] - Pxss, w))
+                mw = float(np.dot(Mrow, w))
+                mxt = gxh.item(row_m) - Mxss
                 phi = -kp * acc_p + ki * (z - mxt) * mw
             elif law == 2:
                 phi = sign_dc * ki * z
@@ -157,59 +134,41 @@ def closed_loop_rk4_numpy(
                 phi = -(kp_pi * e + ki_pi * z)
 
             u_raw = u_ss + phi
-            us = u_raw
-            if us < u_lo:
-                us = u_lo
-            elif us > u_hi:
-                us = u_hi
-
-            kcur[0:n] = gx[0:n] + (gx[row_b : row_b + n] + bvec) * us + Evec
-            if law == 1:
-                innov = gx[row_d : row_d + p] - gxh[row_d : row_d + p]
-                kcur[n : 2 * n] = (
-                    gxh[0:n] + (gxh[row_b : row_b + n] + bvec) * us + Evec + L @ innov
-                )
-            else:
-                kcur[n : 2 * n] = 0.0
-            kcur[2 * n] = e
+            us = u_lo if u_raw < u_lo else (u_hi if u_raw > u_hi else u_raw)
 
             if j == 0:
                 X[step] = x
-                XH[step] = xh
+                if observer:
+                    XH[step] = st[n : 2 * n]
                 Z[step] = z
                 U_raw[step] = u_raw
                 U_sat[step] = us
                 Err[step] = e
                 Y[step] = gx[row_d : row_d + p]
-                if last:
+                if step == n_steps:
                     break
+
+            kcur[0:n] = gx[0:n] + (gx[row_b : row_b + n] + bvec) * us + Evec
+            if observer:
+                innov = gx[row_d : row_d + p] - gxh[row_d : row_d + p]
+                kcur[n : 2 * n] = (
+                    gxh[0:n] + (gxh[row_b : row_b + n] + bvec) * us + Evec + L @ innov
+                )
+            kcur[2 * n] = e
             if j == 0:
-                acc += b0 * kcur
-            elif j == 1:
-                acc += b1 * kcur
-            elif j == 2:
-                acc += b2 * kcur
+                # + 0.0 turns a -0.0 term into +0.0, as a sum started from
+                # zero does; the batch kernel starts its sum from zeros.
+                acc = stage_b[0] * kcur + 0.0
             else:
-                acc += b3 * kcur
-            kprev[:] = kcur
-        if last:
+                acc += stage_b[j] * kcur
+        if step == n_steps:
             break
-        s += dt * acc
-        ok = True
-        for i in range(2 * n + 1):
-            if not np.isfinite(s[i]):
-                ok = False
-        if not ok:
+        s = s + dt * acc
+        if not np.isfinite(s).all():
             bad_step = step + 1
             break
 
     return X, XH, Z, U_raw, U_sat, Err, Y, bad_step
-
-
-if USING_NUMBA:
-    closed_loop_rk4 = numba.njit(cache=True, fastmath=False)(closed_loop_rk4_numpy)
-else:
-    closed_loop_rk4 = closed_loop_rk4_numpy
 
 
 def _rowwise(Mat, v):
@@ -235,12 +194,13 @@ def closed_loop_rk4_batch(
 ):
     """RK4 over k trajectories that share everything but their start.
 
-    Same arguments as closed_loop_rk4_numpy, with one initial state per
-    row.  Every elementwise operation follows the single-trajectory kernel
-    in the same order and every product goes through one BLAS call per
-    row, so each row is bit-identical to closed_loop_rk4_numpy on that
-    start, whatever k is.  Series come back as (k, n_steps + 1, ...);
-    bad_step is the first step at which any row went non-finite.
+    Same arguments as closed_loop_rk4, with one initial state per row.
+    Every elementwise operation follows the single-trajectory kernel in the
+    same order and every product goes through one BLAS call per row, so
+    each row is bit-identical to closed_loop_rk4 on that start, whatever k
+    is.  Series come back as (k, n_steps + 1, ...), XH only for the
+    output-feedback law; bad_step is the first step at which any row went
+    non-finite.
     """
     k, n = x0.shape
     p = L.shape[1]
@@ -253,7 +213,7 @@ def closed_loop_rk4_batch(
     T = n_steps + 1
 
     X = np.empty((k, T, n))
-    XH = np.empty((k, T, n))
+    XH = np.empty((k, T, n)) if law == 1 else None
     Z = np.empty((k, T))
     U_raw = np.empty((k, T))
     U_sat = np.empty((k, T))
@@ -327,7 +287,8 @@ def closed_loop_rk4_batch(
 
             if j == 0:
                 X[:, step] = x
-                XH[:, step] = xh
+                if law == 1:
+                    XH[:, step] = xh
                 Z[:, step] = z
                 U_raw[:, step] = u_raw
                 U_sat[:, step] = us

@@ -2,8 +2,9 @@
 
 A scenario bundles the plant, the design artifacts, the control law, and the
 piecewise-constant reference / output-disturbance schedules.  `run` advances
-plant, observer, and integrator together with one fixed-step RK4 pass (the
-compiled kernel), then attaches the applicable Lyapunov monitor series.
+plant, observer, and integrator together with one fixed-step RK4 pass
+(kernels.closed_loop_rk4), then attaches the applicable Lyapunov monitor
+series.
 Identical inputs give bit-identical outputs.
 
 Temperatures may be scripted in kelvin or Celsius; everything is converted
@@ -282,7 +283,7 @@ def _result(scn: SimScenario, X, XH, Z, U_raw, U_sat, Err, Y) -> SimResult:
     return SimResult(
         times=np.arange(scn.n_steps + 1) * scn.dt,
         x=X,
-        x_hat=XH if scn.law == OUTPUT_FEEDBACK else None,
+        x_hat=XH,
         u_raw=U_raw,
         u_sat=U_sat,
         e=Err,
@@ -329,7 +330,8 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
     *series, bad_step = closed_loop_rk4_batch(*head, x0, x_hat0, 0.0, *tail)
     if bad_step >= 0:
         raise NonFiniteError(step=int(bad_step), t=float(bad_step * first.dt))
-    return [_result(scn, *(s[i] for s in series)) for i, scn in enumerate(scenarios)]
+    return [_result(scn, *(None if s is None else s[i] for s in series))
+            for i, scn in enumerate(scenarios)]
 
 
 # ---------------------------------------------------------------------------

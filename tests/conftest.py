@@ -107,11 +107,3 @@ def make_scenario(sys, art, law, t_end, dt, refs, dists=(), x0=None,
         x_hat0=None if x_hat0 is None else np.array(x_hat0, dtype=np.float64),
         kp_pi=kp_pi, ki_pi=ki_pi,
     )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernel(hexsys, fwd_art):
-    """Pay the kernel's one-time compile cost before any timed test."""
-    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 1.0, 0.5,
-                        [[0.0, 26.5 + KELVIN]])
-    hexreg.run(scn)

@@ -2,10 +2,9 @@
 
 Each criterion prints a single PASS/FAIL line (visible with -s; pytest -v
 shows one PASSED/FAILED row per criterion either way) and carries its own
-runtime budget, measured around the computational core.  The budgets hold
-on the plain numpy path, without numba; a conftest.py fixture runs the
-kernel once beforehand, so where numba is installed its compile cost stays
-out of the timed work.
+runtime budget, measured around the computational core.  The kernels are
+plain numpy, with no compile step, so nothing needs warming before the
+timed work.
 """
 
 import time

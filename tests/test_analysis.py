@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import hexreg
-from hexreg import analysis
+from hexreg import analysis, kernels, sim
 
-from conftest import TABLE1
+from conftest import KELVIN, TABLE1, make_scenario
 
 
 def test_saturation_gap_property():
@@ -142,6 +142,30 @@ def test_lyapunov_monitors_positive_off_origin(hexsys, fwd_art):
     expected = (fwd_art.k_p * float(xt @ fwd_art.P @ xt)
                 + fwd_art.k_i * (0.7 - float(fwd_art.M @ xt)) ** 2)
     assert V == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("dist, saturates", [(0.0, False), (-40.0, True)])
+def test_trajectory_monitors_integral_only_matches_monitor_point(
+        hexsys, io_art, dist, saturates):
+    """The stacked integral-only V solves reproduce monitor_point bit for
+    bit, over more samples than one stacked block.  An output disturbance
+    of -40 K drives the input into saturation, so the shifted equilibrium
+    there differs from the unsaturated samples'."""
+    x0 = hexreg.invert_reference(hexsys, 26.0 + KELVIN).x_ss
+    scn = make_scenario(hexsys, io_art, hexreg.INTEGRAL_ONLY, 6000.0, 4.0,
+                        [[0.0, 26.5 + KELVIN]], dists=[[0.0, dist]], x0=x0)
+    head, tail = sim._kernel_args(scn)
+    X, XH, Z, U_raw, U_sat, _, _, bad_step = kernels.closed_loop_rk4(
+        *head, *sim._initial_states(scn), 0.0, *tail)
+    assert bad_step == -1
+    assert bool(np.any(U_raw != U_sat)) is saturates
+    ctx = analysis.build_monitor_context(hexsys, io_art, hexreg.INTEGRAL_ONLY)
+    series = analysis.trajectory_monitors(ctx, X, XH, Z)
+    points = np.array([analysis.monitor_point(ctx, X[k], None, float(Z[k]))
+                       for k in range(Z.shape[0])])
+    assert Z.shape[0] > analysis._MONITOR_BLOCK
+    for i, name in enumerate("VUW"):
+        assert series[i].tobytes() == points[:, i].tobytes(), name
 
 
 def test_observer_monitor_constants(synthetic_observable, synthetic_observer):

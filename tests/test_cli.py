@@ -143,15 +143,25 @@ def test_verify_default_passes(ws, tmp_path):
     assert data["hurwitz_margin"] < 0.0
 
 
-def test_verify_a3_reports_infeasible(ws, tmp_path):
-    # the mu-weighted inequality fails on this plant; exit 1 flags it
+def test_verify_a3_reports_infeasible(ws, tmp_path, capsys):
+    # the mu-weighted inequality fails on this plant; exit 1 flags it, and
+    # stderr names the failed checks with or without --out
     out = tmp_path / "verify3.json"
+    capsys.readouterr()
     rc = main(["verify", str(ws / "hex.json"), "--a3", "--grid", "32",
                "--out", str(out)])
     assert rc == 1
     data = json.loads(out.read_text())
     assert data["all_hold"] is False
     assert data["a3a_feasible"] is False
+    failed = "verification failed: a3a_feasible, a3b_sign_constant"
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [failed]
+    rc = main(["verify", str(ws / "hex.json"), "--a3", "--grid", "8"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["all_hold"] is False
+    assert captured.err.splitlines() == [failed]
 
 
 def test_verify_unstable_toy(tmp_path):

@@ -1,4 +1,4 @@
-"""Simulation kernel: backend selection, cross-backend agreement, accuracy."""
+"""Simulation kernel: determinism across processes, accuracy."""
 
 import os
 import subprocess
@@ -10,7 +10,6 @@ import pytest
 import scipy.linalg as sla
 
 import hexreg
-from hexreg import kernels
 
 from conftest import KELVIN, make_scenario
 
@@ -18,7 +17,6 @@ _LANE_SCRIPT = r"""
 import sys
 import numpy as np
 import hexreg
-from hexreg import kernels
 
 params = hexreg.HexParams(
     n_cells=8, lam=35.0, rho=1000.0, cp=4186.0,
@@ -36,48 +34,36 @@ scn = hexreg.SimScenario(
     kp_pi=None, ki_pi=None,
 )
 res = hexreg.run(scn)
-np.savez(sys.argv[1], backend=kernels.USING_NUMBA,
-         x=res.x, u_raw=res.u_raw, e=res.e)
+np.savez(sys.argv[1], x=res.x, u_raw=res.u_raw, e=res.e, V=res.monitors["V"])
 """
 
 
-def _run_lane(tmp_path, tag, disable_numba):
+def _run_lane(tmp_path, tag):
+    """Run _LANE_SCRIPT in a fresh interpreter and load what it saved."""
     env = dict(os.environ)
     # The child runs in tmp_path, where a relative PYTHONPATH entry (such
     # as src) no longer resolves; put the imported package's root first.
     pkg_root = str(Path(hexreg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    if disable_numba:
-        env["HEXREG_DISABLE_NUMBA"] = "1"
-    else:
-        env.pop("HEXREG_DISABLE_NUMBA", None)
     out = tmp_path / f"{tag}.npz"
     subprocess.run([sys.executable, "-c", _LANE_SCRIPT, str(out)],
                    check=True, env=env, cwd=str(tmp_path))
     return np.load(out)
 
 
-def test_backend_flag_reflects_environment():
-    expected = os.environ.get("HEXREG_DISABLE_NUMBA", "") == ""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        expected = False
-    assert kernels.USING_NUMBA == expected
-
-
-def test_backends_agree_bit_for_bit(tmp_path):
-    """The compiled and pure-numpy kernels are the same source walked by
-    different executors; their trajectories must be exactly equal."""
-    slow = _run_lane(tmp_path, "numpy", disable_numba=True)
-    assert bool(slow["backend"]) is False
-    pytest.importorskip("numba")
-    fast = _run_lane(tmp_path, "numba", disable_numba=False)
-    assert bool(fast["backend"]) is True
-    assert np.array_equal(fast["x"], slow["x"])
-    assert np.array_equal(fast["u_raw"], slow["u_raw"])
-    assert np.array_equal(fast["e"], slow["e"])
+def test_run_bits_repeat_across_processes(tmp_path, hexsys, eq265, fwd_art):
+    """Two fresh interpreters and this one give the same trajectory bits."""
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 50.0, 0.05,
+                        [[0.0, 26.5 + KELVIN], [20.0, 26.0 + KELVIN]],
+                        dists=[[35.0, 0.5]],
+                        x0=eq265.x_ss + np.linspace(-2.0, 2.0, 16))
+    res = hexreg.run(scn)
+    here = dict(x=res.x, u_raw=res.u_raw, e=res.e, V=res.monitors["V"])
+    for tag in ("first", "second"):
+        lane = _run_lane(tmp_path, tag)
+        for name, value in here.items():
+            assert lane[name].tobytes() == value.tobytes(), (tag, name)
 
 
 def test_rk4_matches_matrix_exponential(hexsys, io_art):
