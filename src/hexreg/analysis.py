@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI
-from .design import DesignArtifacts, input_coupling_bound, lyapunov_decay_margin
-from .errors import (
-    MissingObserverStateError,
-    NotHurwitzError,
-    SingularMatrixError,
-    ZeroDCGainError,
-)
+from .design import DesignArtifacts, _dc_path, input_coupling_bound, lyapunov_decay_margin
+from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
 from .model import BilinearSystem
 from .steady_state import pi_map
 
@@ -103,13 +98,6 @@ class AssumptionReport:
     grid_sizes: dict = field(default_factory=dict)
     lmi: LMIRecord | None = None
 
-    def is_consistent(self) -> bool:
-        """Booleans must agree with the signed margins they summarize."""
-        if self.a3a_feasible is not None:
-            if self.a3a_feasible != (self.a3a_worst_residual <= _A3A_TOL):
-                return False
-        return True
-
     def failed_checks(self, require_a3: bool = False) -> list[str]:
         """Names of the report fields whose check ran and came back negative.
 
@@ -138,10 +126,6 @@ class AssumptionReport:
                 failed.append("a3b_sign_constant")
         return failed
 
-    def all_hold(self, require_a3: bool = False) -> bool:
-        """True when every check that ran came back clean (see failed_checks)."""
-        return not self.failed_checks(require_a3)
-
     def to_dict(self) -> dict:
         out = {
             "hurwitz_margin": self.hurwitz_margin,
@@ -168,8 +152,7 @@ class AssumptionReport:
 
 
 def _dc_gain_at(sys: BilinearSystem, u: float) -> float:
-    x_eq = pi_map(sys, u)
-    g_u = sys.B @ x_eq + sys.b
+    g_u = sys.input_gain(pi_map(sys, u))
     F = sys.frozen(u)
     return float(sys.C @ np.linalg.solve(F, g_u))
 
@@ -264,8 +247,7 @@ def check_assumption3(
     pos = neg = 0
     for u in u_grid:
         F = sys.frozen(float(u))
-        x_eq = pi_map(sys, float(u))
-        g_u = sys.B @ x_eq + sys.b
+        g_u = sys.input_gain(pi_map(sys, float(u)))
         for v in v_grid:
             if restrict_admissible:
                 ueff = float(u) + float(v)
@@ -427,7 +409,7 @@ def build_monitor_context(
         ctx.gamma = 2.0 * artifacts.k_i * artifacts.pi_bar * np.sqrt(p_max)
         ctx.F_ss = sys.frozen(artifacts.u_ss)
         ctx.B = sys.B
-        ctx.g_ss = sys.B @ artifacts.x_ss + sys.b
+        ctx.g_ss = sys.input_gain(artifacts.x_ss)
     return ctx
 
 
@@ -558,17 +540,13 @@ def linearization_matrix(
 
     with h = C F^-1 g.  At k_i = 0 this is block triangular with spectrum
     eig(F) union {0}; the integrator pole detaches at rate -k_i |h|.
+    Raises ZeroDCGainError when h is numerically zero.
     """
     if k_i < 0.0:
         raise ValueError(f"k_i must be nonnegative, got {k_i!r}")
     n = sys.n_states
     F = sys.frozen(artifacts.u_ss)
-    g = sys.B @ artifacts.x_ss + sys.b
-    Fg = np.linalg.solve(F, g)
-    h = float(sys.C @ Fg)
-    scale = float(np.linalg.norm(sys.C) * np.linalg.norm(Fg))
-    if abs(h) <= 1e-12 * (1.0 + scale):
-        raise ZeroDCGainError(f"DC path C F^-1 g = {h!r} is numerically zero")
+    h, Fg = _dc_path(sys, artifacts.u_ss, artifacts.x_ss)
     s = 1.0 if h > 0.0 else -1.0
     A_cl = np.zeros((n + 1, n + 1))
     A_cl[:n, :n] = F + s * k_i * np.outer(Fg, sys.C)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,9 @@ from .errors import (
     ZeroDCGainError,
 )
 from .serde import dump_json, dumps_json
+from .sim import _KELVIN_OFFSET
 
 __all__ = ["main"]
-
-_KELVIN_OFFSET = 273.15
 
 _USAGE_ERRORS = (
     ValueError,
@@ -147,21 +145,8 @@ def _run_one(system_path: str, artifact_path: str, scenario_path: str,
 
 
 def _cmd_simulate(args) -> int:
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(args.scenario) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_one, args.system, args.artifacts, s,
-                            args.out, args.dt, args.law)
-                for s in args.scenario
-            ]
-            paths = [f.result() for f in futures]
-    else:
-        paths = [
-            _run_one(args.system, args.artifacts, s, args.out, args.dt, args.law)
-            for s in args.scenario
-        ]
-    for path in paths:
+    for s in args.scenario:
+        path = _run_one(args.system, args.artifacts, s, args.out, args.dt, args.law)
         print(f"wrote {path}")
     return 0
 
@@ -290,8 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", default=None,
                    choices=["forwarding", "output_feedback", "integral_only", "pi"],
                    help="override the scenario law")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for batch runs (default 1)")
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("verify", help="grid-check the standing assumptions")

@@ -1,153 +1,37 @@
-"""Reference implementations of the control laws.
+"""Names of the control laws.
 
-These scalar-state functions define the laws; the simulation kernel inlines
-the same arithmetic for speed and is tested against them.  Every law issues
-u = u_ss + phi and the plant applies sat(u).
+The laws themselves are defined once, in kernels.closed_loop_rk4 (and its
+row-for-row batch twin); the integer codes below are what the kernels
+dispatch on.  Every law issues u = u_ss + phi and the plant applies sat(u).
 
 Laws
 ----
-forwarding        phi(x, z) from the full state
-output_feedback   same formula evaluated on the observer estimate
+forwarding        phi = -(B (x - x_ss) + g_ss)^T [k_p P (x - x_ss)
+                        - k_i (z - M (x - x_ss)) M^T], with g_ss = B x_ss + b
+output_feedback   same formula evaluated on the observer estimate, which obeys
+                  dxhat/dt = A xhat + (B xhat + b) sat(u) + L (y - D xhat) + E
 integral_only     phi = sign_dc * k_i * z  (sign_dc = sgn(C F^-1 g); this
                   direction makes the slow output loop contract, since the
                   steady output slope is -C F^-1 g)
 pi                phi = -(kp_pi e + ki_pi z); gains are signed, so plants
                   with a negative input-to-output DC gain take negative
                   gains for a stabilizing loop
+
+Every law integrates dz/dt = e.
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .design import DesignArtifacts
-from .errors import GainAboveBoundWarning, MissingObserverStateError
-from .model import BilinearSystem
 
 __all__ = [
     "FORWARDING",
     "OUTPUT_FEEDBACK",
     "INTEGRAL_ONLY",
     "PI",
-    "LAWS",
     "LAW_CODES",
-    "ControllerRuntime",
-    "input_gain",
-    "forwarding_phi",
-    "output_feedback_phi",
-    "integral_only_phi",
-    "pi_phi",
-    "integrator_rhs",
-    "observer_step_rhs",
 ]
 
 FORWARDING = "forwarding"
 OUTPUT_FEEDBACK = "output_feedback"
 INTEGRAL_ONLY = "integral_only"
 PI = "pi"
-LAWS = (FORWARDING, OUTPUT_FEEDBACK, INTEGRAL_ONLY, PI)
 LAW_CODES = {FORWARDING: 0, OUTPUT_FEEDBACK: 1, INTEGRAL_ONLY: 2, PI: 3}
-
-
-@dataclass
-class ControllerRuntime:
-    """Mutable controller state carried through a run."""
-
-    law: str
-    artifacts: DesignArtifacts
-    z: float = 0.0
-    x_hat: np.ndarray | None = None
-    kp_pi: float = 0.0
-    ki_pi: float = 0.0
-    g_ss: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.law not in LAWS:
-            raise ValueError(f"unknown law {self.law!r}; expected one of {LAWS}")
-        if self.law == OUTPUT_FEEDBACK:
-            if self.x_hat is None:
-                raise MissingObserverStateError(
-                    "output_feedback runtime requires x_hat"
-                )
-            if self.artifacts.observer is None:
-                raise MissingObserverStateError(
-                    "output_feedback runtime requires observer artifacts"
-                )
-        elif self.x_hat is not None:
-            raise ValueError(f"x_hat is only meaningful for {OUTPUT_FEEDBACK}")
-
-
-def input_gain(sys: BilinearSystem, art: DesignArtifacts) -> np.ndarray:
-    """g_ss = B x_ss + b, the input direction at the design equilibrium."""
-    return sys.B @ art.x_ss + sys.b
-
-
-def _forwarding_core(art: DesignArtifacts, g_ss: np.ndarray, B: np.ndarray,
-                     xs: np.ndarray, z: float) -> float:
-    xt = xs - art.x_ss
-    w = B @ xt + g_ss
-    z_shift = z - float(art.M @ xt)
-    return float(-art.k_p * (xt @ art.P @ w) + art.k_i * z_shift * (art.M @ w))
-
-
-def forwarding_phi(rt: ControllerRuntime, sys: BilinearSystem, x: np.ndarray) -> float:
-    """State-feedback forwarding increment.
-
-    phi = -(B (x - x_ss) + g_ss)^T [k_p P (x - x_ss) - k_i (z - M (x - x_ss)) M^T]
-    """
-    g_ss = rt.g_ss if rt.g_ss is not None else input_gain(sys, rt.artifacts)
-    return _forwarding_core(rt.artifacts, g_ss, sys.B, np.asarray(x, float), rt.z)
-
-
-def output_feedback_phi(rt: ControllerRuntime, sys: BilinearSystem) -> float:
-    """Forwarding increment evaluated on the observer estimate."""
-    if rt.x_hat is None:
-        raise MissingObserverStateError("x_hat not set on runtime")
-    g_ss = rt.g_ss if rt.g_ss is not None else input_gain(sys, rt.artifacts)
-    return _forwarding_core(rt.artifacts, g_ss, sys.B, rt.x_hat, rt.z)
-
-
-def integral_only_phi(rt: ControllerRuntime) -> float:
-    """phi = sign_dc * k_i * z."""
-    art = rt.artifacts
-    if art.ki_star is not None and art.k_i >= art.ki_star:
-        warnings.warn(
-            f"k_i = {art.k_i:.3e} >= certified bound {art.ki_star:.3e}",
-            GainAboveBoundWarning,
-            stacklevel=2,
-        )
-    return float(art.sign_dc * art.k_i * rt.z)
-
-
-def pi_phi(rt: ControllerRuntime, e: float) -> float:
-    """phi = -(kp_pi e + ki_pi z)."""
-    return float(-(rt.kp_pi * e + rt.ki_pi * rt.z))
-
-
-def integrator_rhs(e: float) -> float:
-    """dz/dt = e."""
-    return float(e)
-
-
-def observer_step_rhs(
-    rt: ControllerRuntime,
-    sys: BilinearSystem,
-    y: np.ndarray,
-    u_applied: float,
-) -> np.ndarray:
-    """Estimate derivative driven by the measured outputs.
-
-    dxhat/dt = A xhat + (B xhat + b) sat(u) + L (y - D xhat) + E.
-    Subtracting the plant equation shows the error epsilon = xhat - x obeys
-    depsilon/dt = (A + sat(u) B - L D) epsilon.
-    """
-    if rt.x_hat is None or rt.artifacts.observer is None:
-        raise MissingObserverStateError("observer runtime incomplete")
-    us = float(np.clip(u_applied, sys.u_min, sys.u_max))
-    xh = rt.x_hat
-    L = rt.artifacts.observer.L
-    y = np.asarray(y, dtype=np.float64)
-    return sys.A @ xh + (sys.B @ xh + sys.b) * us + L @ (y - sys.D @ xh) + sys.E

@@ -9,11 +9,13 @@ integral-only law, and the certified integral gain bound ki_star.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    GainAboveBoundWarning,
     InfeasibleError,
     NotHurwitzError,
     NotObservableError,
@@ -87,10 +89,6 @@ class DesignArtifacts:
     pi_bar: float | None = None
     eps_frozen: float | None = None
 
-    @property
-    def g_ss(self) -> np.ndarray:
-        raise AttributeError("g_ss depends on the system; use controllers.input_gain")
-
 
 def solve_lyapunov(F: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
     """Solve F^T P + P F = -2 Upsilon for symmetric positive definite P.
@@ -126,26 +124,30 @@ def hex_analytic_P(p: HexParams) -> np.ndarray:
     return P
 
 
-def _dc_path(sys: BilinearSystem, eq: Equilibrium) -> float:
-    """C F_ss^{-1} g_ss for the design equilibrium."""
-    F = sys.frozen(eq.u_ss)
-    g = sys.B @ eq.x_ss + sys.b
-    return float(sys.C @ np.linalg.solve(F, g))
+def _dc_path(
+    sys: BilinearSystem, u_ss: float, x_ss: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(h, F_ss^{-1} g_ss) with h = C F_ss^{-1} g_ss, the frozen DC path.
+
+    Raises ZeroDCGainError when h is numerically zero, since then no
+    integral action reaches the output.
+    """
+    Fg = np.linalg.solve(sys.frozen(u_ss), sys.input_gain(x_ss))
+    h = float(sys.C @ Fg)
+    scale = np.linalg.norm(Fg) * np.linalg.norm(sys.C)
+    if abs(h) <= 1e-12 * (1.0 + scale):
+        raise ZeroDCGainError(f"C F^-1 g = {h:.3e} at u_ss = {u_ss!r}")
+    return h, Fg
 
 
 def sign_dc_gain(sys: BilinearSystem, eq: Equilibrium) -> float:
     """Sign of the frozen DC path C F_ss^{-1} g_ss (+1.0 or -1.0).
 
     The steady output slope is d(C pi)/du = -C F^{-1} g, so this value is
-    the negated sign of the physical DC gain.  Raises when the path is
-    numerically zero, since then no integral action reaches the output.
+    the negated sign of the physical DC gain.  Raises ZeroDCGainError when
+    the path is numerically zero.
     """
-    h = _dc_path(sys, eq)
-    F = sys.frozen(eq.u_ss)
-    g = sys.B @ eq.x_ss + sys.b
-    scale = np.linalg.norm(np.linalg.solve(F, g)) * np.linalg.norm(sys.C)
-    if abs(h) <= 1e-12 * (1.0 + scale):
-        raise ZeroDCGainError(f"C F^-1 g = {h:.3e} at u_ss = {eq.u_ss!r}")
+    h, _ = _dc_path(sys, eq.u_ss, eq.x_ss)
     return float(np.sign(h))
 
 
@@ -426,7 +428,7 @@ def pi_shift_sup(
     if hi < lo:
         raise ValueError(f"empty deviation range [{lo}, {hi}]")
     F = sys.frozen(eq.u_ss)
-    g = sys.B @ eq.x_ss + sys.b
+    g = sys.input_gain(eq.x_ss)
 
     def magnitude(v: float) -> float:
         Fv = F + sys.B * v
@@ -516,7 +518,8 @@ def integral_only_design(
     P defaults to the closed-form heat-exchanger weight when hex_params are
     given, else to the Lyapunov solution at the design input with identity
     right-hand side.  The decay rate certified for P over the input grid
-    feeds the bound ki_star; k_i defaults to half that bound.  Upsilon is
+    feeds the bound ki_star; k_i defaults to half that bound, and an
+    explicit k_i at or above it raises GainAboveBoundWarning.  Upsilon is
     back-filled as -(P F_ss + F_ss^T P) / 2 so the stored pair satisfies
     the same identity every artifact set carries.
     """
@@ -539,6 +542,12 @@ def integral_only_design(
         k_i = 0.5 * ki_star
     if k_i <= 0.0:
         raise ValueError(f"k_i must be positive, got {k_i!r}")
+    if k_i >= ki_star:
+        warnings.warn(
+            f"k_i = {k_i:.3e} >= certified bound {ki_star:.3e}",
+            GainAboveBoundWarning,
+            stacklevel=2,
+        )
     F = sys.frozen(eq.u_ss)
     Upsilon = -0.5 * (P @ F + F.T @ P)
     M = _solve_output_row(F, sys.C)

@@ -171,6 +171,10 @@ class BilinearSystem:
         """Frozen-input state matrix F_u = A + B u (saturated input value)."""
         return self.A + self.B * float(u)
 
+    def input_gain(self, x: np.ndarray) -> np.ndarray:
+        """Input direction g = B x + b, the vector sat(u) multiplies at x."""
+        return self.B @ x + self.b
+
 
 def _own(arr, ndim: int) -> np.ndarray:
     out = np.array(arr, dtype=np.float64, order="C", copy=True)

@@ -100,6 +100,11 @@ class SimResult:
     monitors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _require_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _as_schedule(raw, name: str, offset: float) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(raw, list):
         raise ValueError(f"{name} must be a list of [time, value] pairs")
@@ -112,6 +117,8 @@ def _as_schedule(raw, name: str, offset: float) -> tuple[np.ndarray, np.ndarray]
         vals.append(float(item[1]) + offset)
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(vals, dtype=np.float64)
+    _require_finite(f"{name} times", t)
+    _require_finite(f"{name} values", v)
     if t.size and np.any(np.diff(t) <= 0.0):
         raise ValueError(f"{name} times must be strictly increasing")
     return t, v
@@ -122,10 +129,11 @@ def scenario_from_dict(
 ) -> SimScenario:
     """Build a scenario from parsed JSON, converting units and validating.
 
-    Checks: known keys only; kelvin or Celsius units; strictly increasing
-    schedules starting at t = 0 and contained in [0, t_end]; t_end an exact
-    multiple of dt; every reference inside the reachable set.  x0 defaults
-    to the open-loop equilibrium of the first reference, x_hat0 to x0.
+    Checks: known keys only; finite numbers; kelvin or Celsius units;
+    strictly increasing schedules starting at t = 0 and contained in
+    [0, t_end]; t_end an exact multiple of dt; every reference inside the
+    reachable set.  x0 defaults to the open-loop equilibrium of the first
+    reference, x_hat0 to x0.
     """
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
@@ -145,8 +153,11 @@ def scenario_from_dict(
 
     t_end = float(data["t_end"])
     dt = float(data["dt"])
+    _require_finite("t_end", t_end)
+    _require_finite("dt", dt)
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt!r} t_end={t_end!r}")
+    _require_finite("t_end / dt", t_end / dt)
     n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end={t_end!r} is not an integer multiple of dt={dt!r}")
@@ -173,6 +184,7 @@ def scenario_from_dict(
         x0 = np.asarray(data["x0"], dtype=np.float64) + offset
         if x0.shape != (sys.n_states,):
             raise ValueError(f"x0 must have {sys.n_states} entries, got {x0.shape}")
+        _require_finite("x0", x0)
     else:
         x0 = invert_reference(sys, float(ref_v[0])).x_ss.copy()
     if data.get("x_hat0") is not None:
@@ -181,11 +193,14 @@ def scenario_from_dict(
             raise ValueError(
                 f"x_hat0 must have {sys.n_states} entries, got {x_hat0.shape}"
             )
+        _require_finite("x_hat0", x_hat0)
     else:
         x_hat0 = x0.copy()
 
     kp_pi = float(data.get("kp_pi", 0.0))
     ki_pi = float(data.get("ki_pi", 0.0))
+    _require_finite("kp_pi", kp_pi)
+    _require_finite("ki_pi", ki_pi)
     if law != PI and ("kp_pi" in data or "ki_pi" in data):
         raise ValueError("kp_pi/ki_pi are only valid with the pi law")
     if law == PI and "ki_pi" not in data:
@@ -238,7 +253,6 @@ def _kernel_args(scn: SimScenario) -> tuple[tuple, tuple]:
         L = np.ascontiguousarray(art.observer.L)
     else:
         L = np.zeros((sys.n_states, sys.n_outputs))
-    g_ss = sys.B @ art.x_ss + sys.b
     head = (
         G,
         sys.b,
@@ -247,7 +261,7 @@ def _kernel_args(scn: SimScenario) -> tuple[tuple, tuple]:
         sys.u_max,
         LAW_CODES[scn.law],
         art.u_ss,
-        g_ss,
+        sys.input_gain(art.x_ss),
         sys.B @ art.x_ss,
         art.P @ art.x_ss,
         float(art.M @ art.x_ss),
@@ -295,7 +309,10 @@ def _result(scn: SimScenario, X, XH, Z, U_raw, U_sat, Err, Y) -> SimResult:
 def run(scn: SimScenario) -> SimResult:
     """Integrate the closed loop and attach monitor series."""
     head, tail = _kernel_args(scn)
-    *series, bad_step = closed_loop_rk4(*head, *_initial_states(scn), 0.0, *tail)
+    # A diverging run ends in NonFiniteError; numpy's overflow warnings on
+    # the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        *series, bad_step = closed_loop_rk4(*head, *_initial_states(scn), 0.0, *tail)
     if bad_step >= 0:
         raise NonFiniteError(step=int(bad_step), t=float(bad_step * scn.dt))
     return _result(scn, *series)
@@ -327,7 +344,8 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
     starts = [_initial_states(scn) for scn in scenarios]
     x0 = np.stack([x for x, _ in starts])
     x_hat0 = np.stack([xh for _, xh in starts])
-    *series, bad_step = closed_loop_rk4_batch(*head, x0, x_hat0, 0.0, *tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        *series, bad_step = closed_loop_rk4_batch(*head, x0, x_hat0, 0.0, *tail)
     if bad_step >= 0:
         raise NonFiniteError(step=int(bad_step), t=float(bad_step * first.dt))
     return [_result(scn, *(None if s is None else s[i] for s in series))

@@ -121,7 +121,7 @@ def test_assumption_report_serializes(hexsys):
     d = rep.to_dict()
     assert d["hurwitz_margin"] < 0.0
     assert "a3a_feasible" in d
-    assert rep.all_hold(require_a3=False) is True
+    assert rep.failed_checks() == []
 
 
 # -- monitors ---------------------------------------------------------------

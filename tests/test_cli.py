@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,14 +220,45 @@ def test_simulate_flag_overrides(ws, tmp_path):
     assert m["law"] == "integral_only"
 
 
-def test_simulate_parallel_jobs(ws, tmp_path):
+def test_simulate_several_scenarios(ws, tmp_path):
     s1 = scenario_file(tmp_path, name="j1.json")
     s2 = scenario_file(tmp_path, name="j2.json", t_end=5.0)
     out = tmp_path / "runs_par"
     rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
-               str(s1), str(s2), "--out", str(out), "--jobs", "2"])
+               str(s1), str(s2), "--out", str(out)])
     assert rc == 0
     assert (out / "j1.csv").exists() and (out / "j2.csv").exists()
+
+
+def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
+    """RK4 at dt = 20 s diverges on this plant; the run ends with the
+    exit-3 message and no numpy overflow warnings before it."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
+                   str(CONFIGS / "experiment2.json"),
+                   "--out", str(tmp_path / "runs_div"), "--dt", "20"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: non-finite state at step 39 (t = 780 s)"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_end", float("inf")),
+    ("dt", float("nan")),
+    ("reference_schedule", [[0.0, 26.5], [float("inf"), 26.0]]),
+    ("output_disturbance", [[0.0, float("nan")]]),
+    ("x0", [float("-inf")] * 16),
+])
+def test_simulate_nonfinite_scenario_exit2(ws, tmp_path, capsys, field, value):
+    scn = scenario_file(tmp_path, name="nonfinite.json", **{field: value})
+    capsys.readouterr()
+    rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
+               str(scn), "--out", str(tmp_path / "runs_nf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and "must be finite" in err
 
 
 def test_simulate_repeat_is_byte_identical(ws, tmp_path):

@@ -1,5 +1,7 @@
 """Design-time synthesis: Lyapunov solves, gains, observer feasibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,18 @@ def test_integral_only_design_explicit_gain(hexsys, eq265, table1):
     with pytest.raises(ValueError):
         hexreg.integral_only_design(hexsys, eq265, k_i=-1e-7,
                                     hex_params=table1)
+
+
+def test_integral_only_design_warns_above_bound(hexsys, eq265, table1, io_art):
+    for k_i in (io_art.ki_star, 2.0 * io_art.ki_star):
+        with pytest.warns(hexreg.GainAboveBoundWarning):
+            art = hexreg.integral_only_design(hexsys, eq265, k_i=k_i,
+                                              hex_params=table1)
+        assert art.ki_star == io_art.ki_star
+    # the default gain, half the bound, is certified and stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", hexreg.GainAboveBoundWarning)
+        hexreg.integral_only_design(hexsys, eq265, hex_params=table1)
 
 
 # -- DC gain sign -----------------------------------------------------------

@@ -107,6 +107,25 @@ def test_scenario_pi_gain_rules(hexsys, fwd_art):
     assert (scn.kp_pi, scn.ki_pi) == (-0.01, -0.001)
 
 
+@pytest.mark.parametrize("field, over", [
+    ("t_end", {"t_end": float("inf")}),
+    ("dt", {"dt": float("nan")}),
+    ("t_end / dt", {"t_end": 1e300, "dt": 1e-300}),
+    ("reference_schedule times",
+     {"reference_schedule": [[0.0, 26.5], [float("nan"), 26.0]]}),
+    ("reference_schedule values", {"reference_schedule": [[0.0, float("inf")]]}),
+    ("output_disturbance values", {"output_disturbance": [[2.0, float("nan")]]}),
+    ("output_disturbance times", {"output_disturbance": [[float("-inf"), 0.5]]}),
+    ("x0", {"x0": [26.5] * 15 + [float("nan")]}),
+    ("x_hat0", {"x_hat0": [float("inf")] * 16}),
+    ("kp_pi", {"law": "pi", "kp_pi": float("nan"), "ki_pi": -0.001}),
+    ("ki_pi", {"law": "pi", "kp_pi": -0.01, "ki_pi": float("inf")}),
+])
+def test_scenario_rejects_nonfinite_numbers(hexsys, fwd_art, field, over):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        hexreg.scenario_from_dict(base_dict(**over), hexsys, fwd_art)
+
+
 def test_scenario_output_feedback_needs_observer(hexsys, fwd_art):
     with pytest.raises(hexreg.MissingObserverStateError):
         hexreg.scenario_from_dict(base_dict(law="output_feedback"),
