@@ -413,53 +413,20 @@ def build_monitor_context(
     return ctx
 
 
-def _quad(P: np.ndarray, d: np.ndarray) -> float:
-    return float(max(d @ P @ d, 0.0))
-
-
-def _integral_only_V(ctx: MonitorContext, x: np.ndarray, z: float) -> float:
-    v = float(np.clip(ctx.u_ss + ctx.sign_dc * ctx.k_i * z, ctx.u_min, ctx.u_max))
-    v -= ctx.u_ss
-    piv = -np.linalg.solve(ctx.F_ss + ctx.B * v, ctx.g_ss) * v
-    d = (x - ctx.x_ss) - piv
-    return _quad(ctx.P, d)
-
-
 def _integral_only_V_rows(ctx: MonitorContext, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """_integral_only_V on every row, bit for bit, with stacked solves.
+    """V = max(d^T P d, 0) on every row, d = x - x_ss + (F_ss + B v)^-1 g_ss v
+    with v = sat(u_ss + sign_dc k_i z) - u_ss.
 
     A stacked solve and the stacked matmul make the same LAPACK and BLAS
-    calls per row as the single-sample code (einsum would not), and the
-    clip to zero keeps max()'s handling of NaN and signed zeros.
+    calls per row as one solve per sample (einsum would not), so a row's
+    bits do not depend on the block it is in; the clip to zero passes NaN
+    and -0.0 through as max(q, 0.0) does.
     """
     v = np.clip(ctx.u_ss + ctx.sign_dc * ctx.k_i * Z, ctx.u_min, ctx.u_max) - ctx.u_ss
     sol = np.linalg.solve(ctx.F_ss + ctx.B * v[:, None, None], ctx.g_ss[:, None])[..., 0]
     D = (X - ctx.x_ss) - (-sol * v[:, None])
     q = np.matmul(np.matmul(D[:, None, :], ctx.P), D[:, :, None])[:, 0, 0]
     return np.where(0.0 > q, 0.0, q)
-
-
-def monitor_point(
-    ctx: MonitorContext, x: np.ndarray, x_hat: np.ndarray | None, z: float
-) -> tuple[float, float, float]:
-    """(V, U, W) at one closed-loop sample; inapplicable monitors are zero."""
-    if ctx.law == PI:
-        return 0.0, 0.0, 0.0
-    if ctx.law == INTEGRAL_ONLY:
-        V = _integral_only_V(ctx, x, z)
-        return V, 0.0, float(np.sqrt(V) + ctx.gamma * abs(z))
-    xc = x if ctx.law == FORWARDING else x_hat
-    if xc is None:
-        raise MissingObserverStateError("x_hat is required for output-feedback monitors")
-    xt = xc - ctx.x_ss
-    zt = z - float(ctx.M @ xt)
-    V = ctx.k_p * _quad(ctx.P, xt) + ctx.k_i * zt * zt
-    if ctx.law == FORWARDING:
-        return V, 0.0, 0.0
-    eps_vec = x_hat - x
-    U = _quad(ctx.Q, eps_vec)
-    W = float(np.sqrt(V) + ctx.c_of * np.sqrt(U))
-    return V, U, W
 
 
 def lyapunov_monitors(
@@ -470,17 +437,22 @@ def lyapunov_monitors(
     x_hat: np.ndarray | None,
     z: float,
 ) -> tuple[float, float, float]:
-    """One-shot (V, U, W); build a MonitorContext instead for whole runs."""
+    """(V, U, W) at one sample, as floats; inapplicable monitors are zero.
+
+    A one-row trajectory_monitors call; build a MonitorContext and call
+    that instead for whole runs.
+    """
     ctx = build_monitor_context(sys, artifacts, law)
-    return monitor_point(ctx, np.asarray(x, dtype=np.float64),
-                         None if x_hat is None else np.asarray(x_hat, dtype=np.float64),
-                         float(z))
+    X = np.asarray(x, dtype=np.float64)[None]
+    XH = None if x_hat is None else np.asarray(x_hat, dtype=np.float64)[None]
+    V, U, W = trajectory_monitors(ctx, X, XH, np.array([z], dtype=np.float64))
+    return float(V[0]), float(U[0]), float(W[0])
 
 
 def trajectory_monitors(
     ctx: MonitorContext,
     X: np.ndarray,
-    XH: np.ndarray,
+    XH: np.ndarray | None,
     Z: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (V, U, W) series over stacked samples (rows of X, XH)."""
@@ -496,6 +468,8 @@ def trajectory_monitors(
             V[lo:hi] = _integral_only_V_rows(ctx, X[lo:hi], Z[lo:hi])
         W = np.sqrt(V) + ctx.gamma * np.abs(Z)
         return V, U, W
+    if ctx.law == OUTPUT_FEEDBACK and XH is None:
+        raise MissingObserverStateError("x_hat is required for output-feedback monitors")
     Xc = X if ctx.law == FORWARDING else XH
     XT = Xc - ctx.x_ss
     ZT = Z - XT @ ctx.M

@@ -1,8 +1,9 @@
 """Names of the control laws.
 
-The laws themselves are defined once, in kernels.closed_loop_rk4 (and its
-row-for-row batch twin); the integer codes below are what the kernels
-dispatch on.  Every law issues u = u_ss + phi and the plant applies sat(u).
+The laws themselves are defined once, in kernels.closed_loop_rk4, for one
+trajectory and for a batch alike; the integer codes below are what the
+kernel dispatches on.  Every law issues u = u_ss + phi and the plant
+applies sat(u).
 
 Laws
 ----

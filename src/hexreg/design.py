@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     NotObservableError,
     SingularMatrixError,
     ZeroDCGainError,
+    require_finite,
 )
 from .model import BilinearSystem, HexParams
 from .steady_state import Equilibrium
@@ -602,6 +603,7 @@ def artifacts_to_dict(art: DesignArtifacts) -> dict:
 
 
 def artifacts_from_dict(data: dict) -> DesignArtifacts:
+    """Artifacts from parsed JSON; every number given must be finite."""
     required = {"u_ss", "x_ss", "P", "Upsilon", "M", "k_p", "k_i", "sign_dc"}
     missing = required - set(data)
     if missing:
@@ -618,7 +620,7 @@ def artifacts_from_dict(data: dict) -> DesignArtifacts:
             mu=float(obs["mu"]),
             lmi_residual=float(obs["lmi_residual"]),
         )
-    return DesignArtifacts(
+    art = DesignArtifacts(
         u_ss=float(data["u_ss"]),
         x_ss=np.array(data["x_ss"], dtype=np.float64),
         P=np.array(data["P"], dtype=np.float64),
@@ -632,6 +634,13 @@ def artifacts_from_dict(data: dict) -> DesignArtifacts:
         pi_bar=None if data.get("pi_bar") is None else float(data["pi_bar"]),
         eps_frozen=None if data.get("eps_frozen") is None else float(data["eps_frozen"]),
     )
+    checks = [(f.name, getattr(art, f.name)) for f in fields(art) if f.name != "observer"]
+    if observer is not None:
+        checks += [(f"observer.{f.name}", getattr(observer, f.name)) for f in fields(observer)]
+    for name, value in checks:
+        if value is not None:
+            require_finite(name, value)
+    return art
 
 
 def load_artifacts(path: str) -> DesignArtifacts:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+that the scenario and artifact loaders share."""
+
+import numpy as np
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ValueError("<name> must be finite") unless every entry is."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
 
 
 class HexRegError(Exception):

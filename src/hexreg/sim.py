@@ -4,7 +4,8 @@ A scenario bundles the plant, the design artifacts, the control law, and the
 piecewise-constant reference / output-disturbance schedules.  `run` advances
 plant, observer, and integrator together with one fixed-step RK4 pass
 (kernels.closed_loop_rk4), then attaches the applicable Lyapunov monitor
-series.
+series.  `run_many` passes the same kernel one start per row, so each of
+its results is bit for bit what `run` gives on that scenario.
 Identical inputs give bit-identical outputs.
 
 Temperatures may be scripted in kelvin or Celsius; everything is converted
@@ -31,6 +32,7 @@ from .errors import (
     NonFiniteError,
     ReferenceUnreachableError,
     SchedulesDifferError,
+    require_finite,
 )
 from .kernels import closed_loop_rk4, closed_loop_rk4_batch, stack_operator
 from .model import BilinearSystem
@@ -100,11 +102,6 @@ class SimResult:
     monitors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _require_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite")
-
-
 def _as_schedule(raw, name: str, offset: float) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(raw, list):
         raise ValueError(f"{name} must be a list of [time, value] pairs")
@@ -117,8 +114,8 @@ def _as_schedule(raw, name: str, offset: float) -> tuple[np.ndarray, np.ndarray]
         vals.append(float(item[1]) + offset)
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(vals, dtype=np.float64)
-    _require_finite(f"{name} times", t)
-    _require_finite(f"{name} values", v)
+    require_finite(f"{name} times", t)
+    require_finite(f"{name} values", v)
     if t.size and np.any(np.diff(t) <= 0.0):
         raise ValueError(f"{name} times must be strictly increasing")
     return t, v
@@ -153,11 +150,11 @@ def scenario_from_dict(
 
     t_end = float(data["t_end"])
     dt = float(data["dt"])
-    _require_finite("t_end", t_end)
-    _require_finite("dt", dt)
+    require_finite("t_end", t_end)
+    require_finite("dt", dt)
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt!r} t_end={t_end!r}")
-    _require_finite("t_end / dt", t_end / dt)
+    require_finite("t_end / dt", t_end / dt)
     n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end={t_end!r} is not an integer multiple of dt={dt!r}")
@@ -184,7 +181,7 @@ def scenario_from_dict(
         x0 = np.asarray(data["x0"], dtype=np.float64) + offset
         if x0.shape != (sys.n_states,):
             raise ValueError(f"x0 must have {sys.n_states} entries, got {x0.shape}")
-        _require_finite("x0", x0)
+        require_finite("x0", x0)
     else:
         x0 = invert_reference(sys, float(ref_v[0])).x_ss.copy()
     if data.get("x_hat0") is not None:
@@ -193,14 +190,14 @@ def scenario_from_dict(
             raise ValueError(
                 f"x_hat0 must have {sys.n_states} entries, got {x_hat0.shape}"
             )
-        _require_finite("x_hat0", x_hat0)
+        require_finite("x_hat0", x_hat0)
     else:
         x_hat0 = x0.copy()
 
     kp_pi = float(data.get("kp_pi", 0.0))
     ki_pi = float(data.get("ki_pi", 0.0))
-    _require_finite("kp_pi", kp_pi)
-    _require_finite("ki_pi", ki_pi)
+    require_finite("kp_pi", kp_pi)
+    require_finite("ki_pi", ki_pi)
     if law != PI and ("kp_pi" in data or "ki_pi" in data):
         raise ValueError("kp_pi/ki_pi are only valid with the pi law")
     if law == PI and "ki_pi" not in data:

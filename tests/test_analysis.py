@@ -144,13 +144,25 @@ def test_lyapunov_monitors_positive_off_origin(hexsys, fwd_art):
     assert V == pytest.approx(expected, rel=1e-12)
 
 
+def integral_only_point(ctx, x, z):
+    """(V, U, W) at one integral-only sample, with one solve per sample:
+    V is the squared P-norm of x - x_ss minus the frozen equilibrium's shift
+    pi_v = -(F_ss + B v)^-1 g_ss v at the applied increment v."""
+    v = float(np.clip(ctx.u_ss + ctx.sign_dc * ctx.k_i * z, ctx.u_min, ctx.u_max))
+    v -= ctx.u_ss
+    piv = -np.linalg.solve(ctx.F_ss + ctx.B * v, ctx.g_ss) * v
+    d = (x - ctx.x_ss) - piv
+    V = float(max(d @ ctx.P @ d, 0.0))
+    return V, 0.0, float(np.sqrt(V) + ctx.gamma * abs(z))
+
+
 @pytest.mark.parametrize("dist, saturates", [(0.0, False), (-40.0, True)])
 def test_trajectory_monitors_integral_only_matches_monitor_point(
         hexsys, io_art, dist, saturates):
-    """The stacked integral-only V solves reproduce monitor_point bit for
-    bit, over more samples than one stacked block.  An output disturbance
-    of -40 K drives the input into saturation, so the shifted equilibrium
-    there differs from the unsaturated samples'."""
+    """The stacked integral-only V solves reproduce the per-sample formula
+    bit for bit, over more samples than one stacked block.  An output
+    disturbance of -40 K drives the input into saturation, so the shifted
+    equilibrium there differs from the unsaturated samples'."""
     x0 = hexreg.invert_reference(hexsys, 26.0 + KELVIN).x_ss
     scn = make_scenario(hexsys, io_art, hexreg.INTEGRAL_ONLY, 6000.0, 4.0,
                         [[0.0, 26.5 + KELVIN]], dists=[[0.0, dist]], x0=x0)
@@ -161,7 +173,7 @@ def test_trajectory_monitors_integral_only_matches_monitor_point(
     assert bool(np.any(U_raw != U_sat)) is saturates
     ctx = analysis.build_monitor_context(hexsys, io_art, hexreg.INTEGRAL_ONLY)
     series = analysis.trajectory_monitors(ctx, X, XH, Z)
-    points = np.array([analysis.monitor_point(ctx, X[k], None, float(Z[k]))
+    points = np.array([integral_only_point(ctx, X[k], float(Z[k]))
                        for k in range(Z.shape[0])])
     assert Z.shape[0] > analysis._MONITOR_BLOCK
     for i, name in enumerate("VUW"):

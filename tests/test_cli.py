@@ -261,6 +261,21 @@ def test_simulate_nonfinite_scenario_exit2(ws, tmp_path, capsys, field, value):
     assert err.startswith(f"error: {field}") and "must be finite" in err
 
 
+def test_simulate_nonfinite_artifact_exit2(ws, tmp_path, capsys):
+    """A NaN gain in the artifact file is malformed input, not a run that
+    went non-finite."""
+    data = json.loads((ws / "fwd.json").read_text())
+    data["k_i"] = float("nan")
+    art = tmp_path / "fwd_nan.json"
+    art.write_text(json.dumps(data))
+    scn = scenario_file(tmp_path, name="nan_art.json")
+    capsys.readouterr()
+    rc = main(["simulate", str(ws / "hex.json"), str(art), str(scn),
+               "--out", str(tmp_path / "runs_nan_art")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == ["error: k_i must be finite"]
+
+
 def test_simulate_repeat_is_byte_identical(ws, tmp_path):
     scn = scenario_file(tmp_path, name="det.json")
     out1, out2 = tmp_path / "d1", tmp_path / "d2"

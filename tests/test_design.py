@@ -1,6 +1,7 @@
 """Design-time synthesis: Lyapunov solves, gains, observer feasibility."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,3 +323,27 @@ def test_artifacts_round_trip_with_observer(tmp_path, synthetic_observable,
     assert back.observer is not None
     assert np.array_equal(back.observer.L, synthetic_observer.L)
     assert back.observer.lmi_residual == synthetic_observer.lmi_residual
+
+
+@pytest.mark.parametrize("field, value", [
+    ("u_ss", float("nan")), ("x_ss", float("inf")), ("P", float("nan")),
+    ("Upsilon", float("-inf")), ("M", float("nan")), ("k_p", float("inf")),
+    ("k_i", float("nan")), ("sign_dc", float("-inf")),
+    ("ki_star", float("inf")), ("pi_bar", float("nan")),
+    ("eps_frozen", float("inf")), ("observer.L", float("nan")),
+    ("observer.Q", float("inf")), ("observer.Y", float("-inf")),
+    ("observer.nu", float("nan")), ("observer.eps", float("inf")),
+    ("observer.mu", float("nan")), ("observer.lmi_residual", float("inf")),
+])
+def test_artifacts_reject_nonfinite_numbers(io_art, synthetic_observer,
+                                            field, value):
+    """One non-finite entry in any numeric field is malformed input."""
+    data = design.artifacts_to_dict(replace(io_art, observer=synthetic_observer))
+    design.artifacts_from_dict(data)
+    *outer, key = field.split(".")
+    holder = data[outer[0]] if outer else data
+    entries = np.array(holder[key], dtype=np.float64)
+    entries.flat[-1] = value
+    holder[key] = entries.tolist()
+    with pytest.raises(ValueError, match=rf"^{field} must be finite$"):
+        design.artifacts_from_dict(data)
