@@ -9,12 +9,18 @@ are reported as data; only malformed inputs raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .controllers import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI
-from .design import DesignArtifacts, _dc_path, input_coupling_bound, lyapunov_decay_margin
+from .design import (
+    DesignArtifacts,
+    _dc_path,
+    input_coupling_bound,
+    lyapunov_decay_margin,
+    robust_decay_block,
+)
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
 from .model import BilinearSystem
 from .steady_state import pi_map
@@ -41,6 +47,8 @@ __all__ = [
 _COND_LIMIT = 1e14
 _A3A_TOL = 1e-9  # slack on the largest LMI eigenvalue before declaring infeasible
 _MONITOR_BLOCK = 1024  # samples per stacked solve; bounds the (block, n, n) temporaries
+_GAIN_CAP = 1e9  # integral_gain_stability_limit gives up (inf) above this gain
+_GAIN_RTOL = 1e-9  # relative width of its final bisection bracket
 
 
 def saturation_gap(s, b, u_lo: float, u_hi: float):
@@ -127,28 +135,7 @@ class AssumptionReport:
         return failed
 
     def to_dict(self) -> dict:
-        out = {
-            "hurwitz_margin": self.hurwitz_margin,
-            "dc_gain_min_abs": self.dc_gain_min_abs,
-            "dc_sign_constant": self.dc_sign_constant,
-            "a3a_feasible": self.a3a_feasible,
-            "a3a_worst_residual": self.a3a_worst_residual,
-            "a3b_min_abs": self.a3b_min_abs,
-            "a3b_sign_constant": self.a3b_sign_constant,
-            "a3b_singular_points": self.a3b_singular_points,
-            "grid_sizes": dict(self.grid_sizes),
-        }
-        if self.lmi is not None:
-            out["lmi"] = {
-                "nu": self.lmi.nu,
-                "eps": self.lmi.eps,
-                "mu": self.lmi.mu,
-                "u_range": list(self.lmi.u_range),
-                "v_range": list(self.lmi.v_range),
-            }
-        else:
-            out["lmi"] = None
-        return out
+        return asdict(self)
 
 
 def _dc_gain_at(sys: BilinearSystem, u: float) -> float:
@@ -205,8 +192,9 @@ def check_assumption3(
 ) -> AssumptionReport:
     """Robust-decay LMI and shifted-DC-gain sweep.
 
-    Part (a): largest eigenvalue of
-    [[P F_u + F_u^T P + (nu mu^2 + 2 eps) I, P], [P, -nu I]] over the input
+    Part (a): largest eigenvalue of design.robust_decay_block with
+    S = P F_u + F_u^T P and Q = P,
+    [[P F_u + F_u^T P + (nu mu^2 + 2 eps) I, P], [P, -nu I]], over the input
     grid, with mu = |B| max(|u_min|, |u_max|).  Part (b): |C (F_u + B v)^-1
     g_u| over the product grid; the default deviation range is the full
     difference interval [u_min - u_max, u_max - u_min].  With
@@ -231,15 +219,10 @@ def check_assumption3(
     u_grid = np.linspace(sys.u_min, sys.u_max, n_u)
     v_grid = np.linspace(v_range[0], v_range[1], n_v)
 
-    shift = (nu * mu**2 + 2.0 * eps) * np.eye(n)
     worst = -np.inf
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, n:] = P
-    block[n:, :n] = P
-    block[n:, n:] = -nu * np.eye(n)
     for u in u_grid:
         F = sys.frozen(float(u))
-        block[:n, :n] = P @ F + F.T @ P + shift
+        block = robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu)
         worst = max(worst, float(np.linalg.eigvalsh(block)[-1]))
 
     min_abs = np.inf
@@ -290,24 +273,18 @@ def assumption_report(
     eps: float | None = None,
     u_grid: int = 64,
     v_grid: int = 129,
-    v_range: tuple[float, float] | None = None,
-    restrict_admissible: bool = False,
 ) -> AssumptionReport:
-    """Run the base checks, plus the robust-decay checks when P is given."""
+    """Run the base checks, plus the robust-decay checks when P is given.
+
+    The robust-decay sweep covers the full deviation range
+    [u_min - u_max, u_max - u_min], admissible effective input or not.
+    """
     rep = check_assumption1(sys, grid=u_grid)
     if P is None:
         return rep
     if nu is None or eps is None:
         raise ValueError("nu and eps are required alongside P")
-    frag = check_assumption3(
-        sys,
-        P,
-        nu,
-        eps,
-        grid=(u_grid, v_grid),
-        v_range=v_range,
-        restrict_admissible=restrict_admissible,
-    )
+    frag = check_assumption3(sys, P, nu, eps, grid=(u_grid, v_grid))
     rep.a3a_feasible = frag.a3a_feasible
     rep.a3a_worst_residual = frag.a3a_worst_residual
     rep.a3b_min_abs = frag.a3b_min_abs
@@ -536,27 +513,21 @@ def spectral_abscissa(M: np.ndarray) -> float:
 
 
 def integral_gain_stability_limit(
-    sys: BilinearSystem,
-    artifacts: DesignArtifacts,
-    start: float | None = None,
-    cap: float = 1e9,
-    rtol: float = 1e-9,
+    sys: BilinearSystem, artifacts: DesignArtifacts
 ) -> float:
     """Smallest integral gain at which the linearized loop stops being Hurwitz.
 
-    Doubles the gain from a stable starting point until the spectral
-    abscissa crosses zero, then bisects the bracket to relative width rtol.
-    Returns inf if no crossing is found below cap.  The certified bound
-    ki_star must sit at or below this empirical limit.
+    Starts from the artifacts' ki_star (1e-6 without one), halving it until
+    the loop is stable, then doubles the gain until the spectral abscissa
+    crosses zero and bisects the bracket to relative width 1e-9.  Returns
+    inf if no crossing is found below 1e9.  The certified bound ki_star
+    must sit at or below this empirical limit.
     """
-    k0 = start if start is not None else (artifacts.ki_star or 1e-6)
-    if k0 <= 0.0:
-        raise ValueError(f"start must be positive, got {k0!r}")
 
     def unstable(k: float) -> bool:
         return spectral_abscissa(linearization_matrix(sys, artifacts, k)) >= 0.0
 
-    lo = k0
+    lo = artifacts.ki_star or 1e-6
     while unstable(lo):
         lo /= 2.0
         if lo < 1e-15:
@@ -567,9 +538,9 @@ def integral_gain_stability_limit(
     while not unstable(hi):
         lo = hi
         hi *= 2.0
-        if hi > cap:
+        if hi > _GAIN_CAP:
             return float("inf")
-    while hi - lo > rtol * hi:
+    while hi - lo > _GAIN_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if unstable(mid):
             hi = mid

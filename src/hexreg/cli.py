@@ -102,15 +102,13 @@ def _cmd_design(args) -> int:
     if args.law == "integral_only":
         if args.kp is not None:
             raise ValueError("--kp does not apply to the integral-only law")
-        art = design.integral_only_design(
-            sys_, eq, k_i=args.ki, hex_params=params, margin_grid=args.grid
-        )
+        art = design.integral_only_design(sys_, eq, k_i=args.ki, hex_params=params)
     else:
         k_p = args.kp if args.kp is not None else 1e-6
         k_i = args.ki if args.ki is not None else 2.6e-5
         art = design.forwarding_design(sys_, eq, k_p, k_i)
         if args.law == "output_feedback":
-            art.observer = design.observer_design(sys_, grid_points=args.grid)
+            art.observer = design.observer_design(sys_)
     design.save_artifacts(args.out, art)
     extra = ""
     if art.ki_star is not None:
@@ -196,7 +194,8 @@ def _cmd_steady_state(args) -> int:
         }
     elif args.ref is not None:
         r = _to_kelvin(args.ref, args.units)
-        eq = steady_state.invert_reference(sys_, r, grid_points=args.grid)
+        reach = steady_state.reachable_set(sys_, grid_points=args.grid)
+        eq = steady_state.invert_reference(sys_, r, reach)
         payload = {
             "reference": r,
             "u_ss": eq.u_ss,
@@ -260,8 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="proportional-path gain (default 1e-6)")
     p.add_argument("--ki", type=float, default=None,
                    help="integral gain (default 2.6e-5; integral-only: ki_star/2)")
-    p.add_argument("--grid", type=int, default=64,
-                   help="input-grid resolution for certification sweeps")
     p.add_argument("--out", required=True, help="output artifact JSON path")
     p.set_defaults(func=_cmd_design)
 

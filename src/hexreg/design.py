@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .errors import (
     NotObservableError,
     SingularMatrixError,
     ZeroDCGainError,
-    require_finite,
+    as_array,
+    as_float,
 )
 from .model import BilinearSystem, HexParams
 from .steady_state import Equilibrium
@@ -38,6 +39,7 @@ __all__ = [
     "observability_matrix",
     "check_observability",
     "input_coupling_bound",
+    "robust_decay_block",
     "pi_shift_sup",
     "integral_gain_bound",
     "integral_only_design",
@@ -51,6 +53,8 @@ __all__ = [
 _LMI_DECLARE = -1e-9  # certificate threshold on the largest eigenvalue
 _LMI_FLOOR = 1e-6  # projection floor delta for Q, nu, eps
 _LMI_ITERS = 5000
+_MARGIN_GRID = 64  # input grid of the decay margin behind ki_star
+_PI_SHIFT_GRID = 512  # deviation grid of pi_shift_sup before refinement
 
 
 @dataclass
@@ -153,24 +157,16 @@ def sign_dc_gain(sys: BilinearSystem, eq: Equilibrium) -> float:
 
 
 def forwarding_design(
-    sys: BilinearSystem,
-    eq: Equilibrium,
-    k_p: float,
-    k_i: float,
-    Upsilon: np.ndarray | None = None,
+    sys: BilinearSystem, eq: Equilibrium, k_p: float, k_i: float
 ) -> DesignArtifacts:
     """Lyapunov pair and output row for the forwarding law.
 
-    Solves F_ss^T P + P F_ss = -2 Upsilon (Upsilon defaults to identity)
-    and M F_ss = C.  Any k_p, k_i > 0 are admissible; the gains only shape
-    the transient.
+    Solves F_ss^T P + P F_ss = -2 Upsilon with Upsilon = I, and M F_ss = C.
+    Any k_p, k_i > 0 are admissible; the gains only shape the transient.
     """
     if k_p <= 0.0 or k_i <= 0.0:
         raise ValueError(f"gains must be positive, got k_p={k_p!r} k_i={k_i!r}")
-    n = sys.n_states
-    if Upsilon is None:
-        Upsilon = np.eye(n)
-    Upsilon = np.asarray(Upsilon, dtype=np.float64)
+    Upsilon = np.eye(sys.n_states)
     F = sys.frozen(eq.u_ss)
     P = solve_lyapunov(F, Upsilon)
     M = _solve_output_row(F, sys.C)
@@ -209,10 +205,22 @@ def input_coupling_bound(sys: BilinearSystem) -> float:
     return float(np.linalg.norm(sys.B, 2) * max(abs(sys.u_min), abs(sys.u_max)))
 
 
-def _observer_lmi(A, D, mu, Q, Y, nu, eps) -> np.ndarray:
-    n = A.shape[0]
-    top = Q @ A + A.T @ Q - Y @ D - D.T @ Y.T + (nu * mu * mu + 2.0 * eps) * np.eye(n)
+def robust_decay_block(S: np.ndarray, Q: np.ndarray, nu: float, eps: float,
+                       mu: float) -> np.ndarray:
+    """[[S + (nu mu^2 + 2 eps) I, Q], [Q, -nu I]], the robust-decay inequality.
+
+    It must be negative semidefinite.  By the Schur complement, it bounds the
+    decay of the quadratic form of Q against every bilinear drive of norm at
+    most mu.  observer_design takes S = QA + A^T Q - YD - D^T Y^T, and
+    analysis.check_assumption3 takes S = P F_u + F_u^T P with Q = P.
+    """
+    n = S.shape[0]
+    top = S + (nu * mu * mu + 2.0 * eps) * np.eye(n)
     return np.block([[top, Q], [Q, -nu * np.eye(n)]])
+
+
+def _observer_lmi(A, D, mu, Q, Y, nu, eps) -> np.ndarray:
+    return robust_decay_block(Q @ A + A.T @ Q - Y @ D - D.T @ Y.T, Q, nu, eps, mu)
 
 
 def _project(Q, nu, eps):
@@ -343,15 +351,15 @@ def gain_rank_obstruction(sys: BilinearSystem) -> float | None:
     return witness if witness <= mu else None
 
 
-def observer_design(sys: BilinearSystem, grid_points: int = 64) -> ObserverDesign:
+def observer_design(sys: BilinearSystem) -> ObserverDesign:
     """Find L = Q^{-1} Y certifying the saturated-input observer LMI.
 
     [[QA + A^T Q - YD - D^T Y^T + (nu mu^2 + 2 eps) I,  Q],
      [Q,                                             -nu I]]  <= 0
 
     with mu = ||B||_2 max(|u_min|, |u_max|).  The certificate makes the
-    estimation error contract for every admissible saturated input, so the
-    grid size only matters for reporting.  The rank obstruction test runs
+    estimation error contract for every admissible saturated input, with
+    no input grid.  The rank obstruction test runs
     first: when it fires, no gain can ever satisfy the inequality and the
     search is skipped.  Otherwise: projected subgradient from the
     pole-placement seed; if the budget runs out, a deterministic ladder of
@@ -409,25 +417,16 @@ def observer_design(sys: BilinearSystem, grid_points: int = 64) -> ObserverDesig
                           lmi_residual=float(residual))
 
 
-def pi_shift_sup(
-    sys: BilinearSystem,
-    eq: Equilibrium,
-    v_range: tuple[float, float] | None = None,
-    grid_points: int = 512,
-) -> float:
+def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
     """Supremum of |[(F + Bv)^{-1} B v - I](F + Bv)^{-1} g| over the input
     deviation range.
 
-    The deviation v = sat(u) - u_ss lives in [u_min - u_ss, u_max - u_ss],
-    the default range; F + B v is then a frozen matrix at an admissible
-    input and stays invertible whenever the frozen family is Hurwitz.
-    Grid sweep plus golden-section refinement around the peak.
+    The deviation v = sat(u) - u_ss lives in [u_min - u_ss, u_max - u_ss];
+    F + B v is then a frozen matrix at an admissible input and stays
+    invertible whenever the frozen family is Hurwitz.  A 512-point sweep
+    plus golden-section refinement around the peak.
     """
-    if v_range is None:
-        v_range = (sys.u_min - eq.u_ss, sys.u_max - eq.u_ss)
-    lo, hi = float(v_range[0]), float(v_range[1])
-    if hi < lo:
-        raise ValueError(f"empty deviation range [{lo}, {hi}]")
+    lo, hi = sys.u_min - eq.u_ss, sys.u_max - eq.u_ss
     F = sys.frozen(eq.u_ss)
     g = sys.input_gain(eq.x_ss)
 
@@ -442,13 +441,11 @@ def pi_shift_sup(
         y2 = v * np.linalg.solve(Fv, sys.B @ y1) - y1
         return float(np.linalg.norm(y2))
 
-    if hi == lo:
-        return magnitude(lo)
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _PI_SHIFT_GRID)
     vals = np.array([magnitude(v) for v in grid])
     i = int(np.argmax(vals))
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
+    b = grid[min(i + 1, _PI_SHIFT_GRID - 1)]
     from .steady_state import _golden_section_max
 
     _, peak = _golden_section_max(magnitude, a, b, 1e-10 * (1.0 + hi - lo))
@@ -456,12 +453,7 @@ def pi_shift_sup(
 
 
 def integral_gain_bound(
-    sys: BilinearSystem,
-    eq: Equilibrium,
-    P: np.ndarray,
-    eps: float,
-    v_range: tuple[float, float] | None = None,
-    grid_points: int = 512,
+    sys: BilinearSystem, eq: Equilibrium, P: np.ndarray, eps: float
 ) -> tuple[float, float]:
     """Certified integral gain bound ki_star = eps / (3 c0 pi_bar sqrt(pl pu)).
 
@@ -477,7 +469,7 @@ def integral_gain_bound(
     if evals[0] <= 0.0:
         raise ValueError("P must be positive definite")
     c0 = float(np.linalg.norm(sys.C))
-    pi_bar = pi_shift_sup(sys, eq, v_range=v_range, grid_points=grid_points)
+    pi_bar = pi_shift_sup(sys, eq)
     if pi_bar <= 0.0:
         raise ZeroDCGainError("pi_shift_sup vanished; no input authority at u_ss")
     ki_star = eps / (3.0 * c0 * pi_bar * np.sqrt(evals[0] * evals[-1]))
@@ -507,38 +499,31 @@ def lyapunov_decay_margin(
 def integral_only_design(
     sys: BilinearSystem,
     eq: Equilibrium,
-    P: np.ndarray | None = None,
     k_i: float | None = None,
     hex_params: HexParams | None = None,
-    v_range: tuple[float, float] | None = None,
-    grid_points: int = 512,
-    margin_grid: int = 64,
 ) -> DesignArtifacts:
     """Artifacts for the pure-integral law with its certified gain bound.
 
-    P defaults to the closed-form heat-exchanger weight when hex_params are
-    given, else to the Lyapunov solution at the design input with identity
-    right-hand side.  The decay rate certified for P over the input grid
-    feeds the bound ki_star; k_i defaults to half that bound, and an
-    explicit k_i at or above it raises GainAboveBoundWarning.  Upsilon is
-    back-filled as -(P F_ss + F_ss^T P) / 2 so the stored pair satisfies
-    the same identity every artifact set carries.
+    P is the closed-form heat-exchanger weight when hex_params are given,
+    else the Lyapunov solution at the design input with identity right-hand
+    side.  The decay rate certified for P on a 64-point input grid feeds
+    the bound ki_star; the rate is concave in u, so any grid holding both
+    input bounds gives the same value.  k_i defaults to half that bound,
+    and an explicit k_i at or above it raises GainAboveBoundWarning.
+    Upsilon is back-filled as -(P F_ss + F_ss^T P) / 2 so the stored pair
+    satisfies the same identity every artifact set carries.
     """
-    if P is None:
-        if hex_params is not None:
-            P = hex_analytic_P(hex_params)
-        else:
-            P = solve_lyapunov(sys.frozen(eq.u_ss), np.eye(sys.n_states))
-    P = np.asarray(P, dtype=np.float64)
-    eps = lyapunov_decay_margin(sys, P, grid=margin_grid)
+    if hex_params is not None:
+        P = hex_analytic_P(hex_params)
+    else:
+        P = solve_lyapunov(sys.frozen(eq.u_ss), np.eye(sys.n_states))
+    eps = lyapunov_decay_margin(sys, P, grid=_MARGIN_GRID)
     if eps <= 0.0:
         raise InfeasibleError(
             f"P fails to certify uniform decay (margin {eps:.3e})",
             best_residual=-eps,
         )
-    ki_star, pi_bar = integral_gain_bound(
-        sys, eq, P, eps, v_range=v_range, grid_points=grid_points
-    )
+    ki_star, pi_bar = integral_gain_bound(sys, eq, P, eps)
     if k_i is None:
         k_i = 0.5 * ki_star
     if k_i <= 0.0:
@@ -572,75 +557,40 @@ def integral_only_design(
 # serialization
 
 
+_ARTIFACT_FIELDS = ("u_ss", "x_ss", "P", "Upsilon", "M", "k_p", "k_i", "sign_dc")
+_OPTIONAL_FIELDS = ("ki_star", "pi_bar", "eps_frozen")
+_ARRAY_NDIM = {"x_ss": 1, "P": 2, "Upsilon": 2, "M": 1, "L": 2, "Q": 2, "Y": 2}
+
+
 def artifacts_to_dict(art: DesignArtifacts) -> dict:
-    out = {
-        "u_ss": art.u_ss,
-        "x_ss": art.x_ss.tolist(),
-        "P": art.P.tolist(),
-        "Upsilon": art.Upsilon.tolist(),
-        "M": art.M.tolist(),
-        "k_p": art.k_p,
-        "k_i": art.k_i,
-        "sign_dc": art.sign_dc,
-        "ki_star": art.ki_star,
-        "pi_bar": art.pi_bar,
-        "eps_frozen": art.eps_frozen,
-    }
-    if art.observer is not None:
-        obs = art.observer
-        out["observer"] = {
-            "L": obs.L.tolist(),
-            "Q": obs.Q.tolist(),
-            "Y": obs.Y.tolist(),
-            "nu": obs.nu,
-            "eps": obs.eps,
-            "mu": obs.mu,
-            "lmi_residual": obs.lmi_residual,
-        }
-    else:
-        out["observer"] = None
-    return out
+    return asdict(art)
+
+
+def _number(name: str, value):
+    key = name.rpartition(".")[2]
+    if key in _ARRAY_NDIM:
+        return as_array(name, value, _ARRAY_NDIM[key])
+    return as_float(name, value)
 
 
 def artifacts_from_dict(data: dict) -> DesignArtifacts:
     """Artifacts from parsed JSON; every number given must be finite."""
-    required = {"u_ss", "x_ss", "P", "Upsilon", "M", "k_p", "k_i", "sign_dc"}
-    missing = required - set(data)
+    missing = set(_ARTIFACT_FIELDS) - set(data)
     if missing:
         raise ValueError(f"missing artifact fields: {sorted(missing)}")
     observer = None
-    if data.get("observer") is not None:
-        obs = data["observer"]
-        observer = ObserverDesign(
-            L=np.array(obs["L"], dtype=np.float64),
-            Q=np.array(obs["Q"], dtype=np.float64),
-            Y=np.array(obs["Y"], dtype=np.float64),
-            nu=float(obs["nu"]),
-            eps=float(obs["eps"]),
-            mu=float(obs["mu"]),
-            lmi_residual=float(obs["lmi_residual"]),
-        )
-    art = DesignArtifacts(
-        u_ss=float(data["u_ss"]),
-        x_ss=np.array(data["x_ss"], dtype=np.float64),
-        P=np.array(data["P"], dtype=np.float64),
-        Upsilon=np.array(data["Upsilon"], dtype=np.float64),
-        M=np.array(data["M"], dtype=np.float64),
-        k_p=float(data["k_p"]),
-        k_i=float(data["k_i"]),
-        sign_dc=float(data["sign_dc"]),
-        observer=observer,
-        ki_star=None if data.get("ki_star") is None else float(data["ki_star"]),
-        pi_bar=None if data.get("pi_bar") is None else float(data["pi_bar"]),
-        eps_frozen=None if data.get("eps_frozen") is None else float(data["eps_frozen"]),
-    )
-    checks = [(f.name, getattr(art, f.name)) for f in fields(art) if f.name != "observer"]
-    if observer is not None:
-        checks += [(f"observer.{f.name}", getattr(observer, f.name)) for f in fields(observer)]
-    for name, value in checks:
-        if value is not None:
-            require_finite(name, value)
-    return art
+    obs = data.get("observer")
+    if obs is not None:
+        if not isinstance(obs, dict):
+            raise ValueError(f"observer must be a JSON object, got {obs!r:.40}")
+        names = [f.name for f in fields(ObserverDesign)]
+        missing = set(names) - set(obs)
+        if missing:
+            raise ValueError(f"missing observer fields: {sorted(missing)}")
+        observer = ObserverDesign(**{k: _number(f"observer.{k}", obs[k]) for k in names})
+    values = {k: _number(k, data[k]) for k in _ARTIFACT_FIELDS}
+    values.update({k: _number(k, data[k]) for k in _OPTIONAL_FIELDS if data.get(k) is not None})
+    return DesignArtifacts(observer=observer, **values)
 
 
 def load_artifacts(path: str) -> DesignArtifacts:

@@ -1,13 +1,47 @@
-"""Exception types shared across the package, and the finiteness check
-that the scenario and artifact loaders share."""
+"""Exception types shared across the package, and the type and finiteness
+checks that the parameter, system, artifact and scenario loaders share."""
+
+import math
+from numbers import Real
 
 import numpy as np
 
 
 def require_finite(name: str, value) -> None:
     """Raise ValueError("<name> must be finite") unless every entry is."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite")
+
+
+def as_float(name: str, value) -> float:
+    """value as a finite float, or ValueError naming the field.
+
+    Only real numbers pass: null, booleans, strings, arrays and objects
+    where a JSON number belongs are malformed input, not program errors.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r:.40}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the double range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be finite")
+    return out
+
+
+def as_array(name: str, value, ndim: int) -> np.ndarray:
+    """value as a new C-ordered finite float64 array of ndim dimensions, or
+    ValueError naming the field; entries must be numbers, as in as_float."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d array of numbers, got {value!r:.40}")
+    arr = np.array(arr, dtype=np.float64, order="C")
+    require_finite(name, arr)
+    return arr
 
 
 class HexRegError(Exception):

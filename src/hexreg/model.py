@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import as_array, as_float
+
 __all__ = [
     "BilinearSystem",
     "HexParams",
@@ -75,22 +77,27 @@ class HexParams:
     u_max: float  # upper input bound, kg/s
 
     def __post_init__(self) -> None:
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
+        """Check every field under its JSON name; values keep their type,
+        so a parameter file round-trips byte for byte."""
+        n_cells = as_float("n_cells", self.n_cells)
+        if int(n_cells) != n_cells or n_cells < 1:
             raise ValueError(f"n_cells must be a positive integer, got {self.n_cells!r}")
-        self.n_cells = int(self.n_cells)
-        for name in ("lam", "rho", "cp", "V_hot", "V_cold", "q_bar", "T_in_hot", "T_in_cold"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not np.isfinite(self.u_min) or self.u_min < 0.0:
+        self.n_cells = int(n_cells)
+        for key in ("lambda", "rho", "cp", "V_hot", "V_cold", "q_bar", "T_in_hot", "T_in_cold"):
+            value = as_float(key, getattr(self, "lam" if key == "lambda" else key))
+            if value <= 0.0:
+                raise ValueError(f"{key} must be strictly positive, got {value!r}")
+        if as_float("u_min", self.u_min) < 0.0:
             raise ValueError(f"u_min must be >= 0, got {self.u_min!r}")
-        if not np.isfinite(self.u_max) or self.u_max <= self.u_min:
+        if as_float("u_max", self.u_max) <= self.u_min:
             raise ValueError(
                 f"u_max must exceed u_min, got [{self.u_min!r}, {self.u_max!r}]"
             )
 
     @classmethod
     def from_dict(cls, data: dict) -> "HexParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"hex_params must be a JSON object, got {data!r:.40}")
         unknown = set(data) - set(_HEX_FIELDS)
         if unknown:
             raise ValueError(f"unknown HexParams fields: {sorted(unknown)}")
@@ -135,27 +142,18 @@ class BilinearSystem:
     u_max: float
 
     def __post_init__(self) -> None:
-        self.A = _own(self.A, 2)
-        self.B = _own(self.B, 2)
-        self.b = _own(self.b, 1)
-        self.E = _own(self.E, 1)
-        self.C = _own(self.C, 1)
-        self.D = _own(self.D, 2)
+        for name, ndim in (("A", 2), ("B", 2), ("b", 1), ("E", 1), ("C", 1), ("D", 2)):
+            setattr(self, name, _own(name, getattr(self, name), ndim))
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.B.shape != (n, n):
             raise ValueError(f"A and B must be square ({n}, {n})")
         for name in ("b", "E", "C"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
-        if self.D.ndim != 2 or self.D.shape[1] != n or self.D.shape[0] < 1:
+        if self.D.shape[1] != n or self.D.shape[0] < 1:
             raise ValueError(f"D must have shape (p, {n}) with p >= 1")
-        for name in ("A", "B", "b", "E", "C", "D"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
-        self.u_min = float(self.u_min)
-        self.u_max = float(self.u_max)
-        if not (np.isfinite(self.u_min) and np.isfinite(self.u_max)):
-            raise ValueError("input bounds must be finite")
+        self.u_min = as_float("u_min", self.u_min)
+        self.u_max = as_float("u_max", self.u_max)
         if self.u_min >= self.u_max:
             raise ValueError(f"u_min < u_max required, got [{self.u_min}, {self.u_max}]")
 
@@ -176,10 +174,9 @@ class BilinearSystem:
         return self.B @ x + self.b
 
 
-def _own(arr, ndim: int) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C", copy=True)
-    if out.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-d array, got shape {out.shape}")
+def _own(name: str, arr, ndim: int) -> np.ndarray:
+    """A read-only C-contiguous float64 copy; as_array checks the entries."""
+    out = as_array(name, arr, ndim)
     out.setflags(write=False)
     return out
 
@@ -302,16 +299,7 @@ def system_from_dict(data: dict) -> tuple[BilinearSystem, HexParams | None]:
     missing = required - set(data)
     if missing:
         raise ValueError(f"missing system fields: {sorted(missing)}")
-    sys = BilinearSystem(
-        A=np.array(data["A"], dtype=np.float64),
-        B=np.array(data["B"], dtype=np.float64),
-        b=np.array(data["b"], dtype=np.float64),
-        E=np.array(data["E"], dtype=np.float64),
-        C=np.array(data["C"], dtype=np.float64),
-        D=np.array(data["D"], dtype=np.float64),
-        u_min=data["u_min"],
-        u_max=data["u_max"],
-    )
+    sys = BilinearSystem(**{k: data[k] for k in required - {"n_states"}})
     if sys.n_states != data["n_states"]:
         raise ValueError(
             f"n_states field ({data['n_states']}) disagrees with A ({sys.n_states})"

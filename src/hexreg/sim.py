@@ -32,6 +32,8 @@ from .errors import (
     NonFiniteError,
     ReferenceUnreachableError,
     SchedulesDifferError,
+    as_array,
+    as_float,
     require_finite,
 )
 from .kernels import closed_loop_rk4, closed_loop_rk4_batch, stack_operator
@@ -110,12 +112,10 @@ def _as_schedule(raw, name: str, offset: float) -> tuple[np.ndarray, np.ndarray]
     for item in raw:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValueError(f"{name} entries must be [time, value] pairs, got {item!r}")
-        times.append(float(item[0]))
-        vals.append(float(item[1]) + offset)
+        times.append(as_float(f"{name} times", item[0]))
+        vals.append(as_float(f"{name} values", item[1]) + offset)
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(vals, dtype=np.float64)
-    require_finite(f"{name} times", t)
-    require_finite(f"{name} values", v)
     if t.size and np.any(np.diff(t) <= 0.0):
         raise ValueError(f"{name} times must be strictly increasing")
     return t, v
@@ -145,13 +145,11 @@ def scenario_from_dict(
     offset = _KELVIN_OFFSET if units == "C" else 0.0
 
     law = data["law"]
-    if law not in LAW_CODES:
+    if not isinstance(law, str) or law not in LAW_CODES:
         raise ValueError(f"unknown law {law!r}; expected one of {sorted(LAW_CODES)}")
 
-    t_end = float(data["t_end"])
-    dt = float(data["dt"])
-    require_finite("t_end", t_end)
-    require_finite("dt", dt)
+    t_end = as_float("t_end", data["t_end"])
+    dt = as_float("dt", data["dt"])
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt!r} t_end={t_end!r}")
     require_finite("t_end / dt", t_end / dt)
@@ -178,26 +176,22 @@ def scenario_from_dict(
             raise ReferenceUnreachableError(float(r), reach.r_min, reach.r_max)
 
     if data.get("x0") is not None:
-        x0 = np.asarray(data["x0"], dtype=np.float64) + offset
+        x0 = as_array("x0", data["x0"], 1) + offset
         if x0.shape != (sys.n_states,):
             raise ValueError(f"x0 must have {sys.n_states} entries, got {x0.shape}")
-        require_finite("x0", x0)
     else:
-        x0 = invert_reference(sys, float(ref_v[0])).x_ss.copy()
+        x0 = invert_reference(sys, float(ref_v[0]), reach).x_ss.copy()
     if data.get("x_hat0") is not None:
-        x_hat0 = np.asarray(data["x_hat0"], dtype=np.float64) + offset
+        x_hat0 = as_array("x_hat0", data["x_hat0"], 1) + offset
         if x_hat0.shape != (sys.n_states,):
             raise ValueError(
                 f"x_hat0 must have {sys.n_states} entries, got {x_hat0.shape}"
             )
-        require_finite("x_hat0", x_hat0)
     else:
         x_hat0 = x0.copy()
 
-    kp_pi = float(data.get("kp_pi", 0.0))
-    ki_pi = float(data.get("ki_pi", 0.0))
-    require_finite("kp_pi", kp_pi)
-    require_finite("ki_pi", ki_pi)
+    kp_pi = as_float("kp_pi", data.get("kp_pi", 0.0))
+    ki_pi = as_float("ki_pi", data.get("ki_pi", 0.0))
     if law != PI and ("kp_pi" in data or "ki_pi" in data):
         raise ValueError("kp_pi/ki_pi are only valid with the pi law")
     if law == PI and "ki_pi" not in data:

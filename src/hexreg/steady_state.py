@@ -145,15 +145,19 @@ def reachable_set(sys: BilinearSystem, grid_points: int = 256) -> ReachableSet:
     )
 
 
-def invert_reference(sys: BilinearSystem, r: float, grid_points: int = 256) -> Equilibrium:
+def invert_reference(
+    sys: BilinearSystem, r: float, rs: ReachableSet | None = None
+) -> Equilibrium:
     """Find the smallest admissible u_ss with C pi(u_ss) = r.
 
-    A sign-change scan over a fixed grid brackets every crossing; each
-    bracket is bisected (bounded iteration count).  When several inputs
-    produce the same output the smallest u is returned.
+    A sign-change scan over the sweep of the reachable set rs (built at 256
+    points when not given) brackets every crossing; each bracket is
+    bisected (bounded iteration count).  When several inputs produce the
+    same output the smallest u is returned.
     """
     r = float(r)
-    rs = reachable_set(sys, grid_points=grid_points)
+    if rs is None:
+        rs = reachable_set(sys)
     if not rs.contains(r, tol=1e-9 * (1.0 + abs(r))):
         raise ReferenceUnreachableError(r, rs.r_min, rs.r_max)
 

@@ -105,6 +105,25 @@ def test_assumption3_hex_conservative(hexsys, table1):
     assert rep.a3b_min_abs > 0.0
 
 
+def test_assumption3a_does_not_depend_on_u_grid(hexsys, table1):
+    """The A3(a) block is affine in u, so its largest eigenvalue is convex
+    in u and peaks at an input bound: u-grids 2 and 64 agree exactly."""
+    P = hexreg.hex_analytic_P(table1)
+    mu = hexreg.design.input_coupling_bound(hexsys)
+    nu = float(np.linalg.norm(P, 2) / mu)
+    eps = 0.5 * hexreg.lyapunov_decay_margin(hexsys, P, grid=2)
+    worst = [hexreg.check_assumption3(hexsys, P, nu, eps, grid=(n_u, 2)).a3a_worst_residual
+             for n_u in (2, 64)]
+    assert worst[0] == worst[1]
+    at_bounds = []
+    for u in (hexsys.u_min, hexsys.u_max):
+        F = hexsys.frozen(u)
+        top = P @ F + F.T @ P + (nu * mu * mu + 2.0 * eps) * np.eye(16)
+        block = np.block([[top, P], [P, -nu * np.eye(16)]])
+        at_bounds.append(np.linalg.eigvalsh(block)[-1])
+    assert worst[0] == pytest.approx(max(at_bounds), rel=1e-12)
+
+
 def test_assumption3_v_zero_column_matches_a1(hexsys, table1):
     """At v = 0 the shifted map is the plain DC gain, so the 3(b) scan and
     the assumption-1 scan must see the same value there."""

@@ -83,6 +83,18 @@ def test_design_integral_only(ws):
         0.5 * art.ki_star)
 
 
+def test_design_has_no_grid_option(ws, capsys):
+    """The certification grids of design are fixed, so --grid is an
+    unrecognized argument."""
+    capsys.readouterr()
+    rc = main(["design", str(ws / "hex.json"), "--law", "integral_only",
+               "--ref", "26.5", "--units", "C", "--grid", "8",
+               "--out", str(ws / "io8.json")])
+    assert rc == 2
+    assert "unrecognized arguments: --grid 8" in capsys.readouterr().err
+    assert not (ws / "io8.json").exists()
+
+
 def test_design_requires_ref_or_uss(ws):
     rc = main(["design", str(ws / "hex.json"), "--law", "forwarding",
                "--out", str(ws / "zz.json")])
@@ -244,36 +256,71 @@ def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
     assert err.splitlines() == ["error: non-finite state at step 39 (t = 780 s)"]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("t_end", float("inf")),
-    ("dt", float("nan")),
-    ("reference_schedule", [[0.0, 26.5], [float("inf"), 26.0]]),
-    ("output_disturbance", [[0.0, float("nan")]]),
-    ("x0", [float("-inf")] * 16),
+@pytest.mark.parametrize("field, value, problem", [
+    pytest.param("t_end", float("inf"), "must be finite", id="t_end-inf"),
+    pytest.param("dt", float("nan"), "must be finite", id="dt-nan"),
+    pytest.param("reference_schedule", [[0.0, 26.5], [float("inf"), 26.0]],
+                 "must be finite", id="reference_schedule-value2"),
+    pytest.param("output_disturbance", [[0.0, float("nan")]], "must be finite",
+                 id="output_disturbance-value3"),
+    pytest.param("x0", [float("-inf")] * 16, "must be finite", id="x0-value4"),
+    pytest.param("t_end", None, "must be a number", id="t_end-null"),
+    pytest.param("reference_schedule", [[0, None]], "must be a number",
+                 id="reference_schedule-null"),
+    pytest.param("kp_pi", [1], "must be a number", id="kp_pi-list"),
+    pytest.param("x0", [26.5] * 15 + ["26.5"], "must be a 1-d array of numbers",
+                 id="x0-string"),
 ])
-def test_simulate_nonfinite_scenario_exit2(ws, tmp_path, capsys, field, value):
+def test_simulate_nonfinite_scenario_exit2(ws, tmp_path, capsys, field, value,
+                                           problem):
+    """Non-finite numbers and values of the wrong JSON type are malformed
+    input: exit 2 with one line naming the field, no traceback."""
     scn = scenario_file(tmp_path, name="nonfinite.json", **{field: value})
     capsys.readouterr()
     rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
                str(scn), "--out", str(tmp_path / "runs_nf")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field}") and "must be finite" in err
+    assert err.startswith(f"error: {field}") and problem in err
+    assert len(err.splitlines()) == 1
 
 
 def test_simulate_nonfinite_artifact_exit2(ws, tmp_path, capsys):
     """A NaN gain in the artifact file is malformed input, not a run that
-    went non-finite."""
-    data = json.loads((ws / "fwd.json").read_text())
-    data["k_i"] = float("nan")
-    art = tmp_path / "fwd_nan.json"
-    art.write_text(json.dumps(data))
+    went non-finite; so is a gain of the wrong type or an incomplete
+    observer block."""
     scn = scenario_file(tmp_path, name="nan_art.json")
+    art = tmp_path / "fwd_nan.json"
+    for field, value, message in [
+        ("k_i", float("nan"), "k_i must be finite"),
+        ("k_i", None, "k_i must be a number, got None"),
+        ("observer", {"L": [[0.0]], "Y": [[0.0]], "nu": 1.0, "eps": 1.0,
+                      "mu": 1.0, "lmi_residual": -1.0},
+         "missing observer fields: ['Q']"),
+    ]:
+        data = json.loads((ws / "fwd.json").read_text())
+        data[field] = value
+        art.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main(["simulate", str(ws / "hex.json"), str(art), str(scn),
+                   "--out", str(tmp_path / "runs_nan_art")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(u_min=None), "u_min must be a number, got None"),
+    (lambda d: d["hex_params"].update({"lambda": "35"}),
+     "lambda must be a number, got '35'"),
+], ids=["u_min", "hex_params.lambda"])
+def test_verify_malformed_system_exit2(ws, tmp_path, capsys, edit, message):
+    data = json.loads((ws / "hex.json").read_text())
+    edit(data)
+    path = tmp_path / "bad_sys.json"
+    path.write_text(json.dumps(data))
     capsys.readouterr()
-    rc = main(["simulate", str(ws / "hex.json"), str(art), str(scn),
-               "--out", str(tmp_path / "runs_nan_art")])
-    assert rc == 2
-    assert capsys.readouterr().err.splitlines() == ["error: k_i must be finite"]
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_simulate_repeat_is_byte_identical(ws, tmp_path):

@@ -74,6 +74,19 @@ def test_hex_analytic_P_table1(table1, hexsys):
     assert margin > 0.0
 
 
+def test_decay_margin_does_not_depend_on_grid(hexsys, table1):
+    """-lambda_max(P F_u + F_u^T P) / 2 is concave in u, so its minimum sits
+    at an input bound and every grid holding both bounds finds it.  This is
+    why integral_only_design fixes its margin grid."""
+    P = hexreg.hex_analytic_P(table1)
+    margins = [hexreg.lyapunov_decay_margin(hexsys, P, grid=g) for g in (2, 3, 64, 256)]
+    at_bounds = []
+    for u in (hexsys.u_min, hexsys.u_max):
+        F = hexsys.frozen(u)
+        at_bounds.append(-np.linalg.eigvalsh(P @ F + F.T @ P)[-1] / 2.0)
+    assert margins == [min(at_bounds)] * 4
+
+
 def test_hex_analytic_P_single_cell_closed_form():
     """For one compartment pair, P F_u + F_u^T P is 2x2; strict negativity
     is equivalent to a positive determinant given a negative trace."""
@@ -140,6 +153,20 @@ def independent_lmi_eigenvalues(sys, obs):
            + (obs.nu * obs.mu ** 2 + 2.0 * obs.eps) * np.eye(n))
     block = np.block([[top, obs.Q], [obs.Q, -obs.nu * np.eye(n)]])
     return np.linalg.eigvalsh(block)
+
+
+def test_robust_decay_block_layout():
+    S = np.array([[-3.0, 1.0], [1.0, -2.0]])
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    nu, eps, mu = 0.5, 0.25, 2.0
+    shift = nu * mu * mu + 2.0 * eps  # 2.5
+    want = np.array([
+        [-3.0 + shift, 1.0, 2.0, 0.5],
+        [1.0, -2.0 + shift, 0.5, 1.0],
+        [2.0, 0.5, -nu, 0.0],
+        [0.5, 1.0, 0.0, -nu],
+    ])
+    assert np.array_equal(design.robust_decay_block(S, Q, nu, eps, mu), want)
 
 
 def test_observer_design_trivial_feasible():

@@ -1,0 +1,108 @@
+"""Property test of the four loaders: a valid document with one field
+replaced by an arbitrary JSON value either loads or raises one of the
+errors the CLI reports as malformed input (exit 2), never anything else."""
+
+import json
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import hexreg
+from hexreg import design, model, sim
+from hexreg.cli import _USAGE_ERRORS
+from hexreg.serde import dumps_json
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+loader_settings = settings(
+    derandomize=True, database=None, deadline=None, max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _as_json(data) -> dict:
+    return json.loads(dumps_json(data))
+
+
+def _load_or_usage_error(load, doc) -> None:
+    try:
+        load(doc)
+    except _USAGE_ERRORS:
+        pass
+
+
+@pytest.fixture(scope="module")
+def documents(table1, synthetic_observable, synthetic_observer):
+    """One valid document per loader, as parsed JSON."""
+    sys_ = synthetic_observable
+    eq = hexreg.equilibrium_at(sys_, 0.05)
+    art = replace(hexreg.forwarding_design(sys_, eq, k_p=0.5, k_i=0.2),
+                  observer=synthetic_observer)
+    scenario = {
+        "units": "K", "law": "output_feedback", "t_end": 1.0, "dt": 0.1,
+        "reference_schedule": [[0.0, eq.y_ss]],
+        "output_disturbance": [[0.5, 0.1]],
+        "x0": eq.x_ss.tolist(), "x_hat0": eq.x_ss.tolist(),
+    }
+    return {
+        "params": table1.to_dict(),
+        "system": _as_json(model.system_to_dict(sys_, table1)),
+        "artifacts": _as_json(design.artifacts_to_dict(art)),
+        "scenario": scenario,
+        "scenario_args": (sys_, art),
+    }
+
+
+def test_valid_documents_load(documents):
+    hexreg.HexParams.from_dict(documents["params"])
+    model.system_from_dict(documents["system"])
+    design.artifacts_from_dict(documents["artifacts"])
+    sim.scenario_from_dict(documents["scenario"], *documents["scenario_args"])
+
+
+@loader_settings
+@given(key=st.sampled_from(model._HEX_FIELDS), value=json_values)
+def test_hex_params_loader(documents, key, value):
+    doc = dict(documents["params"], **{key: value})
+    _load_or_usage_error(hexreg.HexParams.from_dict, doc)
+
+
+@loader_settings
+@given(key=st.sampled_from(["n_states", "A", "B", "b", "E", "C", "D", "u_min",
+                            "u_max", "hex_params", "hex_params.lambda",
+                            "hex_params.n_cells", "hex_params.u_max"]),
+       value=json_values)
+def test_system_loader(documents, key, value):
+    doc = json.loads(json.dumps(documents["system"]))
+    outer, _, inner = key.rpartition(".")
+    (doc[outer] if outer else doc)[inner] = value
+    _load_or_usage_error(model.system_from_dict, doc)
+
+
+@loader_settings
+@given(key=st.sampled_from(["u_ss", "x_ss", "P", "Upsilon", "M", "k_p", "k_i",
+                            "sign_dc", "ki_star", "observer", "observer.L",
+                            "observer.Q", "observer.nu", "observer.mu"]),
+       value=json_values)
+def test_artifacts_loader(documents, key, value):
+    doc = json.loads(json.dumps(documents["artifacts"]))
+    outer, _, inner = key.rpartition(".")
+    (doc[outer] if outer else doc)[inner] = value
+    _load_or_usage_error(design.artifacts_from_dict, doc)
+
+
+@loader_settings
+@given(key=st.sampled_from(sorted(sim._SCENARIO_KEYS)), value=json_values)
+def test_scenario_loader(documents, key, value):
+    doc = dict(documents["scenario"], **{key: value})
+    _load_or_usage_error(
+        lambda d: sim.scenario_from_dict(d, *documents["scenario_args"]), doc)

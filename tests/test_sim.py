@@ -33,6 +33,23 @@ def test_scenario_minimal(hexsys, fwd_art):
         hexsys, 26.5 + KELVIN).x_ss)
 
 
+def test_scenario_without_x0_sweeps_reachable_set_once(hexsys, fwd_art, monkeypatch):
+    """The reference check's sweep also seeds the x0 inversion."""
+    from hexreg import steady_state
+
+    calls = []
+    sweep = steady_state.reachable_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(steady_state, "reachable_set", counted)
+    monkeypatch.setattr(sim, "reachable_set", counted)
+    hexreg.scenario_from_dict(base_dict(), hexsys, fwd_art)
+    assert len(calls) == 1
+
+
 def test_scenario_kelvin_units(hexsys, fwd_art):
     scn = hexreg.scenario_from_dict(
         base_dict(units="K", reference_schedule=[[0.0, 299.65]]),

@@ -143,6 +143,23 @@ def test_invert_reference_midpoint_bracketed(hexsys):
         r, abs=1e-9)
 
 
+def test_invert_reference_searches_the_given_set(hexsys, monkeypatch):
+    """A given reachable set is searched as is; none is built."""
+    r = 26.5 + KELVIN
+    default = hexreg.invert_reference(hexsys, r)
+    coarse = hexreg.reachable_set(hexsys, grid_points=16)
+    full = hexreg.reachable_set(hexsys)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("invert_reference rebuilt the reachable set")
+
+    monkeypatch.setattr(steady_state, "reachable_set", no_sweep)
+    eq = hexreg.invert_reference(hexsys, r, full)
+    assert eq.u_ss == default.u_ss and np.array_equal(eq.x_ss, default.x_ss)
+    eq16 = hexreg.invert_reference(hexsys, r, coarse)
+    assert eq16.y_ss == pytest.approx(r, abs=1e-8)
+
+
 def test_equilibria_are_kelvin_scale(eq265):
     # reference experiments run around 26.5 C
     assert eq265.y_ss == pytest.approx(26.5 + KELVIN, abs=1e-9)
