@@ -23,7 +23,8 @@ from .design import (
 )
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
 from .model import BilinearSystem
-from .steady_state import pi_map
+from .kernels import _rowdot
+from .steady_state import _STACK_BLOCK, pi_map, screen_singular
 
 __all__ = [
     "AssumptionReport",
@@ -44,7 +45,6 @@ __all__ = [
     "trajectory_monitors",
 ]
 
-_COND_LIMIT = 1e14
 _A3A_TOL = 1e-9  # slack on the largest LMI eigenvalue before declaring infeasible
 _MONITOR_BLOCK = 1024  # samples per stacked solve; bounds the (block, n, n) temporaries
 _GAIN_CAP = 1e9  # integral_gain_stability_limit gives up (inf) above this gain
@@ -201,6 +201,15 @@ def check_assumption3(
     restrict_admissible, pairs whose effective input u + v leaves the
     admissible interval are skipped, which confines the sweep to shifts the
     saturated loop can actually produce.
+
+    Part (b) runs per input row on stacks of F_u + B v, 64 deviations at a
+    time so the temporaries stay small.  steady_state.screen_singular marks
+    a pair singular exactly when cond_2(F_u + B v) > 1e14 or is not finite,
+    as the per-pair cond test did: a Frobenius bound |F|_F |F^-1|_F <= 1e12
+    clears a matrix without an SVD, and only the rest get the exact cond.
+    The remaining pairs share one stacked solve, and kernels._rowdot takes
+    C times each solution with the dot product of the per-pair code, so
+    every value, minimum and sign count keeps its bits.
     """
     P = np.asarray(P, dtype=np.float64)
     n = sys.n_states
@@ -231,22 +240,20 @@ def check_assumption3(
     for u in u_grid:
         F = sys.frozen(float(u))
         g_u = sys.input_gain(pi_map(sys, float(u)))
-        for v in v_grid:
-            if restrict_admissible:
-                ueff = float(u) + float(v)
-                if ueff < sys.u_min - 1e-12 or ueff > sys.u_max + 1e-12:
-                    continue
-            Fv = F + sys.B * float(v)
-            cond = np.linalg.cond(Fv)
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                singular += 1
-                continue
-            val = float(sys.C @ np.linalg.solve(Fv, g_u))
-            min_abs = min(min_abs, abs(val))
-            if val > 0.0:
-                pos += 1
-            elif val < 0.0:
-                neg += 1
+        v_row = v_grid
+        if restrict_admissible:
+            ueff = float(u) + v_grid
+            v_row = v_grid[(ueff >= sys.u_min - 1e-12) & (ueff <= sys.u_max + 1e-12)]
+        for start in range(0, v_row.size, _STACK_BLOCK):
+            v = v_row[start : start + _STACK_BLOCK]
+            Fv = F + sys.B * v[:, None, None]
+            bad, _ = screen_singular(Fv)
+            singular += int(np.count_nonzero(bad))
+            vals = _rowdot(sys.C, np.linalg.solve(Fv[~bad], g_u[:, None])[..., 0])[:, 0]
+            # fmin skips NaN, as the scalar min over the pairs did
+            min_abs = min(min_abs, float(np.fmin.reduce(np.abs(vals), initial=np.inf)))
+            pos += int(np.count_nonzero(vals > 0.0))
+            neg += int(np.count_nonzero(vals < 0.0))
     sign_const = (pos == 0 or neg == 0) and singular == 0 and (pos + neg) > 0
 
     return AssumptionReport(

@@ -24,8 +24,9 @@ from .errors import (
     as_array,
     as_float,
 )
+from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem, HexParams
-from .steady_state import Equilibrium
+from .steady_state import _STACK_BLOCK, Equilibrium, _golden_section_max, screen_singular
 
 __all__ = [
     "DesignArtifacts",
@@ -46,6 +47,7 @@ __all__ = [
     "lyapunov_decay_margin",
     "artifacts_to_dict",
     "artifacts_from_dict",
+    "require_artifacts_fit",
     "load_artifacts",
     "save_artifacts",
 ]
@@ -425,30 +427,43 @@ def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
     F + B v is then a frozen matrix at an admissible input and stays
     invertible whenever the frozen family is Hurwitz.  A 512-point sweep
     plus golden-section refinement around the peak.
+
+    The sweep runs on stacks of F + B v, 64 at a time so the temporaries
+    stay small.  steady_state.screen_singular refuses a stack with
+    SingularMatrixError at the first v whose matrix has cond_2 > 1e14: a
+    Frobenius bound clears the well-conditioned ones and the exact cond
+    decides the rest, so the verdict is that of cond alone.  The stacked
+    solves, per-row products (kernels._rowwise, _rowdot) and sqrt make the
+    same floating-point operations as one point at a time, so every
+    magnitude keeps its bits.  The refinement evaluates one point per call
+    through the same code.
     """
     lo, hi = sys.u_min - eq.u_ss, sys.u_max - eq.u_ss
     F = sys.frozen(eq.u_ss)
     g = sys.input_gain(eq.x_ss)
 
-    def magnitude(v: float) -> float:
-        Fv = F + sys.B * v
-        cond = np.linalg.cond(Fv)
-        if not np.isfinite(cond) or cond > 1e14:
+    def magnitudes(v: np.ndarray) -> np.ndarray:
+        Fv = F + sys.B * v[:, None, None]
+        singular, kappa = screen_singular(Fv)
+        if singular.any():
+            i = int(np.argmax(singular))
             raise SingularMatrixError(
-                f"F + B v numerically singular at v = {v!r}", cond=float(cond)
+                f"F + B v numerically singular at v = {v[i]!r}", cond=float(kappa[i])
             )
-        y1 = np.linalg.solve(Fv, g)
-        y2 = v * np.linalg.solve(Fv, sys.B @ y1) - y1
-        return float(np.linalg.norm(y2))
+        y1 = np.linalg.solve(Fv, g[:, None])[..., 0]
+        w = np.linalg.solve(Fv, _rowwise(sys.B, y1)[..., None])[..., 0]
+        y2 = v[:, None] * w - y1
+        return np.sqrt(_rowdot(y2, y2)[:, 0])
 
     grid = np.linspace(lo, hi, _PI_SHIFT_GRID)
-    vals = np.array([magnitude(v) for v in grid])
+    vals = np.concatenate([magnitudes(grid[k : k + _STACK_BLOCK])
+                           for k in range(0, _PI_SHIFT_GRID, _STACK_BLOCK)])
     i = int(np.argmax(vals))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, _PI_SHIFT_GRID - 1)]
-    from .steady_state import _golden_section_max
-
-    _, peak = _golden_section_max(magnitude, a, b, 1e-10 * (1.0 + hi - lo))
+    _, peak = _golden_section_max(
+        lambda v: float(magnitudes(np.array([v]))[0]), a, b, 1e-10 * (1.0 + hi - lo)
+    )
     return float(max(peak, vals[i]))
 
 
@@ -591,6 +606,25 @@ def artifacts_from_dict(data: dict) -> DesignArtifacts:
     values = {k: _number(k, data[k]) for k in _ARTIFACT_FIELDS}
     values.update({k: _number(k, data[k]) for k in _OPTIONAL_FIELDS if data.get(k) is not None})
     return DesignArtifacts(observer=observer, **values)
+
+
+def require_artifacts_fit(sys: BilinearSystem, art: DesignArtifacts) -> None:
+    """Raise ValueError naming the first artifact array whose shape does not
+    fit sys: x_ss and M have n entries, P and Upsilon are n x n, and an
+    observer's L, Q and Y are n x p, n x n and n x p."""
+    n, p = sys.n_states, sys.n_outputs
+    arrays = {"x_ss": (art.x_ss, (n,)), "P": (art.P, (n, n)),
+              "Upsilon": (art.Upsilon, (n, n)), "M": (art.M, (n,))}
+    if art.observer is not None:
+        obs = art.observer
+        arrays.update({"observer.L": (obs.L, (n, p)), "observer.Q": (obs.Q, (n, n)),
+                       "observer.Y": (obs.Y, (n, p))})
+    for name, (arr, shape) in arrays.items():
+        if arr.shape != shape:
+            got = "x".join(map(str, arr.shape))
+            if len(shape) == 1:
+                raise ValueError(f"{name} must have {n} entries, got {got}")
+            raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got {got}")
 
 
 def load_artifacts(path: str) -> DesignArtifacts:

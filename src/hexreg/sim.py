@@ -26,7 +26,7 @@ import numpy as np
 
 from .analysis import build_monitor_context, max_monotone_violation, trajectory_monitors
 from .controllers import FORWARDING, INTEGRAL_ONLY, LAW_CODES, OUTPUT_FEEDBACK, PI
-from .design import DesignArtifacts
+from .design import DesignArtifacts, require_artifacts_fit
 from .errors import (
     MissingObserverStateError,
     NonFiniteError,
@@ -129,12 +129,13 @@ def scenario_from_dict(
     Checks: known keys only; finite numbers; kelvin or Celsius units;
     strictly increasing schedules starting at t = 0 and contained in
     [0, t_end]; t_end an exact multiple of dt; every reference inside the
-    reachable set.  x0 defaults to the open-loop equilibrium of the first
-    reference, x_hat0 to x0.
+    reachable set; artifact arrays whose shapes fit sys.  x0 defaults to the
+    open-loop equilibrium of the first reference, x_hat0 to x0.
     """
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+    require_artifacts_fit(sys, artifacts)
     for key in ("units", "law", "t_end", "dt", "reference_schedule"):
         if key not in data:
             raise ValueError(f"scenario is missing required field {key!r}")

@@ -25,9 +25,12 @@ __all__ = [
     "equilibrium_at",
     "reachable_set",
     "invert_reference",
+    "screen_singular",
 ]
 
-_COND_LIMIT = 1e14
+_COND_LIMIT = 1e14  # a matrix with 2-norm condition number above this is singular
+_COND_CLEAR = 1e12  # a Frobenius bound at or below this clears a matrix without an SVD
+_STACK_BLOCK = 64  # matrices per stacked screen and solve; bounds the (block, n, n) temporaries
 _BISECT_MAX_ITER = 200
 _GOLDEN_TOL = 1e-10
 
@@ -60,13 +63,49 @@ class ReachableSet:
         return (self.r_min - tol) <= r <= (self.r_max + tol)
 
 
+def screen_singular(F) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the matrices F, of shape (n, n) or (k, n, n), are numerically
+    singular: (singular, kappa), each of shape () or (k,).
+
+    The verdict is that of the exact test, cond_2(F) not finite or above
+    1e14, but the SVD behind cond runs only where a cheap bound cannot clear
+    the matrix.  kappa_2(F) <= |F|_F |F^-1|_F, with one stacked inverse; a
+    matrix whose bound is finite and at most 1e12 is cleared, since its
+    exact condition number, even as computed, lies far below 1e14.  Where
+    the bound is larger or not finite, or where the inverse raises, kappa
+    is np.linalg.cond.  So kappa is the bound on cleared matrices and the
+    exact condition number on the rest.
+    """
+    F = np.asarray(F, dtype=np.float64)
+    stack = F.reshape((-1,) + F.shape[-2:])
+    try:
+        inv = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        kappa = np.linalg.cond(stack)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa = np.sqrt(np.einsum("kij,kij->k", stack, stack)
+                            * np.einsum("kij,kij->k", inv, inv))
+        hard = ~(kappa <= _COND_CLEAR)
+        if hard.any():
+            kappa[hard] = np.linalg.cond(stack[hard])
+    kappa = kappa.reshape(F.shape[:-2])
+    return ~(kappa <= _COND_LIMIT), kappa
+
+
 def _solve_frozen(sys: BilinearSystem, u: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + B u) x = rhs with a condition guard and one refinement."""
+    """Solve (A + B u) x = rhs with a singularity screen and one refinement.
+
+    screen_singular decides singularity: the Frobenius bound clears every
+    well-conditioned F without an SVD and the exact cond decides the rest,
+    so a frozen matrix is refused exactly when cond_2 > 1e14 or is not
+    finite, as with cond alone.
+    """
     F = sys.frozen(u)
-    cond = np.linalg.cond(F)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    singular, kappa = screen_singular(F)
+    if singular:
         raise SingularMatrixError(
-            f"A + B u numerically singular at u = {u!r}", cond=float(cond)
+            f"A + B u numerically singular at u = {u!r}", cond=float(kappa)
         )
     x = np.linalg.solve(F, rhs)
     x = x - np.linalg.solve(F, F @ x - rhs)

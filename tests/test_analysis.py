@@ -135,6 +135,87 @@ def test_assumption3_v_zero_column_matches_a1(hexsys, table1):
     assert rep.a3b_min_abs == pytest.approx(rep1.dc_gain_min_abs, rel=1e-6)
 
 
+def a3b_per_pair(sys, grid, v_range, restrict_admissible):
+    """The A3(b) sweep one (u, v) pair at a time: cond, then solve."""
+    u_grid = np.linspace(sys.u_min, sys.u_max, grid[0])
+    v_grid = np.linspace(v_range[0], v_range[1], grid[1])
+    min_abs, singular, pos, neg = np.inf, 0, 0, 0
+    for u in u_grid:
+        F = sys.frozen(float(u))
+        g_u = sys.input_gain(hexreg.pi_map(sys, float(u)))
+        for v in v_grid:
+            ueff = float(u) + float(v)
+            if restrict_admissible and not (
+                    sys.u_min - 1e-12 <= ueff <= sys.u_max + 1e-12):
+                continue
+            Fv = F + sys.B * float(v)
+            cond = np.linalg.cond(Fv)
+            if not np.isfinite(cond) or cond > 1e14:
+                singular += 1
+                continue
+            val = float(sys.C @ np.linalg.solve(Fv, g_u))
+            min_abs = min(min_abs, abs(val))
+            pos += val > 0.0
+            neg += val < 0.0
+    sign_const = (pos == 0 or neg == 0) and singular == 0 and (pos + neg) > 0
+    return {"a3b_min_abs": float(min_abs) if np.isfinite(min_abs) else float("nan"),
+            "a3b_sign_constant": sign_const, "a3b_singular_points": singular}
+
+
+def _a3b_fields(rep):
+    return {k: getattr(rep, k) for k in
+            ("a3b_min_abs", "a3b_sign_constant", "a3b_singular_points")}
+
+
+def _same_bits(got, want):
+    assert got.keys() == want.keys()
+    for k in got:
+        assert np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes(), k
+
+
+@pytest.mark.parametrize("restrict_admissible", [False, True])
+def test_assumption3b_matches_per_pair_sweep(hexsys, table1, restrict_admissible):
+    """The stacked A3(b) sweep gives the per-pair loop's bits."""
+    P = hexreg.hex_analytic_P(table1)
+    rep = hexreg.check_assumption3(hexsys, P, nu=1.0, eps=1e-3, grid=(8, 17),
+                                   restrict_admissible=restrict_admissible)
+    v_range = (hexsys.u_min - hexsys.u_max, hexsys.u_max - hexsys.u_min)
+    _same_bits(_a3b_fields(rep),
+               a3b_per_pair(hexsys, (8, 17), v_range, restrict_admissible))
+
+
+def singular_pair_system():
+    """F_u + B v = blkdiag(u + v - 1, [[-2, 0.5], [0.3, -3]]): exactly
+    singular where u + v = 1, and of condition about 1 / |u + v - 1| near it."""
+    A = np.array([[-1.0, 0.0, 0.0], [0.0, -2.0, 0.5], [0.0, 0.3, -3.0]])
+    return hexreg.BilinearSystem(
+        A=A, B=np.diag([1.0, 0.0, 0.0]), b=np.array([1.0, 0.5, 0.0]),
+        E=np.array([0.2, 1.0, 0.3]), C=np.array([1.0, 0.0, 1.0]), D=np.eye(3),
+        u_min=0.0, u_max=0.5,
+    )
+
+
+@pytest.mark.parametrize("v_range, cond_range, singular", [
+    # u + v = 1 exactly at (0, 1), (0.25, 0.75) and (0.5, 0.5)
+    pytest.param((0.5, 1.0), (np.inf, np.inf), 3, id="exactly-singular"),
+    # |u + v - 1| is near 1e-13 at the three pairs next to u + v = 1: the
+    # bound cannot clear them, the exact cond (about 3e13) keeps them
+    pytest.param((0.0, 1.0 - 1e-13), (1e12, 1e14), 0, id="cond-3e13"),
+    # near 1e-15 at the same pairs: the exact cond refuses them
+    pytest.param((0.0, 1.0 - 1e-15), (1e14, 1e17), 3, id="cond-3e15"),
+])
+def test_assumption3b_screen_matches_cond(v_range, cond_range, singular):
+    """Singular and near-singular pairs get the per-pair cond verdict."""
+    sys = singular_pair_system()
+    cond = np.linalg.cond(sys.frozen(0.0) + sys.B * v_range[1])
+    assert cond_range[0] <= cond <= cond_range[1]
+    rep = hexreg.check_assumption3(sys, np.eye(3), nu=1.0, eps=1e-3,
+                                   grid=(3, 5), v_range=v_range)
+    want = a3b_per_pair(sys, (3, 5), v_range, False)
+    _same_bits(_a3b_fields(rep), want)
+    assert want["a3b_singular_points"] == singular
+
+
 def test_assumption_report_serializes(hexsys):
     rep = hexreg.assumption_report(hexsys, u_grid=8, v_grid=5)
     d = rep.to_dict()

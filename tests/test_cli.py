@@ -308,6 +308,33 @@ def test_simulate_nonfinite_artifact_exit2(ws, tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def _observer_block(L):
+    return {"L": L, "Q": np.eye(16).tolist(), "Y": [[0.0]] * 16, "nu": 1.0,
+            "eps": 1.0, "mu": 1.0, "lmi_residual": -1.0}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("x_ss", [300.0, 300.0], "x_ss must have 16 entries, got 2"),
+    ("P", [[1.0, 0.0], [0.0, 1.0]], "P must be 16x16, got 2x2"),
+    ("M", [1.0, 2.0], "M must have 16 entries, got 2"),
+    ("observer", _observer_block([[0.0], [0.0]]), "observer.L must be 16x1, got 2x1"),
+], ids=["x_ss", "P", "M", "observer.L"])
+def test_simulate_artifact_size_mismatch_exit2(ws, tmp_path, capsys, field,
+                                               value, message):
+    """An artifact array whose size does not fit the system is malformed
+    input: exit 2 with one line naming the field."""
+    scn = scenario_file(tmp_path, name="size_art.json")
+    data = json.loads((ws / "fwd.json").read_text())
+    data[field] = value
+    art = tmp_path / "fwd_size.json"
+    art.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["simulate", str(ws / "hex.json"), str(art), str(scn),
+               "--out", str(tmp_path / "runs_size_art")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.update(u_min=None), "u_min must be a number, got None"),
     (lambda d: d["hex_params"].update({"lambda": "35"}),

@@ -324,6 +324,41 @@ def test_pi_shift_sup_positive(hexsys, eq265):
     assert hexreg.pi_shift_sup(hexsys, eq265) > 0.0
 
 
+def test_pi_shift_sup_matches_per_point_sweep(hexsys, eq265):
+    """The stacked sweep gives the bits of one cond, two solves and one
+    norm per deviation, refined by the same golden-section search."""
+    from hexreg.steady_state import _golden_section_max
+
+    lo, hi = hexsys.u_min - eq265.u_ss, hexsys.u_max - eq265.u_ss
+    F = hexsys.frozen(eq265.u_ss)
+    g = hexsys.input_gain(eq265.x_ss)
+
+    def magnitude(v):
+        Fv = F + hexsys.B * v
+        assert np.linalg.cond(Fv) <= 1e14
+        y1 = np.linalg.solve(Fv, g)
+        y2 = v * np.linalg.solve(Fv, hexsys.B @ y1) - y1
+        return float(np.linalg.norm(y2))
+
+    grid = np.linspace(lo, hi, 512)
+    vals = np.array([magnitude(v) for v in grid])
+    i = int(np.argmax(vals))
+    _, peak = _golden_section_max(magnitude, grid[max(i - 1, 0)],
+                                  grid[min(i + 1, 511)], 1e-10 * (1.0 + hi - lo))
+    want = float(max(peak, vals[i]))
+    assert np.float64(hexreg.pi_shift_sup(hexsys, eq265)).tobytes() == \
+        np.float64(want).tobytes()
+
+
+def test_pi_shift_sup_refuses_singular_shift():
+    """F + B v = u_ss - 1 + v is singular at v = 1 - u_ss, the top of the
+    deviation range when u_max = 1."""
+    sys = scalar_system(A=-1.0, B=1.0, u_min=0.0, u_max=1.0)
+    eq = hexreg.equilibrium_at(sys, 0.5)
+    with pytest.raises(hexreg.SingularMatrixError, match="singular at v = .*0.5"):
+        hexreg.pi_shift_sup(sys, eq)
+
+
 # -- serialization ----------------------------------------------------------
 
 

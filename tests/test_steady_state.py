@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hexreg
 from hexreg import steady_state
@@ -164,3 +166,46 @@ def test_equilibria_are_kelvin_scale(eq265):
     # reference experiments run around 26.5 C
     assert eq265.y_ss == pytest.approx(26.5 + KELVIN, abs=1e-9)
     assert 0.0 < eq265.u_ss < 0.05
+
+
+def _conditioned_stack(seed, k, n, log_conds, scales, singular_rows):
+    """k random n x n matrices U diag(s) V^T with cond 10**log_cond, scaled;
+    a matrix listed in singular_rows gets its last row equal to its first.
+    The inner singular values sit at either end or between, so the
+    Frobenius bound ranges from the exact condition number to n/2 times it."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((k, n, n))
+    for i in range(k):
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        t = rng.choice([0.0, 1.0, rng.uniform()], size=n)
+        t[0], t[-1] = 0.0, 1.0
+        s = 10.0 ** (-log_conds[i] * t)
+        out[i] = 10.0 ** scales[i] * (U * s) @ V.T
+        if i in singular_rows and n > 1:
+            out[i, -1] = out[i, 0]
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_screen_singular_matches_cond(data):
+    """The screen's verdict on a stack, and on each matrix alone, is the
+    exact test: cond_2 finite and at most 1e14 means not singular."""
+    k = data.draw(st.integers(1, 6), label="k")
+    n = data.draw(st.integers(1, 8), label="n")
+    # half the draws near 1e12 and 1e14, where the bound and the cut meet
+    log_cond = st.floats(0.0, 18.0) | st.floats(11.5, 14.5)
+    log_conds = data.draw(st.lists(log_cond, min_size=k, max_size=k))
+    scales = data.draw(st.lists(st.floats(-150.0, 150.0), min_size=k, max_size=k))
+    singular_rows = data.draw(st.sets(st.integers(0, k - 1)))
+    F = _conditioned_stack(data.draw(st.integers(0, 2**32 - 1)), k, n,
+                           log_conds, scales, singular_rows)
+    cond = np.linalg.cond(F)
+    want = ~(np.isfinite(cond) & (cond <= 1e14))
+    singular, kappa = steady_state.screen_singular(F)
+    assert singular.shape == kappa.shape == (k,)
+    assert np.array_equal(singular, want)
+    for i in range(k):
+        one, _ = steady_state.screen_singular(F[i])
+        assert one.shape == () and bool(one) == want[i]
