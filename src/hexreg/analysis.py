@@ -32,12 +32,9 @@ __all__ = [
     "MonitorContext",
     "assumption_report",
     "build_monitor_context",
-    "check_assumption1",
-    "check_assumption3",
     "integral_gain_stability_limit",
     "linearization_matrix",
     "lyapunov_decay_margin",
-    "lyapunov_monitors",
     "max_monotone_violation",
     "observer_monitor_constants",
     "saturation_gap",
@@ -138,141 +135,6 @@ class AssumptionReport:
         return asdict(self)
 
 
-def _dc_gain_at(sys: BilinearSystem, u: float) -> float:
-    g_u = sys.input_gain(pi_map(sys, u))
-    F = sys.frozen(u)
-    return float(sys.C @ np.linalg.solve(F, g_u))
-
-
-def check_assumption1(sys: BilinearSystem, grid: int = 64) -> AssumptionReport:
-    """Eigenvalue and DC-gain sweep of the frozen family over the input range.
-
-    Reports the worst (largest) real eigenvalue part, the smallest |DC gain|,
-    and whether the DC gain kept one sign.  A singular frozen matrix at a
-    grid point shows up as a NaN-free report with sign constancy revoked.
-    """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid!r}")
-    u_grid = np.linspace(sys.u_min, sys.u_max, grid)
-    worst = -np.inf
-    gains = np.full(grid, np.nan)
-    singular = 0
-    for i, u in enumerate(u_grid):
-        F = sys.frozen(float(u))
-        worst = max(worst, float(np.max(np.linalg.eigvals(F).real)))
-        try:
-            gains[i] = _dc_gain_at(sys, float(u))
-        except SingularMatrixError:
-            singular += 1
-    finite = gains[np.isfinite(gains)]
-    if finite.size:
-        min_abs = float(np.min(np.abs(finite)))
-        sign_const = bool(np.all(finite > 0.0) or np.all(finite < 0.0))
-    else:
-        min_abs = float("nan")
-        sign_const = False
-    if singular:
-        sign_const = False
-    return AssumptionReport(
-        hurwitz_margin=worst,
-        dc_gain_min_abs=min_abs,
-        dc_sign_constant=sign_const,
-        grid_sizes={"u": int(grid)},
-    )
-
-
-def check_assumption3(
-    sys: BilinearSystem,
-    P: np.ndarray,
-    nu: float,
-    eps: float,
-    grid: tuple[int, int] = (64, 129),
-    v_range: tuple[float, float] | None = None,
-    restrict_admissible: bool = False,
-) -> AssumptionReport:
-    """Robust-decay LMI and shifted-DC-gain sweep.
-
-    Part (a): largest eigenvalue of design.robust_decay_block with
-    S = P F_u + F_u^T P and Q = P,
-    [[P F_u + F_u^T P + (nu mu^2 + 2 eps) I, P], [P, -nu I]], over the input
-    grid, with mu = |B| max(|u_min|, |u_max|).  Part (b): |C (F_u + B v)^-1
-    g_u| over the product grid; the default deviation range is the full
-    difference interval [u_min - u_max, u_max - u_min].  With
-    restrict_admissible, pairs whose effective input u + v leaves the
-    admissible interval are skipped, which confines the sweep to shifts the
-    saturated loop can actually produce.
-
-    Part (b) runs per input row on stacks of F_u + B v, 64 deviations at a
-    time so the temporaries stay small.  steady_state.screen_singular marks
-    a pair singular exactly when cond_2(F_u + B v) > 1e14 or is not finite,
-    as the per-pair cond test did: a Frobenius bound |F|_F |F^-1|_F <= 1e12
-    clears a matrix without an SVD, and only the rest get the exact cond.
-    The remaining pairs share one stacked solve, and kernels._rowdot takes
-    C times each solution with the dot product of the per-pair code, so
-    every value, minimum and sign count keeps its bits.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    n = sys.n_states
-    if P.shape != (n, n):
-        raise ValueError(f"P must be {n}x{n}, got {P.shape}")
-    if np.linalg.eigvalsh(0.5 * (P + P.T))[0] <= 0.0:
-        raise ValueError("P must be positive definite")
-    if nu <= 0.0 or eps <= 0.0:
-        raise ValueError("nu and eps must be positive")
-    n_u, n_v = int(grid[0]), int(grid[1])
-    if n_u < 2 or n_v < 2:
-        raise ValueError(f"grid sizes must be >= 2, got {grid!r}")
-    if v_range is None:
-        v_range = (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
-    mu = input_coupling_bound(sys)
-    u_grid = np.linspace(sys.u_min, sys.u_max, n_u)
-    v_grid = np.linspace(v_range[0], v_range[1], n_v)
-
-    worst = -np.inf
-    for u in u_grid:
-        F = sys.frozen(float(u))
-        block = robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu)
-        worst = max(worst, float(np.linalg.eigvalsh(block)[-1]))
-
-    min_abs = np.inf
-    singular = 0
-    pos = neg = 0
-    for u in u_grid:
-        F = sys.frozen(float(u))
-        g_u = sys.input_gain(pi_map(sys, float(u)))
-        v_row = v_grid
-        if restrict_admissible:
-            ueff = float(u) + v_grid
-            v_row = v_grid[(ueff >= sys.u_min - 1e-12) & (ueff <= sys.u_max + 1e-12)]
-        for start in range(0, v_row.size, _STACK_BLOCK):
-            v = v_row[start : start + _STACK_BLOCK]
-            Fv = F + sys.B * v[:, None, None]
-            bad, _ = screen_singular(Fv)
-            singular += int(np.count_nonzero(bad))
-            vals = _rowdot(sys.C, np.linalg.solve(Fv[~bad], g_u[:, None])[..., 0])[:, 0]
-            # fmin skips NaN, as the scalar min over the pairs did
-            min_abs = min(min_abs, float(np.fmin.reduce(np.abs(vals), initial=np.inf)))
-            pos += int(np.count_nonzero(vals > 0.0))
-            neg += int(np.count_nonzero(vals < 0.0))
-    sign_const = (pos == 0 or neg == 0) and singular == 0 and (pos + neg) > 0
-
-    return AssumptionReport(
-        a3a_feasible=bool(worst <= _A3A_TOL),
-        a3a_worst_residual=worst,
-        a3b_min_abs=float(min_abs) if np.isfinite(min_abs) else float("nan"),
-        a3b_sign_constant=bool(sign_const),
-        a3b_singular_points=int(singular),
-        grid_sizes={"u": n_u, "v": n_v},
-        lmi=LMIRecord(
-            nu=float(nu),
-            eps=float(eps),
-            mu=float(mu),
-            u_range=(sys.u_min, sys.u_max),
-            v_range=(float(v_range[0]), float(v_range[1])),
-        ),
-    )
-
-
 def assumption_report(
     sys: BilinearSystem,
     P: np.ndarray | None = None,
@@ -281,24 +143,97 @@ def assumption_report(
     u_grid: int = 64,
     v_grid: int = 129,
 ) -> AssumptionReport:
-    """Run the base checks, plus the robust-decay checks when P is given.
+    """One sweep of the frozen family F_u = A + B u over u_grid inputs.
 
-    The robust-decay sweep covers the full deviation range
-    [u_min - u_max, u_max - u_min], admissible effective input or not.
+    At each input u in [u_min, u_max] it takes the largest real eigenvalue
+    part of F_u and the DC gain C F_u^-1 g_u, with g_u from one pi_map.
+    Without P, a point where pi_map finds F_u singular is left out of the
+    gain minimum and revokes sign constancy; with P the SingularMatrixError
+    propagates.
+
+    With P the same pass checks Assumption 3.  Part (a): largest eigenvalue
+    of design.robust_decay_block with S = P F_u + F_u^T P and Q = P,
+    [[P F_u + F_u^T P + (nu mu^2 + 2 eps) I, P], [P, -nu I]], with
+    mu = |B| max(|u_min|, |u_max|).  Part (b): |C (F_u + B v)^-1 g_u| at
+    v_grid deviations v of the full range [u_min - u_max, u_max - u_min],
+    admissible effective input or not.
+
+    Part (b) runs on stacks of F_u + B v, 64 deviations at a time so the
+    temporaries stay small.  steady_state.screen_singular marks a pair
+    singular exactly when cond_2(F_u + B v) > 1e14 or is not finite, as a
+    per-pair cond test would: a Frobenius bound |F|_F |F^-1|_F <= 1e12
+    clears a matrix without an SVD, and only the rest get the exact cond.
+    The remaining pairs share one stacked solve, and kernels._rowdot takes
+    C times each solution with the dot product of a per-pair loop, so every
+    value, minimum and sign count keeps its bits.
     """
-    rep = check_assumption1(sys, grid=u_grid)
+    n_u, n_v = int(u_grid), int(v_grid)
+    if n_u < 2 or n_v < 2:
+        raise ValueError(f"grid sizes must be >= 2, got ({u_grid!r}, {v_grid!r})")
+    if P is not None:
+        if nu is None or eps is None:
+            raise ValueError("nu and eps are required alongside P")
+        P = np.asarray(P, dtype=np.float64)
+        n = sys.n_states
+        if P.shape != (n, n):
+            raise ValueError(f"P must be {n}x{n}, got {P.shape}")
+        if np.linalg.eigvalsh(0.5 * (P + P.T))[0] <= 0.0:
+            raise ValueError("P must be positive definite")
+        if nu <= 0.0 or eps <= 0.0:
+            raise ValueError("nu and eps must be positive")
+        mu = input_coupling_bound(sys)
+        v_range = (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
+        vs = np.linspace(v_range[0], v_range[1], n_v)
+
+    hurwitz = a3a = -np.inf
+    gains = np.full(n_u, np.nan)
+    dc_singular = 0
+    min_abs, singular, pos, neg = np.inf, 0, 0, 0
+    for i, u in enumerate(np.linspace(sys.u_min, sys.u_max, n_u)):
+        u = float(u)
+        F = sys.frozen(u)
+        hurwitz = max(hurwitz, float(np.max(np.linalg.eigvals(F).real)))
+        try:
+            g_u = sys.input_gain(pi_map(sys, u))
+        except SingularMatrixError:
+            if P is not None:
+                raise
+            dc_singular += 1
+            continue
+        gains[i] = float(sys.C @ np.linalg.solve(F, g_u))
+        if P is None:
+            continue
+        block = robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu)
+        a3a = max(a3a, float(np.linalg.eigvalsh(block)[-1]))
+        for start in range(0, n_v, _STACK_BLOCK):
+            Fv = F + sys.B * vs[start : start + _STACK_BLOCK, None, None]
+            bad, _ = screen_singular(Fv)
+            singular += int(np.count_nonzero(bad))
+            vals = _rowdot(sys.C, np.linalg.solve(Fv[~bad], g_u[:, None])[..., 0])[:, 0]
+            # fmin skips NaN, as a scalar min over the pairs does
+            min_abs = min(min_abs, float(np.fmin.reduce(np.abs(vals), initial=np.inf)))
+            pos += int(np.count_nonzero(vals > 0.0))
+            neg += int(np.count_nonzero(vals < 0.0))
+
+    finite = gains[np.isfinite(gains)]
+    rep = AssumptionReport(
+        hurwitz_margin=hurwitz,
+        dc_gain_min_abs=float(np.min(np.abs(finite))) if finite.size else float("nan"),
+        dc_sign_constant=bool(finite.size) and dc_singular == 0
+        and bool(np.all(finite > 0.0) or np.all(finite < 0.0)),
+        grid_sizes={"u": n_u},
+    )
     if P is None:
         return rep
-    if nu is None or eps is None:
-        raise ValueError("nu and eps are required alongside P")
-    frag = check_assumption3(sys, P, nu, eps, grid=(u_grid, v_grid))
-    rep.a3a_feasible = frag.a3a_feasible
-    rep.a3a_worst_residual = frag.a3a_worst_residual
-    rep.a3b_min_abs = frag.a3b_min_abs
-    rep.a3b_sign_constant = frag.a3b_sign_constant
-    rep.a3b_singular_points = frag.a3b_singular_points
-    rep.grid_sizes.update(frag.grid_sizes)
-    rep.lmi = frag.lmi
+    rep.a3a_feasible = bool(a3a <= _A3A_TOL)
+    rep.a3a_worst_residual = a3a
+    rep.a3b_min_abs = float(min_abs) if np.isfinite(min_abs) else float("nan")
+    rep.a3b_sign_constant = (pos == 0 or neg == 0) and singular == 0 and (pos + neg) > 0
+    rep.a3b_singular_points = singular
+    rep.grid_sizes["v"] = n_v
+    rep.lmi = LMIRecord(nu=float(nu), eps=float(eps), mu=float(mu),
+                        u_range=(sys.u_min, sys.u_max),
+                        v_range=(float(v_range[0]), float(v_range[1])))
     return rep
 
 
@@ -411,26 +346,6 @@ def _integral_only_V_rows(ctx: MonitorContext, X: np.ndarray, Z: np.ndarray) -> 
     D = (X - ctx.x_ss) - (-sol * v[:, None])
     q = np.matmul(np.matmul(D[:, None, :], ctx.P), D[:, :, None])[:, 0, 0]
     return np.where(0.0 > q, 0.0, q)
-
-
-def lyapunov_monitors(
-    sys: BilinearSystem,
-    artifacts: DesignArtifacts,
-    law: str,
-    x: np.ndarray,
-    x_hat: np.ndarray | None,
-    z: float,
-) -> tuple[float, float, float]:
-    """(V, U, W) at one sample, as floats; inapplicable monitors are zero.
-
-    A one-row trajectory_monitors call; build a MonitorContext and call
-    that instead for whole runs.
-    """
-    ctx = build_monitor_context(sys, artifacts, law)
-    X = np.asarray(x, dtype=np.float64)[None]
-    XH = None if x_hat is None else np.asarray(x_hat, dtype=np.float64)[None]
-    V, U, W = trajectory_monitors(ctx, X, XH, np.array([z], dtype=np.float64))
-    return float(V[0]), float(U[0]), float(W[0])
 
 
 def trajectory_monitors(

@@ -214,7 +214,7 @@ def robust_decay_block(S: np.ndarray, Q: np.ndarray, nu: float, eps: float,
     It must be negative semidefinite.  By the Schur complement, it bounds the
     decay of the quadratic form of Q against every bilinear drive of norm at
     most mu.  observer_design takes S = QA + A^T Q - YD - D^T Y^T, and
-    analysis.check_assumption3 takes S = P F_u + F_u^T P with Q = P.
+    analysis.assumption_report takes S = P F_u + F_u^T P with Q = P.
     """
     n = S.shape[0]
     top = S + (nu * mu * mu + 2.0 * eps) * np.eye(n)
@@ -307,31 +307,6 @@ def _top_eig(Mblk: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[-1]), V[:, -1]
 
 
-def _constructive_candidate(A, D, mu, shift):
-    """Feasible point from placement plus a Lyapunov-shaped Q.
-
-    With L fixed, Q solving (A - L D)^T Q + Q (A - L D) = -I is feasible
-    whenever 2 mu ||Q|| < 1: picking nu = ||Q|| / mu makes the Schur form
-    Q Ao + Ao^T Q + Q^2/nu + nu mu^2 I at most (2 mu ||Q|| - 1) I.
-    """
-    L = _placement_gain(A, D, shift)
-    Ao = A - L @ D
-    import scipy.linalg as sla
-
-    Q = sla.solve_continuous_lyapunov(Ao.T, -np.eye(A.shape[0]))
-    Q = 0.5 * (Q + Q.T)
-    if np.min(np.linalg.eigvalsh(Q)) <= 0.0:
-        return None
-    qnorm = float(np.linalg.norm(Q, 2))
-    margin = 1.0 - 2.0 * mu * qnorm
-    if margin <= 1e-3:
-        return None
-    nu = qnorm / mu if mu > 0.0 else max(1.0, qnorm)
-    eps = 0.45 * margin
-    Y = Q @ L
-    return Q, Y, nu, eps
-
-
 def gain_rank_obstruction(sys: BilinearSystem) -> float | None:
     """Singular-value witness proving the observer LMI infeasible, or None.
 
@@ -364,8 +339,7 @@ def observer_design(sys: BilinearSystem) -> ObserverDesign:
     no input grid.  The rank obstruction test runs
     first: when it fires, no gain can ever satisfy the inequality and the
     search is skipped.  Otherwise: projected subgradient from the
-    pole-placement seed; if the budget runs out, a deterministic ladder of
-    faster placements provides the start instead.
+    pole-placement seed.
     """
     A, D = sys.A, sys.D
     check_observability(A, D)
@@ -390,18 +364,6 @@ def observer_design(sys: BilinearSystem) -> ObserverDesign:
     nu0 = max(1.0, 1.0 / mu) if mu > 0.0 else 1.0
     eps0 = 0.1
     best = _subgradient_descent(A, D, mu, Q0, Y0, nu0, eps0, _LMI_ITERS)
-
-    if best[0] >= -1e-12:
-        for shift in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-            cand = _constructive_candidate(A, D, mu, shift)
-            if cand is None:
-                continue
-            Qc, Yc, nuc, epsc = cand
-            lam = _top_eig(_observer_lmi(A, D, mu, Qc, Yc, nuc, epsc))[0]
-            if lam < best[0]:
-                best = (lam, Qc, Yc, nuc, epsc)
-            if lam < -1e-12:
-                break
 
     lam_best, Q, Y, nu, eps = best
     if lam_best >= -1e-12:

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _KELVIN_OFFSET = 273.15
+_CSV_BLOCK = 256  # rows formatted per stacked block in write_csv
 _SCENARIO_KEYS = {
     "units",
     "law",
@@ -367,11 +368,15 @@ def write_csv(res: SimResult, path: str | Path) -> None:
             cols.append((name, res.monitors[name]))
     header = ",".join(name for name, _ in cols)
     data = [col for _, col in cols]
+    row_fmt = ",".join(["%.17g"] * len(data)) + "\n"
     T = res.times.shape[0]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for k in range(T):
-            fh.write(",".join("%.17g" % col[k] for col in data) + "\n")
+        # a block of rows at a time: stacking the whole table would hold a
+        # second copy of it
+        for lo in range(0, T, _CSV_BLOCK):
+            rows = np.column_stack([col[lo : lo + _CSV_BLOCK] for col in data]).tolist()
+            fh.writelines(row_fmt % tuple(row) for row in rows)
 
 
 def _segment_bounds(scn: SimScenario, res: SimResult) -> list[tuple[int, int, float]]:

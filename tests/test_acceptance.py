@@ -55,7 +55,7 @@ def test_criterion_02_frozen_family_hurwitz(hexsys):
     worst = max(margins)
     elapsed = time.perf_counter() - t0
     # cross-check against the packaged sweep
-    rep = hexreg.check_assumption1(hexsys, grid=64)
+    rep = hexreg.assumption_report(hexsys, u_grid=64)
     ok = worst < 0.0 and elapsed < 1.0
     _report(2, ok, f"worst margin {worst:.3e}, {elapsed:.2f} s")
     assert worst < 0.0, f"frozen family not Hurwitz: margin {worst:.3e}"

@@ -42,11 +42,49 @@ def test_max_monotone_violation():
 # -- assumption 1 -----------------------------------------------------------
 
 
+def a1_per_point(sys, grid):
+    """The assumption-1 sweep one input at a time: eigvals, pi_map, solve."""
+    worst, gains, singular = -np.inf, [], 0
+    for u in np.linspace(sys.u_min, sys.u_max, grid):
+        F = sys.frozen(float(u))
+        worst = max(worst, float(np.max(np.linalg.eigvals(F).real)))
+        try:
+            x = hexreg.pi_map(sys, float(u))
+        except hexreg.SingularMatrixError:
+            singular += 1
+            continue
+        gains.append(float(sys.C @ np.linalg.solve(F, sys.input_gain(x))))
+    gains = np.array(gains)
+    return {"hurwitz_margin": worst,
+            "dc_gain_min_abs": float(np.min(np.abs(gains))) if gains.size else float("nan"),
+            "dc_sign_constant": bool(gains.size) and singular == 0
+            and bool(np.all(gains > 0.0) or np.all(gains < 0.0))}
+
+
+def _a1_fields(rep):
+    return {k: getattr(rep, k) for k in
+            ("hurwitz_margin", "dc_gain_min_abs", "dc_sign_constant")}
+
+
+def _same_bits(got, want):
+    assert got.keys() == want.keys()
+    for k in got:
+        assert np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes(), k
+
+
 def test_assumption1_hex(hexsys):
-    rep = hexreg.check_assumption1(hexsys, grid=64)
+    rep = hexreg.assumption_report(hexsys, u_grid=64)
     assert rep.hurwitz_margin < 0.0
     assert rep.dc_sign_constant is True
     assert rep.dc_gain_min_abs > 0.0
+    assert rep.grid_sizes == {"u": 64}
+    assert rep.a3a_feasible is None and rep.lmi is None
+
+
+def test_assumption1_matches_per_point_sweep(hexsys):
+    """The single sweep gives the per-point loop's bits."""
+    _same_bits(_a1_fields(hexreg.assumption_report(hexsys, u_grid=8)),
+               a1_per_point(hexsys, 8))
 
 
 def test_assumption1_unstable_toy():
@@ -54,7 +92,7 @@ def test_assumption1_unstable_toy():
         A=np.eye(2), B=np.zeros((2, 2)), b=np.zeros(2), E=np.zeros(2),
         C=np.array([1.0, 0.0]), D=np.eye(2), u_min=-1.0, u_max=1.0,
     )
-    rep = hexreg.check_assumption1(sys, grid=8)
+    rep = hexreg.assumption_report(sys, u_grid=8)
     assert rep.hurwitz_margin > 0.0
 
 
@@ -64,9 +102,62 @@ def test_assumption1_linear_system_constant_margin():
         E=np.zeros(2), C=np.array([1.0, 0.0]), D=np.eye(2),
         u_min=-1.0, u_max=1.0,
     )
-    rep = hexreg.check_assumption1(sys, grid=16)
+    rep = hexreg.assumption_report(sys, u_grid=16)
     # with B = 0 the frozen family never moves
     assert rep.hurwitz_margin == pytest.approx(-1.0, abs=1e-12)
+
+
+def singular_frozen_system():
+    """F_u = diag(u - 0.5, -1): exactly singular at the middle of the
+    3-point input grid on [0, 1]."""
+    return hexreg.BilinearSystem(
+        A=np.diag([-0.5, -1.0]), B=np.diag([1.0, 0.0]), b=np.array([1.0, 1.0]),
+        E=np.array([0.0, 0.5]), C=np.array([1.0, 1.0]), D=np.eye(2),
+        u_min=0.0, u_max=1.0,
+    )
+
+
+def test_assumption1_counts_singular_frozen_matrix():
+    """Without P, the singular grid point is left out of the gain minimum
+    and revokes sign constancy."""
+    sys = singular_frozen_system()
+    with pytest.raises(hexreg.SingularMatrixError):
+        hexreg.pi_map(sys, 0.5)
+    rep = hexreg.assumption_report(sys, u_grid=3)
+    want = a1_per_point(sys, 3)
+    _same_bits(_a1_fields(rep), want)
+    # the two regular points both have DC gain -3, so only the singular
+    # point revokes sign constancy
+    assert rep.dc_gain_min_abs == pytest.approx(3.0, rel=1e-12)
+    assert rep.dc_sign_constant is False
+    assert "dc_sign_constant" in rep.failed_checks()
+
+
+def test_assumption3_singular_frozen_matrix_raises():
+    """With P, the same singular grid point is a numerical failure."""
+    with pytest.raises(hexreg.SingularMatrixError):
+        hexreg.assumption_report(singular_frozen_system(), np.eye(2), nu=1.0,
+                                 eps=1e-3, u_grid=3, v_grid=3)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(u_grid=1), "grid sizes must be >= 2"),
+    (dict(P=np.eye(16), v_grid=1), "grid sizes must be >= 2"),
+    (dict(P=np.eye(16)), "nu and eps are required alongside P"),
+    (dict(P=np.eye(3), nu=1.0, eps=1.0), "P must be 16x16"),
+    (dict(P=-np.eye(16), nu=1.0, eps=1.0), "P must be positive definite"),
+    (dict(P=np.eye(16), nu=0.0, eps=1.0), "nu and eps must be positive"),
+])
+def test_assumption_report_validates_before_sweeping(hexsys, monkeypatch, kwargs,
+                                                      message):
+    """Malformed arguments raise ValueError before any frozen matrix is
+    solved."""
+    def no_sweep(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(analysis, "pi_map", no_sweep)
+    with pytest.raises(ValueError, match=message):
+        hexreg.assumption_report(hexsys, **kwargs)
 
 
 # -- assumption 3 -----------------------------------------------------------
@@ -80,7 +171,7 @@ def test_assumption3_feasible_linear_case():
     )
     # mu = 0: the (a) inequality reduces to the Lyapunov decay itself
     P = hexreg.solve_lyapunov(sys.A, np.eye(2))
-    rep = hexreg.check_assumption3(sys, P, nu=100.0, eps=0.25)
+    rep = hexreg.assumption_report(sys, P, nu=100.0, eps=0.25)
     assert rep.a3a_feasible is True
     assert rep.a3a_worst_residual <= 0.0
 
@@ -88,21 +179,23 @@ def test_assumption3_feasible_linear_case():
 def test_assumption3_hex_conservative(hexsys, table1):
     """On the exchanger the mu-term swamps the decay at these constants;
     the grid check reports the inequality infeasible with a definite
-    positive residual, while the sign half still holds on the admissible
-    deviation range."""
+    positive residual.  Over the full deviation range the shifted DC gain
+    changes sign, as verify --a3 reports."""
     P = hexreg.hex_analytic_P(table1)
     margin = hexreg.lyapunov_decay_margin(hexsys, P, grid=64)
     assert margin > 0.0
     from hexreg.design import input_coupling_bound
 
     mu = input_coupling_bound(hexsys)
-    rep = hexreg.check_assumption3(hexsys, P, nu=np.linalg.norm(P, 2) / mu,
-                                   eps=0.5 * margin,
-                                   restrict_admissible=True)
+    rep = hexreg.assumption_report(hexsys, P, nu=np.linalg.norm(P, 2) / mu,
+                                   eps=0.5 * margin)
     assert rep.a3a_feasible is False
     assert rep.a3a_worst_residual == pytest.approx(32.1, rel=0.05)
-    assert rep.a3b_sign_constant is True
-    assert rep.a3b_min_abs > 0.0
+    assert rep.a3b_sign_constant is False
+    assert rep.a3b_singular_points == 0
+    assert 0.0 < rep.a3b_min_abs < rep.dc_gain_min_abs
+    assert rep.a3b_min_abs == pytest.approx(2.2286, rel=1e-4)
+    assert rep.failed_checks(require_a3=True) == ["a3a_feasible", "a3b_sign_constant"]
 
 
 def test_assumption3a_does_not_depend_on_u_grid(hexsys, table1):
@@ -112,7 +205,8 @@ def test_assumption3a_does_not_depend_on_u_grid(hexsys, table1):
     mu = hexreg.design.input_coupling_bound(hexsys)
     nu = float(np.linalg.norm(P, 2) / mu)
     eps = 0.5 * hexreg.lyapunov_decay_margin(hexsys, P, grid=2)
-    worst = [hexreg.check_assumption3(hexsys, P, nu, eps, grid=(n_u, 2)).a3a_worst_residual
+    worst = [hexreg.assumption_report(hexsys, P, nu, eps, u_grid=n_u,
+                                      v_grid=2).a3a_worst_residual
              for n_u in (2, 64)]
     assert worst[0] == worst[1]
     at_bounds = []
@@ -124,18 +218,7 @@ def test_assumption3a_does_not_depend_on_u_grid(hexsys, table1):
     assert worst[0] == pytest.approx(max(at_bounds), rel=1e-12)
 
 
-def test_assumption3_v_zero_column_matches_a1(hexsys, table1):
-    """At v = 0 the shifted map is the plain DC gain, so the 3(b) scan and
-    the assumption-1 scan must see the same value there."""
-    P = hexreg.hex_analytic_P(table1)
-    rep = hexreg.check_assumption3(hexsys, P, nu=1.0, eps=1e-3,
-                                   grid=(8, 3), v_range=(-1e-9, 1e-9))
-    rep1 = hexreg.check_assumption1(hexsys, grid=8)
-    # shrinking v to zero collapses a3b onto the assumption-1 gains
-    assert rep.a3b_min_abs == pytest.approx(rep1.dc_gain_min_abs, rel=1e-6)
-
-
-def a3b_per_pair(sys, grid, v_range, restrict_admissible):
+def a3b_per_pair(sys, grid, v_range):
     """The A3(b) sweep one (u, v) pair at a time: cond, then solve."""
     u_grid = np.linspace(sys.u_min, sys.u_max, grid[0])
     v_grid = np.linspace(v_range[0], v_range[1], grid[1])
@@ -144,10 +227,6 @@ def a3b_per_pair(sys, grid, v_range, restrict_admissible):
         F = sys.frozen(float(u))
         g_u = sys.input_gain(hexreg.pi_map(sys, float(u)))
         for v in v_grid:
-            ueff = float(u) + float(v)
-            if restrict_admissible and not (
-                    sys.u_min - 1e-12 <= ueff <= sys.u_max + 1e-12):
-                continue
             Fv = F + sys.B * float(v)
             cond = np.linalg.cond(Fv)
             if not np.isfinite(cond) or cond > 1e14:
@@ -167,27 +246,37 @@ def _a3b_fields(rep):
             ("a3b_min_abs", "a3b_sign_constant", "a3b_singular_points")}
 
 
-def _same_bits(got, want):
-    assert got.keys() == want.keys()
-    for k in got:
-        assert np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes(), k
+def _full_range(sys):
+    return (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
 
 
-@pytest.mark.parametrize("restrict_admissible", [False, True])
-def test_assumption3b_matches_per_pair_sweep(hexsys, table1, restrict_admissible):
+def test_assumption3_v_zero_column_matches_a1(hexsys, table1):
+    """At v = 0 the shifted map is the plain DC gain: the per-pair sweep on
+    the v = 0 column gives the assumption-1 minimum bit for bit, and an odd
+    deviation grid holds v = 0, so its minimum cannot exceed it."""
+    want = a3b_per_pair(hexsys, (8, 2), (0.0, 0.0))["a3b_min_abs"]
+    assert hexreg.assumption_report(hexsys, u_grid=8).dc_gain_min_abs == want
+    assert np.linspace(*_full_range(hexsys), 17)[8] == 0.0
+    P = hexreg.hex_analytic_P(table1)
+    rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=8, v_grid=17)
+    assert rep.dc_gain_min_abs == want
+    assert rep.a3b_min_abs <= want
+
+
+def test_assumption3b_matches_per_pair_sweep(hexsys, table1):
     """The stacked A3(b) sweep gives the per-pair loop's bits."""
     P = hexreg.hex_analytic_P(table1)
-    rep = hexreg.check_assumption3(hexsys, P, nu=1.0, eps=1e-3, grid=(8, 17),
-                                   restrict_admissible=restrict_admissible)
-    v_range = (hexsys.u_min - hexsys.u_max, hexsys.u_max - hexsys.u_min)
-    _same_bits(_a3b_fields(rep),
-               a3b_per_pair(hexsys, (8, 17), v_range, restrict_admissible))
+    rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=8, v_grid=17)
+    _same_bits(_a3b_fields(rep), a3b_per_pair(hexsys, (8, 17), _full_range(hexsys)))
+    assert rep.lmi.v_range == _full_range(hexsys)
 
 
-def singular_pair_system():
-    """F_u + B v = blkdiag(u + v - 1, [[-2, 0.5], [0.3, -3]]): exactly
-    singular where u + v = 1, and of condition about 1 / |u + v - 1| near it."""
-    A = np.array([[-1.0, 0.0, 0.0], [0.0, -2.0, 0.5], [0.0, 0.3, -3.0]])
+def singular_pair_system(delta):
+    """F_u + B v = blkdiag(u + v - 1 - delta, [[-2, 0.5], [0.3, -3]]) with
+    u in [0, 0.5]: on the full deviation range [-0.5, 0.5] only the
+    (u_max, v_max) corner comes near singular, of condition about
+    3 / delta there (exactly singular at delta = 0)."""
+    A = np.array([[-1.0 - delta, 0.0, 0.0], [0.0, -2.0, 0.5], [0.0, 0.3, -3.0]])
     return hexreg.BilinearSystem(
         A=A, B=np.diag([1.0, 0.0, 0.0]), b=np.array([1.0, 0.5, 0.0]),
         E=np.array([0.2, 1.0, 0.3]), C=np.array([1.0, 0.0, 1.0]), D=np.eye(3),
@@ -195,23 +284,22 @@ def singular_pair_system():
     )
 
 
-@pytest.mark.parametrize("v_range, cond_range, singular", [
-    # u + v = 1 exactly at (0, 1), (0.25, 0.75) and (0.5, 0.5)
-    pytest.param((0.5, 1.0), (np.inf, np.inf), 3, id="exactly-singular"),
-    # |u + v - 1| is near 1e-13 at the three pairs next to u + v = 1: the
-    # bound cannot clear them, the exact cond (about 3e13) keeps them
-    pytest.param((0.0, 1.0 - 1e-13), (1e12, 1e14), 0, id="cond-3e13"),
-    # near 1e-15 at the same pairs: the exact cond refuses them
-    pytest.param((0.0, 1.0 - 1e-15), (1e14, 1e17), 3, id="cond-3e15"),
+@pytest.mark.parametrize("delta, cond_range, singular", [
+    # inv raises on the stack that holds the singular corner
+    pytest.param(0.0, (np.inf, np.inf), 1, id="exactly-singular"),
+    # the bound cannot clear the corner, the exact cond (about 3e13) keeps it
+    pytest.param(1e-13, (1e12, 1e14), 0, id="cond-3e13"),
+    # the exact cond (about 3e15) refuses it
+    pytest.param(1e-15, (1e14, 1e17), 1, id="cond-3e15"),
 ])
-def test_assumption3b_screen_matches_cond(v_range, cond_range, singular):
+def test_assumption3b_screen_matches_cond(delta, cond_range, singular):
     """Singular and near-singular pairs get the per-pair cond verdict."""
-    sys = singular_pair_system()
-    cond = np.linalg.cond(sys.frozen(0.0) + sys.B * v_range[1])
+    sys = singular_pair_system(delta)
+    v_range = _full_range(sys)
+    cond = np.linalg.cond(sys.frozen(sys.u_max) + sys.B * v_range[1])
     assert cond_range[0] <= cond <= cond_range[1]
-    rep = hexreg.check_assumption3(sys, np.eye(3), nu=1.0, eps=1e-3,
-                                   grid=(3, 5), v_range=v_range)
-    want = a3b_per_pair(sys, (3, 5), v_range, False)
+    rep = hexreg.assumption_report(sys, np.eye(3), nu=1.0, eps=1e-3, u_grid=3, v_grid=5)
+    want = a3b_per_pair(sys, (3, 5), v_range)
     _same_bits(_a3b_fields(rep), want)
     assert want["a3b_singular_points"] == singular
 
@@ -227,17 +315,21 @@ def test_assumption_report_serializes(hexsys):
 # -- monitors ---------------------------------------------------------------
 
 
+def forwarding_monitors(hexsys, art, x, z):
+    ctx = analysis.build_monitor_context(hexsys, art, hexreg.FORWARDING)
+    V, U, W = analysis.trajectory_monitors(ctx, x[None], None, np.array([z]))
+    return float(V[0]), float(U[0]), float(W[0])
+
+
 def test_lyapunov_monitors_zero_at_origin(hexsys, fwd_art):
-    V, U, W = hexreg.lyapunov_monitors(
-        hexsys, fwd_art, hexreg.FORWARDING, fwd_art.x_ss, None, 0.0)
+    V, U, W = forwarding_monitors(hexsys, fwd_art, fwd_art.x_ss, 0.0)
     assert V == 0.0 and U == 0.0 and W == 0.0
 
 
 def test_lyapunov_monitors_positive_off_origin(hexsys, fwd_art):
     rng = np.random.default_rng(2)
     x = fwd_art.x_ss + rng.normal(0.0, 1.0, 16)
-    V, _, _ = hexreg.lyapunov_monitors(
-        hexsys, fwd_art, hexreg.FORWARDING, x, None, 0.7)
+    V, _, _ = forwarding_monitors(hexsys, fwd_art, x, 0.7)
     xt = x - fwd_art.x_ss
     expected = (fwd_art.k_p * float(xt @ fwd_art.P @ xt)
                 + fwd_art.k_i * (0.7 - float(fwd_art.M @ xt)) ** 2)

@@ -6,9 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hexreg
+from hexreg import sim
 from hexreg.cli import main
+
+from test_loaders import json_values
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -348,6 +353,21 @@ def test_verify_malformed_system_exit2(ws, tmp_path, capsys, edit, message):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(sim._SCENARIO_KEYS - {"t_end", "dt"})),
+       value=json_values)
+def test_simulate_fuzzed_scenario_exits_cleanly(ws, tmp_path, key, value):
+    """A 10 s scenario with one field replaced by an arbitrary JSON value
+    runs (0), is refused as malformed (2) or fails numerically (3); main
+    never raises.  t_end and dt stay fixed, since they set the run length."""
+    scn = scenario_file(tmp_path, name="fuzz.json", **{key: value})
+    rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
+               str(scn), "--out", str(tmp_path / "runs_fuzz")])
+    assert rc in (0, 2, 3)
 
 
 def test_simulate_repeat_is_byte_identical(ws, tmp_path):
