@@ -29,9 +29,7 @@ from .steady_state import _STACK_BLOCK, pi_map, screen_singular
 __all__ = [
     "AssumptionReport",
     "LMIRecord",
-    "MonitorContext",
     "assumption_report",
-    "build_monitor_context",
     "integral_gain_stability_limit",
     "linearization_matrix",
     "lyapunov_decay_margin",
@@ -277,62 +275,7 @@ def observer_monitor_constants(
     return a, float(c)
 
 
-@dataclass
-class MonitorContext:
-    """Precomputed pieces for evaluating (V, U, W) along a trajectory."""
-
-    law: str
-    x_ss: np.ndarray
-    u_ss: float
-    P: np.ndarray
-    M: np.ndarray
-    k_p: float
-    k_i: float
-    sign_dc: float
-    u_min: float
-    u_max: float
-    Q: np.ndarray | None = None
-    c_of: float = 0.0
-    gamma: float = 0.0
-    F_ss: np.ndarray | None = None
-    B: np.ndarray | None = None
-    g_ss: np.ndarray | None = None
-
-
-def build_monitor_context(
-    sys: BilinearSystem, artifacts: DesignArtifacts, law: str
-) -> MonitorContext:
-    ctx = MonitorContext(
-        law=law,
-        x_ss=artifacts.x_ss,
-        u_ss=artifacts.u_ss,
-        P=artifacts.P,
-        M=artifacts.M,
-        k_p=artifacts.k_p,
-        k_i=artifacts.k_i,
-        sign_dc=artifacts.sign_dc,
-        u_min=sys.u_min,
-        u_max=sys.u_max,
-    )
-    if law == OUTPUT_FEEDBACK:
-        if artifacts.observer is None:
-            raise MissingObserverStateError(
-                "output-feedback monitors require observer artifacts"
-            )
-        ctx.Q = artifacts.observer.Q
-        _, ctx.c_of = observer_monitor_constants(sys, artifacts)
-    elif law == INTEGRAL_ONLY:
-        if artifacts.pi_bar is None:
-            raise ValueError("integral-only monitors require pi_bar in the artifacts")
-        p_max = float(np.linalg.eigvalsh(artifacts.P)[-1])
-        ctx.gamma = 2.0 * artifacts.k_i * artifacts.pi_bar * np.sqrt(p_max)
-        ctx.F_ss = sys.frozen(artifacts.u_ss)
-        ctx.B = sys.B
-        ctx.g_ss = sys.input_gain(artifacts.x_ss)
-    return ctx
-
-
-def _integral_only_V_rows(ctx: MonitorContext, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _integral_only_V_rows(scn, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """V = max(d^T P d, 0) on every row, d = x - x_ss + (F_ss + B v)^-1 g_ss v
     with v = sat(u_ss + sign_dc k_i z) - u_ss.
 
@@ -341,44 +284,63 @@ def _integral_only_V_rows(ctx: MonitorContext, X: np.ndarray, Z: np.ndarray) -> 
     bits do not depend on the block it is in; the clip to zero passes NaN
     and -0.0 through as max(q, 0.0) does.
     """
-    v = np.clip(ctx.u_ss + ctx.sign_dc * ctx.k_i * Z, ctx.u_min, ctx.u_max) - ctx.u_ss
-    sol = np.linalg.solve(ctx.F_ss + ctx.B * v[:, None, None], ctx.g_ss[:, None])[..., 0]
-    D = (X - ctx.x_ss) - (-sol * v[:, None])
-    q = np.matmul(np.matmul(D[:, None, :], ctx.P), D[:, :, None])[:, 0, 0]
+    sys, art = scn.sys, scn.artifacts
+    F_ss = sys.frozen(art.u_ss)
+    g_ss = sys.input_gain(art.x_ss)
+    v = np.clip(art.u_ss + art.sign_dc * art.k_i * Z, sys.u_min, sys.u_max) - art.u_ss
+    sol = np.linalg.solve(F_ss + sys.B * v[:, None, None], g_ss[:, None])[..., 0]
+    D = (X - art.x_ss) - (-sol * v[:, None])
+    q = np.matmul(np.matmul(D[:, None, :], art.P), D[:, :, None])[:, 0, 0]
     return np.where(0.0 > q, 0.0, q)
 
 
 def trajectory_monitors(
-    ctx: MonitorContext,
+    scn,
     X: np.ndarray,
     XH: np.ndarray | None,
     Z: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (V, U, W) series over stacked samples (rows of X, XH)."""
+    """(V, U, W) series of the scenario scn's law over stacked samples.
+
+    scn is a sim.SimScenario; its plant, artifacts and law define the
+    monitors.  Rows of X, XH and Z are samples; the PI law has none, so all
+    three series are zero.
+    """
+    sys, art, law = scn.sys, scn.artifacts, scn.law
     T = X.shape[0]
     V = np.zeros(T)
     U = np.zeros(T)
     W = np.zeros(T)
-    if ctx.law == PI:
+    if law == PI:
         return V, U, W
-    if ctx.law == INTEGRAL_ONLY:
+    if law == INTEGRAL_ONLY:
+        if art.pi_bar is None:
+            raise ValueError("integral-only monitors require pi_bar in the artifacts")
         for lo in range(0, T, _MONITOR_BLOCK):
             hi = min(lo + _MONITOR_BLOCK, T)
-            V[lo:hi] = _integral_only_V_rows(ctx, X[lo:hi], Z[lo:hi])
-        W = np.sqrt(V) + ctx.gamma * np.abs(Z)
+            V[lo:hi] = _integral_only_V_rows(scn, X[lo:hi], Z[lo:hi])
+        p_max = float(np.linalg.eigvalsh(art.P)[-1])
+        gamma = 2.0 * art.k_i * art.pi_bar * np.sqrt(p_max)
+        W = np.sqrt(V) + gamma * np.abs(Z)
         return V, U, W
-    if ctx.law == OUTPUT_FEEDBACK and XH is None:
-        raise MissingObserverStateError("x_hat is required for output-feedback monitors")
-    Xc = X if ctx.law == FORWARDING else XH
-    XT = Xc - ctx.x_ss
-    ZT = Z - XT @ ctx.M
-    V = ctx.k_p * np.maximum(np.einsum("ij,jk,ik->i", XT, ctx.P, XT), 0.0)
-    V += ctx.k_i * ZT * ZT
-    if ctx.law == FORWARDING:
+    if law == OUTPUT_FEEDBACK:
+        if art.observer is None:
+            raise MissingObserverStateError(
+                "output-feedback monitors require observer artifacts"
+            )
+        if XH is None:
+            raise MissingObserverStateError("x_hat is required for output-feedback monitors")
+    Xc = X if law == FORWARDING else XH
+    XT = Xc - art.x_ss
+    ZT = Z - XT @ art.M
+    V = art.k_p * np.maximum(np.einsum("ij,jk,ik->i", XT, art.P, XT), 0.0)
+    V += art.k_i * ZT * ZT
+    if law == FORWARDING:
         return V, U, W
     E = XH - X
-    U = np.maximum(np.einsum("ij,jk,ik->i", E, ctx.Q, E), 0.0)
-    W = np.sqrt(V) + ctx.c_of * np.sqrt(U)
+    U = np.maximum(np.einsum("ij,jk,ik->i", E, art.observer.Q, E), 0.0)
+    _, c_of = observer_monitor_constants(sys, art)
+    W = np.sqrt(V) + c_of * np.sqrt(U)
     return V, U, W
 
 

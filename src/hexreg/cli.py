@@ -28,7 +28,7 @@ from .errors import (
     SingularMatrixError,
     ZeroDCGainError,
 )
-from .serde import dump_json, dumps_json
+from .serde import dump_json, dumps_json, read_object
 from .sim import _KELVIN_OFFSET
 
 __all__ = ["main"]
@@ -123,10 +123,7 @@ def _run_one(system_path: str, artifact_path: str, scenario_path: str,
              out_dir: str, dt: float | None, law: str | None) -> str:
     sys_, _ = model.load_system(system_path)
     art = design.load_artifacts(artifact_path)
-    with open(scenario_path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario file {scenario_path} must contain a JSON object")
+    data = read_object(scenario_path)
     if dt is not None:
         data["dt"] = dt
     if law is not None:
@@ -194,7 +191,7 @@ def _cmd_steady_state(args) -> int:
         }
     elif args.ref is not None:
         r = _to_kelvin(args.ref, args.units)
-        reach = steady_state.reachable_set(sys_, grid_points=args.grid)
+        reach = steady_state.reachable_set(sys_)
         eq = steady_state.invert_reference(sys_, r, reach)
         payload = {
             "reference": r,
@@ -203,7 +200,7 @@ def _cmd_steady_state(args) -> int:
             "y_ss": eq.y_ss,
         }
     else:
-        reach = steady_state.reachable_set(sys_, grid_points=args.grid)
+        reach = steady_state.reachable_set(sys_)
         payload = {
             "r_min": reach.r_min,
             "r_max": reach.r_max,
@@ -290,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="reference to invert (see --units)")
     p.add_argument("--units", choices=["K", "C"], default="K",
                    help="units of --ref (default K)")
-    p.add_argument("--grid", type=int, default=256, help="search grid resolution")
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_steady_state)
 

@@ -8,7 +8,6 @@ integral-only law, and the certified integral gain bound ki_star.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem, HexParams
+from .serde import dump_json, read_object
 from .steady_state import _STACK_BLOCK, Equilibrium, _golden_section_max, screen_singular
 
 __all__ = [
@@ -551,7 +551,10 @@ def _number(name: str, value):
 
 
 def artifacts_from_dict(data: dict) -> DesignArtifacts:
-    """Artifacts from parsed JSON; every number given must be finite."""
+    """Artifacts from parsed JSON: known fields only, every number finite."""
+    unknown = set(data) - {*_ARTIFACT_FIELDS, *_OPTIONAL_FIELDS, "observer"}
+    if unknown:
+        raise ValueError(f"unknown artifact fields: {sorted(unknown)}")
     missing = set(_ARTIFACT_FIELDS) - set(data)
     if missing:
         raise ValueError(f"missing artifact fields: {sorted(missing)}")
@@ -561,6 +564,9 @@ def artifacts_from_dict(data: dict) -> DesignArtifacts:
         if not isinstance(obs, dict):
             raise ValueError(f"observer must be a JSON object, got {obs!r:.40}")
         names = [f.name for f in fields(ObserverDesign)]
+        unknown = set(obs) - set(names)
+        if unknown:
+            raise ValueError(f"unknown observer fields: {sorted(unknown)}")
         missing = set(names) - set(obs)
         if missing:
             raise ValueError(f"missing observer fields: {sorted(missing)}")
@@ -590,14 +596,8 @@ def require_artifacts_fit(sys: BilinearSystem, art: DesignArtifacts) -> None:
 
 
 def load_artifacts(path: str) -> DesignArtifacts:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return artifacts_from_dict(data)
+    return artifacts_from_dict(read_object(path))
 
 
 def save_artifacts(path: str, art: DesignArtifacts) -> None:
-    from .serde import dump_json
-
     dump_json(path, artifacts_to_dict(art))

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .controllers import LAW_CODES
+
 __all__ = [
     "closed_loop_rk4",
     "closed_loop_rk4_batch",
-    "stack_operator",
 ]
-
-
-def stack_operator(A, B, P, M, C, D) -> np.ndarray:
-    """Row-stack [A; B; P; M; C; D] so G @ x yields every product at once."""
-    return np.ascontiguousarray(np.vstack([A, B, P, M[None, :], C[None, :], D]))
 
 
 def _rowwise(Mat, v):
@@ -45,24 +41,36 @@ def _rowdot(a, b):
     return np.matmul(a[..., None, :], b[:, :, None])[..., 0]
 
 
-def closed_loop_rk4(
-    G, bvec, Evec, u_lo, u_hi, law, u_ss, g_ss, Bxss, Pxss, Mxss,
-    kp, ki, sign_dc, kp_pi, ki_pi, L,
-    x0, xhat0, z0,
-    dt, n_steps, ref_t, ref_v, dist_t, dist_v,
-):
-    """Classic RK4; returns X, XH, Z, U_raw, U_sat, Err, Y, bad_step.
+def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
+    """Classic RK4 of the scenario scn; returns X, XH, Z, U_raw, U_sat, Err,
+    Y, bad_step.
 
-    G is the (3n + 2 + p, n) stacked operator, law is 0 forwarding, 1 output
-    feedback, 2 integral only or 3 pi, and Bxss, Pxss, Mxss are B, P and M
-    times x_ss.  A start x0, xhat0 of shape (n,) gives series of shape
-    (n_steps + 1, ...); of shape (k, n), series of shape
+    scn is a sim.SimScenario: the kernel reads its plant, artifacts, law,
+    PI gains, grid and schedules.  A start x0, xhat0 of shape (n,) gives
+    series of shape (n_steps + 1, ...); of shape (k, n), series of shape
     (k, n_steps + 1, ...), one row per start.  XH is stored only for the
     output-feedback law and is None otherwise.  bad_step is the first step
     at which the state (of any row) is non-finite, or -1.
     """
-    n = bvec.shape[0]
-    p = L.shape[1]
+    sys, art = scn.sys, scn.artifacts
+    dt, n_steps = scn.dt, scn.n_steps
+    # G @ x yields every product at once.  Reordering its rows changes the
+    # bits BLAS returns, so the order stays [A; B; P; M; C; D].
+    G = np.ascontiguousarray(
+        np.vstack([sys.A, sys.B, art.P, art.M[None, :], sys.C[None, :], sys.D]))
+    bvec, Evec = sys.b, sys.E
+    u_lo, u_hi = sys.u_min, sys.u_max
+    law = LAW_CODES[scn.law]
+    u_ss, sign_dc = art.u_ss, art.sign_dc
+    kp, ki = art.k_p, art.k_i
+    kp_pi, ki_pi = scn.kp_pi, scn.ki_pi
+    g_ss = sys.input_gain(art.x_ss)
+    Bxss = sys.B @ art.x_ss
+    Pxss = art.P @ art.x_ss
+    Mxss = float(art.M @ art.x_ss)
+
+    n = sys.n_states
+    p = sys.n_outputs
     T = n_steps + 1
     lead = x0.shape[:-1]   # () for one trajectory, (k,) for k
     if lead:
@@ -88,6 +96,8 @@ def closed_loop_rk4(
     Mrow = G[row_m]
     observer = law == 1
     feedback = law == 0 or observer
+    if observer:
+        L = np.ascontiguousarray(art.observer.L)
 
     X = np.empty(lead + (T, n))
     XH = np.empty(lead + (T, n)) if observer else None
@@ -107,8 +117,8 @@ def closed_loop_rk4(
     # before that), the disturbance likewise (0 before its first entry).
     # t_j never decreases at a fixed offset, so one cursor per offset and
     # schedule replaces a scan from the start.
-    ref_times, ref_vals = ref_t.tolist(), ref_v.tolist()
-    dist_times, dist_vals = dist_t.tolist(), dist_v.tolist()
+    ref_times, ref_vals = scn.ref_t.tolist(), scn.ref_v.tolist()
+    dist_times, dist_vals = scn.dist_t.tolist(), scn.dist_v.tolist()
     nref, ndist = len(ref_times), len(dist_times)
     r_first = ref_vals[0]
     stage_h = (0.0, 0.5 * dt, 0.5 * dt, 1.0 * dt)   # a_j * dt

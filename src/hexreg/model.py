@@ -15,12 +15,12 @@ second-stream temperatures Tbar_1..Tbar_n, so ``n_states = 2 * n_cells``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import as_array, as_float
+from .serde import dump_json, read_object
 
 __all__ = [
     "BilinearSystem",
@@ -116,11 +116,7 @@ class HexParams:
 
     @classmethod
     def from_json(cls, path: str) -> "HexParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_object(path))
 
 
 @dataclass
@@ -311,14 +307,8 @@ def system_from_dict(data: dict) -> tuple[BilinearSystem, HexParams | None]:
 
 
 def load_system(path: str) -> tuple[BilinearSystem, HexParams | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return system_from_dict(data)
+    return system_from_dict(read_object(path))
 
 
 def save_system(path: str, sys: BilinearSystem, hex_params: HexParams | None = None) -> None:
-    from .serde import dump_json
-
     dump_json(path, system_to_dict(sys, hex_params))

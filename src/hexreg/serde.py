@@ -1,8 +1,9 @@
-"""Deterministic JSON output used by every writer in the package.
+"""JSON input and output for every loader and writer in the package.
 
-Floats are emitted through Python's shortest round-trip repr, which is a
-pure function of the double value, and keys are sorted, so identical data
-produces byte-identical files.
+Every input file holds one JSON object, read by read_object.  Floats are
+emitted through Python's shortest round-trip repr, which is a pure function
+of the double value, and keys are sorted, so identical data produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ def _plain(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+def read_object(path) -> dict:
+    """The JSON object in the file at path; ValueError if it holds another value."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def dumps_json(data) -> str:

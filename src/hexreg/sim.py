@@ -18,14 +18,13 @@ moves only through the feedback path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import build_monitor_context, max_monotone_violation, trajectory_monitors
-from .controllers import FORWARDING, INTEGRAL_ONLY, LAW_CODES, OUTPUT_FEEDBACK, PI
+from .analysis import max_monotone_violation, trajectory_monitors
+from .controllers import INTEGRAL_ONLY, LAW_CODES, OUTPUT_FEEDBACK, PI
 from .design import DesignArtifacts, require_artifacts_fit
 from .errors import (
     MissingObserverStateError,
@@ -36,8 +35,9 @@ from .errors import (
     as_float,
     require_finite,
 )
-from .kernels import closed_loop_rk4, closed_loop_rk4_batch, stack_operator
+from .kernels import closed_loop_rk4, closed_loop_rk4_batch
 from .model import BilinearSystem
+from .serde import read_object
 from .steady_state import invert_reference, reachable_set
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
 
 _KELVIN_OFFSET = 273.15
 _CSV_BLOCK = 256  # rows formatted per stacked block in write_csv
+_MAX_STEPS = 10**7  # longest run a scenario may ask for; the kernel stores every step
 _SCENARIO_KEYS = {
     "units",
     "law",
@@ -129,9 +130,10 @@ def scenario_from_dict(
 
     Checks: known keys only; finite numbers; kelvin or Celsius units;
     strictly increasing schedules starting at t = 0 and contained in
-    [0, t_end]; t_end an exact multiple of dt; every reference inside the
-    reachable set; artifact arrays whose shapes fit sys.  x0 defaults to the
-    open-loop equilibrium of the first reference, x_hat0 to x0.
+    [0, t_end]; t_end an exact multiple of dt of at most 10**7 steps; every
+    reference inside the reachable set; artifact arrays whose shapes fit
+    sys.  x0 defaults to the open-loop equilibrium of the first reference,
+    x_hat0 to x0.
     """
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
@@ -156,6 +158,11 @@ def scenario_from_dict(
         raise ValueError(f"dt and t_end must be positive, got dt={dt!r} t_end={t_end!r}")
     require_finite("t_end / dt", t_end / dt)
     n_steps = round(t_end / dt)
+    if n_steps > _MAX_STEPS:
+        raise ValueError(
+            f"t_end={t_end!r} and dt={dt!r} ask for {n_steps} steps, above the "
+            f"limit of {_MAX_STEPS}"
+        )
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end={t_end!r} is not an integer multiple of dt={dt!r}")
 
@@ -223,65 +230,14 @@ def scenario_from_dict(
 def load_scenario(
     path: str | Path, sys: BilinearSystem, artifacts: DesignArtifacts
 ) -> SimScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario file {path} must contain a JSON object")
-    return scenario_from_dict(data, sys, artifacts)
-
-
-def _pi_gains(scn: SimScenario) -> tuple[float, float]:
-    return (
-        0.0 if scn.kp_pi is None else float(scn.kp_pi),
-        0.0 if scn.ki_pi is None else float(scn.ki_pi),
-    )
-
-
-def _kernel_args(scn: SimScenario) -> tuple[tuple, tuple]:
-    """The kernel's arguments before and after its initial-state slots."""
-    sys = scn.sys
-    art = scn.artifacts
-    G = stack_operator(sys.A, sys.B, art.P, art.M, sys.C, sys.D)
-    if scn.law == OUTPUT_FEEDBACK:
-        L = np.ascontiguousarray(art.observer.L)
-    else:
-        L = np.zeros((sys.n_states, sys.n_outputs))
-    head = (
-        G,
-        sys.b,
-        sys.E,
-        sys.u_min,
-        sys.u_max,
-        LAW_CODES[scn.law],
-        art.u_ss,
-        sys.input_gain(art.x_ss),
-        sys.B @ art.x_ss,
-        art.P @ art.x_ss,
-        float(art.M @ art.x_ss),
-        art.k_p,
-        art.k_i,
-        art.sign_dc,
-        *_pi_gains(scn),
-        L,
-    )
-    tail = (scn.dt, scn.n_steps, scn.ref_t, scn.ref_v, scn.dist_t, scn.dist_v)
-    return head, tail
-
-
-def _initial_states(scn: SimScenario) -> tuple[np.ndarray, np.ndarray]:
-    x0 = np.ascontiguousarray(scn.x0, dtype=np.float64)
-    # The stacked state always carries an estimate slot; laws without an
-    # observer start it at the plant state so it stays finite and ignored.
-    x_hat0 = x0 if scn.x_hat0 is None else np.ascontiguousarray(scn.x_hat0, dtype=np.float64)
-    return x0, x_hat0
+    return scenario_from_dict(read_object(path), sys, artifacts)
 
 
 def _result(scn: SimScenario, X, XH, Z, U_raw, U_sat, Err, Y) -> SimResult:
     """Wrap one trajectory's kernel series and attach its monitor series."""
     monitors: dict[str, np.ndarray] = {}
     if scn.law != PI:
-        ctx = build_monitor_context(scn.sys, scn.artifacts, scn.law)
-        V, U, W = trajectory_monitors(ctx, X, XH, Z)
+        V, U, W = trajectory_monitors(scn, X, XH, Z)
         monitors["V"] = V
         if scn.law == OUTPUT_FEEDBACK:
             monitors["U"] = U
@@ -301,11 +257,10 @@ def _result(scn: SimScenario, X, XH, Z, U_raw, U_sat, Err, Y) -> SimResult:
 
 def run(scn: SimScenario) -> SimResult:
     """Integrate the closed loop and attach monitor series."""
-    head, tail = _kernel_args(scn)
     # A diverging run ends in NonFiniteError; numpy's overflow warnings on
     # the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        *series, bad_step = closed_loop_rk4(*head, *_initial_states(scn), 0.0, *tail)
+        *series, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
     if bad_step >= 0:
         raise NonFiniteError(step=int(bad_step), t=float(bad_step * scn.dt))
     return _result(scn, *series)
@@ -331,14 +286,12 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
             raise SchedulesDifferError("the scenarios use different laws")
         if other.artifacts is not first.artifacts:
             raise SchedulesDifferError("the scenarios use different artifact sets")
-        if _pi_gains(other) != _pi_gains(first):
+        if (other.kp_pi, other.ki_pi) != (first.kp_pi, first.ki_pi):
             raise SchedulesDifferError("kp_pi/ki_pi differ between the scenarios")
-    head, tail = _kernel_args(first)
-    starts = [_initial_states(scn) for scn in scenarios]
-    x0 = np.stack([x for x, _ in starts])
-    x_hat0 = np.stack([xh for _, xh in starts])
+    x0 = np.stack([scn.x0 for scn in scenarios])
+    x_hat0 = np.stack([scn.x_hat0 for scn in scenarios])
     with np.errstate(over="ignore", invalid="ignore"):
-        *series, bad_step = closed_loop_rk4_batch(*head, x0, x_hat0, 0.0, *tail)
+        *series, bad_step = closed_loop_rk4_batch(first, x0, x_hat0)
     if bad_step >= 0:
         raise NonFiniteError(step=int(bad_step), t=float(bad_step * first.dt))
     return [_result(scn, *(None if s is None else s[i] for s in series))

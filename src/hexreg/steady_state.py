@@ -31,6 +31,7 @@ __all__ = [
 _COND_LIMIT = 1e14  # a matrix with 2-norm condition number above this is singular
 _COND_CLEAR = 1e12  # a Frobenius bound at or below this clears a matrix without an SVD
 _STACK_BLOCK = 64  # matrices per stacked screen and solve; bounds the (block, n, n) temporaries
+_REACH_GRID = 256  # inputs in the sweep of the reachable set
 _BISECT_MAX_ITER = 200
 _GOLDEN_TOL = 1e-10
 
@@ -156,16 +157,14 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return u_best, f(u_best)
 
 
-def reachable_set(sys: BilinearSystem, grid_points: int = 256) -> ReachableSet:
-    """Sweep C pi(u) over the input interval and refine both extrema."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    u_grid = np.linspace(sys.u_min, sys.u_max, grid_points)
+def reachable_set(sys: BilinearSystem) -> ReachableSet:
+    """Sweep C pi(u) over 256 inputs of the interval and refine both extrema."""
+    u_grid = np.linspace(sys.u_min, sys.u_max, _REACH_GRID)
     y_grid = np.array([_steady_output(sys, u) for u in u_grid])
 
     def refine(idx: int, sign: float) -> tuple[float, float]:
         lo = u_grid[max(idx - 1, 0)]
-        hi = u_grid[min(idx + 1, grid_points - 1)]
+        hi = u_grid[min(idx + 1, _REACH_GRID - 1)]
         if hi <= lo:
             return float(u_grid[idx]), float(y_grid[idx])
         u_best, val = _golden_section_max(
@@ -189,8 +188,8 @@ def invert_reference(
 ) -> Equilibrium:
     """Find the smallest admissible u_ss with C pi(u_ss) = r.
 
-    A sign-change scan over the sweep of the reachable set rs (built at 256
-    points when not given) brackets every crossing; each bracket is
+    A sign-change scan over the sweep of the reachable set rs (built by
+    reachable_set when not given) brackets every crossing; each bracket is
     bisected (bounded iteration count).  When several inputs produce the
     same output the smallest u is returned.
     """

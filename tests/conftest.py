@@ -95,15 +95,18 @@ def synthetic_observer(synthetic_observable):
 
 
 def make_scenario(sys, art, law, t_end, dt, refs, dists=(), x0=None,
-                  x_hat0=None, kp_pi=None, ki_pi=None):
-    """Build a SimScenario from kelvin-valued schedules without JSON."""
+                  x_hat0=None, kp_pi=0.0, ki_pi=0.0):
+    """Build a SimScenario from kelvin-valued schedules without JSON.
+
+    x0 defaults to the artifacts' x_ss and x_hat0 to x0, as
+    scenario_from_dict does."""
     refs = np.asarray(refs, dtype=np.float64).reshape(-1, 2)
     dists = np.asarray(dists, dtype=np.float64).reshape(-1, 2)
+    x0 = np.array(art.x_ss if x0 is None else x0, dtype=np.float64)
     return hexreg.SimScenario(
         sys=sys, artifacts=art, law=law, t_end=float(t_end), dt=float(dt),
         ref_t=refs[:, 0].copy(), ref_v=refs[:, 1].copy(),
         dist_t=dists[:, 0].copy(), dist_v=dists[:, 1].copy(),
-        x0=np.array(art.x_ss if x0 is None else x0, dtype=np.float64),
-        x_hat0=None if x_hat0 is None else np.array(x_hat0, dtype=np.float64),
-        kp_pi=kp_pi, ki_pi=ki_pi,
+        x0=x0, x_hat0=np.array(x0 if x_hat0 is None else x_hat0, dtype=np.float64),
+        kp_pi=float(kp_pi), ki_pi=float(ki_pi),
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hexreg
-from hexreg import analysis, kernels, sim
+from hexreg import analysis, kernels
 
 from conftest import KELVIN, TABLE1, make_scenario
 
@@ -316,8 +316,9 @@ def test_assumption_report_serializes(hexsys):
 
 
 def forwarding_monitors(hexsys, art, x, z):
-    ctx = analysis.build_monitor_context(hexsys, art, hexreg.FORWARDING)
-    V, U, W = analysis.trajectory_monitors(ctx, x[None], None, np.array([z]))
+    scn = make_scenario(hexsys, art, hexreg.FORWARDING, 1.0, 1.0,
+                        [[0.0, float(hexsys.C @ art.x_ss)]])
+    V, U, W = analysis.trajectory_monitors(scn, x[None], None, np.array([z]))
     return float(V[0]), float(U[0]), float(W[0])
 
 
@@ -336,16 +337,18 @@ def test_lyapunov_monitors_positive_off_origin(hexsys, fwd_art):
     assert V == pytest.approx(expected, rel=1e-12)
 
 
-def integral_only_point(ctx, x, z):
+def integral_only_point(sys, art, x, z):
     """(V, U, W) at one integral-only sample, with one solve per sample:
     V is the squared P-norm of x - x_ss minus the frozen equilibrium's shift
-    pi_v = -(F_ss + B v)^-1 g_ss v at the applied increment v."""
-    v = float(np.clip(ctx.u_ss + ctx.sign_dc * ctx.k_i * z, ctx.u_min, ctx.u_max))
-    v -= ctx.u_ss
-    piv = -np.linalg.solve(ctx.F_ss + ctx.B * v, ctx.g_ss) * v
-    d = (x - ctx.x_ss) - piv
-    V = float(max(d @ ctx.P @ d, 0.0))
-    return V, 0.0, float(np.sqrt(V) + ctx.gamma * abs(z))
+    pi_v = -(F_ss + B v)^-1 g_ss v at the applied increment v, and W adds
+    gamma |z| with gamma = 2 k_i pi_bar sqrt(lmax(P))."""
+    v = float(np.clip(art.u_ss + art.sign_dc * art.k_i * z, sys.u_min, sys.u_max))
+    v -= art.u_ss
+    piv = -np.linalg.solve(sys.frozen(art.u_ss) + sys.B * v, sys.input_gain(art.x_ss)) * v
+    d = (x - art.x_ss) - piv
+    V = float(max(d @ art.P @ d, 0.0))
+    gamma = 2.0 * art.k_i * art.pi_bar * np.sqrt(float(np.linalg.eigvalsh(art.P)[-1]))
+    return V, 0.0, float(np.sqrt(V) + gamma * abs(z))
 
 
 @pytest.mark.parametrize("dist, saturates", [(0.0, False), (-40.0, True)])
@@ -358,14 +361,11 @@ def test_trajectory_monitors_integral_only_matches_monitor_point(
     x0 = hexreg.invert_reference(hexsys, 26.0 + KELVIN).x_ss
     scn = make_scenario(hexsys, io_art, hexreg.INTEGRAL_ONLY, 6000.0, 4.0,
                         [[0.0, 26.5 + KELVIN]], dists=[[0.0, dist]], x0=x0)
-    head, tail = sim._kernel_args(scn)
-    X, XH, Z, U_raw, U_sat, _, _, bad_step = kernels.closed_loop_rk4(
-        *head, *sim._initial_states(scn), 0.0, *tail)
+    X, XH, Z, U_raw, U_sat, _, _, bad_step = kernels.closed_loop_rk4(scn, scn.x0, scn.x_hat0)
     assert bad_step == -1
     assert bool(np.any(U_raw != U_sat)) is saturates
-    ctx = analysis.build_monitor_context(hexsys, io_art, hexreg.INTEGRAL_ONLY)
-    series = analysis.trajectory_monitors(ctx, X, XH, Z)
-    points = np.array([integral_only_point(ctx, X[k], float(Z[k]))
+    series = analysis.trajectory_monitors(scn, X, XH, Z)
+    points = np.array([integral_only_point(hexsys, io_art, X[k], float(Z[k]))
                        for k in range(Z.shape[0])])
     assert Z.shape[0] > analysis._MONITOR_BLOCK
     for i, name in enumerate("VUW"):

@@ -152,6 +152,15 @@ def test_steady_state_ref_conflict(ws):
     assert rc == 2
 
 
+def test_steady_state_has_no_grid_option(ws, capsys):
+    """The reachable set is swept at a fixed 256 inputs, so --grid is an
+    unrecognized argument."""
+    capsys.readouterr()
+    rc = main(["steady-state", str(ws / "hex.json"), "--grid", "64"])
+    assert rc == 2
+    assert "unrecognized arguments: --grid 64" in capsys.readouterr().err
+
+
 def test_verify_default_passes(ws, tmp_path):
     out = tmp_path / "verify.json"
     rc = main(["verify", str(ws / "hex.json"), "--out", str(out)])
@@ -275,6 +284,7 @@ def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
     pytest.param("kp_pi", [1], "must be a number", id="kp_pi-list"),
     pytest.param("x0", [26.5] * 15 + ["26.5"], "must be a 1-d array of numbers",
                  id="x0-string"),
+    pytest.param("t_end", 1e15, "above the limit of 10000000", id="t_end-too-many-steps"),
 ])
 def test_simulate_nonfinite_scenario_exit2(ws, tmp_path, capsys, field, value,
                                            problem):

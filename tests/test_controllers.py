@@ -1,7 +1,7 @@
 """The kernel's control laws against a second, direct implementation.
 
 kernels.closed_loop_rk4 is the one definition of the laws that runs.  Each
-test takes one step of it (t_end = dt) with the arguments sim builds, and
+test takes one step of it (t_end = dt) on a scenario, and
 compares the input it issued and the state it reached with the paper's
 formulas and one RK4 step of the plant, observer and integrator written
 out below.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hexreg
-from hexreg import controllers, sim
+from hexreg import controllers
 from hexreg.kernels import closed_loop_rk4
 
 from conftest import make_scenario
@@ -52,9 +52,7 @@ def scenario(sys, art, law, x0, x_hat0=None, refs=None, dists=(), **pi):
 
 def kernel_step(scn, z0):
     """(X, XH, Z, U_raw, Err) of one kernel step from (x0, x_hat0, z0)."""
-    head, tail = sim._kernel_args(scn)
-    X, XH, Z, U_raw, _, Err, _, bad = closed_loop_rk4(
-        *head, *sim._initial_states(scn), z0, *tail)
+    X, XH, Z, U_raw, _, Err, _, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, z0)
     assert bad == -1
     return X, XH, Z, U_raw, Err
 

@@ -30,8 +30,9 @@ scn = hexreg.SimScenario(
     sys=system, artifacts=art, law="forwarding", t_end=50.0, dt=0.05,
     ref_t=np.array([0.0, 20.0]), ref_v=np.array([26.5 + 273.15, 26.0 + 273.15]),
     dist_t=np.array([35.0]), dist_v=np.array([0.5]),
-    x0=eq.x_ss + np.linspace(-2.0, 2.0, 16), x_hat0=None,
-    kp_pi=None, ki_pi=None,
+    x0=eq.x_ss + np.linspace(-2.0, 2.0, 16),
+    x_hat0=eq.x_ss + np.linspace(-2.0, 2.0, 16),
+    kp_pi=0.0, ki_pi=0.0,
 )
 res = hexreg.run(scn)
 np.savez(sys.argv[1], x=res.x, u_raw=res.u_raw, e=res.e, V=res.monitors["V"])

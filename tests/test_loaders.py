@@ -1,6 +1,8 @@
 """Property test of the four loaders: a valid document with one field
 replaced by an arbitrary JSON value either loads or raises one of the
-errors the CLI reports as malformed input (exit 2), never anything else."""
+errors the CLI reports as malformed input (exit 2), never anything else.
+Each loader also refuses a field it does not know, and serde.read_object a
+file that holds no JSON object."""
 
 import json
 from dataclasses import replace
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import hexreg
 from hexreg import design, model, sim
 from hexreg.cli import _USAGE_ERRORS
-from hexreg.serde import dumps_json
+from hexreg.serde import dumps_json, read_object
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.text(max_size=4))
@@ -106,3 +108,37 @@ def test_scenario_loader(documents, key, value):
     doc = dict(documents["scenario"], **{key: value})
     _load_or_usage_error(
         lambda d: sim.scenario_from_dict(d, *documents["scenario_args"]), doc)
+
+
+@pytest.mark.parametrize("key, message", [
+    ("params.extra", "unknown HexParams fields: ['extra']"),
+    ("system.extra", "unknown system fields: ['extra']"),
+    ("artifacts.extra", "unknown artifact fields: ['extra']"),
+    ("artifacts.observer.extra", "unknown observer fields: ['extra']"),
+    ("scenario.extra", "unknown scenario fields: ['extra']"),
+])
+def test_loaders_reject_unknown_fields(documents, key, message):
+    """Every loader refuses a field it does not know, at any level."""
+    name, *path, last = key.split(".")
+    doc = json.loads(json.dumps(documents[name]))
+    target = doc
+    for part in path:
+        target = target[part]
+    target[last] = 1.0
+    load = {
+        "params": hexreg.HexParams.from_dict,
+        "system": model.system_from_dict,
+        "artifacts": design.artifacts_from_dict,
+        "scenario": lambda d: sim.scenario_from_dict(d, *documents["scenario_args"]),
+    }[name]
+    with pytest.raises(ValueError) as info:
+        load(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3.5", "null"])
+def test_read_object_refuses_other_json_values(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        read_object(path)

@@ -1,5 +1,7 @@
 """Equilibrium map, reference inversion, and the reachable set."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,7 +81,7 @@ def test_equilibrium_at_fields(hexsys, eq02):
 
 
 def test_reachable_set_bounds(hexsys, table1):
-    reach = hexreg.reachable_set(hexsys, grid_points=256)
+    reach = hexreg.reachable_set(hexsys)
     assert reach.r_min < reach.r_max
     assert table1.T_in_hot < reach.r_min
     # at u = 0 no heat leaves through the manipulated stream, so the cold
@@ -102,10 +104,10 @@ def test_reachable_set_linear_system_affine():
         u_max=1.0,
     )
     # Cpi(u) = (u + 0.5)/2: affine, extremes at the interval ends
-    reach = hexreg.reachable_set(sys, grid_points=64)
+    reach = hexreg.reachable_set(sys)
     assert reach.r_min == pytest.approx(0.25)
     assert reach.r_max == pytest.approx(0.75)
-    mid = 0.5 * (reach.y_grid[31] + reach.y_grid[32])
+    mid = 0.5 * (reach.y_grid[127] + reach.y_grid[128])
     assert mid == pytest.approx(0.5, abs=1e-2)
 
 
@@ -114,7 +116,7 @@ def test_reachable_set_degenerate_interval(hexsys):
         A=hexsys.A, B=hexsys.B, b=hexsys.b, E=hexsys.E, C=hexsys.C,
         D=hexsys.D, u_min=0.02, u_max=0.02 + 1e-15,
     )
-    reach = hexreg.reachable_set(sys, grid_points=16)
+    reach = hexreg.reachable_set(sys)
     assert reach.r_min == pytest.approx(reach.r_max, abs=1e-9)
 
 
@@ -135,7 +137,7 @@ def test_invert_reference_unreachable(hexsys):
 def test_invert_reference_midpoint_bracketed(hexsys):
     """Cpi is strictly monotone on the grid, so bisection from the
     bracketing cell reproduces any grid midpoint value."""
-    reach = hexreg.reachable_set(hexsys, grid_points=64)
+    reach = hexreg.reachable_set(hexsys)
     diffs = np.diff(reach.y_grid)
     assert np.all(diffs < 0.0)  # decreasing in u
     r = 0.5 * (reach.y_grid[20] + reach.y_grid[21])
@@ -149,8 +151,9 @@ def test_invert_reference_searches_the_given_set(hexsys, monkeypatch):
     """A given reachable set is searched as is; none is built."""
     r = 26.5 + KELVIN
     default = hexreg.invert_reference(hexsys, r)
-    coarse = hexreg.reachable_set(hexsys, grid_points=16)
     full = hexreg.reachable_set(hexsys)
+    # every 17th input of the 256: 16 points from u_min to u_max
+    coarse = replace(full, u_grid=full.u_grid[::17], y_grid=full.y_grid[::17])
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("invert_reference rebuilt the reachable set")
