@@ -44,6 +44,7 @@ _A3A_TOL = 1e-9  # slack on the largest LMI eigenvalue before declaring infeasib
 _MONITOR_BLOCK = 1024  # samples per stacked solve; bounds the (block, n, n) temporaries
 _GAIN_CAP = 1e9  # integral_gain_stability_limit gives up (inf) above this gain
 _GAIN_RTOL = 1e-9  # relative width of its final bisection bracket
+_MAX_GRID = 10**6  # most points assumption_report sweeps per grid
 
 
 def saturation_gap(s, b, u_lo: float, u_hi: float):
@@ -163,11 +164,14 @@ def assumption_report(
     clears a matrix without an SVD, and only the rest get the exact cond.
     The remaining pairs share one stacked solve, and kernels._rowdot takes
     C times each solution with the dot product of a per-pair loop, so every
-    value, minimum and sign count keeps its bits.
+    value, minimum and sign count keeps its bits.  Before the sweep, every
+    argument is checked: a grid below 2 points, or swept and above 10**6.
     """
     n_u, n_v = int(u_grid), int(v_grid)
     if n_u < 2 or n_v < 2:
         raise ValueError(f"grid sizes must be >= 2, got ({u_grid!r}, {v_grid!r})")
+    if n_u > _MAX_GRID or (P is not None and n_v > _MAX_GRID):
+        raise ValueError(f"grid sizes must be <= {_MAX_GRID}, got ({u_grid!r}, {v_grid!r})")
     if P is not None:
         if nu is None or eps is None:
             raise ValueError("nu and eps are required alongside P")

@@ -156,7 +156,7 @@ def _cmd_verify(args) -> int:
             P = design.solve_lyapunov(
                 sys_.frozen(0.5 * (sys_.u_min + sys_.u_max)), np.eye(sys_.n_states)
             )
-        margin = design.lyapunov_decay_margin(sys_, P, grid=args.grid)
+        margin = design.lyapunov_decay_margin(sys_, P)
         if margin <= 0.0:
             raise InfeasibleError(
                 f"decay margin {margin:.3e} <= 0; no LMI constants to test",

@@ -26,7 +26,7 @@ from .errors import (
 from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem, HexParams
 from .serde import dump_json, read_object
-from .steady_state import _STACK_BLOCK, Equilibrium, _golden_section_max, screen_singular
+from .steady_state import _STACK_BLOCK, Equilibrium, _refine_peak, screen_singular
 
 __all__ = [
     "DesignArtifacts",
@@ -164,8 +164,9 @@ def forwarding_design(
     """Lyapunov pair and output row for the forwarding law.
 
     Solves F_ss^T P + P F_ss = -2 Upsilon with Upsilon = I, and M F_ss = C.
-    Any k_p, k_i > 0 are admissible; the gains only shape the transient.
+    Any finite k_p, k_i > 0 are admissible; they only shape the transient.
     """
+    k_p, k_i = as_float("k_p", k_p), as_float("k_i", k_i)
     if k_p <= 0.0 or k_i <= 0.0:
         raise ValueError(f"gains must be positive, got k_p={k_p!r} k_i={k_i!r}")
     Upsilon = np.eye(sys.n_states)
@@ -175,7 +176,7 @@ def forwarding_design(
     sign = sign_dc_gain(sys, eq)
     return DesignArtifacts(
         u_ss=eq.u_ss, x_ss=eq.x_ss.copy(), P=P, Upsilon=Upsilon, M=M,
-        k_p=float(k_p), k_i=float(k_i), sign_dc=sign,
+        k_p=k_p, k_i=k_i, sign_dc=sign,
     )
 
 
@@ -397,8 +398,8 @@ def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
     decides the rest, so the verdict is that of cond alone.  The stacked
     solves, per-row products (kernels._rowwise, _rowdot) and sqrt make the
     same floating-point operations as one point at a time, so every
-    magnitude keeps its bits.  The refinement evaluates one point per call
-    through the same code.
+    magnitude keeps its bits.  steady_state._refine_peak refines the peak,
+    evaluating one point per call through the same code.
     """
     lo, hi = sys.u_min - eq.u_ss, sys.u_max - eq.u_ss
     F = sys.frozen(eq.u_ss)
@@ -420,13 +421,9 @@ def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
     grid = np.linspace(lo, hi, _PI_SHIFT_GRID)
     vals = np.concatenate([magnitudes(grid[k : k + _STACK_BLOCK])
                            for k in range(0, _PI_SHIFT_GRID, _STACK_BLOCK)])
-    i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, _PI_SHIFT_GRID - 1)]
-    _, peak = _golden_section_max(
-        lambda v: float(magnitudes(np.array([v]))[0]), a, b, 1e-10 * (1.0 + hi - lo)
-    )
-    return float(max(peak, vals[i]))
+    _, peak = _refine_peak(lambda v: float(magnitudes(np.array([v]))[0]),
+                           grid, vals, 1e-10 * (1.0 + hi - lo))
+    return peak
 
 
 def integral_gain_bound(
@@ -485,11 +482,12 @@ def integral_only_design(
     else the Lyapunov solution at the design input with identity right-hand
     side.  The decay rate certified for P on a 64-point input grid feeds
     the bound ki_star; the rate is concave in u, so any grid holding both
-    input bounds gives the same value.  k_i defaults to half that bound,
-    and an explicit k_i at or above it raises GainAboveBoundWarning.
+    input bounds gives the same value.  k_i, finite, defaults to half that
+    bound, and one at or above the bound raises GainAboveBoundWarning.
     Upsilon is back-filled as -(P F_ss + F_ss^T P) / 2 so the stored pair
     satisfies the same identity every artifact set carries.
     """
+    k_i = None if k_i is None else as_float("k_i", k_i)
     if hex_params is not None:
         P = hex_analytic_P(hex_params)
     else:

@@ -5,8 +5,9 @@ For a frozen admissible input u the equilibrium is
     pi(u) = -(A + B u)^{-1} (b u + E),
 
 the steady output is C pi(u), and the reachable reference set is the range
-of C pi over [u_min, u_max].  All solvers here are deterministic: fixed
-grids, bracketed bisection, and golden-section refinement.
+of C pi over [u_min, u_max].  _equilibria solves for pi on stacks of inputs
+(pi_map is one input).  All solvers here are deterministic: fixed grids,
+bracketed bisection, and golden-section refinement of a grid peak.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ReferenceUnreachableError, SingularMatrixError
+from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem
 
 __all__ = [
@@ -94,47 +96,50 @@ def screen_singular(F) -> tuple[np.ndarray, np.ndarray]:
     return ~(kappa <= _COND_LIMIT), kappa
 
 
-def _solve_frozen(sys: BilinearSystem, u: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + B u) x = rhs with a singularity screen and one refinement.
+def _equilibria(sys: BilinearSystem, us: np.ndarray) -> np.ndarray:
+    """pi(u) for each input of us, one row each, in stacks of 64 F_u.
 
-    screen_singular decides singularity: the Frobenius bound clears every
-    well-conditioned F without an SVD and the exact cond decides the rest,
-    so a frozen matrix is refused exactly when cond_2 > 1e14 or is not
-    finite, as with cond alone.
+    Per input: screen_singular, one solve, one refinement and a check of
+    the residual F x + b u + E.  Stacked solves and kernels._rowwise keep
+    the bits of pi_map at each input, and the first input that fails
+    raises what pi_map raises there.
     """
-    F = sys.frozen(u)
-    singular, kappa = screen_singular(F)
-    if singular:
-        raise SingularMatrixError(
-            f"A + B u numerically singular at u = {u!r}", cond=float(kappa)
-        )
-    x = np.linalg.solve(F, rhs)
-    x = x - np.linalg.solve(F, F @ x - rhs)
-    return x
+    out = np.empty((len(us), sys.n_states))
+    for k in range(0, len(us), _STACK_BLOCK):
+        u = us[k : k + _STACK_BLOCK]
+        F = sys.A + sys.B * u[:, None, None]
+        singular, kappa = screen_singular(F)
+        # a refused matrix is swapped for I so the stacked solve cannot raise
+        F[singular] = np.eye(sys.n_states)
+        rhs = -(sys.b * u[:, None] + sys.E)
+        x = np.linalg.solve(F, rhs[..., None])[..., 0]
+        x = x - np.linalg.solve(F, (_rowwise(F, x) - rhs)[..., None])[..., 0]
+        residual = np.abs(_rowwise(F, x) + sys.b * u[:, None] + sys.E).max(axis=1)
+        limit = 1e-9 * (1.0 + np.abs(x).max(axis=1))
+        failed = singular | (residual > limit)
+        if failed.any():
+            i = int(np.argmax(failed))
+            at = f"at u = {float(u[i])!r}"
+            if singular[i]:
+                raise SingularMatrixError(f"A + B u numerically singular {at}",
+                                          cond=float(kappa[i]))
+            raise SingularMatrixError(
+                f"equilibrium residual {residual[i]:.3e} exceeds {limit[i]:.3e} {at}")
+        out[k : k + _STACK_BLOCK] = x
+    return out
 
 
 def pi_map(sys: BilinearSystem, u: float) -> np.ndarray:
-    """Equilibrium state for a frozen admissible input."""
+    """Equilibrium state for a frozen admissible input: _equilibria of one."""
     u = float(u)
     if not sys.u_min <= u <= sys.u_max:
         raise ValueError(f"u = {u!r} outside [{sys.u_min}, {sys.u_max}]")
-    x = _solve_frozen(sys, u, -(sys.b * u + sys.E))
-    residual = np.linalg.norm(sys.frozen(u) @ x + sys.b * u + sys.E, np.inf)
-    limit = 1e-9 * (1.0 + np.linalg.norm(x, np.inf))
-    if residual > limit:
-        raise SingularMatrixError(
-            f"equilibrium residual {residual:.3e} exceeds {limit:.3e} at u = {u!r}"
-        )
-    return x
+    return _equilibria(sys, np.array([u]))[0]
 
 
 def equilibrium_at(sys: BilinearSystem, u: float) -> Equilibrium:
     x = pi_map(sys, u)
     return Equilibrium(u_ss=float(u), x_ss=x, y_ss=float(sys.C @ x))
-
-
-def _steady_output(sys: BilinearSystem, u: float) -> float:
-    return float(sys.C @ pi_map(sys, u))
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -157,28 +162,27 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return u_best, f(u_best)
 
 
+def _refine_peak(f, grid: np.ndarray, vals: np.ndarray, tol: float) -> tuple[float, float]:
+    """Maximize f from its values vals on grid: the grid maximum, then a
+    golden-section search between its neighbours; the grid point wins a tie."""
+    i = int(np.argmax(vals))
+    x, val = _golden_section_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], tol)
+    if vals[i] >= val:
+        return float(grid[i]), float(vals[i])
+    return float(x), float(val)
+
+
 def reachable_set(sys: BilinearSystem) -> ReachableSet:
-    """Sweep C pi(u) over 256 inputs of the interval and refine both extrema."""
+    """Sweep C pi(u) over 256 inputs of the interval, stacked but with the
+    bits of one pi_map and C @ x each, and refine both extrema."""
     u_grid = np.linspace(sys.u_min, sys.u_max, _REACH_GRID)
-    y_grid = np.array([_steady_output(sys, u) for u in u_grid])
-
-    def refine(idx: int, sign: float) -> tuple[float, float]:
-        lo = u_grid[max(idx - 1, 0)]
-        hi = u_grid[min(idx + 1, _REACH_GRID - 1)]
-        if hi <= lo:
-            return float(u_grid[idx]), float(y_grid[idx])
-        u_best, val = _golden_section_max(
-            lambda u: sign * _steady_output(sys, u), lo, hi, _GOLDEN_TOL
-        )
-        # a boundary extremum beats the interior refinement
-        if sign * y_grid[idx] >= val:
-            return float(u_grid[idx]), float(y_grid[idx])
-        return float(u_best), float(sign * val)
-
-    u_at_max, r_max = refine(int(np.argmax(y_grid)), +1.0)
-    u_at_min, r_min = refine(int(np.argmin(y_grid)), -1.0)
+    y_grid = _rowdot(sys.C, _equilibria(sys, u_grid))[:, 0]
+    u_at_max, r_max = _refine_peak(
+        lambda u: equilibrium_at(sys, u).y_ss, u_grid, y_grid, _GOLDEN_TOL)
+    u_at_min, neg_min = _refine_peak(
+        lambda u: -equilibrium_at(sys, u).y_ss, u_grid, -y_grid, _GOLDEN_TOL)
     return ReachableSet(
-        r_min=r_min, r_max=r_max, u_at_min=u_at_min, u_at_max=u_at_max,
+        r_min=-neg_min, r_max=r_max, u_at_min=u_at_min, u_at_max=u_at_max,
         u_grid=u_grid, y_grid=y_grid,
     )
 
@@ -188,10 +192,11 @@ def invert_reference(
 ) -> Equilibrium:
     """Find the smallest admissible u_ss with C pi(u_ss) = r.
 
-    A sign-change scan over the sweep of the reachable set rs (built by
-    reachable_set when not given) brackets every crossing; each bracket is
-    bisected (bounded iteration count).  When several inputs produce the
-    same output the smallest u is returned.
+    The sweep of the reachable set rs (built by reachable_set when not
+    given) is scanned in order of u for the first crossing: a grid point
+    within tolerance of r, or a sign change, bisected (bounded iteration
+    count).  Where there is none, an extremum may touch r between grid
+    points: the closest grid point is refined by _refine_peak.
     """
     r = float(r)
     if rs is None:
@@ -201,27 +206,19 @@ def invert_reference(
 
     g = rs.y_grid - r
     f_tol = 1e-8 * (1.0 + abs(r))
-    roots: list[float] = []
-    for i, u in enumerate(rs.u_grid):
-        if abs(g[i]) <= f_tol:
-            roots.append(float(u))
-    for i in range(len(rs.u_grid) - 1):
-        if g[i] == 0.0 or g[i + 1] == 0.0:
-            continue
-        if np.sign(g[i]) != np.sign(g[i + 1]):
-            roots.append(_bisect(sys, r, rs.u_grid[i], rs.u_grid[i + 1], g[i]))
-    if not roots:
-        # Extremum touching r without a grid sign change: refine at the
-        # closest grid point.
-        i = int(np.argmin(np.abs(g)))
-        lo = rs.u_grid[max(i - 1, 0)]
-        hi = rs.u_grid[min(i + 1, len(rs.u_grid) - 1)]
-        u_best, _ = _golden_section_max(
-            lambda u: -abs(_steady_output(sys, u) - r), lo, hi, _GOLDEN_TOL
-        )
-        roots.append(float(u_best))
+    near = np.abs(g) <= f_tol
+    # a bracket ending on an exact zero is left to that grid point
+    flips = np.append((np.sign(g[:-1]) != np.sign(g[1:])) & (g[1:] != 0.0), False)
+    hits = np.flatnonzero(near | flips)
+    if not hits.size:
+        u_ss, _ = _refine_peak(lambda u: -abs(equilibrium_at(sys, u).y_ss - r),
+                               rs.u_grid, -np.abs(g), _GOLDEN_TOL)
+    elif near[hits[0]]:
+        u_ss = float(rs.u_grid[hits[0]])
+    else:
+        i = hits[0]
+        u_ss = _bisect(sys, r, rs.u_grid[i], rs.u_grid[i + 1], g[i])
 
-    u_ss = min(roots)
     eq = equilibrium_at(sys, u_ss)
     if abs(eq.y_ss - r) > f_tol:
         raise ReferenceUnreachableError(r, rs.r_min, rs.r_max)
@@ -234,7 +231,7 @@ def _bisect(sys: BilinearSystem, r: float, lo: float, hi: float, g_lo: float) ->
         mid = 0.5 * (lo + hi)
         if (hi - lo) < 1e-15 * (1.0 + abs(mid)):
             break
-        g_mid = _steady_output(sys, mid) - r
+        g_mid = equilibrium_at(sys, mid).y_ss - r
         if g_mid == 0.0:
             return float(mid)
         if np.sign(g_mid) == sign_lo:

@@ -147,6 +147,9 @@ def test_assumption3_singular_frozen_matrix_raises():
     (dict(P=np.eye(3), nu=1.0, eps=1.0), "P must be 16x16"),
     (dict(P=-np.eye(16), nu=1.0, eps=1.0), "P must be positive definite"),
     (dict(P=np.eye(16), nu=0.0, eps=1.0), "nu and eps must be positive"),
+    (dict(u_grid=10**6 + 1), "grid sizes must be <= 1000000"),
+    (dict(P=np.eye(16), nu=1.0, eps=1.0, v_grid=10**6 + 1),
+     "grid sizes must be <= 1000000"),
 ])
 def test_assumption_report_validates_before_sweeping(hexsys, monkeypatch, kwargs,
                                                       message):

@@ -100,6 +100,23 @@ def test_design_has_no_grid_option(ws, capsys):
     assert not (ws / "io8.json").exists()
 
 
+@pytest.mark.parametrize("law, flag", [
+    ("forwarding", "--kp"), ("output_feedback", "--kp"),
+    ("forwarding", "--ki"), ("output_feedback", "--ki"), ("integral_only", "--ki"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_design_nonfinite_gain_exit2(ws, capsys, law, flag, value):
+    """A gain that is not finite is refused before any file is written."""
+    out = ws / "nonfinite.json"
+    capsys.readouterr()
+    rc = main(["design", str(ws / "hex.json"), "--law", law, "--ref", "26.5",
+               "--units", "C", flag, value, "--out", str(out)])
+    assert rc == 2
+    name = "k_p" if flag == "--kp" else "k_i"
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} must be finite"]
+    assert not out.exists()
+
+
 def test_design_requires_ref_or_uss(ws):
     rc = main(["design", str(ws / "hex.json"), "--law", "forwarding",
                "--out", str(ws / "zz.json")])
@@ -189,6 +206,21 @@ def test_verify_a3_reports_infeasible(ws, tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["all_hold"] is False
     assert captured.err.splitlines() == [failed]
+
+
+@pytest.mark.parametrize("a3", [[], ["--a3"]], ids=["plain", "a3"])
+def test_verify_oversized_grid_exit2(ws, monkeypatch, capsys, a3):
+    """A grid above 10**6 points is refused before any sweep starts."""
+    from hexreg import analysis
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(analysis, "pi_map", no_sweep)
+    capsys.readouterr()
+    rc = main(["verify", str(ws / "hex.json"), "--grid", "1000001", *a3])
+    assert rc == 2
+    assert "grid sizes must be <= 1000000" in capsys.readouterr().err
 
 
 def test_verify_unstable_toy(tmp_path):

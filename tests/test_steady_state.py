@@ -120,6 +120,105 @@ def test_reachable_set_degenerate_interval(hexsys):
     assert reach.r_min == pytest.approx(reach.r_max, abs=1e-9)
 
 
+def test_reachable_set_matches_per_point_sweep(hexsys):
+    """The stacked sweep gives the bits of one pi_map and one C @ x per
+    input, and both extrema the same golden-section refinement."""
+    from hexreg.steady_state import _golden_section_max
+
+    def output(u):
+        return float(hexsys.C @ hexreg.pi_map(hexsys, u))
+
+    u_grid = np.linspace(hexsys.u_min, hexsys.u_max, 256)
+    y_grid = np.array([output(u) for u in u_grid])
+
+    def refine(sign):
+        i = int(np.argmax(sign * y_grid))
+        u_best, val = _golden_section_max(lambda u: sign * output(u),
+                                          u_grid[max(i - 1, 0)],
+                                          u_grid[min(i + 1, 255)], 1e-10)
+        if sign * y_grid[i] >= val:
+            return float(u_grid[i]), float(y_grid[i])
+        return float(u_best), float(sign * val)
+
+    reach = hexreg.reachable_set(hexsys)
+    got = [reach.u_at_min, reach.r_min, reach.u_at_max, reach.r_max]
+    want = [*refine(-1.0), *refine(+1.0)]
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    assert reach.y_grid.tobytes() == y_grid.tobytes()
+
+
+def test_reachable_set_refuses_singular_grid_input():
+    """F_u = diag(u - u_127, -1) is singular at the 128th of the 256 sweep
+    inputs: the sweep raises what pi_map raises there."""
+    u_127 = float(np.linspace(0.0, 1.0, 256)[127])
+    sys = hexreg.BilinearSystem(
+        A=np.diag([-u_127, -1.0]), B=np.diag([1.0, 0.0]), b=np.array([1.0, 0.0]),
+        E=np.array([0.0, 1.0]), C=np.array([1.0, 1.0]), D=np.eye(2),
+        u_min=0.0, u_max=1.0,
+    )
+    message = "A \\+ B u numerically singular at u = 0.4980392156862745$"
+    for call in (lambda: hexreg.reachable_set(sys), lambda: hexreg.pi_map(sys, u_127)):
+        with pytest.raises(hexreg.SingularMatrixError, match=message) as err:
+            call()
+        assert err.value.cond == np.inf
+
+
+def test_scenario_with_x0_makes_few_scalar_solves(hexsys, fwd_art, monkeypatch):
+    """The reachable-set sweep is stacked: only its two refinements call
+    pi_map one input at a time."""
+    calls = []
+    one = steady_state.pi_map
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return one(*args, **kwargs)
+
+    monkeypatch.setattr(steady_state, "pi_map", counted)
+    data = {"units": "C", "law": "forwarding", "t_end": 10.0, "dt": 0.1,
+            "reference_schedule": [[0.0, 26.5]],
+            "x0": (fwd_art.x_ss - KELVIN).tolist()}
+    hexreg.scenario_from_dict(data, hexsys, fwd_art)
+    assert 0 < len(calls) < 100
+
+
+def _bowl_system():
+    """C pi(u) = u + 4 / (1 + u) on [0, 3]: a minimum of 3 at u = 1 between
+    two maxima of 4 at u = 0 and u = 3."""
+    return hexreg.BilinearSystem(
+        A=np.diag([-1.0, -1.0]), B=np.diag([0.0, -1.0]), b=np.array([1.0, 0.0]),
+        E=np.array([0.0, 4.0]), C=np.array([1.0, 1.0]), D=np.eye(2),
+        u_min=0.0, u_max=3.0,
+    )
+
+
+def test_reachable_set_interior_minimum():
+    reach = hexreg.reachable_set(_bowl_system())
+    assert reach.r_min == 3.0 and reach.u_at_min == 1.0
+    # the tie between both ends goes to the first grid maximum
+    assert reach.r_max == 4.0 and reach.u_at_max == 0.0
+
+
+def test_invert_reference_takes_smallest_root():
+    """3.5 is met at (2.5 -+ sqrt(4.25)) / 2; the first crossing is the smaller."""
+    eq = hexreg.invert_reference(_bowl_system(), 3.5)
+    assert eq.u_ss == 0.2192235935955848
+    assert eq.u_ss == pytest.approx((2.5 - np.sqrt(4.25)) / 2.0, abs=1e-15)
+
+
+def test_invert_reference_stops_at_first_crossing():
+    """C pi(u) = (0.2 - u) / (u - c) crosses 0 at u = 0.2 and changes sign
+    again at its pole c.  Bisecting that second bracket would close in on
+    the singular F_c; the scan stops at the first crossing instead."""
+    c = 0.701
+    sys = hexreg.BilinearSystem(
+        A=np.diag([-c, -1.0]), B=np.diag([1.0, 0.0]), b=np.array([1.0, 0.0]),
+        E=np.array([-0.2, 0.0]), C=np.array([1.0, 0.0]), D=np.eye(2),
+        u_min=0.0, u_max=1.0,
+    )
+    eq = hexreg.invert_reference(sys, 0.0)
+    assert eq.u_ss == pytest.approx(0.2, abs=1e-12) and abs(eq.y_ss) <= 1e-8
+
+
 def test_invert_reference_round_trip(hexsys, eq02):
     eq = hexreg.invert_reference(hexsys, eq02.y_ss)
     assert eq.u_ss == pytest.approx(0.02, abs=1e-9)
