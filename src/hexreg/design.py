@@ -411,7 +411,7 @@ def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
         if singular.any():
             i = int(np.argmax(singular))
             raise SingularMatrixError(
-                f"F + B v numerically singular at v = {v[i]!r}", cond=float(kappa[i])
+                f"F + B v numerically singular at v = {float(v[i])}", cond=float(kappa[i])
             )
         y1 = np.linalg.solve(Fv, g[:, None])[..., 0]
         w = np.linalg.solve(Fv, _rowwise(sys.B, y1)[..., None])[..., 0]

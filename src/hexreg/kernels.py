@@ -1,16 +1,20 @@
 """Hot-loop integration kernel: fixed-step RK4 over the stacked closed loop.
 
-Stacked state s = [x (n), x_hat (n), z].  The x_hat block only moves for
-the output-feedback law; other laws carry it with zero derivative.  All
-matrix reads go through one stacked operator G = [A; B; P; M; C; D] so each
-stage costs at most two matrix-vector products per state vector.
+The loop runs in deviations from the anchor: the state is
+s = [x - x_ss, 1, x_hat - x_ss, 1, z], with the estimate block only for the
+output-feedback law.  Through the constant ones, one stacked operator
+G = [[A, A x_ss + E]; [B, g_ss]; [P, 0]; [M, 0]; [M B, M g_ss];
+[C, C x_ss]; [D, D x_ss]] carries the affine terms, so each stage costs one
+matrix-vector product per state block, and the law is exactly zero at the
+anchor.  The stage derivatives fill the rows of one block K, and each step
+adds (dt b) @ K, with b the RK4 weights.
 
 closed_loop_rk4 advances one trajectory from a start of shape (n,), or k
 trajectories that differ only in their start from one of shape (k, n).
-Each law is written once; the rank only picks how the loop indexes,
-multiplies, takes scalars and clamps.  Every row performs the same
-floating-point operations in the same order, so each batch row is bit for
-bit the single-trajectory result on that start, whatever k is.
+Each law is written once; the rank only picks how the loop reads and
+stores scalars and clamps.  Every row performs the same floating-point
+operations in the same order, so each batch row is bit for bit the
+single-trajectory result on that start, whatever k is.
 """
 
 from __future__ import annotations
@@ -54,50 +58,64 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     """
     sys, art = scn.sys, scn.artifacts
     dt, n_steps = scn.dt, scn.n_steps
-    # G @ x yields every product at once.  Reordering its rows changes the
-    # bits BLAS returns, so the order stays [A; B; P; M; C; D].
-    G = np.ascontiguousarray(
-        np.vstack([sys.A, sys.B, art.P, art.M[None, :], sys.C[None, :], sys.D]))
-    bvec, Evec = sys.b, sys.E
     u_lo, u_hi = sys.u_min, sys.u_max
     law = LAW_CODES[scn.law]
     u_ss, sign_dc = art.u_ss, art.sign_dc
     kp, ki = art.k_p, art.k_i
     kp_pi, ki_pi = scn.kp_pi, scn.ki_pi
-    g_ss = sys.input_gain(art.x_ss)
-    Bxss = sys.B @ art.x_ss
-    Pxss = art.P @ art.x_ss
-    Mxss = float(art.M @ art.x_ss)
-
-    n = sys.n_states
-    p = sys.n_outputs
+    x_ss, g_ss, M = art.x_ss, sys.input_gain(art.x_ss), art.M[None, :]
+    n, p = sys.n_states, sys.n_outputs
+    # G @ [x - x_ss, 1] yields A x + E, w = B x + b, P (x - x_ss),
+    # M (x - x_ss), M w, C x and D x.  Reordering its rows changes the bits
+    # BLAS returns, so the order stays as written.
+    G = np.ascontiguousarray(np.column_stack([
+        np.vstack([sys.A, sys.B, art.P, M, M @ sys.B, sys.C[None, :], sys.D]),
+        np.concatenate([sys.A @ x_ss + sys.E, g_ss, np.zeros(n + 1), M @ g_ss,
+                        [sys.C @ x_ss], sys.D @ x_ss])]))
+    ia, ib, ip, iy = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n + 3, None)
     T = n_steps + 1
+    observer = law == 1
+    feedback = law == 0 or observer
     lead = x0.shape[:-1]   # () for one trajectory, (k,) for k
     if lead:
         # Per-trajectory scalars are (k, 1) columns, which broadcast against
-        # the (k, n) blocks as a float does against (n,).
-        cols = lambda lo, hi: (slice(None), slice(lo, hi))
-        get = lambda a, i: a[:, i : i + 1]
+        # the (k, n) blocks as a float does against (n,); scalars(v) splits
+        # the columns of v, as tolist splits one trajectory's entries.
+        scalars = lambda v: v.T[..., None]
         # This operand order returns u itself on a signed-zero tie with a
         # bound, as the conditional below does.
         clamp = lambda u: np.minimum(u_hi, np.maximum(u_lo, u))
-        mv, dot = _rowwise, _rowdot
-        iz, scalar_shape = cols(2 * n, 2 * n + 1), lead + (T, 1)
+        scalar_shape = lead + (T, 1)
     else:
-        cols, get, mv = slice, np.ndarray.item, np.matmul
-        dot = lambda a, b: float(np.dot(a, b))
+        scalars = np.ndarray.tolist
         clamp = lambda u: u_lo if u < u_lo else (u_hi if u > u_hi else u)
-        iz, scalar_shape = 2 * n, (T,)
+        scalar_shape = (T,)
 
-    ix, ixh = cols(0, n), cols(n, 2 * n)                 # blocks of s
-    ia, ib, ip = cols(0, n), cols(n, 2 * n), cols(2 * n, 3 * n)  # of G @ x
-    idy = cols(3 * n + 2, 3 * n + 2 + p)
-    row_m, row_c = 3 * n, 3 * n + 1
-    Mrow = G[row_m]
-    observer = law == 1
-    feedback = law == 0 or observer
+    # The state is [x - x_ss, 1, x_hat - x_ss, 1, z], the estimate block
+    # only for the output-feedback law.  The ones carry the affine terms
+    # through G, and a deviation is an exact zero at the anchor.
+    W = 2 * n + 3 if observer else n + 2
+    ix, ixh = slice(0, n), slice(n + 1, 2 * n + 1)
+    s, st, ds = (np.zeros(lead + (W,)) for _ in range(3))
+    s[..., ix] = x0 - x_ss
+    s[..., n :: n + 1] = 1.0
+    s[..., -1] = z0
+    K = np.zeros(lead + (4, W))   # row j: the derivative at stage j
+    gx, gxh = np.empty(lead + (len(G),)), np.empty(lead + (len(G),))
+    acc, innov, corr = np.empty(lead + (1,)), np.empty(lead + (p,)), np.empty(lead + (n,))
     if observer:
+        s[..., ixh] = xhat0 - x_ss
         L = np.ascontiguousarray(art.observer.L)
+    # Fixed views of these buffers.  Product operands are columns, so each
+    # batch row makes the same BLAS call that one trajectory makes.
+    operands = lambda v: (v[..., : n + 1, None], v[..., n + 1 : 2 * n + 2, None], v[..., -1:])
+    stage_in = [operands(s)] + 3 * [operands(st)]
+    Kj = [K[..., j, :] for j in range(4)]
+    Kx, Kxh, Kz = ([K[..., j, i] for j in range(4)] for i in (ix, ixh, slice(-1, None)))
+    ga, gb, gy = gx[..., ia], gx[..., ib], gx[..., iy]
+    gh = gxh if observer else gx
+    dot_in = (gh[..., None, ip], gh[..., ib, None], acc[..., None])
+    gx_mwc, gh_mw = gx[..., 3 * n : 3 * n + 3], gh[..., 3 * n : 3 * n + 2]
 
     X = np.empty(lead + (T, n))
     XH = np.empty(lead + (T, n)) if observer else None
@@ -105,12 +123,6 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     # A batch's scalar series keep a trailing axis of one while they fill,
     # so a (k, 1) column stores into [:, step] as a float into [step].
     Z, U_raw, U_sat, Err = (np.empty(scalar_shape) for _ in range(4))
-
-    s = np.empty(lead + (2 * n + 1,))
-    s[ix] = x0
-    s[ixh] = xhat0
-    s[iz] = z0
-    kcur = np.zeros(lead + (2 * n + 1,))  # the estimate block stays zero without an observer
 
     # Stage j is evaluated at t + a_j dt with a = (0, 1/2, 1/2, 1).  The
     # reference is the last entry whose time is <= t_j (the first entry
@@ -122,17 +134,18 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     nref, ndist = len(ref_times), len(dist_times)
     r_first = ref_vals[0]
     stage_h = (0.0, 0.5 * dt, 0.5 * dt, 1.0 * dt)   # a_j * dt
-    stage_b = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
     stage_slot = (0, 1, 1, 2)
-    ref_at = [0, 0, 0]
-    dist_at = [0, 0, 0]
+    stage_b = dt * np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])  # dt b_j
+    ref_at, dist_at = [0, 0, 0], [0, 0, 0]
 
     bad_step = -1
     for step in range(T):
         t = step * dt
         at = (slice(None), step) if lead else step
         for j in range(4):
-            st = s + stage_h[j] * kcur if j else s
+            if j:
+                np.multiply(Kj[j - 1], stage_h[j], out=st)
+                np.add(st, s, out=st)
             tj = t + stage_h[j]
             slot = stage_slot[j]
             i = ref_at[slot]
@@ -146,18 +159,18 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
             dist_at[slot] = i
             d = dist_vals[i - 1] if i else 0.0
 
-            x = st[ix]
-            z = get(st, 2 * n)
-            gx = mv(G, x)
-            e = get(gx, row_c) - r + d
-            gxh = mv(G, st[ixh]) if observer else gx
-
+            x_in, xh_in, z_in = stage_in[j]
+            np.matmul(G, x_in, out=gx[..., None])
+            mx, mw, yc = scalars(gx_mwc)
+            (z,) = scalars(z_in)
+            e = yc - r + d
+            if observer:
+                np.matmul(G, xh_in, out=gxh[..., None])
+                mx, mw = scalars(gh_mw)
             if feedback:
-                w = gxh[ib] - Bxss + g_ss
-                acc_p = dot(gxh[ip] - Pxss, w)
-                mw = dot(Mrow, w)
-                mxt = get(gxh, row_m) - Mxss
-                phi = -kp * acc_p + ki * (z - mxt) * mw
+                np.matmul(*dot_in[:2], out=dot_in[2])
+                (acc_p,) = scalars(acc)
+                phi = -kp * acc_p + ki * (z - mx) * mw
             elif law == 2:
                 phi = sign_dc * ki * z
             else:
@@ -167,35 +180,37 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
             us = clamp(u_raw)
 
             if j == 0:
-                X[at] = x
+                X[at] = s[..., ix]
                 if observer:
-                    XH[at] = st[ixh]
+                    XH[at] = s[..., ixh]
                 Z[at] = z
                 U_raw[at] = u_raw
                 U_sat[at] = us
                 Err[at] = e
-                Y[at] = gx[idy]
+                Y[at] = gy
                 if step == n_steps:
                     break
 
-            kcur[ix] = gx[ia] + (gx[ib] + bvec) * us + Evec
+            np.multiply(gb, us, out=Kx[j])
+            np.add(Kx[j], ga, out=Kx[j])
             if observer:
-                innov = gx[idy] - gxh[idy]
-                kcur[ixh] = gxh[ia] + (gxh[ib] + bvec) * us + Evec + mv(L, innov)
-            kcur[iz] = e
-            if j == 0:
-                # + 0.0 turns a -0.0 term into +0.0, as a sum started from
-                # zero does.
-                acc = stage_b[0] * kcur + 0.0
-            else:
-                acc += stage_b[j] * kcur
+                np.subtract(gy, gxh[..., iy], out=innov)
+                np.matmul(L, innov[..., None], out=corr[..., None])
+                np.multiply(gxh[..., ib], us, out=Kxh[j])
+                np.add(Kxh[j], gxh[..., ia], out=Kxh[j])
+                np.add(Kxh[j], corr, out=Kxh[j])
+            Kz[j][...] = e
         if step == n_steps:
             break
-        s = s + dt * acc
+        np.matmul(stage_b, K, out=ds)
+        np.add(s, ds, out=s)
         if not np.isfinite(s).all():
             bad_step = step + 1
             break
 
+    X += x_ss
+    if observer:
+        XH += x_ss
     if lead:
         Z, U_raw, U_sat, Err = (a[..., 0] for a in (Z, U_raw, U_sat, Err))
     return X, XH, Z, U_raw, U_sat, Err, Y, bad_step

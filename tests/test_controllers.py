@@ -108,15 +108,19 @@ def rhs(scn, s, t, error_form=False):
     return np.concatenate([dx, dxh, [e]]), p
 
 
+def rk4_from(scn, s, t, error_form=False):
+    """phi at t and the stacked state s after one classic RK4 step from t."""
+    k1, p0 = rhs(scn, s, t, error_form)
+    k2, _ = rhs(scn, s + 0.5 * DT * k1, t + 0.5 * DT, error_form)
+    k3, _ = rhs(scn, s + 0.5 * DT * k2, t + 0.5 * DT, error_form)
+    k4, _ = rhs(scn, s + DT * k3, t + DT, error_form)
+    return p0, s + DT / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_step(scn, z0, error_form=False):
     """phi at t = 0 and the stacked state after one classic RK4 step."""
-    x_hat0 = scn.x0 if scn.x_hat0 is None else scn.x_hat0
-    s = np.concatenate([scn.x0, x_hat0, [z0]])
-    k1, p0 = rhs(scn, s, 0.0, error_form)
-    k2, _ = rhs(scn, s + 0.5 * DT * k1, 0.5 * DT, error_form)
-    k3, _ = rhs(scn, s + 0.5 * DT * k2, 0.5 * DT, error_form)
-    k4, _ = rhs(scn, s + DT * k3, DT, error_form)
-    return p0, s + DT / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s = np.concatenate([scn.x0, scn.x_hat0, [z0]])
+    return rk4_from(scn, s, 0.0, error_form)
 
 
 def assert_step_matches(scn, z0):
@@ -268,3 +272,63 @@ def test_integrator_rhs(hexsys, fwd_art):
     _, _, Z, _, Err = kernel_step(scn, 1.5)
     assert Err[0] == pytest.approx(0.75, rel=1e-12)
     assert Z[1] == pytest.approx(1.5 + DT * 0.75, rel=1e-12)
+
+
+# -- many steps --------------------------------------------------------------
+
+
+STEPS = 40
+
+
+@pytest.mark.parametrize("law", [hexreg.FORWARDING, hexreg.OUTPUT_FEEDBACK,
+                                 hexreg.INTEGRAL_ONLY, hexreg.PI])
+def test_kernel_matches_chained_rk4_steps(law, hexsys, fwd_art, io_art,
+                                          synthetic_observable, of_art):
+    """STEPS kernel steps against rk4_from chained STEPS times, through a
+    reference step, a disturbance step and its release, from starts that
+    saturate the input both ways and not at all.  This covers the kernel's
+    deviation coordinates and its one-product RK4 sum beyond one step."""
+    rng = np.random.default_rng(12)
+    toy = law == hexreg.OUTPUT_FEEDBACK
+    sys = synthetic_observable if toy else hexsys
+    art = {hexreg.OUTPUT_FEEDBACK: of_art, hexreg.INTEGRAL_ONLY: io_art}.get(law, fwd_art)
+    n = sys.n_states
+    dr, dd = (0.25, 0.5) if toy else (2.0, 8.0)
+    r0 = float(sys.C @ art.x_ss)
+    gains = dict(kp_pi=-0.01, ki_pi=-0.001) if law == hexreg.PI else {}
+    near = lambda spread: art.x_ss + rng.normal(0.0, spread, n)
+    if law == hexreg.FORWARDING:
+        starts = [(near(s), None, float(rng.normal(0.0, 0.1))) for s in (1e-3, 5.0, 5.0, 5.0)]
+    elif toy:
+        starts = [(x0, x0 + rng.normal(0.0, s, n), float(rng.normal(0.0, 0.1)))
+                  for x0, s in ((near(2.0), 0.01), (near(2.0), 1.0), (near(2.0), 30.0))]
+    elif law == hexreg.INTEGRAL_ONLY:
+        span = sys.u_max - sys.u_min
+        starts = [(near(1.0), None, c * span / art.k_i) for c in (0.0, 1.0, -1.0)]
+    else:
+        starts = [(art.x_ss, None, 0.0)]
+    saturated = set()
+    for x0, x_hat0, z0 in starts:
+        scn = make_scenario(sys, art, law, STEPS * DT, DT,
+                            [[0.0, r0], [10.3 * DT, r0 + dr]],
+                            dists=[[20.6 * DT, dd], [30.2 * DT, 0.0]],
+                            x0=x0, x_hat0=x_hat0, **gains)
+        X, XH, Z, U_raw, _, _, _, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, z0)
+        assert bad == -1
+        s = np.concatenate([scn.x0, scn.x_hat0, [z0]])
+        states, u_raw = [], []
+        for step in range(STEPS + 1):
+            p, s_next = rk4_from(scn, s, step * DT)
+            states.append(s)
+            u_raw.append(art.u_ss + p)
+            s = s_next
+        states = np.array(states)
+        assert X == pytest.approx(states[:, :n], rel=1e-10)
+        if toy:
+            assert XH == pytest.approx(states[:, n:2 * n], rel=1e-10)
+        else:
+            assert XH is None
+        assert Z == pytest.approx(states[:, 2 * n], rel=1e-10)
+        assert U_raw == pytest.approx(np.array(u_raw), rel=1e-10)
+        saturated |= set((U_raw < sys.u_min).astype(int) - (U_raw > sys.u_max))
+    assert saturated == {-1, 0, 1}
