@@ -157,12 +157,14 @@ def assumption_report(
     v_grid deviations v of the full range [u_min - u_max, u_max - u_min],
     admissible effective input or not.
 
-    Part (b) runs on stacks of F_u + B v, 64 deviations at a time so the
-    temporaries stay small.  steady_state.screen_singular marks a pair
-    singular exactly when cond_2(F_u + B v) > 1e14 or is not finite, as a
-    per-pair cond test would: a Frobenius bound |F|_F |F^-1|_F <= 1e12
-    clears a matrix without an SVD, and only the rest get the exact cond.
-    The remaining pairs share one stacked solve, and kernels._rowdot takes
+    Before the sweep, steady_state.screen_singular screens all u_grid x
+    v_grid pairs as the one family A + w B, w = u + v, each pair formed as
+    F_u + B v.  It marks a pair singular exactly when cond_2(F_u + B v) >
+    1e14 or is not finite, as a per-pair cond test would: the inverses of
+    a few anchors in w clear the well-conditioned pairs, and only the rest
+    get their own inverse or the exact cond.  Part (b) then runs on stacks
+    of F_u + B v, 64 deviations at a time so the temporaries stay small.
+    The pairs not marked share one stacked solve, and kernels._rowdot takes
     C times each solution with the dot product of a per-pair loop, so every
     value, minimum and sign count keeps its bits.  Before the sweep, every
     argument is checked: a grid below 2 points, or swept and above 10**6.
@@ -172,6 +174,7 @@ def assumption_report(
         raise ValueError(f"grid sizes must be >= 2, got ({u_grid!r}, {v_grid!r})")
     if n_u > _MAX_GRID or (P is not None and n_v > _MAX_GRID):
         raise ValueError(f"grid sizes must be <= {_MAX_GRID}, got ({u_grid!r}, {v_grid!r})")
+    us = np.linspace(sys.u_min, sys.u_max, n_u)
     if P is not None:
         if nu is None or eps is None:
             raise ValueError("nu and eps are required alongside P")
@@ -186,12 +189,13 @@ def assumption_report(
         mu = input_coupling_bound(sys)
         v_range = (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
         vs = np.linspace(v_range[0], v_range[1], n_v)
+        pair_singular, _ = screen_singular(sys.A, sys.B, us[:, None], vs)
 
     hurwitz = a3a = -np.inf
     gains = np.full(n_u, np.nan)
     dc_singular = 0
     min_abs, singular, pos, neg = np.inf, 0, 0, 0
-    for i, u in enumerate(np.linspace(sys.u_min, sys.u_max, n_u)):
+    for i, u in enumerate(us):
         u = float(u)
         F = sys.frozen(u)
         hurwitz = max(hurwitz, float(np.max(np.linalg.eigvals(F).real)))
@@ -209,7 +213,7 @@ def assumption_report(
         a3a = max(a3a, float(np.linalg.eigvalsh(block)[-1]))
         for start in range(0, n_v, _STACK_BLOCK):
             Fv = F + sys.B * vs[start : start + _STACK_BLOCK, None, None]
-            bad, _ = screen_singular(Fv)
+            bad = pair_singular[i, start : start + _STACK_BLOCK]
             singular += int(np.count_nonzero(bad))
             vals = _rowdot(sys.C, np.linalg.solve(Fv[~bad], g_u[:, None])[..., 0])[:, 0]
             # fmin skips NaN, as a scalar min over the pairs does

@@ -391,11 +391,12 @@ def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
     invertible whenever the frozen family is Hurwitz.  A 512-point sweep
     plus golden-section refinement around the peak.
 
-    The sweep runs on stacks of F + B v, 64 at a time so the temporaries
-    stay small.  steady_state.screen_singular refuses a stack with
-    SingularMatrixError at the first v whose matrix has cond_2 > 1e14: a
-    Frobenius bound clears the well-conditioned ones and the exact cond
-    decides the rest, so the verdict is that of cond alone.  The stacked
+    steady_state.screen_singular screens the sweep as the one family
+    F + B v and refuses it with SingularMatrixError at the first v whose
+    matrix has cond_2 > 1e14: a few anchor inverses clear the
+    well-conditioned members and the exact cond decides the rest, so the
+    verdict is that of cond alone.  The solves then run on stacks of
+    F + B v, 64 at a time so the temporaries stay small.  The stacked
     solves, per-row products (kernels._rowwise, _rowdot) and sqrt make the
     same floating-point operations as one point at a time, so every
     magnitude keeps its bits.  steady_state._refine_peak refines the peak,
@@ -406,21 +407,24 @@ def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
     g = sys.input_gain(eq.x_ss)
 
     def magnitudes(v: np.ndarray) -> np.ndarray:
-        Fv = F + sys.B * v[:, None, None]
-        singular, kappa = screen_singular(Fv)
+        singular, kappa = screen_singular(F, sys.B, v)
         if singular.any():
             i = int(np.argmax(singular))
             raise SingularMatrixError(
                 f"F + B v numerically singular at v = {float(v[i])}", cond=float(kappa[i])
             )
-        y1 = np.linalg.solve(Fv, g[:, None])[..., 0]
-        w = np.linalg.solve(Fv, _rowwise(sys.B, y1)[..., None])[..., 0]
-        y2 = v[:, None] * w - y1
-        return np.sqrt(_rowdot(y2, y2)[:, 0])
+        out = np.empty(len(v))
+        for k in range(0, len(v), _STACK_BLOCK):
+            vk = v[k : k + _STACK_BLOCK]
+            Fv = F + sys.B * vk[:, None, None]
+            y1 = np.linalg.solve(Fv, g[:, None])[..., 0]
+            w = np.linalg.solve(Fv, _rowwise(sys.B, y1)[..., None])[..., 0]
+            y2 = vk[:, None] * w - y1
+            out[k : k + _STACK_BLOCK] = np.sqrt(_rowdot(y2, y2)[:, 0])
+        return out
 
     grid = np.linspace(lo, hi, _PI_SHIFT_GRID)
-    vals = np.concatenate([magnitudes(grid[k : k + _STACK_BLOCK])
-                           for k in range(0, _PI_SHIFT_GRID, _STACK_BLOCK)])
+    vals = magnitudes(grid)
     _, peak = _refine_peak(lambda v: float(magnitudes(np.array([v]))[0]),
                            grid, vals, 1e-10 * (1.0 + hi - lo))
     return peak

@@ -12,6 +12,7 @@ bracketed bisection, and golden-section refinement of a grid peak.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,11 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e14  # a matrix with 2-norm condition number above this is singular
-_COND_CLEAR = 1e12  # a Frobenius bound at or below this clears a matrix without an SVD
+# an anchor's Neumann bound, or a member's own |F|_F |F^-1|_F, at or below
+# this clears the member without an SVD; 100x below the cut, it absorbs the
+# rounding of the computed inverse
+_COND_CLEAR = 1e12
+_EPS = float(np.finfo(np.float64).eps)
 _STACK_BLOCK = 64  # matrices per stacked screen and solve; bounds the (block, n, n) temporaries
 _REACH_GRID = 256  # inputs in the sweep of the reachable set
 _BISECT_MAX_ITER = 200
@@ -66,49 +71,127 @@ class ReachableSet:
         return (self.r_min - tol) <= r <= (self.r_max + tol)
 
 
-def screen_singular(F) -> tuple[np.ndarray, np.ndarray]:
-    """Which of the matrices F, of shape (n, n) or (k, n, n), are numerically
-    singular: (singular, kappa), each of shape () or (k,).
+def _frobenius(X: np.ndarray) -> np.float64:
+    """|X|_F of one matrix; inf where that overflows."""
+    return np.sqrt(np.vdot(X, X))
 
-    The verdict is that of the exact test, cond_2(F) not finite or above
-    1e14, but the SVD behind cond runs only where a cheap bound cannot clear
-    the matrix.  kappa_2(F) <= |F|_F |F^-1|_F, with one stacked inverse; a
-    matrix whose bound is finite and at most 1e12 is cleared, since its
-    exact condition number, even as computed, lies far below 1e14.  Where
-    the bound is larger or not finite, or where the inverse raises, kappa
-    is np.linalg.cond.  So kappa is the bound on cleared matrices and the
-    exact condition number on the rest.
+
+def screen_singular(M, B, *shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Which members of the affine family M + t B are numerically singular:
+    (singular, kappa), each of the shape the shifts broadcast to.
+
+    Member i is M + B s_1[i] + ... + B s_m[i], for m shifts broadcast
+    together, formed in that order with one rounded update per shift, as
+    the callers form it; its parameter is t_i = s_1[i] + ... + s_m[i].  The
+    verdict is that of the exact test, cond_2 not finite or above 1e14, but
+    most members are cleared from the inverse R of an anchor
+    F_a = M + t_a B.  With Delta a bound on the rounding of member and
+    anchor,
+
+        rho = |t - t_a| |R B|_F + |R|_F Delta < 1
+
+    gives, by the Neumann series, kappa_2(F) <= |F|_F |R|_F / (1 - rho).  A
+    member is cleared when rho <= 1/2 and this bound is at most 1e12: its
+    exact condition number, even as computed, lies far below 1e14.  Both
+    tests hold out to a reach in |t - t_a|.  The anchors walk the members
+    in order of t: each sits one reach of the last anchor past the first
+    member not yet cleared, or on that member when that misses it.
+
+    A member that no anchor clears, and the member of a family of one,
+    takes the per-matrix test: its own inverse, the bound
+    |F|_F |F^-1|_F, and np.linalg.cond where that bound is above 1e12 or
+    not finite, or where the inverse raises.  So kappa is a bound on
+    cleared members and the exact condition number on the rest.  Only the
+    members that take the per-matrix test are built, 64 at a time.
     """
-    F = np.asarray(F, dtype=np.float64)
-    stack = F.reshape((-1,) + F.shape[-2:])
-    try:
-        inv = np.linalg.inv(stack)
-    except np.linalg.LinAlgError:
-        kappa = np.linalg.cond(stack)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            kappa = np.sqrt(np.einsum("kij,kij->k", stack, stack)
-                            * np.einsum("kij,kij->k", inv, inv))
-        hard = ~(kappa <= _COND_CLEAR)
-        if hard.any():
-            kappa[hard] = np.linalg.cond(stack[hard])
-    kappa = kappa.reshape(F.shape[:-2])
+    M = np.asarray(M, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    shifts = np.broadcast_arrays(*(np.asarray(s, dtype=np.float64) for s in shifts))
+    with np.errstate(all="ignore"):
+        # an anchor clears one member no cheaper than its own inverse does
+        if shifts[0].size > 1:
+            kappa, own = _walk_anchors(M, B, shifts)
+        else:
+            kappa, own = np.empty(shifts[0].shape), np.zeros(shifts[0].size, np.intp)
+        for j in range(0, len(own), _STACK_BLOCK):
+            rows = np.unravel_index(own[j : j + _STACK_BLOCK], kappa.shape)
+            F = M
+            for s in shifts:
+                F = F + B * s[rows][:, None, None]
+            try:
+                inv = np.linalg.inv(F)
+            except np.linalg.LinAlgError:
+                bound = np.full(len(F), np.inf)
+            else:
+                bound = np.sqrt(np.einsum("kij,kij->k", F, F) * np.einsum("kij,kij->k", inv, inv))
+            hard = ~(bound <= _COND_CLEAR)
+            if hard.any():
+                bound[hard] = np.linalg.cond(F[hard])
+            kappa[rows] = bound
     return ~(kappa <= _COND_LIMIT), kappa
+
+
+def _walk_anchors(M, B, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """The anchor walk of screen_singular: kappa, in the shape of the
+    shifts, with the bound of each member the walk clears, and the flat
+    indices of the members left over."""
+    t = functools.reduce(np.add, shifts)
+    shape = t.shape
+    order = np.argsort(t, axis=None, kind="stable")
+    ts = t.reshape(-1)[order]
+    del t  # three numbers per member at a time: order, ts and kappa
+    kappa = np.empty(shape)
+    flat = kappa.reshape(-1)
+    norm_B = _frobenius(B)
+    # the member's rounded updates, the anchor's one and the sum t
+    delta = 4.0 * (len(shifts) + 1) * _EPS * (
+        _frobenius(M) + 2.0 * sum(max(s.max(), -s.min()) for s in shifts) * norm_B)
+    own = []
+    i, reach = 0, 0.0
+    while i < len(ts):
+        t_a = min(ts[i] + reach, ts[-1])
+        F_a = M + B * t_a
+        try:
+            R = np.linalg.inv(F_a)
+        except np.linalg.LinAlgError:
+            R = np.full_like(F_a, np.nan)
+        norm_R, norm_RB, norm_F = _frobenius(R), _frobenius(R @ B), _frobenius(F_a)
+        rho_0 = norm_R * delta
+        # rho <= 1/2 and the bound <= 1e12 hold together for |t - t_a| <= reach;
+        # a NaN reach clears nothing
+        reach = np.minimum((0.5 - rho_0) / norm_RB,
+                           (_COND_CLEAR * (1.0 - rho_0) - (norm_F + delta) * norm_R)
+                           / (norm_B * norm_R + _COND_CLEAR * norm_RB))
+        lo, hi = ts.searchsorted((t_a - reach, t_a + reach), side="right")
+        if reach >= 0.0 and lo <= i < hi:
+            d = np.abs(ts[i:hi] - t_a)
+            flat[order[i:hi]] = (norm_F + d * norm_B + delta) * norm_R / (1.0 - rho_0 - d * norm_RB)
+            i = hi
+        elif t_a != ts[i]:
+            reach = 0.0
+        else:
+            # the anchor is on member i: nothing at its t can be cleared
+            j = ts.searchsorted(t_a, side="right")
+            own.extend(order[i:j])
+            i, reach = j, 0.0
+    return kappa, np.array(own, dtype=np.intp)
 
 
 def _equilibria(sys: BilinearSystem, us: np.ndarray) -> np.ndarray:
     """pi(u) for each input of us, one row each, in stacks of 64 F_u.
 
-    Per input: screen_singular, one solve, one refinement and a check of
-    the residual F x + b u + E.  Stacked solves and kernels._rowwise keep
-    the bits of pi_map at each input, and the first input that fails
-    raises what pi_map raises there.
+    screen_singular screens all of us as the one family A + u B.  Then per
+    input: one solve, one refinement and a check of the residual
+    F x + b u + E.  Stacked solves and kernels._rowwise keep the bits of
+    pi_map at each input, and the first input that fails raises what
+    pi_map raises there.
     """
     out = np.empty((len(us), sys.n_states))
+    refused, kappa = screen_singular(sys.A, sys.B, us)
     for k in range(0, len(us), _STACK_BLOCK):
         u = us[k : k + _STACK_BLOCK]
         F = sys.A + sys.B * u[:, None, None]
-        singular, kappa = screen_singular(F)
+        singular = refused[k : k + _STACK_BLOCK]
         # a refused matrix is swapped for I so the stacked solve cannot raise
         F[singular] = np.eye(sys.n_states)
         rhs = -(sys.b * u[:, None] + sys.E)
@@ -122,7 +205,7 @@ def _equilibria(sys: BilinearSystem, us: np.ndarray) -> np.ndarray:
             at = f"at u = {float(u[i])!r}"
             if singular[i]:
                 raise SingularMatrixError(f"A + B u numerically singular {at}",
-                                          cond=float(kappa[i]))
+                                          cond=float(kappa[k + i]))
             raise SingularMatrixError(
                 f"equilibrium residual {residual[i]:.3e} exceeds {limit[i]:.3e} {at}")
         out[k : k + _STACK_BLOCK] = x

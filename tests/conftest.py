@@ -4,6 +4,9 @@ Everything heavy is session-scoped so the design work (Lyapunov solves,
 grid suprema) runs once for the whole suite.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,18 @@ TABLE1 = dict(
     u_min=0.0,
     u_max=0.05,
 )
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this hexreg.
+
+    A child may run in another directory, where a relative PYTHONPATH
+    entry (such as src) no longer resolves; the imported package's root
+    goes first."""
+    env = dict(os.environ)
+    pkg_root = str(Path(hexreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -307,6 +307,23 @@ def test_assumption3b_screen_matches_cond(delta, cond_range, singular):
     assert want["a3b_singular_points"] == singular
 
 
+def test_assumption3b_screen_inverts_few_pairs(hexsys, table1, monkeypatch):
+    """The 16-state plant's 256 x 513 A3(b) grid is screened from a few
+    anchor inverses: counting every matrix that np.linalg.inv or cond
+    takes, the 256 pi_map calls included, at most 1% of the 131 328 pairs
+    get an inverse or a cond of their own."""
+    taken = []
+    for name in ("inv", "cond"):
+        def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            taken.append(int(np.prod(np.shape(a)[:-2])))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    P = hexreg.hex_analytic_P(table1)
+    rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=256, v_grid=513)
+    assert rep.a3b_singular_points == 0
+    assert sum(taken) <= 0.01 * 256 * 513
+
+
 def test_assumption_report_serializes(hexsys):
     rep = hexreg.assumption_report(hexsys, u_grid=8, v_grid=5)
     d = rep.to_dict()

@@ -1,18 +1,23 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hexreg
 from hexreg import sim
 from hexreg.cli import main
+from hexreg.errors import as_float
 
+from conftest import child_env
 from test_loaders import json_values
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -70,6 +75,19 @@ def test_build_model_malformed_json(tmp_path, capsys):
 
 def test_no_command_is_usage_error():
     assert main([]) == 2
+
+
+def test_python_m_hexreg_runs_cli(tmp_path):
+    """`python -m hexreg` is the hexreg command: --help exits 0, and a
+    verify without its system file is a usage error (2)."""
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "hexreg", *args], env=child_env(),
+                              cwd=str(tmp_path), capture_output=True, text=True)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: hexreg")
+    bare = run("verify")
+    assert bare.returncode == 2 and "usage: hexreg verify" in bare.stderr
 
 
 def test_design_forwarding_artifacts(ws):
@@ -409,6 +427,40 @@ def test_simulate_fuzzed_scenario_exits_cleanly(ws, tmp_path, key, value):
     scn = scenario_file(tmp_path, name="fuzz.json", **{key: value})
     rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
                str(scn), "--out", str(tmp_path / "runs_fuzz")])
+    assert rc in (0, 2, 3)
+
+
+def _step_count(t_end, dt) -> int | None:
+    """round(t_end / dt) where both are finite positive numbers with a
+    finite ratio, as the scenario loader counts steps; None otherwise."""
+    try:
+        t_end, dt = as_float("t_end", t_end), as_float("dt", dt)
+    except ValueError:
+        return None
+    if t_end <= 0.0 or dt <= 0.0 or not math.isfinite(t_end / dt):
+        return None
+    return round(t_end / dt)
+
+
+# arbitrary JSON values, and numbers that often make a short valid run
+_run_length = (json_values | st.integers(1, 20) | st.sampled_from([0.05, 0.1, 0.5, 2.5])
+               | st.floats(1e-12, 1e12))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(t_end=_run_length, dt=_run_length)
+def test_simulate_fuzzed_run_length_exits_cleanly(ws, tmp_path, t_end, dt):
+    """t_end and dt as arbitrary JSON values: the scenario runs (0), is
+    refused as malformed (2) or fails numerically (3); main never raises.
+    A draw is kept when it makes no valid step count, at most 200 steps,
+    or more than the 10**7-step cap; a longer valid run takes minutes."""
+    steps = _step_count(t_end, dt)
+    assume(steps is None or steps <= 200 or steps > sim._MAX_STEPS)
+    scn = scenario_file(tmp_path, name="fuzz_len.json", t_end=t_end, dt=dt)
+    rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
+               str(scn), "--out", str(tmp_path / "runs_len")])
     assert rc in (0, 2, 3)
 
 

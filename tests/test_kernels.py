@@ -1,9 +1,7 @@
 """Simulation kernel: determinism across processes, accuracy."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +9,7 @@ import scipy.linalg as sla
 
 import hexreg
 
-from conftest import KELVIN, make_scenario
+from conftest import KELVIN, child_env, make_scenario
 
 _LANE_SCRIPT = r"""
 import sys
@@ -41,15 +39,9 @@ np.savez(sys.argv[1], x=res.x, u_raw=res.u_raw, e=res.e, V=res.monitors["V"])
 
 def _run_lane(tmp_path, tag):
     """Run _LANE_SCRIPT in a fresh interpreter and load what it saved."""
-    env = dict(os.environ)
-    # The child runs in tmp_path, where a relative PYTHONPATH entry (such
-    # as src) no longer resolves; put the imported package's root first.
-    pkg_root = str(Path(hexreg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [pkg_root, env.get("PYTHONPATH")]))
     out = tmp_path / f"{tag}.npz"
     subprocess.run([sys.executable, "-c", _LANE_SCRIPT, str(out)],
-                   check=True, env=env, cwd=str(tmp_path))
+                   check=True, env=child_env(), cwd=str(tmp_path))
     return np.load(out)
 
 

@@ -270,44 +270,65 @@ def test_equilibria_are_kelvin_scale(eq265):
     assert 0.0 < eq265.u_ss < 0.05
 
 
-def _conditioned_stack(seed, k, n, log_conds, scales, singular_rows):
-    """k random n x n matrices U diag(s) V^T with cond 10**log_cond, scaled;
-    a matrix listed in singular_rows gets its last row equal to its first.
-    The inner singular values sit at either end or between, so the
-    Frobenius bound ranges from the exact condition number to n/2 times it."""
+def _singular_family(seed, n, t_star, log_cond, scale):
+    """M and B of an n x n family M + t B that is singular at t_star in
+    exact arithmetic: M + t_star B = U diag(s) V^T, scaled, with s_n = 0 and
+    the inner singular values between 10**-log_cond and 1.  Near t_star the
+    condition number grows as 1 / |t - t_star|."""
     rng = np.random.default_rng(seed)
-    out = np.empty((k, n, n))
-    for i in range(k):
-        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        t = rng.choice([0.0, 1.0, rng.uniform()], size=n)
-        t[0], t[-1] = 0.0, 1.0
-        s = 10.0 ** (-log_conds[i] * t)
-        out[i] = 10.0 ** scales[i] * (U * s) @ V.T
-        if i in singular_rows and n > 1:
-            out[i, -1] = out[i, 0]
-    return out
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = 10.0 ** (-log_cond * rng.uniform(size=n))
+    s[0], s[-1] = 1.0, 0.0
+    B = 10.0 ** scale * rng.standard_normal((n, n))
+    M = 10.0 ** scale * (U * s) @ V.T - t_star * B
+    return M, B
+
+
+# a member's offset from the singular parameter: on it, near it (half the
+# draws where the condition number meets 1e12 and 1e14), or far from it
+_offsets = (st.just(0.0)
+            | st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.0, 18.0)
+                        | st.floats(11.5, 14.5)).map(lambda p: p[0] * 10.0 ** -p[1])
+            | st.floats(-3.0, 3.0))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(st.data())
 def test_screen_singular_matches_cond(data):
-    """The screen's verdict on a stack, and on each matrix alone, is the
-    exact test: cond_2 finite and at most 1e14 means not singular."""
-    k = data.draw(st.integers(1, 6), label="k")
+    """The screen's verdict on a family, and on each member alone, is the
+    exact test: cond_2 finite and at most 1e14 means not singular.  Members
+    sit on, near and far from a real generalized eigenvalue of (M, -B), and
+    are formed in one update, M + B t, or in two, (M + B u) + B (t - u), as
+    the A3(b) sweep forms its pairs."""
     n = data.draw(st.integers(1, 8), label="n")
-    # half the draws near 1e12 and 1e14, where the bound and the cut meet
-    log_cond = st.floats(0.0, 18.0) | st.floats(11.5, 14.5)
-    log_conds = data.draw(st.lists(log_cond, min_size=k, max_size=k))
-    scales = data.draw(st.lists(st.floats(-150.0, 150.0), min_size=k, max_size=k))
-    singular_rows = data.draw(st.sets(st.integers(0, k - 1)))
-    F = _conditioned_stack(data.draw(st.integers(0, 2**32 - 1)), k, n,
-                           log_conds, scales, singular_rows)
-    cond = np.linalg.cond(F)
+    t_star = data.draw(st.floats(-2.0, 2.0), label="t_star")
+    M, B = _singular_family(data.draw(st.integers(0, 2**32 - 1), label="seed"), n, t_star,
+                            data.draw(st.floats(0.0, 13.0), label="log_cond"),
+                            data.draw(st.floats(-150.0, 150.0), label="scale"))
+    t = t_star + np.array(data.draw(st.lists(_offsets, min_size=1, max_size=10),
+                                    label="offsets"))
+    if data.draw(st.booleans(), label="two_step"):
+        u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(t),
+                                        max_size=len(t)), label="u"))
+        shifts = (u, t - u)
+    else:
+        shifts = (t,)
+    members = []
+    for i in range(len(t)):
+        F = M
+        for s in shifts:
+            F = F + B * s[i]
+        members.append(F)
+    cond = np.linalg.cond(np.array(members))
     want = ~(np.isfinite(cond) & (cond <= 1e14))
-    singular, kappa = steady_state.screen_singular(F)
-    assert singular.shape == kappa.shape == (k,)
+    singular, kappa = steady_state.screen_singular(M, B, *shifts)
+    assert singular.shape == kappa.shape == (len(t),)
     assert np.array_equal(singular, want)
-    for i in range(k):
-        one, _ = steady_state.screen_singular(F[i])
-        assert one.shape == () and bool(one) == want[i]
+    # kappa bounds a cleared member's condition number and is exact elsewhere
+    hard = ~(kappa <= 1e12)
+    assert np.array_equal(kappa[hard], cond[hard])
+    assert np.all(kappa[~hard] >= cond[~hard] * (1.0 - 1e-3))
+    for i in range(len(t)):
+        one, _ = steady_state.screen_singular(M, B, *(s[i : i + 1] for s in shifts))
+        assert one.shape == (1,) and one[0] == want[i]
