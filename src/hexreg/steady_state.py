@@ -12,7 +12,6 @@ bracketed bisection, and golden-section refinement of a grid peak.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,9 +70,10 @@ class ReachableSet:
         return (self.r_min - tol) <= r <= (self.r_max + tol)
 
 
-def _frobenius(X: np.ndarray) -> np.float64:
-    """|X|_F of one matrix; inf where that overflows."""
-    return np.sqrt(np.vdot(X, X))
+def _frobenius(X: np.ndarray) -> np.ndarray:
+    """|X|_F of each matrix of X, over its last two axes; inf where that
+    overflows."""
+    return np.sqrt(np.einsum("...ij,...ij->...", X, X))
 
 
 def screen_singular(M, B, *shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -97,12 +97,13 @@ def screen_singular(M, B, *shifts) -> tuple[np.ndarray, np.ndarray]:
     in order of t: each sits one reach of the last anchor past the first
     member not yet cleared, or on that member when that misses it.
 
-    A member that no anchor clears, and the member of a family of one,
-    takes the per-matrix test: its own inverse, the bound
-    |F|_F |F^-1|_F, and np.linalg.cond where that bound is above 1e12 or
-    not finite, or where the inverse raises.  So kappa is a bound on
-    cleared members and the exact condition number on the rest.  Only the
-    members that take the per-matrix test are built, 64 at a time.
+    A member that no anchor clears, the member of a family of one, and
+    every member of a family with a shift that is not finite take the
+    per-matrix test: its own inverse, the bound |F|_F |F^-1|_F, and
+    np.linalg.cond where that bound is above 1e12 or not finite, or where
+    the inverse raises.  So kappa is a bound on cleared members and the
+    exact condition number on the rest.  Only the members that take the
+    per-matrix test are built, 64 at a time.
     """
     M = np.asarray(M, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -114,20 +115,20 @@ def screen_singular(M, B, *shifts) -> tuple[np.ndarray, np.ndarray]:
         else:
             kappa, own = np.empty(shifts[0].shape), np.zeros(shifts[0].size, np.intp)
         for j in range(0, len(own), _STACK_BLOCK):
-            rows = np.unravel_index(own[j : j + _STACK_BLOCK], kappa.shape)
+            rows = own[j : j + _STACK_BLOCK]
             F = M
             for s in shifts:
-                F = F + B * s[rows][:, None, None]
+                F = F + B * s.flat[rows][:, None, None]
             try:
                 inv = np.linalg.inv(F)
             except np.linalg.LinAlgError:
                 bound = np.full(len(F), np.inf)
             else:
-                bound = np.sqrt(np.einsum("kij,kij->k", F, F) * np.einsum("kij,kij->k", inv, inv))
+                bound = _frobenius(F) * _frobenius(inv)
             hard = ~(bound <= _COND_CLEAR)
             if hard.any():
                 bound[hard] = np.linalg.cond(F[hard])
-            kappa[rows] = bound
+            kappa.put(rows, bound)
     return ~(kappa <= _COND_LIMIT), kappa
 
 
@@ -135,7 +136,7 @@ def _walk_anchors(M, B, shifts) -> tuple[np.ndarray, np.ndarray]:
     """The anchor walk of screen_singular: kappa, in the shape of the
     shifts, with the bound of each member the walk clears, and the flat
     indices of the members left over."""
-    t = functools.reduce(np.add, shifts)
+    t = sum(shifts)
     shape = t.shape
     order = np.argsort(t, axis=None, kind="stable")
     ts = t.reshape(-1)[order]
@@ -146,6 +147,10 @@ def _walk_anchors(M, B, shifts) -> tuple[np.ndarray, np.ndarray]:
     # the member's rounded updates, the anchor's one and the sum t
     delta = 4.0 * (len(shifts) + 1) * _EPS * (
         _frobenius(M) + 2.0 * sum(max(s.max(), -s.min()) for s in shifts) * norm_B)
+    if not np.isfinite(delta):
+        # a shift that is not finite, or so large that delta overflows: no
+        # anchor can clear a member
+        return kappa, order
     own = []
     i, reach = 0, 0.0
     while i < len(ts):
@@ -167,7 +172,7 @@ def _walk_anchors(M, B, shifts) -> tuple[np.ndarray, np.ndarray]:
             d = np.abs(ts[i:hi] - t_a)
             flat[order[i:hi]] = (norm_F + d * norm_B + delta) * norm_R / (1.0 - rho_0 - d * norm_RB)
             i = hi
-        elif t_a != ts[i]:
+        elif t_a > ts[i]:
             reach = 0.0
         else:
             # the anchor is on member i: nothing at its t can be cleared

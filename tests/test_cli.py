@@ -181,6 +181,20 @@ def test_steady_state_reachable(ws, tmp_path):
     assert data["r_max"] == 307.0
 
 
+def test_steady_state_overflowing_input_grid_exit2(ws, tmp_path):
+    """With u_min = -1e308 and u_max = 1e308 the reachable set's input
+    grid overflows to NaN; steady-state ends with a usage error (2), as
+    np.linalg.cond does on the NaN member."""
+    data = json.loads((ws / "hex.json").read_text())
+    data.update(u_min=-1e308, u_max=1e308)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    done = subprocess.run([sys.executable, "-m", "hexreg", "steady-state", str(path)],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1] == "error: SVD did not converge"
+
+
 def test_steady_state_ref_conflict(ws):
     rc = main(["steady-state", str(ws / "hex.json"), "--u", "0.02",
                "--ref", "26.5"])

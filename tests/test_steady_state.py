@@ -332,3 +332,30 @@ def test_screen_singular_matches_cond(data):
     for i in range(len(t)):
         one, _ = steady_state.screen_singular(M, B, *(s[i : i + 1] for s in shifts))
         assert one.shape == (1,) and one[0] == want[i]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+@pytest.mark.parametrize("two_step", [False, True], ids=["one_step", "two_step"])
+def test_screen_singular_non_finite_member_is_that_of_cond(bad, two_step):
+    """A family with a shift that is not finite, or so large that the
+    screen's rounding bound overflows, ends: each member gets the verdict
+    of its own np.linalg.cond, and where that raises, the screen raises
+    as well."""
+    M, B = _singular_family(7, 4, 0.5, 3.0, 0.0)
+    t = np.array([-1.0, 0.1, bad, 0.9, 2.0])
+    shifts = (t / 2, t / 2) if two_step else (t,)
+    members = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(t)):
+            F = M
+            for s in shifts:
+                F = F + B * s[i]
+            members.append(F)
+    try:
+        cond = np.linalg.cond(np.array(members))
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            steady_state.screen_singular(M, B, *shifts)
+        return
+    singular, _ = steady_state.screen_singular(M, B, *shifts)
+    assert np.array_equal(singular, ~(np.isfinite(cond) & (cond <= 1e14)))
