@@ -163,7 +163,7 @@ def assumption_report(
     1e14 or is not finite, as a per-pair cond test would: the inverses of
     a few anchors in w clear the well-conditioned pairs, and only the rest
     get their own inverse or the exact cond.  Part (b) then runs on stacks
-    of F_u + B v, 64 deviations at a time so the temporaries stay small.
+    of F_u + B v, 64 deviations at a time, each formed in one reused buffer.
     The pairs not marked share one stacked solve, and kernels._rowdot takes
     C times each solution with the dot product of a per-pair loop, so every
     value, minimum and sign count keeps its bits.  Before the sweep, every
@@ -190,6 +190,7 @@ def assumption_report(
         v_range = (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
         vs = np.linspace(v_range[0], v_range[1], n_v)
         pair_singular, _ = screen_singular(sys.A, sys.B, us[:, None], vs)
+        buf = np.empty((_STACK_BLOCK, n, n))  # each block of F_u + B v, formed in place
 
     hurwitz = a3a = -np.inf
     gains = np.full(n_u, np.nan)
@@ -212,10 +213,15 @@ def assumption_report(
         block = robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu)
         a3a = max(a3a, float(np.linalg.eigvalsh(block)[-1]))
         for start in range(0, n_v, _STACK_BLOCK):
-            Fv = F + sys.B * vs[start : start + _STACK_BLOCK, None, None]
+            v = vs[start : start + _STACK_BLOCK, None, None]
+            Fv = buf[: len(v)]
+            np.multiply(sys.B, v, out=Fv)
+            np.add(F, Fv, out=Fv)
             bad = pair_singular[i, start : start + _STACK_BLOCK]
-            singular += int(np.count_nonzero(bad))
-            vals = _rowdot(sys.C, np.linalg.solve(Fv[~bad], g_u[:, None])[..., 0])[:, 0]
+            if bad.any():
+                singular += int(np.count_nonzero(bad))
+                Fv = Fv[~bad]
+            vals = _rowdot(sys.C, np.linalg.solve(Fv, g_u[:, None])[..., 0])[:, 0]
             # fmin skips NaN, as a scalar min over the pairs does
             min_abs = min(min_abs, float(np.fmin.reduce(np.abs(vals), initial=np.inf)))
             pos += int(np.count_nonzero(vals > 0.0))

@@ -191,8 +191,7 @@ def _cmd_steady_state(args) -> int:
         }
     elif args.ref is not None:
         r = _to_kelvin(args.ref, args.units)
-        reach = steady_state.reachable_set(sys_)
-        eq = steady_state.invert_reference(sys_, r, reach)
+        eq = steady_state.invert_reference(sys_, r)
         payload = {
             "reference": r,
             "u_ss": eq.u_ss,

@@ -15,7 +15,8 @@ second-stream temperatures Tbar_1..Tbar_n, so ``n_states = 2 * n_cells``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,13 +120,16 @@ class HexParams:
         return cls.from_dict(read_object(path))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BilinearSystem:
     """One saturated single-input bilinear plant.
 
     A, B are (n, n); b, E are (n,); C is the regulated-output row (n,);
     D is the measured-output matrix (p, n).  Arrays are stored float64,
-    C-contiguous and read-only.
+    C-contiguous and read-only, and the instance is frozen, so what is
+    derived from the plant alone can be kept on it: steady_state.reachable_set
+    stores its sweep in ``_reachable`` on first use.  dataclasses.replace
+    builds a new instance, which starts without one.
     """
 
     A: np.ndarray
@@ -136,10 +140,11 @@ class BilinearSystem:
     D: np.ndarray
     u_min: float
     u_max: float
+    _reachable: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, ndim in (("A", 2), ("B", 2), ("b", 1), ("E", 1), ("C", 1), ("D", 2)):
-            setattr(self, name, _own(name, getattr(self, name), ndim))
+            object.__setattr__(self, name, _own(name, getattr(self, name), ndim))
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.B.shape != (n, n):
             raise ValueError(f"A and B must be square ({n}, {n})")
@@ -148,10 +153,14 @@ class BilinearSystem:
                 raise ValueError(f"{name} must have shape ({n},)")
         if self.D.shape[1] != n or self.D.shape[0] < 1:
             raise ValueError(f"D must have shape (p, {n}) with p >= 1")
-        self.u_min = as_float("u_min", self.u_min)
-        self.u_max = as_float("u_max", self.u_max)
-        if self.u_min >= self.u_max:
-            raise ValueError(f"u_min < u_max required, got [{self.u_min}, {self.u_max}]")
+        u_min, u_max = as_float("u_min", self.u_min), as_float("u_max", self.u_max)
+        if u_min >= u_max:
+            raise ValueError(f"u_min < u_max required, got [{u_min}, {u_max}]")
+        if not math.isfinite(u_max - u_min):
+            # every grid over the interval would overflow to NaN
+            raise ValueError(f"u_max - u_min must be finite, got [{u_min}, {u_max}]")
+        object.__setattr__(self, "u_min", u_min)
+        object.__setattr__(self, "u_max", u_max)
 
     @property
     def n_states(self) -> int:

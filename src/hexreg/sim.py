@@ -133,7 +133,8 @@ def scenario_from_dict(
     [0, t_end]; t_end an exact multiple of dt of at most 10**7 steps; every
     reference inside the reachable set; artifact arrays whose shapes fit
     sys.  x0 defaults to the open-loop equilibrium of the first reference,
-    x_hat0 to x0.
+    x_hat0 to x0.  The reachable set is the one reachable_set keeps on sys,
+    so every scenario on one plant shares a single sweep.
     """
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:

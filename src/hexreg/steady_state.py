@@ -51,12 +51,14 @@ class Equilibrium:
     y_ss: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReachableSet:
     """Range of the steady regulated output over the input interval.
 
     ``u_grid``/``y_grid`` keep the coarse sweep used to locate the extrema;
-    the endpoints themselves are golden-section refined.
+    the endpoints themselves are golden-section refined.  Every caller of
+    reachable_set on one system shares one instance, so it is frozen and
+    its grids are read-only.
     """
 
     r_min: float
@@ -262,17 +264,28 @@ def _refine_peak(f, grid: np.ndarray, vals: np.ndarray, tol: float) -> tuple[flo
 
 def reachable_set(sys: BilinearSystem) -> ReachableSet:
     """Sweep C pi(u) over 256 inputs of the interval, stacked but with the
-    bits of one pi_map and C @ x each, and refine both extrema."""
+    bits of one pi_map and C @ x each, and refine both extrema.
+
+    The plant of a BilinearSystem is frozen, so the first call keeps its
+    result on sys and every later call on that instance returns the same
+    object without solving again.  A sweep that raises keeps nothing.
+    """
+    if sys._reachable is not None:
+        return sys._reachable
     u_grid = np.linspace(sys.u_min, sys.u_max, _REACH_GRID)
     y_grid = _rowdot(sys.C, _equilibria(sys, u_grid))[:, 0]
     u_at_max, r_max = _refine_peak(
         lambda u: equilibrium_at(sys, u).y_ss, u_grid, y_grid, _GOLDEN_TOL)
     u_at_min, neg_min = _refine_peak(
         lambda u: -equilibrium_at(sys, u).y_ss, u_grid, -y_grid, _GOLDEN_TOL)
-    return ReachableSet(
+    u_grid.setflags(write=False)
+    y_grid.setflags(write=False)
+    rs = ReachableSet(
         r_min=-neg_min, r_max=r_max, u_at_min=u_at_min, u_at_max=u_at_max,
         u_grid=u_grid, y_grid=y_grid,
     )
+    object.__setattr__(sys, "_reachable", rs)
+    return rs
 
 
 def invert_reference(
@@ -280,8 +293,9 @@ def invert_reference(
 ) -> Equilibrium:
     """Find the smallest admissible u_ss with C pi(u_ss) = r.
 
-    The sweep of the reachable set rs (built by reachable_set when not
-    given) is scanned in order of u for the first crossing: a grid point
+    The sweep of the reachable set rs (by default the one reachable_set
+    keeps on sys, so repeated inversions on one plant sweep it once) is
+    scanned in order of u for the first crossing: a grid point
     within tolerance of r, or a sign change, bisected (bounded iteration
     count).  Where there is none, an extremum may touch r between grid
     points: the closest grid point is refined by _refine_peak.

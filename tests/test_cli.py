@@ -181,18 +181,28 @@ def test_steady_state_reachable(ws, tmp_path):
     assert data["r_max"] == 307.0
 
 
-def test_steady_state_overflowing_input_grid_exit2(ws, tmp_path):
-    """With u_min = -1e308 and u_max = 1e308 the reachable set's input
-    grid overflows to NaN; steady-state ends with a usage error (2), as
-    np.linalg.cond does on the NaN member."""
+def _run_overflowing_range(ws, tmp_path, *args) -> None:
+    """Run python -m hexreg on hex.json with u_min = -1e308 and
+    u_max = 1e308, whose width overflows: every grid over it would hold
+    NaN.  The loader refuses the system, exit 2, before any solver warns."""
     data = json.loads((ws / "hex.json").read_text())
     data.update(u_min=-1e308, u_max=1e308)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
-    done = subprocess.run([sys.executable, "-m", "hexreg", "steady-state", str(path)],
+    done = subprocess.run([sys.executable, "-m", "hexreg", args[0], str(path), *args[1:]],
                           env=child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
-    assert done.stderr.splitlines()[-1] == "error: SVD did not converge"
+    assert done.stderr.splitlines()[-1] == (
+        "error: u_max - u_min must be finite, got [-1e+308, 1e+308]")
+    assert "RuntimeWarning" not in done.stderr and "DLASCL" not in done.stderr
+
+
+def test_steady_state_overflowing_input_grid_exit2(ws, tmp_path):
+    _run_overflowing_range(ws, tmp_path, "steady-state")
+
+
+def test_verify_a3_overflowing_input_grid_exit2(ws, tmp_path):
+    _run_overflowing_range(ws, tmp_path, "verify", "--a3", "--grid", "8")
 
 
 def test_steady_state_ref_conflict(ws):

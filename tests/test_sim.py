@@ -50,6 +50,29 @@ def test_scenario_without_x0_sweeps_reachable_set_once(hexsys, fwd_art, monkeypa
     assert len(calls) == 1
 
 
+def test_scenarios_on_one_plant_share_one_sweep(table1, fwd_art, monkeypatch):
+    """Twenty scenarios with x0 on one plant solve no more than one sweep
+    of its reachable set does."""
+    from hexreg import steady_state
+
+    calls = []
+    one = steady_state.pi_map
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return one(*args, **kwargs)
+
+    monkeypatch.setattr(steady_state, "pi_map", counted)
+    hexreg.reachable_set(hexreg.build_hex(table1))
+    sweep = len(calls)
+    calls.clear()
+    plant = hexreg.build_hex(table1)
+    data = base_dict(x0=(fwd_art.x_ss - KELVIN).tolist())
+    for _ in range(20):
+        hexreg.scenario_from_dict(data, plant, fwd_art)
+    assert 0 < len(calls) <= sweep
+
+
 def test_scenario_kelvin_units(hexsys, fwd_art):
     scn = hexreg.scenario_from_dict(
         base_dict(units="K", reference_schedule=[[0.0, 299.65]]),

@@ -1,6 +1,6 @@
 """Equilibrium map, reference inversion, and the reachable set."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hexreg
-from hexreg import steady_state
+from hexreg import model, steady_state
 
 from conftest import KELVIN, TABLE1
 
@@ -163,9 +163,10 @@ def test_reachable_set_refuses_singular_grid_input():
         assert err.value.cond == np.inf
 
 
-def test_scenario_with_x0_makes_few_scalar_solves(hexsys, fwd_art, monkeypatch):
+def test_scenario_with_x0_makes_few_scalar_solves(table1, fwd_art, monkeypatch):
     """The reachable-set sweep is stacked: only its two refinements call
-    pi_map one input at a time."""
+    pi_map one input at a time.  A fresh plant, so its set is swept here."""
+    hexsys = hexreg.build_hex(table1)
     calls = []
     one = steady_state.pi_map
 
@@ -262,6 +263,67 @@ def test_invert_reference_searches_the_given_set(hexsys, monkeypatch):
     assert eq.u_ss == default.u_ss and np.array_equal(eq.x_ss, default.x_ss)
     eq16 = hexreg.invert_reference(hexsys, r, coarse)
     assert eq16.y_ss == pytest.approx(r, abs=1e-8)
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record every _equilibria and pi_map call of steady_state."""
+    calls = []
+    for name in ("_equilibria", "pi_map"):
+        def counted(*args, _fn=getattr(steady_state, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(steady_state, name, counted)
+    return calls
+
+
+def test_reachable_set_is_swept_once_per_system(table1, monkeypatch):
+    sys = hexreg.build_hex(table1)
+    calls = _count_solves(monkeypatch)
+    reach = hexreg.reachable_set(sys)
+    assert calls.count("_equilibria") > calls.count("pi_map") > 0
+    calls.clear()
+    assert hexreg.reachable_set(sys) is reach
+    assert calls == []
+    hexreg.invert_reference(sys, 26.5 + KELVIN)
+    # its own scalar solves only, each one pi_map and one _equilibria
+    assert calls.count("_equilibria") == calls.count("pi_map") > 0
+    # the memo stays out of every output of the system
+    assert "_reachable" not in repr(sys)
+    assert "_reachable" not in model.system_to_dict(sys)
+
+
+def test_reachable_set_is_frozen_and_read_only(table1):
+    sys = hexreg.build_hex(table1)
+    reach = hexreg.reachable_set(sys)
+    for grid in (reach.u_grid, reach.y_grid):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        reach.r_min = 0.0
+    with pytest.raises(FrozenInstanceError):
+        sys.A = np.zeros_like(sys.A)
+
+
+def test_replaced_system_gets_its_own_sweep(table1, monkeypatch):
+    sys = hexreg.build_hex(table1)
+    reach = hexreg.reachable_set(sys)
+    narrow = replace(sys, u_max=0.04)
+    calls = _count_solves(monkeypatch)
+    reach_narrow = hexreg.reachable_set(narrow)
+    assert calls.count("_equilibria") > 0
+    assert reach_narrow is not reach and hexreg.reachable_set(sys) is reach
+    assert reach_narrow.u_grid[-1] == 0.04 and reach.u_grid[-1] == 0.05
+    assert reach_narrow.r_min > reach.r_min
+
+
+def test_memoized_reachable_set_matches_fresh_sweep(hexsys, table1):
+    """The set kept on the session-scoped hexsys, swept by whichever test
+    came first, has the bits of a sweep of a freshly built plant."""
+    kept, fresh = hexreg.reachable_set(hexsys), hexreg.reachable_set(hexreg.build_hex(table1))
+    assert kept is hexreg.reachable_set(hexsys) and fresh is not kept
+    for name in ("r_min", "r_max", "u_at_min", "u_at_max", "u_grid", "y_grid"):
+        assert np.asarray(getattr(kept, name)).tobytes() == \
+            np.asarray(getattr(fresh, name)).tobytes(), name
 
 
 def test_equilibria_are_kelvin_scale(eq265):
