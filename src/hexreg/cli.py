@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, design, model, sim, steady_state
+from .controllers import INTEGRAL_ONLY, LAW_CODES, OUTPUT_FEEDBACK, PI
 from .errors import (
     HexRegError,
     InfeasibleError,
@@ -29,7 +30,6 @@ from .errors import (
     ZeroDCGainError,
 )
 from .serde import dump_json, dumps_json, read_object
-from .sim import _KELVIN_OFFSET
 
 __all__ = ["main"]
 
@@ -58,15 +58,11 @@ def _emit(data: dict, out: str | None) -> None:
         _sys.stdout.write(dumps_json(data))
 
 
-def _to_kelvin(value: float, units: str) -> float:
-    return value + (_KELVIN_OFFSET if units == "C" else 0.0)
-
-
 def _resolve_uss(sys_, args) -> float:
     if args.uss is not None:
         return float(args.uss)
     if args.ref is not None:
-        eq = steady_state.invert_reference(sys_, _to_kelvin(args.ref, args.units))
+        eq = steady_state.invert_reference(sys_, args.ref + sim.kelvin_offset(args.units))
         return eq.u_ss
     raise ValueError("one of --ref or --uss is required")
 
@@ -79,8 +75,6 @@ def _cmd_build_model(args) -> int:
     params = model.HexParams.from_json(args.params)
     sys_ = model.build_hex(params)
     if args.sensors is not None:
-        if args.sensors < 1:
-            raise ValueError(f"--sensors must be >= 1, got {args.sensors}")
         D = model.block_average_sensors(sys_.n_states, args.sensors)
         sys_ = model.BilinearSystem(
             A=sys_.A, B=sys_.B, b=sys_.b, E=sys_.E, C=sys_.C, D=D,
@@ -92,14 +86,14 @@ def _cmd_build_model(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    sys_, params = model.load_system(args.system)
-    if args.law == "pi":
+    if args.law == PI:
         raise ValueError(
             "the pi baseline has no design artifacts; reuse any designed set"
         )
+    sys_, params = model.load_system(args.system)
     u_ss = _resolve_uss(sys_, args)
     eq = steady_state.equilibrium_at(sys_, u_ss)
-    if args.law == "integral_only":
+    if args.law == INTEGRAL_ONLY:
         if args.kp is not None:
             raise ValueError("--kp does not apply to the integral-only law")
         art = design.integral_only_design(sys_, eq, k_i=args.ki, hex_params=params)
@@ -107,7 +101,7 @@ def _cmd_design(args) -> int:
         k_p = args.kp if args.kp is not None else 1e-6
         k_i = args.ki if args.ki is not None else 2.6e-5
         art = design.forwarding_design(sys_, eq, k_p, k_i)
-        if args.law == "output_feedback":
+        if args.law == OUTPUT_FEEDBACK:
             art.observer = design.observer_design(sys_)
     design.save_artifacts(args.out, art)
     extra = ""
@@ -190,7 +184,7 @@ def _cmd_steady_state(args) -> int:
             "y_ss": eq.y_ss,
         }
     elif args.ref is not None:
-        r = _to_kelvin(args.ref, args.units)
+        r = args.ref + sim.kelvin_offset(args.units)
         eq = steady_state.invert_reference(sys_, r)
         payload = {
             "reference": r,
@@ -242,8 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("design", help="synthesize control-law artifacts")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--law", required=True,
-                   choices=["forwarding", "output_feedback", "integral_only"],
+    p.add_argument("--law", required=True, choices=list(LAW_CODES),
                    help="control law to design for")
     p.add_argument("--ref", type=float, default=None,
                    help="target reference (see --units)")
@@ -265,8 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dt", type=float, default=None,
                    help="override the scenario integration step")
-    p.add_argument("--law", default=None,
-                   choices=["forwarding", "output_feedback", "integral_only", "pi"],
+    p.add_argument("--law", default=None, choices=list(LAW_CODES),
                    help="override the scenario law")
     p.set_defaults(func=_cmd_simulate)
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem, HexParams
-from .serde import dump_json, read_object
+from .serde import dump_json, read_object, require_fields
 from .steady_state import _STACK_BLOCK, Equilibrium, _refine_peak, screen_singular
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
 _LMI_DECLARE = -1e-9  # certificate threshold on the largest eigenvalue
 _LMI_FLOOR = 1e-6  # projection floor delta for Q, nu, eps
 _LMI_ITERS = 5000
-_MARGIN_GRID = 64  # input grid of the decay margin behind ki_star
 _PI_SHIFT_GRID = 512  # deviation grid of pi_shift_sup before refinement
 
 
@@ -455,13 +454,15 @@ def integral_gain_bound(
 
 
 def lyapunov_decay_margin(
-    sys: BilinearSystem, P: np.ndarray, grid: int = 64
+    sys: BilinearSystem, P: np.ndarray, grid: int = 2
 ) -> float:
     """Largest eps with P F_u + F_u^T P <= -2 eps I across the input grid.
 
     Computed as the min over the grid of the smallest eigenvalue of
-    -(P F_u + F_u^T P) / 2.  Positive means P certifies uniform decay for
-    the whole frozen family at this resolution.
+    -(P F_u + F_u^T P) / 2.  That eigenvalue is concave in u, since F_u is
+    affine in u, so its minimum over [u_min, u_max] sits at a bound: every
+    grid, the default two bounds included, gives the margin of the whole
+    frozen family.  Positive means P certifies uniform decay.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid!r}")
@@ -484,9 +485,9 @@ def integral_only_design(
 
     P is the closed-form heat-exchanger weight when hex_params are given,
     else the Lyapunov solution at the design input with identity right-hand
-    side.  The decay rate certified for P on a 64-point input grid feeds
-    the bound ki_star; the rate is concave in u, so any grid holding both
-    input bounds gives the same value.  k_i, finite, defaults to half that
+    side.  The decay rate certified for P at the two input bounds, which
+    lyapunov_decay_margin shows holds for the whole input interval, feeds
+    the bound ki_star.  k_i, finite, defaults to half that
     bound, and one at or above the bound raises GainAboveBoundWarning.
     Upsilon is back-filled as -(P F_ss + F_ss^T P) / 2 so the stored pair
     satisfies the same identity every artifact set carries.
@@ -496,7 +497,7 @@ def integral_only_design(
         P = hex_analytic_P(hex_params)
     else:
         P = solve_lyapunov(sys.frozen(eq.u_ss), np.eye(sys.n_states))
-    eps = lyapunov_decay_margin(sys, P, grid=_MARGIN_GRID)
+    eps = lyapunov_decay_margin(sys, P)
     if eps <= 0.0:
         raise InfeasibleError(
             f"P fails to certify uniform decay (margin {eps:.3e})",
@@ -554,24 +555,12 @@ def _number(name: str, value):
 
 def artifacts_from_dict(data: dict) -> DesignArtifacts:
     """Artifacts from parsed JSON: known fields only, every number finite."""
-    unknown = set(data) - {*_ARTIFACT_FIELDS, *_OPTIONAL_FIELDS, "observer"}
-    if unknown:
-        raise ValueError(f"unknown artifact fields: {sorted(unknown)}")
-    missing = set(_ARTIFACT_FIELDS) - set(data)
-    if missing:
-        raise ValueError(f"missing artifact fields: {sorted(missing)}")
+    require_fields(data, "artifact", _ARTIFACT_FIELDS, (*_OPTIONAL_FIELDS, "observer"))
     observer = None
     obs = data.get("observer")
     if obs is not None:
-        if not isinstance(obs, dict):
-            raise ValueError(f"observer must be a JSON object, got {obs!r:.40}")
         names = [f.name for f in fields(ObserverDesign)]
-        unknown = set(obs) - set(names)
-        if unknown:
-            raise ValueError(f"unknown observer fields: {sorted(unknown)}")
-        missing = set(names) - set(obs)
-        if missing:
-            raise ValueError(f"missing observer fields: {sorted(missing)}")
+        require_fields(obs, "observer", names)
         observer = ObserverDesign(**{k: _number(f"observer.{k}", obs[k]) for k in names})
     values = {k: _number(k, data[k]) for k in _ARTIFACT_FIELDS}
     values.update({k: _number(k, data[k]) for k in _OPTIONAL_FIELDS if data.get(k) is not None})

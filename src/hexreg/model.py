@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import as_array, as_float
-from .serde import dump_json, read_object
+from .serde import dump_json, read_object, require_fields
 
 __all__ = [
     "BilinearSystem",
@@ -97,16 +97,8 @@ class HexParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HexParams":
-        if not isinstance(data, dict):
-            raise ValueError(f"hex_params must be a JSON object, got {data!r:.40}")
-        unknown = set(data) - set(_HEX_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown HexParams fields: {sorted(unknown)}")
-        missing = set(_HEX_FIELDS) - set(data)
-        if missing:
-            raise ValueError(f"missing HexParams fields: {sorted(missing)}")
-        kwargs = {("lam" if k == "lambda" else k): v for k, v in data.items()}
-        return cls(**kwargs)
+        require_fields(data, "HexParams", _HEX_FIELDS)
+        return cls(**{("lam" if k == "lambda" else k): v for k, v in data.items()})
 
     def to_dict(self) -> dict:
         out = {}
@@ -159,6 +151,12 @@ class BilinearSystem:
         if not math.isfinite(u_max - u_min):
             # every grid over the interval would overflow to NaN
             raise ValueError(f"u_max - u_min must be finite, got [{u_min}, {u_max}]")
+        # |B| u and |b| u, entry by entry, must be finite; B and b are, so
+        # only an input above 1 in magnitude can overflow them
+        scale = max(abs(u_min), abs(u_max))
+        if scale > 1.0 and not math.isfinite(
+                scale * float(max(np.abs(self.B).max(), np.abs(self.b).max()))):
+            raise ValueError(f"B u and b u overflow for u in [{u_min}, {u_max}]")
         object.__setattr__(self, "u_min", u_min)
         object.__setattr__(self, "u_max", u_max)
 
@@ -297,14 +295,9 @@ def system_to_dict(sys: BilinearSystem, hex_params: HexParams | None = None) -> 
 
 
 def system_from_dict(data: dict) -> tuple[BilinearSystem, HexParams | None]:
-    required = {"n_states", "A", "B", "b", "E", "C", "D", "u_min", "u_max"}
-    unknown = set(data) - required - {"hex_params"}
-    if unknown:
-        raise ValueError(f"unknown system fields: {sorted(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"missing system fields: {sorted(missing)}")
-    sys = BilinearSystem(**{k: data[k] for k in required - {"n_states"}})
+    required = ("n_states", "A", "B", "b", "E", "C", "D", "u_min", "u_max")
+    require_fields(data, "system", required, ("hex_params",))
+    sys = BilinearSystem(**{k: data[k] for k in required[1:]})
     if sys.n_states != data["n_states"]:
         raise ValueError(
             f"n_states field ({data['n_states']}) disagrees with A ({sys.n_states})"

@@ -1,6 +1,7 @@
 """JSON input and output for every loader and writer in the package.
 
-Every input file holds one JSON object, read by read_object.  Floats are
+Every input file holds one JSON object, read by read_object, whose fields
+each loader checks with require_fields.  Floats are
 emitted through Python's shortest round-trip repr, which is a pure function
 of the double value, and keys are sorted, so identical data produces
 byte-identical files.
@@ -36,6 +37,20 @@ def read_object(path) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data
+
+
+def require_fields(data, what: str, required, optional=()) -> None:
+    """Raise ValueError unless data is a JSON object holding every field of
+    required and none outside required and optional; what names the
+    document in the message, and field names are listed sorted."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r:.40}")
+    unknown = set(data).difference(required, optional)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required).difference(data)
+    if missing:
+        raise ValueError(f"missing {what} fields: {sorted(missing)}")
 
 
 def dumps_json(data) -> str:

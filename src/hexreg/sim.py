@@ -29,7 +29,6 @@ from .design import DesignArtifacts, require_artifacts_fit
 from .errors import (
     MissingObserverStateError,
     NonFiniteError,
-    ReferenceUnreachableError,
     SchedulesDifferError,
     as_array,
     as_float,
@@ -37,13 +36,14 @@ from .errors import (
 )
 from .kernels import closed_loop_rk4, closed_loop_rk4_batch
 from .model import BilinearSystem
-from .serde import read_object
+from .serde import read_object, require_fields
 from .steady_state import invert_reference, reachable_set
 
 __all__ = [
     "SimResult",
     "SimScenario",
     "compare_pi",
+    "kelvin_offset",
     "load_scenario",
     "run",
     "run_many",
@@ -52,21 +52,11 @@ __all__ = [
     "write_csv",
 ]
 
-_KELVIN_OFFSET = 273.15
 _CSV_BLOCK = 256  # rows formatted per stacked block in write_csv
 _MAX_STEPS = 10**7  # longest run a scenario may ask for; the kernel stores every step
-_SCENARIO_KEYS = {
-    "units",
-    "law",
-    "t_end",
-    "dt",
-    "reference_schedule",
-    "output_disturbance",
-    "x0",
-    "x_hat0",
-    "kp_pi",
-    "ki_pi",
-}
+_SCENARIO_REQUIRED = ("units", "law", "t_end", "dt", "reference_schedule")
+_SCENARIO_OPTIONAL = ("output_disturbance", "x0", "x_hat0", "kp_pi", "ki_pi")
+_SCENARIO_KEYS = {*_SCENARIO_REQUIRED, *_SCENARIO_OPTIONAL}
 
 
 @dataclass
@@ -106,6 +96,13 @@ class SimResult:
     monitors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def kelvin_offset(units) -> float:
+    """The offset that turns a temperature in units, "K" or "C", into kelvin."""
+    if units not in ("K", "C"):
+        raise ValueError(f'units must be "K" or "C", got {units!r}')
+    return 273.15 if units == "C" else 0.0
+
+
 def _as_schedule(raw, name: str, offset: float) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(raw, list):
         raise ValueError(f"{name} must be a list of [time, value] pairs")
@@ -136,18 +133,9 @@ def scenario_from_dict(
     x_hat0 to x0.  The reachable set is the one reachable_set keeps on sys,
     so every scenario on one plant shares a single sweep.
     """
-    unknown = set(data) - _SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+    require_fields(data, "scenario", _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL)
     require_artifacts_fit(sys, artifacts)
-    for key in ("units", "law", "t_end", "dt", "reference_schedule"):
-        if key not in data:
-            raise ValueError(f"scenario is missing required field {key!r}")
-
-    units = data["units"]
-    if units not in ("K", "C"):
-        raise ValueError(f'units must be "K" or "C", got {units!r}')
-    offset = _KELVIN_OFFSET if units == "C" else 0.0
+    offset = kelvin_offset(data["units"])
 
     law = data["law"]
     if not isinstance(law, str) or law not in LAW_CODES:
@@ -182,23 +170,18 @@ def scenario_from_dict(
 
     reach = reachable_set(sys)
     for r in ref_v:
-        if not reach.contains(float(r), tol=1e-9 * (1.0 + abs(float(r)))):
-            raise ReferenceUnreachableError(float(r), reach.r_min, reach.r_max)
+        reach.require(float(r))
 
-    if data.get("x0") is not None:
-        x0 = as_array("x0", data["x0"], 1) + offset
-        if x0.shape != (sys.n_states,):
-            raise ValueError(f"x0 must have {sys.n_states} entries, got {x0.shape}")
-    else:
-        x0 = invert_reference(sys, float(ref_v[0]), reach).x_ss.copy()
-    if data.get("x_hat0") is not None:
-        x_hat0 = as_array("x_hat0", data["x_hat0"], 1) + offset
-        if x_hat0.shape != (sys.n_states,):
-            raise ValueError(
-                f"x_hat0 must have {sys.n_states} entries, got {x_hat0.shape}"
-            )
-    else:
-        x_hat0 = x0.copy()
+    def state(key, default):
+        if data.get(key) is None:
+            return default()
+        x = as_array(key, data[key], 1) + offset
+        if x.shape != (sys.n_states,):
+            raise ValueError(f"{key} must have {sys.n_states} entries, got {x.shape}")
+        return x
+
+    x0 = state("x0", lambda: invert_reference(sys, float(ref_v[0]), reach).x_ss.copy())
+    x_hat0 = state("x_hat0", x0.copy)
 
     kp_pi = as_float("kp_pi", data.get("kp_pi", 0.0))
     ki_pi = as_float("ki_pi", data.get("ki_pi", 0.0))

@@ -68,8 +68,12 @@ class ReachableSet:
     u_grid: np.ndarray = field(repr=False)
     y_grid: np.ndarray = field(repr=False)
 
-    def contains(self, r: float, tol: float = 0.0) -> bool:
-        return (self.r_min - tol) <= r <= (self.r_max + tol)
+    def require(self, r: float) -> None:
+        """Raise ReferenceUnreachableError unless r lies in [r_min, r_max]
+        widened by 1e-9 (1 + |r|), the rounding of the refined extrema."""
+        tol = 1e-9 * (1.0 + abs(r))
+        if not (self.r_min - tol) <= r <= (self.r_max + tol):
+            raise ReferenceUnreachableError(r, self.r_min, self.r_max)
 
 
 def _frobenius(X: np.ndarray) -> np.ndarray:
@@ -303,8 +307,7 @@ def invert_reference(
     r = float(r)
     if rs is None:
         rs = reachable_set(sys)
-    if not rs.contains(r, tol=1e-9 * (1.0 + abs(r))):
-        raise ReferenceUnreachableError(r, rs.r_min, rs.r_max)
+    rs.require(r)
 
     g = rs.y_grid - r
     f_tol = 1e-8 * (1.0 + abs(r))

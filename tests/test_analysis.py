@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hexreg
 from hexreg import analysis, kernels
@@ -24,6 +26,20 @@ def test_saturation_gap_property():
     small = np.abs(s) < 1e-3
     assert np.allclose(gap[small], -s[small] ** 2)
     assert analysis.saturation_gap(0.0, 0.3, -1.0, 1.0) == 0.0
+
+
+# wide enough for every rounding case, narrow enough that s (sat - b) cannot
+# overflow to -inf, which would hold the property but warn
+_finite = st.floats(-1e150, 1e150)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(s=_finite, bounds=st.lists(_finite, min_size=3, max_size=3).map(sorted))
+def test_saturation_gap_nonpositive_on_admissible_inputs(s, bounds):
+    """saturation_gap(s, b, lo, hi) <= 0 for every b in [lo, hi] and every
+    s, in floating point: the rounding of b - s never flips the sign."""
+    lo, b, hi = bounds
+    assert analysis.saturation_gap(s, b, lo, hi) <= 0.0
 
 
 def test_spectral_abscissa():

@@ -58,6 +58,17 @@ def test_build_model_sensor_variant(ws):
     assert np.allclose(sys_.D.sum(axis=1), 1.0)
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "17"])
+def test_build_model_sensor_count_out_of_range_exit2(tmp_path, capsys, count):
+    out = tmp_path / "never.json"
+    rc = main(["build-model", str(CONFIGS / "hex_table1.json"), "--sensors", count,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: need 1 <= n_sensors <= 16, got {count}"]
+    assert not out.exists()
+
+
 def test_build_model_missing_file(tmp_path):
     rc = main(["build-model", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "x.json")])
@@ -141,10 +152,14 @@ def test_design_requires_ref_or_uss(ws):
     assert rc == 2
 
 
-def test_design_pi_has_no_artifacts(ws):
+def test_design_pi_has_no_artifacts(ws, capsys):
+    """design accepts every law name; pi is refused with the reason."""
+    capsys.readouterr()
     rc = main(["design", str(ws / "hex.json"), "--law", "pi",
                "--ref", "26.5", "--units", "C", "--out", str(ws / "zz.json")])
     assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the pi baseline has no design artifacts; reuse any designed set"]
 
 
 def test_design_output_feedback_exit3(ws, capsys):
@@ -181,20 +196,27 @@ def test_steady_state_reachable(ws, tmp_path):
     assert data["r_max"] == 307.0
 
 
+_OVERFLOWING_RANGES = [
+    # the width overflows: every grid over it would hold NaN
+    (-1e308, 1e308, "error: u_max - u_min must be finite, got [-1e+308, 1e+308]"),
+    # the width is finite, but B u overflows at u_max
+    (0.0, 1e308, "error: B u and b u overflow for u in [0.0, 1e+308]"),
+]
+
+
 def _run_overflowing_range(ws, tmp_path, *args) -> None:
-    """Run python -m hexreg on hex.json with u_min = -1e308 and
-    u_max = 1e308, whose width overflows: every grid over it would hold
-    NaN.  The loader refuses the system, exit 2, before any solver warns."""
+    """Run python -m hexreg on hex.json with each input range above.  The
+    loader refuses the system, exit 2, before any solver warns."""
     data = json.loads((ws / "hex.json").read_text())
-    data.update(u_min=-1e308, u_max=1e308)
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(data))
-    done = subprocess.run([sys.executable, "-m", "hexreg", args[0], str(path), *args[1:]],
-                          env=child_env(), capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2
-    assert done.stderr.splitlines()[-1] == (
-        "error: u_max - u_min must be finite, got [-1e+308, 1e+308]")
-    assert "RuntimeWarning" not in done.stderr and "DLASCL" not in done.stderr
+    for u_min, u_max, message in _OVERFLOWING_RANGES:
+        data.update(u_min=u_min, u_max=u_max)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        done = subprocess.run([sys.executable, "-m", "hexreg", args[0], str(path), *args[1:]],
+                              env=child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1] == message
+        assert "RuntimeWarning" not in done.stderr and "DLASCL" not in done.stderr
 
 
 def test_steady_state_overflowing_input_grid_exit2(ws, tmp_path):

@@ -1,8 +1,9 @@
 """Property test of the four loaders: a valid document with one field
 replaced by an arbitrary JSON value either loads or raises one of the
 errors the CLI reports as malformed input (exit 2), never anything else.
-Each loader also refuses a field it does not know, and serde.read_object a
-file that holds no JSON object."""
+Each loader also refuses a field it does not know, a missing field and a
+document that is no JSON object, and serde.read_object a file that holds no
+JSON object."""
 
 import json
 from dataclasses import replace
@@ -110,6 +111,37 @@ def test_scenario_loader(documents, key, value):
         lambda d: sim.scenario_from_dict(d, *documents["scenario_args"]), doc)
 
 
+_DROP = object()  # stands for deleting the field instead of setting it
+
+
+def _refusal(documents, key, value) -> str:
+    """The message of the ValueError its loader raises on the document
+    named by the first part of key, with the field at the rest of key set
+    to value (or deleted, for _DROP); a key of one part replaces the whole
+    document."""
+    name, *path = key.split(".")
+    doc = json.loads(json.dumps(documents[name]))
+    if path:
+        target = doc
+        for part in path[:-1]:
+            target = target[part]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    else:
+        doc = value
+    load = {
+        "params": hexreg.HexParams.from_dict,
+        "system": model.system_from_dict,
+        "artifacts": design.artifacts_from_dict,
+        "scenario": lambda d: sim.scenario_from_dict(d, *documents["scenario_args"]),
+    }[name]
+    with pytest.raises(ValueError) as info:
+        load(doc)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("key, message", [
     ("params.extra", "unknown HexParams fields: ['extra']"),
     ("system.extra", "unknown system fields: ['extra']"),
@@ -119,21 +151,27 @@ def test_scenario_loader(documents, key, value):
 ])
 def test_loaders_reject_unknown_fields(documents, key, message):
     """Every loader refuses a field it does not know, at any level."""
-    name, *path, last = key.split(".")
-    doc = json.loads(json.dumps(documents[name]))
-    target = doc
-    for part in path:
-        target = target[part]
-    target[last] = 1.0
-    load = {
-        "params": hexreg.HexParams.from_dict,
-        "system": model.system_from_dict,
-        "artifacts": design.artifacts_from_dict,
-        "scenario": lambda d: sim.scenario_from_dict(d, *documents["scenario_args"]),
-    }[name]
-    with pytest.raises(ValueError) as info:
-        load(doc)
-    assert str(info.value) == message
+    assert _refusal(documents, key, 1.0) == message
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("params.u_max", _DROP, "missing HexParams fields: ['u_max']"),
+    ("params", [1.0], "HexParams must be a JSON object, got [1.0]"),
+    ("system.hex_params", [1.0], "HexParams must be a JSON object, got [1.0]"),
+    ("system.D", _DROP, "missing system fields: ['D']"),
+    ("system", [1.0], "system must be a JSON object, got [1.0]"),
+    ("artifacts.sign_dc", _DROP, "missing artifact fields: ['sign_dc']"),
+    ("artifacts", "P", "artifact must be a JSON object, got 'P'"),
+    ("artifacts.observer.Q", _DROP, "missing observer fields: ['Q']"),
+    ("artifacts.observer", 2.0, "observer must be a JSON object, got 2.0"),
+    ("scenario.dt", _DROP, "missing scenario fields: ['dt']"),
+    ("scenario", None, "scenario must be a JSON object, got None"),
+])
+def test_loaders_reject_missing_fields_and_non_objects(documents, key, value, message):
+    """Every loader, at every level, refuses a document without one of its
+    required fields and a value other than a JSON object where a document
+    belongs, through the one check serde.require_fields."""
+    assert _refusal(documents, key, value) == message
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "3.5", "null"])

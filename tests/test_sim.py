@@ -95,7 +95,7 @@ def test_scenario_rejects_unknown_keys(hexsys, fwd_art):
 def test_scenario_rejects_missing_required(hexsys, fwd_art):
     d = base_dict()
     del d["reference_schedule"]
-    with pytest.raises(ValueError, match="missing required"):
+    with pytest.raises(ValueError, match=r"missing scenario fields: \['reference_schedule'\]"):
         hexreg.scenario_from_dict(d, hexsys, fwd_art)
 
 

@@ -234,6 +234,25 @@ def test_invert_reference_unreachable(hexsys):
         hexreg.invert_reference(hexsys, reach.r_min - 1.0)
 
 
+@pytest.mark.parametrize("caller", ["invert_reference", "scenario_from_dict"])
+def test_reachable_set_tolerance_boundary(hexsys, fwd_art, caller):
+    """Both callers take ReachableSet.require's tolerance 1e-9 (1 + |r|):
+    r_max + tol / 2 is admitted and r_max + 2 tol refused."""
+    r_max = hexreg.reachable_set(hexsys).r_max
+    tol = 1e-9 * (1.0 + abs(r_max))
+
+    def resolve(r):
+        if caller == "invert_reference":
+            return hexreg.invert_reference(hexsys, r)
+        return hexreg.scenario_from_dict(
+            {"units": "K", "law": "forwarding", "t_end": 1.0, "dt": 0.5,
+             "reference_schedule": [[0.0, r]]}, hexsys, fwd_art)
+
+    resolve(r_max + 0.5 * tol)
+    with pytest.raises(hexreg.ReferenceUnreachableError):
+        resolve(r_max + 2.0 * tol)
+
+
 def test_invert_reference_midpoint_bracketed(hexsys):
     """Cpi is strictly monotone on the grid, so bisection from the
     bracketing cell reproduces any grid midpoint value."""
@@ -324,6 +343,33 @@ def test_memoized_reachable_set_matches_fresh_sweep(hexsys, table1):
     for name in ("r_min", "r_max", "u_at_min", "u_at_max", "u_grid", "y_grid"):
         assert np.asarray(getattr(kept, name)).tobytes() == \
             np.asarray(getattr(fresh, name)).tobytes(), name
+
+
+def _stable_system(seed: int, n: int) -> hexreg.BilinearSystem:
+    """A random n-state plant with A + B u Hurwitz for every u in [0, 1]:
+    A = G - s I with s = |G|_2 + |B|_2 + 1/2, so every eigenvalue of
+    A + B u has real part at most -1/2."""
+    rng = np.random.default_rng(seed)
+    G, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    shift = np.linalg.norm(G, 2) + np.linalg.norm(B, 2) + 0.5
+    return hexreg.BilinearSystem(
+        A=G - shift * np.eye(n), B=B, b=rng.standard_normal(n),
+        E=rng.standard_normal(n), C=rng.standard_normal(n),
+        D=np.eye(1, n), u_min=0.0, u_max=1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seed=st.none() | st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       frac=st.floats(0.0, 1.0))
+def test_pi_map_meets_its_residual_bound(hexsys, seed, n, frac):
+    """pi_map's x satisfies the bound it enforces,
+    |(A + B u) x + b u + E|_inf <= 1e-9 (1 + |x|_inf), on the heat
+    exchanger (seed None) and on random stable 2-5-state plants."""
+    sys_ = hexsys if seed is None else _stable_system(seed, n)
+    u = sys_.u_min + frac * (sys_.u_max - sys_.u_min)
+    x = hexreg.pi_map(sys_, u)
+    residual = sys_.frozen(u) @ x + sys_.b * u + sys_.E
+    assert np.abs(residual).max() <= 1e-9 * (1.0 + np.abs(x).max())
 
 
 def test_equilibria_are_kelvin_scale(eq265):
