@@ -102,12 +102,25 @@ class SchedulesDifferError(HexRegError):
 
 
 class NonFiniteError(HexRegError):
-    """A simulated state became NaN or infinite."""
+    """A simulated state became NaN or infinite.
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite state at step {step} (t = {t:.6g} s)")
+    step and t locate the first non-finite state and column names its first
+    non-finite entry (x_i, xhat_i or z).  row is the scenario's index in a
+    run_many batch (None for a single run), and u_sat the last finite
+    saturated input before that step (None if there was none).
+    """
+
+    def __init__(self, step: int, t: float, column: str, row: int | None = None,
+                 u_sat: float | None = None):
+        where = "" if row is None else f" in scenario {row}"
+        last = "none" if u_sat is None else f"{u_sat:.6g}"
+        super().__init__(f"non-finite state at step {step} (t = {t:.6g} s){where}: "
+                         f"{column} first, last finite u_sat = {last}")
         self.step = step
         self.t = t
+        self.column = column
+        self.row = row
+        self.u_sat = u_sat
 
 
 class GainAboveBoundWarning(UserWarning):

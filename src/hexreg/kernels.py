@@ -15,6 +15,14 @@ Each law is written once; the rank only picks how the loop reads and
 stores scalars and clamps.  Every row performs the same floating-point
 operations in the same order, so each batch row is bit for bit the
 single-trajectory result on that start, whatever k is.
+
+A non-finite entry of the state stays non-finite under s += ds, and the
+constant ones never change, so the state is finite at a step exactly when
+the rows stored for it are.  The loop therefore checks no state per step:
+it scans the rows stored in X, XH and Z once per block of _SCAN_ROWS steps
+and once at the end.  A diverging run integrates up to one block past the
+failure and then reports the same first non-finite step as a per-step
+check would.
 """
 
 from __future__ import annotations
@@ -26,7 +34,10 @@ from .controllers import LAW_CODES
 __all__ = [
     "closed_loop_rk4",
     "closed_loop_rk4_batch",
+    "first_nonfinite",
 ]
+
+_SCAN_ROWS = 64  # stored steps per scan for non-finite entries
 
 
 def _rowwise(Mat, v):
@@ -45,6 +56,35 @@ def _rowdot(a, b):
     return np.matmul(a[..., None, :], b[:, :, None])[..., 0]
 
 
+def first_nonfinite(X, XH, Z, lo, hi):
+    """The first non-finite entry stored for steps lo..hi-1, or None.
+
+    X, XH (or None) and Z are the kernel's series, with or without a
+    leading batch axis.  Returns (step, row, column): the earliest step,
+    then the lowest batch row at that step (None for one trajectory), then
+    the first of that row's columns in the order x_i, xhat_i, z, named as
+    in the CSV.
+    """
+    parts = [X[..., lo:hi, :], Z[..., lo:hi, None]]
+    if XH is not None:
+        parts.insert(1, XH[..., lo:hi, :])
+    if all(np.isfinite(part).all() for part in parts):
+        return None
+    bad = ~np.isfinite(np.concatenate(parts, axis=-1))
+    batch = bad.ndim == 3
+    # (step, row, column) in C order, so the flat argmax is the first hit
+    bad = bad.swapaxes(0, 1) if batch else bad[:, None, :]
+    step, row, col = np.unravel_index(np.argmax(bad), bad.shape)
+    n = X.shape[-1]
+    if col < n:
+        name = f"x_{col + 1}"
+    elif XH is not None and col < 2 * n:
+        name = f"xhat_{col - n + 1}"
+    else:
+        name = "z"
+    return lo + int(step), (int(row) if batch else None), name
+
+
 def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     """Classic RK4 of the scenario scn; returns X, XH, Z, U_raw, U_sat, Err,
     Y, bad_step.
@@ -54,7 +94,9 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     series of shape (n_steps + 1, ...); of shape (k, n), series of shape
     (k, n_steps + 1, ...), one row per start.  XH is stored only for the
     output-feedback law and is None otherwise.  bad_step is the first step
-    at which the state (of any row) is non-finite, or -1.
+    after the start at which the state (of any row) is non-finite, or -1;
+    the series then hold every step up to bad_step, and first_nonfinite
+    finds what went non-finite there.
     """
     sys, art = scn.sys, scn.artifacts
     dt, n_steps = scn.dt, scn.n_steps
@@ -79,15 +121,18 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     lead = x0.shape[:-1]   # () for one trajectory, (k,) for k
     if lead:
         # Per-trajectory scalars are (k, 1) columns, which broadcast against
-        # the (k, n) blocks as a float does against (n,); scalars(v) splits
-        # the columns of v, as tolist splits one trajectory's entries.
-        scalars = lambda v: v.T[..., None]
+        # the (k, n) blocks as a float does against (n,).  reader(v)() gives
+        # the columns of v, as v.tolist() gives one trajectory's entries;
+        # they are views, built once, that see every value v takes.
+        def reader(v):
+            cols = tuple(v.T[..., None])
+            return lambda: cols
         # This operand order returns u itself on a signed-zero tie with a
         # bound, as the conditional below does.
         clamp = lambda u: np.minimum(u_hi, np.maximum(u_lo, u))
         scalar_shape = lead + (T, 1)
     else:
-        scalars = np.ndarray.tolist
+        reader = lambda v: v.tolist
         clamp = lambda u: u_lo if u < u_lo else (u_hi if u > u_hi else u)
         scalar_shape = (T,)
 
@@ -106,16 +151,23 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     if observer:
         s[..., ixh] = xhat0 - x_ss
         L = np.ascontiguousarray(art.observer.L)
-    # Fixed views of these buffers.  Product operands are columns, so each
-    # batch row makes the same BLAS call that one trajectory makes.
-    operands = lambda v: (v[..., : n + 1, None], v[..., n + 1 : 2 * n + 2, None], v[..., -1:])
-    stage_in = [operands(s)] + 3 * [operands(st)]
+    # Fixed views of these buffers, and readers of their scalars.  Product
+    # operands are columns, so each batch row makes the same BLAS call that
+    # one trajectory makes.
+    stage_x = [v[..., : n + 1, None] for v in (s, st, st, st)]
+    stage_xh = [v[..., n + 1 : 2 * n + 2, None] for v in (s, st, st, st)]
+    read_z = [reader(v[..., -1:]) for v in (s, st, st, st)]
+    x_dev, xh_dev = s[..., ix], s[..., ixh]
     Kj = [K[..., j, :] for j in range(4)]
     Kx, Kxh, Kz = ([K[..., j, i] for j in range(4)] for i in (ix, ixh, slice(-1, None)))
+    gx_col, gxh_col = gx[..., None], gxh[..., None]
     ga, gb, gy = gx[..., ia], gx[..., ib], gx[..., iy]
+    gha, ghb, ghy = gxh[..., ia], gxh[..., ib], gxh[..., iy]
     gh = gxh if observer else gx
-    dot_in = (gh[..., None, ip], gh[..., ib, None], acc[..., None])
-    gx_mwc, gh_mw = gx[..., 3 * n : 3 * n + 3], gh[..., 3 * n : 3 * n + 2]
+    dot_l, dot_r, acc_out = gh[..., None, ip], gh[..., ib, None], acc[..., None]
+    innov_col, corr_col = innov[..., None], corr[..., None]
+    read_mwc, read_hmw = reader(gx[..., 3 * n : 3 * n + 3]), reader(gh[..., 3 * n : 3 * n + 2])
+    read_acc = reader(acc)
 
     X = np.empty(lead + (T, n))
     XH = np.empty(lead + (T, n)) if observer else None
@@ -123,6 +175,7 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     # A batch's scalar series keep a trailing axis of one while they fill,
     # so a (k, 1) column stores into [:, step] as a float into [step].
     Z, U_raw, U_sat, Err = (np.empty(scalar_shape) for _ in range(4))
+    Z_rows = Z[..., 0] if lead else Z
 
     # Stage j is evaluated at t + a_j dt with a = (0, 1/2, 1/2, 1).  The
     # reference is the last entry whose time is <= t_j (the first entry
@@ -134,18 +187,20 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     nref, ndist = len(ref_times), len(dist_times)
     r_first = ref_vals[0]
     stage_h = (0.0, 0.5 * dt, 0.5 * dt, 1.0 * dt)   # a_j * dt
+    stage_h0d = [np.array(h) for h in stage_h]
     stage_slot = (0, 1, 1, 2)
     stage_b = dt * np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])  # dt b_j
     ref_at, dist_at = [0, 0, 0], [0, 0, 0]
 
     bad_step = -1
+    scanned = 1   # steps below this are known finite; step 0 is the start
     for step in range(T):
         t = step * dt
         at = (slice(None), step) if lead else step
         for j in range(4):
             if j:
-                np.multiply(Kj[j - 1], stage_h[j], out=st)
-                np.add(st, s, out=st)
+                np.multiply(Kj[j - 1], stage_h0d[j], st)
+                np.add(st, s, st)
             tj = t + stage_h[j]
             slot = stage_slot[j]
             i = ref_at[slot]
@@ -159,17 +214,16 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
             dist_at[slot] = i
             d = dist_vals[i - 1] if i else 0.0
 
-            x_in, xh_in, z_in = stage_in[j]
-            np.matmul(G, x_in, out=gx[..., None])
-            mx, mw, yc = scalars(gx_mwc)
-            (z,) = scalars(z_in)
+            np.matmul(G, stage_x[j], gx_col)
+            mx, mw, yc = read_mwc()
+            (z,) = read_z[j]()
             e = yc - r + d
             if observer:
-                np.matmul(G, xh_in, out=gxh[..., None])
-                mx, mw = scalars(gh_mw)
+                np.matmul(G, stage_xh[j], gxh_col)
+                mx, mw = read_hmw()
             if feedback:
-                np.matmul(*dot_in[:2], out=dot_in[2])
-                (acc_p,) = scalars(acc)
+                np.matmul(dot_l, dot_r, acc_out)
+                (acc_p,) = read_acc()
                 phi = -kp * acc_p + ki * (z - mx) * mw
             elif law == 2:
                 phi = sign_dc * ki * z
@@ -180,9 +234,9 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
             us = clamp(u_raw)
 
             if j == 0:
-                X[at] = s[..., ix]
+                X[at] = x_dev
                 if observer:
-                    XH[at] = s[..., ixh]
+                    XH[at] = xh_dev
                 Z[at] = z
                 U_raw[at] = u_raw
                 U_sat[at] = us
@@ -191,22 +245,25 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
                 if step == n_steps:
                     break
 
-            np.multiply(gb, us, out=Kx[j])
-            np.add(Kx[j], ga, out=Kx[j])
+            np.multiply(gb, us, Kx[j])
+            np.add(Kx[j], ga, Kx[j])
             if observer:
-                np.subtract(gy, gxh[..., iy], out=innov)
-                np.matmul(L, innov[..., None], out=corr[..., None])
-                np.multiply(gxh[..., ib], us, out=Kxh[j])
-                np.add(Kxh[j], gxh[..., ia], out=Kxh[j])
-                np.add(Kxh[j], corr, out=Kxh[j])
+                np.subtract(gy, ghy, innov)
+                np.matmul(L, innov_col, corr_col)
+                np.multiply(ghb, us, Kxh[j])
+                np.add(Kxh[j], gha, Kxh[j])
+                np.add(Kxh[j], corr, Kxh[j])
             Kz[j][...] = e
+        if step % _SCAN_ROWS == 0 or step == n_steps:
+            bad = first_nonfinite(X, XH, Z_rows, scanned, step + 1)
+            if bad is not None:
+                bad_step = bad[0]
+                break
+            scanned = step + 1
         if step == n_steps:
             break
-        np.matmul(stage_b, K, out=ds)
-        np.add(s, ds, out=s)
-        if not np.isfinite(s).all():
-            bad_step = step + 1
-            break
+        np.matmul(stage_b, K, ds)
+        np.add(s, ds, s)
 
     X += x_ss
     if observer:

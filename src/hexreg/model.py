@@ -90,10 +90,8 @@ class HexParams:
                 raise ValueError(f"{key} must be strictly positive, got {value!r}")
         if as_float("u_min", self.u_min) < 0.0:
             raise ValueError(f"u_min must be >= 0, got {self.u_min!r}")
-        if as_float("u_max", self.u_max) <= self.u_min:
-            raise ValueError(
-                f"u_max must exceed u_min, got [{self.u_min!r}, {self.u_max!r}]"
-            )
+        # u_min < u_max is BilinearSystem's rule, checked when the plant is built
+        as_float("u_max", self.u_max)
 
     @classmethod
     def from_dict(cls, data: dict) -> "HexParams":

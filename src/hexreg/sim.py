@@ -34,7 +34,7 @@ from .errors import (
     as_float,
     require_finite,
 )
-from .kernels import closed_loop_rk4, closed_loop_rk4_batch
+from .kernels import closed_loop_rk4, closed_loop_rk4_batch, first_nonfinite
 from .model import BilinearSystem
 from .serde import read_object, require_fields
 from .steady_state import invert_reference, reachable_set
@@ -239,6 +239,17 @@ def _result(scn: SimScenario, X, XH, Z, U_raw, U_sat, Err, Y) -> SimResult:
     )
 
 
+def _nonfinite(scn: SimScenario, series, bad_step: int) -> NonFiniteError:
+    """The error for kernel series that went non-finite at bad_step: what
+    went first, in which batch row, and the last finite u_sat before it."""
+    X, XH, Z, _, U_sat, _, _ = series
+    step, row, column = first_nonfinite(X, XH, Z, bad_step, bad_step + 1)
+    before = (U_sat if row is None else U_sat[row])[:step]
+    finite = before[np.isfinite(before)]
+    return NonFiniteError(step, step * scn.dt, column, row,
+                          float(finite[-1]) if finite.size else None)
+
+
 def run(scn: SimScenario) -> SimResult:
     """Integrate the closed loop and attach monitor series."""
     # A diverging run ends in NonFiniteError; numpy's overflow warnings on
@@ -246,7 +257,7 @@ def run(scn: SimScenario) -> SimResult:
     with np.errstate(over="ignore", invalid="ignore"):
         *series, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
     if bad_step >= 0:
-        raise NonFiniteError(step=int(bad_step), t=float(bad_step * scn.dt))
+        raise _nonfinite(scn, series, bad_step)
     return _result(scn, *series)
 
 
@@ -258,7 +269,8 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
     its PI gains, and one artifact set (the same object); otherwise
     SchedulesDifferError is raised.  Each result is bit-identical to
     run() on that scenario; a non-finite state raises NonFiniteError at the
-    first step where any scenario went non-finite.
+    first step where any scenario went non-finite, naming the first such
+    scenario.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -277,7 +289,7 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
     with np.errstate(over="ignore", invalid="ignore"):
         *series, bad_step = closed_loop_rk4_batch(first, x0, x_hat0)
     if bad_step >= 0:
-        raise NonFiniteError(step=int(bad_step), t=float(bad_step * first.dt))
+        raise _nonfinite(first, series, bad_step)
     return [_result(scn, *(None if s is None else s[i] for s in series))
             for i, scn in enumerate(scenarios)]
 

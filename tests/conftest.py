@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hexreg
+from hexreg.kernels import closed_loop_rk4
 
 KELVIN = 273.15
 
@@ -125,3 +126,16 @@ def make_scenario(sys, art, law, t_end, dt, refs, dists=(), x0=None,
         x0=x0, x_hat0=np.array(x0 if x_hat0 is None else x_hat0, dtype=np.float64),
         kp_pi=float(kp_pi), ki_pi=float(ki_pi),
     )
+
+
+def per_step_nonfinite(scn):
+    """The first step after the start at which the state of scn is
+    non-finite, found by checking the kernel's stored x, x_hat and z one
+    step at a time, as a per-step np.isfinite on the state would; or -1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, XH, Z, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    for step in range(1, len(Z)):
+        rows = (X[step], Z[step], XH[step] if XH is not None else 0.0)
+        if not all(np.isfinite(row).all() for row in rows):
+            return step
+    return -1

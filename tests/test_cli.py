@@ -69,6 +69,22 @@ def test_build_model_sensor_count_out_of_range_exit2(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("u_max", [0.0, -0.05])
+def test_build_model_input_range_empty_exit2(tmp_path, capsys, u_max):
+    """u_min < u_max is checked once, by the plant, with one message."""
+    params = json.loads((CONFIGS / "hex_table1.json").read_text())
+    params["u_max"] = u_max
+    hex_file = tmp_path / "hex_empty_range.json"
+    hex_file.write_text(json.dumps(params))
+    out = tmp_path / "never.json"
+    capsys.readouterr()
+    rc = main(["build-model", str(hex_file), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: u_min < u_max required, got [0.0, {u_max!r}]"]
+    assert not out.exists()
+
+
 def test_build_model_missing_file(tmp_path):
     rc = main(["build-model", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "x.json")])
@@ -354,7 +370,8 @@ def test_simulate_several_scenarios(ws, tmp_path):
 
 def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
     """RK4 at dt = 20 s diverges on this plant; the run ends with the
-    exit-3 message and no numpy overflow warnings before it."""
+    exit-3 message, naming the first non-finite state entry and the last
+    finite input, and no numpy overflow warnings before it."""
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -363,7 +380,9 @@ def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
                    "--out", str(tmp_path / "runs_div"), "--dt", "20"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: non-finite state at step 39 (t = 780 s)"]
+    assert err.splitlines() == [
+        "error: non-finite state at step 39 (t = 780 s): x_1 first, "
+        "last finite u_sat = 0.05"]
 
 
 @pytest.mark.parametrize("field, value, problem", [

@@ -2,14 +2,16 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import hexreg
+from hexreg.kernels import closed_loop_rk4
 
-from conftest import KELVIN, child_env, make_scenario
+from conftest import KELVIN, child_env, make_scenario, per_step_nonfinite
 
 _LANE_SCRIPT = r"""
 import sys
@@ -96,8 +98,67 @@ def test_rk4_fourth_order_step_halving(hexsys, io_art):
 
 
 def test_kernel_rejects_nonfinite(hexsys, io_art):
+    """A NaN start is non-finite after the first step, as a per-step check
+    of the state reports it."""
     x0 = np.full(16, np.nan)
     scn = make_scenario(hexsys, io_art, hexreg.INTEGRAL_ONLY, 1.0, 0.5,
                         [[0.0, 26.5 + KELVIN]], x0=x0)
-    with pytest.raises(hexreg.NonFiniteError):
+    with pytest.raises(hexreg.NonFiniteError) as err:
         hexreg.run(scn)
+    assert err.value.step == 1
+    assert err.value.column == "x_1"
+
+
+def _diverging(hexsys, fwd_art, synthetic_observable, synthetic_observer, case):
+    """A scenario whose state first goes non-finite at a known step."""
+    if case == "xhat":
+        # RK4 at dt = 0.8 s is stable for this plant but not for its faster
+        # observer error dynamics, so only the estimate grows
+        sys_ = synthetic_observable
+        eq = hexreg.equilibrium_at(sys_, 0.0)
+        art = hexreg.forwarding_design(sys_, eq, k_p=0.5, k_i=0.2)
+        art.observer = synthetic_observer
+        return make_scenario(sys_, art, hexreg.OUTPUT_FEEDBACK, 320.0, 0.8,
+                             [[0.0, eq.y_ss]], x0=eq.x_ss, x_hat0=eq.x_ss + 0.1)
+    # An output disturbance of 1e308 from time t_d drives e, and so z, to
+    # infinity at step t_d + 2 (dt = 1 s), while u clamps and x stays finite.
+    t_end, t_d = (100.0, 98.0) if case == "last" else (200.0, case - 2.0)
+    return make_scenario(hexsys, fwd_art, hexreg.PI, t_end, 1.0,
+                         [[0.0, 26.5 + KELVIN]], dists=[[t_d, 1e308]],
+                         kp_pi=-0.01, ki_pi=-0.001)
+
+
+# The non-finite scan runs once per 64 stored steps: cases one step before
+# a block boundary, at it, just after it, on the last step, and one where
+# only the observer estimate diverges.
+@pytest.mark.parametrize("case, step, column", [
+    (63, 63, "z"), (64, 64, "z"), (65, 65, "z"), ("last", 100, "z"),
+    ("xhat", 292, "xhat_1"),
+])
+def test_block_scan_reports_per_step_nonfinite(hexsys, fwd_art, synthetic_observable,
+                                               synthetic_observer, case, step, column):
+    scn = _diverging(hexsys, fwd_art, synthetic_observable, synthetic_observer, case)
+    assert per_step_nonfinite(scn) == step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hexreg.NonFiniteError) as alone:
+            hexreg.run(scn)
+        with pytest.raises(hexreg.NonFiniteError) as batch:
+            hexreg.run_many([scn])
+    for err, row in ((alone.value, None), (batch.value, 0)):
+        assert (err.step, err.t, err.column, err.row) == (step, step * scn.dt, column, row)
+        assert np.isfinite(err.u_sat)
+
+
+def test_only_z_diverges(hexsys, fwd_art):
+    """The PI integrator runs off to infinity while the clamped input keeps
+    the plant finite; the error names z and the clamped input."""
+    scn = _diverging(hexsys, fwd_art, None, None, 65)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, _, Z, _, U_sat, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    assert np.isfinite(X[:66]).all() and not np.isfinite(Z[65])
+    assert U_sat[64] == hexsys.u_max
+    with pytest.raises(hexreg.NonFiniteError) as err:
+        hexreg.run(scn)
+    assert str(err.value) == ("non-finite state at step 65 (t = 65 s): z first, "
+                              "last finite u_sat = 0.05")

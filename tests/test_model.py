@@ -40,9 +40,14 @@ def test_hex_params_validation():
     with pytest.raises(ValueError):
         hexreg.HexParams(**bad)
     bad = dict(TABLE1)
-    bad["u_max"] = -1.0
-    with pytest.raises(ValueError):
+    bad["u_min"] = -1.0
+    with pytest.raises(ValueError, match=r"u_min must be >= 0"):
         hexreg.HexParams(**bad)
+    # the plant owns u_min < u_max
+    bad = dict(TABLE1)
+    bad["u_max"] = -1.0
+    with pytest.raises(ValueError, match=r"u_min < u_max required, got \[0\.0, -1\.0\]"):
+        hexreg.build_hex(hexreg.HexParams(**bad))
 
 
 def test_build_hex_single_cell_matches_hand_expansion():

@@ -1,12 +1,14 @@
 """Scenario parsing, closed-loop runs, metrics, CSV output."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import hexreg
 from hexreg import sim
 
-from conftest import KELVIN, make_scenario
+from conftest import KELVIN, make_scenario, per_step_nonfinite
 
 
 def base_dict(**over):
@@ -419,6 +421,29 @@ def test_run_many_nonfinite_reports_run_step(hexsys, fwd_art):
     assert steps[1] == min(steps) and steps[1] < max(steps)
     assert batch.value.step == steps[1]
     assert batch.value.t == 20.0 * steps[1]
+
+
+def test_run_many_names_the_row_that_diverges_after_the_first_block(hexsys, fwd_art):
+    """At dt = 6 s RK4 holds starts near x_ss but not one 20 K off; that
+    row alone goes non-finite, past the first 64-step scan block, and the
+    batch reports its step and its row."""
+    rng = np.random.default_rng(5)
+    x0 = fwd_art.x_ss + rng.uniform(-1e-3, 1e-3, (20, 16))
+    x0[13] = fwd_art.x_ss + 20.0
+    scns = [make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 900.0, 6.0,
+                          [[0.0, 26.5 + KELVIN]], x0=x) for x in x0]
+    steps = [per_step_nonfinite(scn) for scn in scns]
+    assert steps == [-1] * 13 + [79] + [-1] * 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hexreg.NonFiniteError) as alone:
+            hexreg.run(scns[13])
+        with pytest.raises(hexreg.NonFiniteError) as batch:
+            hexreg.run_many(scns)
+    assert (alone.value.step, alone.value.row) == (79, None)
+    assert (batch.value.step, batch.value.row, batch.value.t) == (79, 13, 474.0)
+    assert batch.value.column == alone.value.column
+    assert batch.value.u_sat == alone.value.u_sat
 
 
 def test_run_many_rejects_scenarios_differing_beyond_start(
