@@ -26,7 +26,7 @@ from .errors import (
 from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem, HexParams
 from .serde import dump_json, read_object, require_fields
-from .steady_state import _STACK_BLOCK, Equilibrium, _refine_peak, screen_singular
+from .steady_state import _STACK_BLOCK, Equilibrium, screen_singular
 
 __all__ = [
     "DesignArtifacts",
@@ -381,25 +381,48 @@ def observer_design(sys: BilinearSystem) -> ObserverDesign:
                           lmi_residual=float(residual))
 
 
+def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Deterministic golden-section maximizer on [lo, hi]."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    u_best = 0.5 * (a + b)
+    return u_best, f(u_best)
+
+
+def _refine_peak(f, grid: np.ndarray, vals: np.ndarray, tol: float) -> float:
+    """The maximum of f from its values vals on grid: the grid maximum, or a
+    golden-section search between its neighbours where that finds more."""
+    i = int(np.argmax(vals))
+    _, val = _golden_section_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], tol)
+    return float(max(vals[i], val))
+
+
 def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
     """Supremum of |[(F + Bv)^{-1} B v - I](F + Bv)^{-1} g| over the input
     deviation range.
 
-    The deviation v = sat(u) - u_ss lives in [u_min - u_ss, u_max - u_ss];
-    F + B v is then a frozen matrix at an admissible input and stays
-    invertible whenever the frozen family is Hurwitz.  A 512-point sweep
-    plus golden-section refinement around the peak.
-
-    steady_state.screen_singular screens the sweep as the one family
-    F + B v and refuses it with SingularMatrixError at the first v whose
-    matrix has cond_2 > 1e14: a few anchor inverses clear the
-    well-conditioned members and the exact cond decides the rest, so the
-    verdict is that of cond alone.  The solves then run on stacks of
-    F + B v, 64 at a time so the temporaries stay small.  The stacked
-    solves, per-row products (kernels._rowwise, _rowdot) and sqrt make the
-    same floating-point operations as one point at a time, so every
-    magnitude keeps its bits.  steady_state._refine_peak refines the peak,
-    evaluating one point per call through the same code.
+    The deviation v = sat(u) - u_ss lives in [u_min - u_ss, u_max - u_ss],
+    where F + B v is a frozen matrix at an admissible input, invertible
+    whenever the frozen family is Hurwitz.  A 512-point sweep, refined
+    around its peak by _refine_peak.  steady_state.screen_singular
+    screens the sweep as the one family F + B v and raises
+    SingularMatrixError at the first v whose matrix has cond_2 > 1e14.  The
+    solves run on stacks of 64 F + B v; stacked solves, per-row products
+    (kernels._rowwise, _rowdot) and sqrt make the same floating-point
+    operations as one point at a time, so every magnitude keeps its bits,
+    in the sweep and in the refinement.
     """
     lo, hi = sys.u_min - eq.u_ss, sys.u_max - eq.u_ss
     F = sys.frozen(eq.u_ss)
@@ -424,9 +447,8 @@ def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
 
     grid = np.linspace(lo, hi, _PI_SHIFT_GRID)
     vals = magnitudes(grid)
-    _, peak = _refine_peak(lambda v: float(magnitudes(np.array([v]))[0]),
-                           grid, vals, 1e-10 * (1.0 + hi - lo))
-    return peak
+    return _refine_peak(lambda v: float(magnitudes(np.array([v]))[0]),
+                        grid, vals, 1e-10 * (1.0 + hi - lo))
 
 
 def integral_gain_bound(

@@ -118,7 +118,7 @@ class BilinearSystem:
     D is the measured-output matrix (p, n).  Arrays are stored float64,
     C-contiguous and read-only, and the instance is frozen, so what is
     derived from the plant alone can be kept on it: steady_state.reachable_set
-    stores its sweep in ``_reachable`` on first use.  dataclasses.replace
+    stores its result in ``_reachable`` on first use.  dataclasses.replace
     builds a new instance, which starts without one.
     """
 
@@ -303,6 +303,11 @@ def system_from_dict(data: dict) -> tuple[BilinearSystem, HexParams | None]:
     params = None
     if data.get("hex_params") is not None:
         params = HexParams.from_dict(data["hex_params"])
+        # design builds P from the block, so it must describe this plant
+        built = build_hex(params)
+        for name in ("A", "B", "b", "E", "C", "u_min", "u_max"):
+            if not np.array_equal(getattr(built, name), getattr(sys, name)):
+                raise ValueError(f"hex_params build a plant whose {name} differs from the system's")
     return sys, params
 
 

@@ -131,7 +131,7 @@ def scenario_from_dict(
     reference inside the reachable set; artifact arrays whose shapes fit
     sys.  x0 defaults to the open-loop equilibrium of the first reference,
     x_hat0 to x0.  The reachable set is the one reachable_set keeps on sys,
-    so every scenario on one plant shares a single sweep.
+    so every scenario on one plant shares it.
     """
     require_fields(data, "scenario", _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL)
     require_artifacts_fit(sys, artifacts)
@@ -180,7 +180,7 @@ def scenario_from_dict(
             raise ValueError(f"{key} must have {sys.n_states} entries, got {x.shape}")
         return x
 
-    x0 = state("x0", lambda: invert_reference(sys, float(ref_v[0]), reach).x_ss.copy())
+    x0 = state("x0", lambda: invert_reference(sys, float(ref_v[0])).x_ss.copy())
     x_hat0 = state("x_hat0", x0.copy)
 
     kp_pi = as_float("kp_pi", data.get("kp_pi", 0.0))

@@ -6,13 +6,14 @@ For a frozen admissible input u the equilibrium is
 
 the steady output is C pi(u), and the reachable reference set is the range
 of C pi over [u_min, u_max].  _equilibria solves for pi on stacks of inputs
-(pi_map is one input).  All solvers here are deterministic: fixed grids,
-bracketed bisection, and golden-section refinement of a grid peak.
+(pi_map is one input).  The poles of pi, the stationary points of C pi and
+the inputs that meet a reference are the real roots in range of three
+affine matrix pencils (_pencil_roots); no grid is involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +38,8 @@ _COND_LIMIT = 1e14  # a matrix with 2-norm condition number above this is singul
 _COND_CLEAR = 1e12
 _EPS = float(np.finfo(np.float64).eps)
 _STACK_BLOCK = 64  # matrices per stacked screen and solve; bounds the (block, n, n) temporaries
-_REACH_GRID = 256  # inputs in the sweep of the reachable set
-_BISECT_MAX_ITER = 200
-_GOLDEN_TOL = 1e-10
+_ROOT_TOL = 1e-9  # a pencil root is real, and in range, to this fraction of the range
+_SHIFTS = (0.5, 0.3819660112501051)  # where _pencil_roots shifts, as fractions of the range
 
 
 @dataclass
@@ -53,24 +53,17 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class ReachableSet:
-    """Range of the steady regulated output over the input interval.
-
-    ``u_grid``/``y_grid`` keep the coarse sweep used to locate the extrema;
-    the endpoints themselves are golden-section refined.  Every caller of
-    reachable_set on one system shares one instance, so it is frozen and
-    its grids are read-only.
-    """
+    """Range of the steady regulated output over the input interval, and the
+    inputs that attain its ends; frozen, as the callers on one system share it."""
 
     r_min: float
     r_max: float
     u_at_min: float
     u_at_max: float
-    u_grid: np.ndarray = field(repr=False)
-    y_grid: np.ndarray = field(repr=False)
 
     def require(self, r: float) -> None:
         """Raise ReferenceUnreachableError unless r lies in [r_min, r_max]
-        widened by 1e-9 (1 + |r|), the rounding of the refined extrema."""
+        widened by 1e-9 (1 + |r|), the rounding of the extrema."""
         tol = 1e-9 * (1.0 + abs(r))
         if not (self.r_min - tol) <= r <= (self.r_max + tol):
             raise ReferenceUnreachableError(r, self.r_min, self.r_max)
@@ -236,111 +229,90 @@ def equilibrium_at(sys: BilinearSystem, u: float) -> Equilibrium:
     return Equilibrium(u_ss=float(u), x_ss=x, y_ss=float(sys.C @ x))
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Deterministic golden-section maximizer on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    u_best = 0.5 * (a + b)
-    return u_best, f(u_best)
+def _pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The real u in [lo, hi] at which M0 + u M1 is singular, ascending.
+
+    Shift-invert about the middle s of the range: the roots are
+    u = s - 1/mu for the eigenvalues mu of (M0 + s M1)^-1 M1.  A root
+    counts as real, and as in range, to within 1e-9 (hi - lo); it is then
+    clipped to the range.  Where the solve at s raises, s is a root, and a
+    second shift finds the others.
+    """
+    tol = _ROOT_TOL * (hi - lo)
+    exact = []
+    for s in lo + np.multiply(_SHIFTS, hi - lo):
+        try:
+            mu = np.linalg.eigvals(np.linalg.solve(M0 + s * M1, M1))
+        except np.linalg.LinAlgError:
+            exact.append(s)
+            continue
+        with np.errstate(all="ignore"):
+            u = s - 1.0 / mu
+        keep = (np.abs(u.imag) <= tol) & (u.real >= lo - tol) & (u.real <= hi + tol)
+        return np.sort(np.append(exact, np.clip(u.real[keep], lo, hi)))
+    return np.array(exact)
 
 
-def _refine_peak(f, grid: np.ndarray, vals: np.ndarray, tol: float) -> tuple[float, float]:
-    """Maximize f from its values vals on grid: the grid maximum, then a
-    golden-section search between its neighbours; the grid point wins a tie."""
-    i = int(np.argmax(vals))
-    x, val = _golden_section_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], tol)
-    if vals[i] >= val:
-        return float(grid[i]), float(vals[i])
-    return float(x), float(val)
+def _stationary_points(sys: BilinearSystem) -> np.ndarray:
+    """The inputs in range where dy_ss/du vanishes (see reachable_set)."""
+    n = sys.n_states
+    Z, z = np.zeros((n, n)), np.zeros((n, 1))
+    M0 = np.block([[sys.A, Z, sys.E[:, None]], [-sys.B, sys.A, -sys.b[:, None]],
+                   [z.T, sys.C[None], np.zeros((1, 1))]])
+    M1 = np.block([[sys.B, Z, sys.b[:, None]], [Z, sys.B, z], [np.zeros((1, 2 * n + 1))]])
+    return _pencil_roots(M0, M1, sys.u_min, sys.u_max)
 
 
 def reachable_set(sys: BilinearSystem) -> ReachableSet:
-    """Sweep C pi(u) over 256 inputs of the interval, stacked but with the
-    bits of one pi_map and C @ x each, and refine both extrema.
+    """The range of y_ss(u) = C pi(u) over [u_min, u_max].
 
-    The plant of a BilinearSystem is frozen, so the first call keeps its
-    result on sys and every later call on that instance returns the same
-    object without solving again.  A sweep that raises keeps nothing.
+    A root of the pencil (A, B) in range, where A + B u is singular, breaks
+    Assumption 1: SingularMatrixError names it.  Otherwise y_ss takes its
+    extrema at u_min, u_max or a zero of dy_ss/du = -C F_u^-1 g_u.  With
+    w = F_u^-1 g_u those are the roots of the (2n + 1) pencil
+
+        [[A, 0, E], [-B, A, -b], [0, C, 0]] + u [[B, 0, b], [0, B, 0], [0, 0, 0]]
+
+    on (pi(u), w, 1).  pi is solved at those inputs in one stacked call, and
+    the smallest u wins a tie.  The first call keeps its result on the
+    frozen sys, and later calls return that object; a call that raises
+    keeps nothing.
     """
     if sys._reachable is not None:
         return sys._reachable
-    u_grid = np.linspace(sys.u_min, sys.u_max, _REACH_GRID)
-    y_grid = _rowdot(sys.C, _equilibria(sys, u_grid))[:, 0]
-    u_at_max, r_max = _refine_peak(
-        lambda u: equilibrium_at(sys, u).y_ss, u_grid, y_grid, _GOLDEN_TOL)
-    u_at_min, neg_min = _refine_peak(
-        lambda u: -equilibrium_at(sys, u).y_ss, u_grid, -y_grid, _GOLDEN_TOL)
-    u_grid.setflags(write=False)
-    y_grid.setflags(write=False)
-    rs = ReachableSet(
-        r_min=-neg_min, r_max=r_max, u_at_min=u_at_min, u_at_max=u_at_max,
-        u_grid=u_grid, y_grid=y_grid,
-    )
+    lo, hi = sys.u_min, sys.u_max
+    poles = _pencil_roots(sys.A, sys.B, lo, hi)
+    if poles.size:
+        raise SingularMatrixError(f"A + B u is singular at u = {float(poles[0])!r}, "
+                                  f"inside [{lo!r}, {hi!r}]", cond=np.inf)
+    us = np.concatenate(([lo], _stationary_points(sys), [hi]))
+    ys = _rowdot(sys.C, _equilibria(sys, us))[:, 0]
+    i, j = int(np.argmin(ys)), int(np.argmax(ys))
+    rs = ReachableSet(r_min=float(ys[i]), r_max=float(ys[j]),
+                      u_at_min=float(us[i]), u_at_max=float(us[j]))
     object.__setattr__(sys, "_reachable", rs)
     return rs
 
 
-def invert_reference(
-    sys: BilinearSystem, r: float, rs: ReachableSet | None = None
-) -> Equilibrium:
-    """Find the smallest admissible u_ss with C pi(u_ss) = r.
+def invert_reference(sys: BilinearSystem, r: float) -> Equilibrium:
+    """The smallest admissible u_ss with C pi(u_ss) = r, to 1e-8 (1 + |r|).
 
-    The sweep of the reachable set rs (by default the one reachable_set
-    keeps on sys, so repeated inversions on one plant sweep it once) is
-    scanned in order of u for the first crossing: a grid point
-    within tolerance of r, or a sign change, bisected (bounded iteration
-    count).  Where there is none, an extremum may touch r between grid
-    points: the closest grid point is refined by _refine_peak.
+    C pi(u) = r where ([[A, E], [C, -r]] + u [[B, b], [0, 0]]) (pi(u), 1)
+    = 0: at the roots of that (n + 1) pencil.  pi is solved at the roots in
+    one stacked call, and the first that meets the tolerance is taken.  An
+    r that ReachableSet.require admits beyond an interior extremum has no
+    real root, so the extrema's inputs are tried last.
     """
     r = float(r)
-    if rs is None:
-        rs = reachable_set(sys)
+    rs = reachable_set(sys)
     rs.require(r)
-
-    g = rs.y_grid - r
-    f_tol = 1e-8 * (1.0 + abs(r))
-    near = np.abs(g) <= f_tol
-    # a bracket ending on an exact zero is left to that grid point
-    flips = np.append((np.sign(g[:-1]) != np.sign(g[1:])) & (g[1:] != 0.0), False)
-    hits = np.flatnonzero(near | flips)
-    if not hits.size:
-        u_ss, _ = _refine_peak(lambda u: -abs(equilibrium_at(sys, u).y_ss - r),
-                               rs.u_grid, -np.abs(g), _GOLDEN_TOL)
-    elif near[hits[0]]:
-        u_ss = float(rs.u_grid[hits[0]])
-    else:
-        i = hits[0]
-        u_ss = _bisect(sys, r, rs.u_grid[i], rs.u_grid[i + 1], g[i])
-
-    eq = equilibrium_at(sys, u_ss)
-    if abs(eq.y_ss - r) > f_tol:
+    M0 = np.block([[sys.A, sys.E[:, None]], [sys.C[None], np.full((1, 1), -r)]])
+    M1 = np.block([[sys.B, sys.b[:, None]], [np.zeros((1, sys.n_states + 1))]])
+    us = np.append(_pencil_roots(M0, M1, sys.u_min, sys.u_max), (rs.u_at_min, rs.u_at_max))
+    X = _equilibria(sys, us)
+    gap = np.abs(_rowdot(sys.C, X)[:, 0] - r)
+    met = np.flatnonzero(gap <= 1e-8 * (1.0 + abs(r)))
+    if not met.size:
         raise ReferenceUnreachableError(r, rs.r_min, rs.r_max)
-    return eq
-
-
-def _bisect(sys: BilinearSystem, r: float, lo: float, hi: float, g_lo: float) -> float:
-    sign_lo = np.sign(g_lo)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) < 1e-15 * (1.0 + abs(mid)):
-            break
-        g_mid = equilibrium_at(sys, mid).y_ss - r
-        if g_mid == 0.0:
-            return float(mid)
-        if np.sign(g_mid) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    i = met[0]
+    return Equilibrium(u_ss=float(us[i]), x_ss=X[i], y_ss=float(sys.C @ X[i]))

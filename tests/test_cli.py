@@ -19,6 +19,7 @@ from hexreg.errors import as_float
 
 from conftest import child_env
 from test_loaders import json_values
+from test_steady_state import _pole_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -250,12 +251,66 @@ def test_steady_state_ref_conflict(ws):
 
 
 def test_steady_state_has_no_grid_option(ws, capsys):
-    """The reachable set is swept at a fixed 256 inputs, so --grid is an
+    """The reachable set is decided without a grid, so --grid is an
     unrecognized argument."""
     capsys.readouterr()
     rc = main(["steady-state", str(ws / "hex.json"), "--grid", "64"])
     assert rc == 2
     assert "unrecognized arguments: --grid 64" in capsys.readouterr().err
+
+
+def test_steady_state_pole_in_range_exit3(tmp_path, capsys):
+    """A + B u is singular at u = 0.701, between any two inputs of a
+    256-point grid over [0, 1]: steady-state names the pole and exits 3."""
+    path = tmp_path / "pole.json"
+    hexreg.save_system(path, _pole_system(0.701))
+    capsys.readouterr()
+    assert main(["steady-state", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: A + B u is singular at u = 0.70"), err
+
+
+def test_steady_state_and_scenario_leave_scipy_unimported(ws):
+    """steady-state --ref and a scenario load, the start of every tracking
+    run, use numpy alone: importing scipy.linalg would add a third of a
+    second to each process."""
+    code = (
+        "import sys\n"
+        "from hexreg import cli, design, model, serde, sim\n"
+        "hex_json, art_json, scn_json = sys.argv[1:]\n"
+        "assert cli.main(['steady-state', hex_json, '--ref', '26.5', '--units', 'C']) == 0\n"
+        "plant, _ = model.load_system(hex_json)\n"
+        "sim.scenario_from_dict(serde.read_object(scn_json), plant,\n"
+        "                       design.load_artifacts(art_json))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ws / "hex.json"), str(ws / "fwd.json"),
+         str(CONFIGS / "experiment2.json")],
+        env=child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("field, value, differs", [
+    ("n_cells", 3, "A"), ("V_cold", 1.0, "A"), ("T_in_cold", 300.0, "E"),
+    ("u_max", 0.06, "u_max")])
+def test_design_hex_params_disagreeing_with_the_plant_exit2(ws, tmp_path, capsys,
+                                                            field, value, differs):
+    """A hex_params block that does not rebuild the file's plant is refused
+    when the system loads, naming the first field that differs: design
+    would otherwise build P for another plant."""
+    data = json.loads((ws / "hex.json").read_text())
+    data["hex_params"][field] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["design", str(path), "--law", "integral_only", "--ref", "26.5",
+               "--units", "C", "--out", str(tmp_path / "io.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: hex_params build a plant whose {differs} differs from the system's"]
+    assert not (tmp_path / "io.json").exists()
 
 
 def test_verify_default_passes(ws, tmp_path):
@@ -371,7 +426,9 @@ def test_simulate_several_scenarios(ws, tmp_path):
 def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
     """RK4 at dt = 20 s diverges on this plant; the run ends with the
     exit-3 message, naming the first non-finite state entry and the last
-    finite input, and no numpy overflow warnings before it."""
+    finite input, and no numpy overflow warnings before it.  The step of
+    the overflow moves with the last bits of the designed and the inverted
+    u_ss (37 to 39 for inversions that differ by 1e-11 relative)."""
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -381,7 +438,7 @@ def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [
-        "error: non-finite state at step 39 (t = 780 s): x_1 first, "
+        "error: non-finite state at step 38 (t = 760 s): x_1 first, "
         "last finite u_sat = 0.05"]
 
 

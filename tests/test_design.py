@@ -327,7 +327,7 @@ def test_pi_shift_sup_positive(hexsys, eq265):
 def test_pi_shift_sup_matches_per_point_sweep(hexsys, eq265):
     """The stacked sweep gives the bits of one cond, two solves and one
     norm per deviation, refined by the same golden-section search."""
-    from hexreg.steady_state import _golden_section_max
+    from hexreg.design import _golden_section_max
 
     lo, hi = hexsys.u_min - eq265.u_ss, hexsys.u_max - eq265.u_ss
     F = hexsys.frozen(eq265.u_ss)

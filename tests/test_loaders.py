@@ -58,7 +58,8 @@ def documents(table1, synthetic_observable, synthetic_observer):
     }
     return {
         "params": table1.to_dict(),
-        "system": _as_json(model.system_to_dict(sys_, table1)),
+        # a hex_params block must rebuild the file's plant
+        "system": _as_json(model.system_to_dict(hexreg.build_hex(table1), table1)),
         "artifacts": _as_json(design.artifacts_to_dict(art)),
         "scenario": scenario,
         "scenario_args": (sys_, art),

@@ -35,44 +35,45 @@ def test_scenario_minimal(hexsys, fwd_art):
         hexsys, 26.5 + KELVIN).x_ss)
 
 
-def test_scenario_without_x0_sweeps_reachable_set_once(hexsys, fwd_art, monkeypatch):
-    """The reference check's sweep also seeds the x0 inversion."""
+def test_scenario_without_x0_sweeps_reachable_set_once(table1, fwd_art, monkeypatch):
+    """The reference check's reachable set also serves the x0 inversion:
+    on a fresh plant it is decided once and kept."""
     from hexreg import steady_state
 
     calls = []
-    sweep = steady_state.reachable_set
+    keep = steady_state.reachable_set
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sweep(*args, **kwargs)
+    def counted(sys_):
+        calls.append(sys_._reachable is None)
+        return keep(sys_)
 
     monkeypatch.setattr(steady_state, "reachable_set", counted)
     monkeypatch.setattr(sim, "reachable_set", counted)
-    hexreg.scenario_from_dict(base_dict(), hexsys, fwd_art)
-    assert len(calls) == 1
+    hexreg.scenario_from_dict(base_dict(), hexreg.build_hex(table1), fwd_art)
+    assert calls.count(True) == 1
 
 
 def test_scenarios_on_one_plant_share_one_sweep(table1, fwd_art, monkeypatch):
-    """Twenty scenarios with x0 on one plant solve no more than one sweep
-    of its reachable set does."""
+    """Twenty scenarios with x0 on one plant solve pi no more often than
+    one reachable set does: one stacked call."""
     from hexreg import steady_state
 
     calls = []
-    one = steady_state.pi_map
+    stacked = steady_state._equilibria
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return one(*args, **kwargs)
+        return stacked(*args, **kwargs)
 
-    monkeypatch.setattr(steady_state, "pi_map", counted)
+    monkeypatch.setattr(steady_state, "_equilibria", counted)
     hexreg.reachable_set(hexreg.build_hex(table1))
-    sweep = len(calls)
+    assert len(calls) == 1
     calls.clear()
     plant = hexreg.build_hex(table1)
     data = base_dict(x0=(fwd_art.x_ss - KELVIN).tolist())
     for _ in range(20):
         hexreg.scenario_from_dict(data, plant, fwd_art)
-    assert 0 < len(calls) <= sweep
+    assert len(calls) == 1
 
 
 def test_scenario_kelvin_units(hexsys, fwd_art):

@@ -1,5 +1,7 @@
 """Equilibrium map, reference inversion, and the reachable set."""
 
+import functools
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -107,8 +109,7 @@ def test_reachable_set_linear_system_affine():
     reach = hexreg.reachable_set(sys)
     assert reach.r_min == pytest.approx(0.25)
     assert reach.r_max == pytest.approx(0.75)
-    mid = 0.5 * (reach.y_grid[127] + reach.y_grid[128])
-    assert mid == pytest.approx(0.5, abs=1e-2)
+    assert (reach.u_at_min, reach.u_at_max) == (0.0, 1.0)
 
 
 def test_reachable_set_degenerate_interval(hexsys):
@@ -121,51 +122,72 @@ def test_reachable_set_degenerate_interval(hexsys):
 
 
 def test_reachable_set_matches_per_point_sweep(hexsys):
-    """The stacked sweep gives the bits of one pi_map and one C @ x per
-    input, and both extrema the same golden-section refinement."""
-    from hexreg.steady_state import _golden_section_max
-
-    def output(u):
-        return float(hexsys.C @ hexreg.pi_map(hexsys, u))
-
+    """On the exchanger C pi has no stationary point in range, so the
+    extrema are the ends of a per-point sweep of pi_map and C @ x over 256
+    inputs, bit for bit, and the values the 256-point sweep and its
+    golden sections gave."""
     u_grid = np.linspace(hexsys.u_min, hexsys.u_max, 256)
-    y_grid = np.array([output(u) for u in u_grid])
-
-    def refine(sign):
-        i = int(np.argmax(sign * y_grid))
-        u_best, val = _golden_section_max(lambda u: sign * output(u),
-                                          u_grid[max(i - 1, 0)],
-                                          u_grid[min(i + 1, 255)], 1e-10)
-        if sign * y_grid[i] >= val:
-            return float(u_grid[i]), float(y_grid[i])
-        return float(u_best), float(sign * val)
-
+    y_grid = np.array([float(hexsys.C @ hexreg.pi_map(hexsys, u)) for u in u_grid])
     reach = hexreg.reachable_set(hexsys)
+    i, j = int(np.argmin(y_grid)), int(np.argmax(y_grid))
     got = [reach.u_at_min, reach.r_min, reach.u_at_max, reach.r_max]
-    want = [*refine(-1.0), *refine(+1.0)]
+    want = [u_grid[i], y_grid[i], u_grid[j], y_grid[j]]
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
-    assert reach.y_grid.tobytes() == y_grid.tobytes()
+    assert [float.hex(v) for v in got] == [
+        "0x1.999999999999ap-5", "0x1.20e6352ea43fcp+8", "0x0.0p+0", "0x1.3300000000000p+8"]
 
 
 def test_reachable_set_refuses_singular_grid_input():
-    """F_u = diag(u - u_127, -1) is singular at the 128th of the 256 sweep
-    inputs: the sweep raises what pi_map raises there."""
+    """F_u = diag(u - u_127, -1) is singular at u_127, the 128th of 256
+    inputs spread over [0, 1]: reachable_set names that pole of (A, B), and
+    pi_map at u_127 raises its own singular-matrix error."""
     u_127 = float(np.linspace(0.0, 1.0, 256)[127])
     sys = hexreg.BilinearSystem(
         A=np.diag([-u_127, -1.0]), B=np.diag([1.0, 0.0]), b=np.array([1.0, 0.0]),
         E=np.array([0.0, 1.0]), C=np.array([1.0, 1.0]), D=np.eye(2),
         u_min=0.0, u_max=1.0,
     )
+    with pytest.raises(hexreg.SingularMatrixError) as err:
+        hexreg.reachable_set(sys)
+    assert abs(_named_pole(err.value) - u_127) <= 1e-12 and err.value.cond == np.inf
     message = "A \\+ B u numerically singular at u = 0.4980392156862745$"
-    for call in (lambda: hexreg.reachable_set(sys), lambda: hexreg.pi_map(sys, u_127)):
-        with pytest.raises(hexreg.SingularMatrixError, match=message) as err:
-            call()
-        assert err.value.cond == np.inf
+    with pytest.raises(hexreg.SingularMatrixError, match=message) as err:
+        hexreg.pi_map(sys, u_127)
+    assert err.value.cond == np.inf
+
+
+def _named_pole(err) -> float:
+    """The u that a pole-naming SingularMatrixError names."""
+    match = re.fullmatch(r"A \+ B u is singular at u = (\S+), inside \[0\.0, 1\.0\]", str(err))
+    assert match, str(err)
+    return float(match.group(1))
+
+
+def _pole_system(c: float = 0.701) -> hexreg.BilinearSystem:
+    """C pi(u) = (0.2 - u) / (u - c): a root at u = 0.2 and a pole at c, on
+    [0, 1].  With c = 0.701 no input of a 256-point grid over [0, 1] meets
+    the pole."""
+    return hexreg.BilinearSystem(
+        A=np.diag([-c, -1.0]), B=np.diag([1.0, 0.0]), b=np.array([1.0, 0.0]),
+        E=np.array([-0.2, 0.0]), C=np.array([1.0, 0.0]), D=np.eye(2),
+        u_min=0.0, u_max=1.0,
+    )
+
+
+@pytest.mark.parametrize("c", [0.701, 0.5])
+def test_reachable_set_names_a_pole_between_grid_inputs(c):
+    """A + B u singular inside the range breaks Assumption 1 wherever the
+    pole falls: between the inputs of a grid (c = 0.701, where a 256-point
+    sweep returned [-1.9e10, 1.4e10]) or on the pencil's own shift (c =
+    0.5, the middle of the range)."""
+    with pytest.raises(hexreg.SingularMatrixError) as err:
+        hexreg.reachable_set(_pole_system(c))
+    assert abs(_named_pole(err.value) - c) <= 1e-12 and err.value.cond == np.inf
 
 
 def test_scenario_with_x0_makes_few_scalar_solves(table1, fwd_art, monkeypatch):
-    """The reachable-set sweep is stacked: only its two refinements call
-    pi_map one input at a time.  A fresh plant, so its set is swept here."""
+    """The reachable set solves pi in one stacked call and makes no scalar
+    pi_map call.  A fresh plant, so its set is decided here."""
     hexsys = hexreg.build_hex(table1)
     calls = []
     one = steady_state.pi_map
@@ -179,16 +201,16 @@ def test_scenario_with_x0_makes_few_scalar_solves(table1, fwd_art, monkeypatch):
             "reference_schedule": [[0.0, 26.5]],
             "x0": (fwd_art.x_ss - KELVIN).tolist()}
     hexreg.scenario_from_dict(data, hexsys, fwd_art)
-    assert 0 < len(calls) < 100
+    assert calls == []
 
 
-def _bowl_system():
-    """C pi(u) = u + 4 / (1 + u) on [0, 3]: a minimum of 3 at u = 1 between
-    two maxima of 4 at u = 0 and u = 3."""
+def _bowl_system(k: float = 4.0, u_max: float = 3.0):
+    """C pi(u) = u + k / (1 + u) on [0, u_max]; by default a minimum of 3 at
+    u = 1 between two maxima of 4 at u = 0 and u = 3."""
     return hexreg.BilinearSystem(
         A=np.diag([-1.0, -1.0]), B=np.diag([0.0, -1.0]), b=np.array([1.0, 0.0]),
-        E=np.array([0.0, 4.0]), C=np.array([1.0, 1.0]), D=np.eye(2),
-        u_min=0.0, u_max=3.0,
+        E=np.array([0.0, k]), C=np.array([1.0, 1.0]), D=np.eye(2),
+        u_min=0.0, u_max=u_max,
     )
 
 
@@ -202,22 +224,44 @@ def test_reachable_set_interior_minimum():
 def test_invert_reference_takes_smallest_root():
     """3.5 is met at (2.5 -+ sqrt(4.25)) / 2; the first crossing is the smaller."""
     eq = hexreg.invert_reference(_bowl_system(), 3.5)
-    assert eq.u_ss == 0.2192235935955848
     assert eq.u_ss == pytest.approx((2.5 - np.sqrt(4.25)) / 2.0, abs=1e-15)
+
+
+def test_invert_reference_at_the_bowl_extrema():
+    """r = 3.0 touches the interior minimum at u = 1, a double root of the
+    pencil, known only to about sqrt(eps); r = 4.0 is met at both ends and
+    the smaller, u = 0, is taken."""
+    sys = _bowl_system()
+    eq = hexreg.invert_reference(sys, 3.0)
+    assert eq.u_ss == pytest.approx(1.0, abs=1e-7) and abs(eq.y_ss - 3.0) <= 4e-8
+    eq = hexreg.invert_reference(sys, 4.0)
+    assert eq.u_ss == 0.0 and eq.y_ss == 4.0
+
+
+def test_invert_reference_root_on_the_shift():
+    """u + 3 / (1 + u) = 2.5 at u = 0.5 and at u = 1, the middle of [0, 2],
+    where the pencil's first shift is exactly singular: a second shift
+    finds the smaller root."""
+    eq = hexreg.invert_reference(_bowl_system(k=3.0, u_max=2.0), 2.5)
+    assert eq.u_ss == pytest.approx(0.5, abs=1e-15) and abs(eq.y_ss - 2.5) <= 1e-15
+
+
+def test_invert_reference_clips_a_root_past_the_bound():
+    """On [0.5, 3] the bowl's C pi(0.5) is met at u = 0.5 and u = 5/3; the
+    pencil puts the first root 1.5e-14 below u_min, which is clipped to
+    u_min, not dropped in favour of the second."""
+    sys = replace(_bowl_system(), u_min=0.5)
+    eq = hexreg.invert_reference(sys, float(sys.C @ hexreg.pi_map(sys, 0.5)))
+    assert eq.u_ss == 0.5
 
 
 def test_invert_reference_stops_at_first_crossing():
     """C pi(u) = (0.2 - u) / (u - c) crosses 0 at u = 0.2 and changes sign
-    again at its pole c.  Bisecting that second bracket would close in on
-    the singular F_c; the scan stops at the first crossing instead."""
-    c = 0.701
-    sys = hexreg.BilinearSystem(
-        A=np.diag([-c, -1.0]), B=np.diag([1.0, 0.0]), b=np.array([1.0, 0.0]),
-        E=np.array([-0.2, 0.0]), C=np.array([1.0, 0.0]), D=np.eye(2),
-        u_min=0.0, u_max=1.0,
-    )
-    eq = hexreg.invert_reference(sys, 0.0)
-    assert eq.u_ss == pytest.approx(0.2, abs=1e-12) and abs(eq.y_ss) <= 1e-8
+    again at its pole c.  The pole breaks Assumption 1, so the inversion
+    refuses the plant before it looks for a crossing."""
+    with pytest.raises(hexreg.SingularMatrixError) as err:
+        hexreg.invert_reference(_pole_system(), 0.0)
+    assert abs(_named_pole(err.value) - 0.701) <= 1e-12
 
 
 def test_invert_reference_round_trip(hexsys, eq02):
@@ -254,34 +298,16 @@ def test_reachable_set_tolerance_boundary(hexsys, fwd_art, caller):
 
 
 def test_invert_reference_midpoint_bracketed(hexsys):
-    """Cpi is strictly monotone on the grid, so bisection from the
-    bracketing cell reproduces any grid midpoint value."""
-    reach = hexreg.reachable_set(hexsys)
-    diffs = np.diff(reach.y_grid)
-    assert np.all(diffs < 0.0)  # decreasing in u
-    r = 0.5 * (reach.y_grid[20] + reach.y_grid[21])
+    """Cpi is strictly decreasing on the exchanger, so the inversion of the
+    mean of its values at two inputs lies between them."""
+    u_grid = np.linspace(hexsys.u_min, hexsys.u_max, 256)
+    y_grid = np.array([float(hexsys.C @ hexreg.pi_map(hexsys, u)) for u in u_grid])
+    assert np.all(np.diff(y_grid) < 0.0)
+    r = 0.5 * (y_grid[20] + y_grid[21])
     eq = hexreg.invert_reference(hexsys, r)
-    assert reach.u_grid[20] < eq.u_ss < reach.u_grid[21]
+    assert u_grid[20] < eq.u_ss < u_grid[21]
     assert float(hexsys.C @ hexreg.pi_map(hexsys, eq.u_ss)) == pytest.approx(
         r, abs=1e-9)
-
-
-def test_invert_reference_searches_the_given_set(hexsys, monkeypatch):
-    """A given reachable set is searched as is; none is built."""
-    r = 26.5 + KELVIN
-    default = hexreg.invert_reference(hexsys, r)
-    full = hexreg.reachable_set(hexsys)
-    # every 17th input of the 256: 16 points from u_min to u_max
-    coarse = replace(full, u_grid=full.u_grid[::17], y_grid=full.y_grid[::17])
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("invert_reference rebuilt the reachable set")
-
-    monkeypatch.setattr(steady_state, "reachable_set", no_sweep)
-    eq = hexreg.invert_reference(hexsys, r, full)
-    assert eq.u_ss == default.u_ss and np.array_equal(eq.x_ss, default.x_ss)
-    eq16 = hexreg.invert_reference(hexsys, r, coarse)
-    assert eq16.y_ss == pytest.approx(r, abs=1e-8)
 
 
 def _count_solves(monkeypatch) -> list:
@@ -299,24 +325,24 @@ def test_reachable_set_is_swept_once_per_system(table1, monkeypatch):
     sys = hexreg.build_hex(table1)
     calls = _count_solves(monkeypatch)
     reach = hexreg.reachable_set(sys)
-    assert calls.count("_equilibria") > calls.count("pi_map") > 0
+    assert calls == ["_equilibria"]
     calls.clear()
     assert hexreg.reachable_set(sys) is reach
     assert calls == []
     hexreg.invert_reference(sys, 26.5 + KELVIN)
-    # its own scalar solves only, each one pi_map and one _equilibria
-    assert calls.count("_equilibria") == calls.count("pi_map") > 0
+    # its own roots only, in one stacked solve
+    assert calls == ["_equilibria"]
     # the memo stays out of every output of the system
     assert "_reachable" not in repr(sys)
     assert "_reachable" not in model.system_to_dict(sys)
 
 
 def test_reachable_set_is_frozen_and_read_only(table1):
+    """The kept set and the plant it is kept on cannot change."""
     sys = hexreg.build_hex(table1)
     reach = hexreg.reachable_set(sys)
-    for grid in (reach.u_grid, reach.y_grid):
-        with pytest.raises(ValueError, match="read-only"):
-            grid[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        sys.A[0, 0] = 0.0
     with pytest.raises(FrozenInstanceError):
         reach.r_min = 0.0
     with pytest.raises(FrozenInstanceError):
@@ -331,16 +357,16 @@ def test_replaced_system_gets_its_own_sweep(table1, monkeypatch):
     reach_narrow = hexreg.reachable_set(narrow)
     assert calls.count("_equilibria") > 0
     assert reach_narrow is not reach and hexreg.reachable_set(sys) is reach
-    assert reach_narrow.u_grid[-1] == 0.04 and reach.u_grid[-1] == 0.05
+    assert reach_narrow.u_at_min == 0.04 and reach.u_at_min == 0.05
     assert reach_narrow.r_min > reach.r_min
 
 
 def test_memoized_reachable_set_matches_fresh_sweep(hexsys, table1):
-    """The set kept on the session-scoped hexsys, swept by whichever test
-    came first, has the bits of a sweep of a freshly built plant."""
+    """The set kept on the session-scoped hexsys, decided by whichever test
+    came first, has the bits of the set of a freshly built plant."""
     kept, fresh = hexreg.reachable_set(hexsys), hexreg.reachable_set(hexreg.build_hex(table1))
     assert kept is hexreg.reachable_set(hexsys) and fresh is not kept
-    for name in ("r_min", "r_max", "u_at_min", "u_at_max", "u_grid", "y_grid"):
+    for name in ("r_min", "r_max", "u_at_min", "u_at_max"):
         assert np.asarray(getattr(kept, name)).tobytes() == \
             np.asarray(getattr(fresh, name)).tobytes(), name
 
@@ -356,6 +382,63 @@ def _stable_system(seed: int, n: int) -> hexreg.BilinearSystem:
         A=G - shift * np.eye(n), B=B, b=rng.standard_normal(n),
         E=rng.standard_normal(n), C=rng.standard_normal(n),
         D=np.eye(1, n), u_min=0.0, u_max=1.0)
+
+
+# seeded random plants for the dense-grid oracle: seeds 0-14, 2-5 states
+_ORACLE_PLANTS = [(seed, n) for seed in range(15) for n in range(2, 6)]
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_oracle(seed: int, n: int):
+    """The plant _stable_system(seed, n), and at 20 001 inputs over its
+    range y_ss = C pi(u) and the DC gain C F_u^-1 g_u, each input from its
+    own two solves."""
+    sys_ = _stable_system(seed, n)
+    u = np.linspace(sys_.u_min, sys_.u_max, 20001)
+    F = sys_.A + sys_.B * u[:, None, None]
+    x = np.linalg.solve(F, -(sys_.b * u[:, None] + sys_.E)[..., None])[..., 0]
+    w = np.linalg.solve(F, (x @ sys_.B.T + sys_.b)[..., None])[..., 0]
+    return sys_, u, x @ sys_.C, w @ sys_.C
+
+
+def _sign_changes(f: np.ndarray) -> np.ndarray:
+    """Indices i where f changes sign between entries i and i + 1."""
+    return np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+
+
+def test_stationary_points_count_the_dc_gain_sign_changes():
+    """The (2n + 1) pencil has one root in range per sign change of the
+    dense-grid DC gain, on every oracle plant; some plants change sign."""
+    changing = 0
+    for seed, n in _ORACLE_PLANTS:
+        sys_, _, _, dc = _dense_oracle(seed, n)
+        flips = len(_sign_changes(dc))
+        assert len(steady_state._stationary_points(sys_)) == flips, (seed, n)
+        changing += flips > 0
+    assert changing >= 5
+
+
+def test_reachable_set_bounds_the_dense_grid():
+    """r_min and r_max bound C pi at every dense-grid input, to 1e-9 (1 + |r|)."""
+    for seed, n in _ORACLE_PLANTS:
+        sys_, _, y, _ = _dense_oracle(seed, n)
+        reach = hexreg.reachable_set(sys_)
+        tol = 1e-9 * (1.0 + np.abs(y))
+        assert np.all(y >= reach.r_min - tol) and np.all(y <= reach.r_max + tol), (seed, n)
+
+
+def test_invert_reference_takes_the_first_dense_grid_crossing():
+    """Every inversion lands in the first dense-grid cell where C pi - r
+    changes sign, and meets r to 1e-8 (1 + |r|)."""
+    for seed, n in _ORACLE_PLANTS:
+        sys_, u, y, _ = _dense_oracle(seed, n)
+        reach = hexreg.reachable_set(sys_)
+        for frac in (0.03, 0.31, 0.5, 0.77, 0.98):
+            r = reach.r_min + frac * (reach.r_max - reach.r_min)
+            eq = hexreg.invert_reference(sys_, r)
+            i = _sign_changes(y - r)[0]
+            assert u[i] <= eq.u_ss <= u[i + 1], (seed, n, frac)
+            assert abs(eq.y_ss - r) <= 1e-8 * (1.0 + abs(r))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
