@@ -1,10 +1,12 @@
 """Certificate checks and proof-level monitors.
 
 Everything here re-derives quantities from first principles so tests and the
-verify subcommand can cross-examine design artifacts: grid checks of the
-standing assumptions, Lyapunov monitor evaluation along trajectories, and the
-linearized stability analysis of the integral-only loop.  Negative findings
-are reported as data; only malformed inputs raise.
+verify subcommand can cross-examine design artifacts: checks of the standing
+assumptions (on an input grid, except the robust-decay inequality, which is
+affine in the input and decided at its two bounds), Lyapunov monitor
+evaluation along trajectories, and the linearized stability analysis of the
+integral-only loop.  Negative findings are reported as data; only malformed
+inputs raise.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .design import (
     DesignArtifacts,
     _dc_path,
     input_coupling_bound,
-    lyapunov_decay_margin,
     robust_decay_block,
 )
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
@@ -32,7 +33,6 @@ __all__ = [
     "assumption_report",
     "integral_gain_stability_limit",
     "linearization_matrix",
-    "lyapunov_decay_margin",
     "max_monotone_violation",
     "observer_monitor_constants",
     "saturation_gap",
@@ -79,13 +79,15 @@ class LMIRecord:
 
 @dataclass
 class AssumptionReport:
-    """Grid-check verdicts; fields are None when that check was not run.
+    """Assumption-check verdicts; fields are None when that check was not run.
 
     hurwitz_margin is the max over the input grid of the largest real
     eigenvalue part of the frozen matrix (negative means the whole family is
     Hurwitz).  dc_gain_min_abs is the min of |C F_u^-1 g_u| over the same
     grid.  The a3a fields cover the robust-decay LMI at the supplied
-    (P, nu, eps); the a3b fields cover |C (F_u + B v)^-1 g_u| over the
+    (P, nu, eps) over the whole input interval, with no grid: the block is
+    affine in u, so its largest eigenvalue is convex in u and the two input
+    bounds decide it.  The a3b fields cover |C (F_u + B v)^-1 g_u| over the
     product grid.  Grid points where the shifted frozen matrix is
     numerically singular are counted, excluded from the minima, and spoil
     sign constancy.
@@ -150,10 +152,13 @@ def assumption_report(
     gain minimum and revokes sign constancy; with P the SingularMatrixError
     propagates.
 
-    With P the same pass checks Assumption 3.  Part (a): largest eigenvalue
-    of design.robust_decay_block with S = P F_u + F_u^T P and Q = P,
-    [[P F_u + F_u^T P + (nu mu^2 + 2 eps) I, P], [P, -nu I]], with
-    mu = |B| max(|u_min|, |u_max|).  Part (b): |C (F_u + B v)^-1 g_u| at
+    With P the report also checks Assumption 3.  Part (a): largest
+    eigenvalue of design.robust_decay_block with S = P F_u + F_u^T P and
+    Q = P, [[P F_u + F_u^T P + (nu mu^2 + 2 eps) I, P], [P, -nu I]], with
+    mu = |B| max(|u_min|, |u_max|).  The block is affine in u, so that
+    eigenvalue is convex in u and its maximum over [u_min, u_max] is the
+    larger of its values at the two bounds, the only inputs it is taken at;
+    both bounds are members of the u grid.  Part (b): |C (F_u + B v)^-1 g_u| at
     v_grid deviations v of the full range [u_min - u_max, u_max - u_min],
     admissible effective input or not.
 
@@ -192,7 +197,7 @@ def assumption_report(
         pair_singular, _ = screen_singular(sys.A, sys.B, us[:, None], vs)
         buf = np.empty((_STACK_BLOCK, n, n))  # each block of F_u + B v, formed in place
 
-    hurwitz = a3a = -np.inf
+    hurwitz = -np.inf
     gains = np.full(n_u, np.nan)
     dc_singular = 0
     min_abs, singular, pos, neg = np.inf, 0, 0, 0
@@ -210,8 +215,6 @@ def assumption_report(
         gains[i] = float(sys.C @ np.linalg.solve(F, g_u))
         if P is None:
             continue
-        block = robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu)
-        a3a = max(a3a, float(np.linalg.eigvalsh(block)[-1]))
         for start in range(0, n_v, _STACK_BLOCK):
             v = vs[start : start + _STACK_BLOCK, None, None]
             Fv = buf[: len(v)]
@@ -237,6 +240,8 @@ def assumption_report(
     )
     if P is None:
         return rep
+    a3a = max(float(np.linalg.eigvalsh(robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu))[-1])
+              for F in (sys.frozen(sys.u_min), sys.frozen(sys.u_max)))
     rep.a3a_feasible = bool(a3a <= _A3A_TOL)
     rep.a3a_worst_residual = a3a
     rep.a3b_min_abs = float(min_abs) if np.isfinite(min_abs) else float("nan")
@@ -313,30 +318,28 @@ def trajectory_monitors(
     X: np.ndarray,
     XH: np.ndarray | None,
     Z: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V, U, W) series of the scenario scn's law over stacked samples.
+) -> dict[str, np.ndarray]:
+    """The monitor series of the scenario scn's law over stacked samples, by
+    name in CSV order: none for PI, V for forwarding, V and W for
+    integral-only, V, U and W for output feedback.
 
     scn is a sim.SimScenario; its plant, artifacts and law define the
-    monitors.  Rows of X, XH and Z are samples; the PI law has none, so all
-    three series are zero.
+    monitors.  Rows of X, XH and Z are samples.
     """
     sys, art, law = scn.sys, scn.artifacts, scn.law
-    T = X.shape[0]
-    V = np.zeros(T)
-    U = np.zeros(T)
-    W = np.zeros(T)
     if law == PI:
-        return V, U, W
+        return {}
     if law == INTEGRAL_ONLY:
         if art.pi_bar is None:
             raise ValueError("integral-only monitors require pi_bar in the artifacts")
+        T = X.shape[0]
+        V = np.empty(T)
         for lo in range(0, T, _MONITOR_BLOCK):
             hi = min(lo + _MONITOR_BLOCK, T)
             V[lo:hi] = _integral_only_V_rows(scn, X[lo:hi], Z[lo:hi])
         p_max = float(np.linalg.eigvalsh(art.P)[-1])
         gamma = 2.0 * art.k_i * art.pi_bar * np.sqrt(p_max)
-        W = np.sqrt(V) + gamma * np.abs(Z)
-        return V, U, W
+        return {"V": V, "W": np.sqrt(V) + gamma * np.abs(Z)}
     if law == OUTPUT_FEEDBACK:
         if art.observer is None:
             raise MissingObserverStateError(
@@ -350,12 +353,11 @@ def trajectory_monitors(
     V = art.k_p * np.maximum(np.einsum("ij,jk,ik->i", XT, art.P, XT), 0.0)
     V += art.k_i * ZT * ZT
     if law == FORWARDING:
-        return V, U, W
+        return {"V": V}
     E = XH - X
     U = np.maximum(np.einsum("ij,jk,ik->i", E, art.observer.Q, E), 0.0)
     _, c_of = observer_monitor_constants(sys, art)
-    W = np.sqrt(V) + c_of * np.sqrt(U)
-    return V, U, W
+    return {"V": V, "U": U, "W": np.sqrt(V) + c_of * np.sqrt(U)}
 
 
 def max_monotone_violation(vals: np.ndarray) -> float:

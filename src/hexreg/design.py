@@ -55,7 +55,7 @@ __all__ = [
 _LMI_DECLARE = -1e-9  # certificate threshold on the largest eigenvalue
 _LMI_FLOOR = 1e-6  # projection floor delta for Q, nu, eps
 _LMI_ITERS = 5000
-_PI_SHIFT_GRID = 512  # deviation grid of pi_shift_sup before refinement
+_PI_SHIFT_GRID = 512  # input grid of pi_shift_sup before refinement
 
 
 @dataclass
@@ -401,65 +401,57 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return u_best, f(u_best)
 
 
-def _refine_peak(f, grid: np.ndarray, vals: np.ndarray, tol: float) -> float:
-    """The maximum of f from its values vals on grid: the grid maximum, or a
-    golden-section search between its neighbours where that finds more."""
-    i = int(np.argmax(vals))
-    _, val = _golden_section_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], tol)
-    return float(max(vals[i], val))
+def pi_shift_sup(sys: BilinearSystem) -> float:
+    """Supremum over [u_min, u_max] of |dpi/du| = |F_u^{-1} (b - B y)|, with
+    y = F_u^{-1} (b u + E) = -pi(u).
 
-
-def pi_shift_sup(sys: BilinearSystem, eq: Equilibrium) -> float:
-    """Supremum of |[(F + Bv)^{-1} B v - I](F + Bv)^{-1} g| over the input
-    deviation range.
-
-    The deviation v = sat(u) - u_ss lives in [u_min - u_ss, u_max - u_ss],
-    where F + B v is a frozen matrix at an admissible input, invertible
-    whenever the frozen family is Hurwitz.  A 512-point sweep, refined
-    around its peak by _refine_peak.  steady_state.screen_singular
-    screens the sweep as the one family F + B v and raises
-    SingularMatrixError at the first v whose matrix has cond_2 > 1e14.  The
-    solves run on stacks of 64 F + B v; stacked solves, per-row products
-    (kernels._rowwise, _rowdot) and sqrt make the same floating-point
-    operations as one point at a time, so every magnitude keeps its bits,
-    in the sweep and in the refinement.
+    A constant of the plant, not of the design input: pi(u_ss + v) - pi(u_ss)
+    = -v F_u^{-1} g_ss for u = u_ss + v, so it bounds every shift of the
+    equilibrium the saturated input can make.  A 512-point sweep, then a
+    golden-section search between the neighbours of its peak; the grid
+    value wins a tie.  steady_state.screen_singular screens the sweep as the
+    family A + u B and raises SingularMatrixError at the first u whose F_u
+    has cond_2 > 1e14.  The two solves per input run on stacks of 64 F_u;
+    stacked solves, per-row products (kernels._rowwise, _rowdot) and sqrt
+    make the same floating-point operations as one input at a time, so
+    every magnitude keeps its bits, in the sweep and in the refinement.
     """
-    lo, hi = sys.u_min - eq.u_ss, sys.u_max - eq.u_ss
-    F = sys.frozen(eq.u_ss)
-    g = sys.input_gain(eq.x_ss)
+    lo, hi = sys.u_min, sys.u_max
 
-    def magnitudes(v: np.ndarray) -> np.ndarray:
-        singular, kappa = screen_singular(F, sys.B, v)
+    def magnitudes(us: np.ndarray) -> np.ndarray:
+        singular, kappa = screen_singular(sys.A, sys.B, us)
         if singular.any():
             i = int(np.argmax(singular))
             raise SingularMatrixError(
-                f"F + B v numerically singular at v = {float(v[i])}", cond=float(kappa[i])
+                f"A + B u numerically singular at u = {float(us[i])!r}", cond=float(kappa[i])
             )
-        out = np.empty(len(v))
-        for k in range(0, len(v), _STACK_BLOCK):
-            vk = v[k : k + _STACK_BLOCK]
-            Fv = F + sys.B * vk[:, None, None]
-            y1 = np.linalg.solve(Fv, g[:, None])[..., 0]
-            w = np.linalg.solve(Fv, _rowwise(sys.B, y1)[..., None])[..., 0]
-            y2 = vk[:, None] * w - y1
-            out[k : k + _STACK_BLOCK] = np.sqrt(_rowdot(y2, y2)[:, 0])
+        out = np.empty(len(us))
+        for k in range(0, len(us), _STACK_BLOCK):
+            u = us[k : k + _STACK_BLOCK]
+            F = sys.A + sys.B * u[:, None, None]
+            y = np.linalg.solve(F, (sys.b * u[:, None] + sys.E)[..., None])[..., 0]
+            d = np.linalg.solve(F, (sys.b - _rowwise(sys.B, y))[..., None])[..., 0]
+            out[k : k + _STACK_BLOCK] = np.sqrt(_rowdot(d, d)[:, 0])
         return out
 
     grid = np.linspace(lo, hi, _PI_SHIFT_GRID)
     vals = magnitudes(grid)
-    return _refine_peak(lambda v: float(magnitudes(np.array([v]))[0]),
-                        grid, vals, 1e-10 * (1.0 + hi - lo))
+    i = int(np.argmax(vals))
+    _, peak = _golden_section_max(lambda u: float(magnitudes(np.array([u]))[0]),
+                                  grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
+                                  1e-10 * (1.0 + hi - lo))
+    return float(max(vals[i], peak))
 
 
-def integral_gain_bound(
-    sys: BilinearSystem, eq: Equilibrium, P: np.ndarray, eps: float
-) -> tuple[float, float]:
+def integral_gain_bound(sys: BilinearSystem, P: np.ndarray, eps: float) -> tuple[float, float]:
     """Certified integral gain bound ki_star = eps / (3 c0 pi_bar sqrt(pl pu)).
 
-    c0 = |C|, pi_bar = pi_shift_sup over the deviation range, and pl, pu are
+    c0 = |C|, pi_bar = pi_shift_sup over the input interval, and pl, pu are
     the extreme eigenvalues of P.  eps must be a decay rate certified for P
-    over the frozen family (P F_u + F_u^T P <= -2 eps I on the admissible
-    grid).  Returns (ki_star, pi_bar).
+    over the frozen family, P F_u + F_u^T P <= -2 eps I for every u in
+    [u_min, u_max], as lyapunov_decay_margin gives it.  Both factors depend
+    on the plant and P alone, so ki_star is one number for every design
+    input.  Returns (ki_star, pi_bar).
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
@@ -468,9 +460,9 @@ def integral_gain_bound(
     if evals[0] <= 0.0:
         raise ValueError("P must be positive definite")
     c0 = float(np.linalg.norm(sys.C))
-    pi_bar = pi_shift_sup(sys, eq)
+    pi_bar = pi_shift_sup(sys)
     if pi_bar <= 0.0:
-        raise ZeroDCGainError("pi_shift_sup vanished; no input authority at u_ss")
+        raise ZeroDCGainError("pi_shift_sup vanished; the input moves no equilibrium")
     ki_star = eps / (3.0 * c0 * pi_bar * np.sqrt(evals[0] * evals[-1]))
     return float(ki_star), float(pi_bar)
 
@@ -525,7 +517,7 @@ def integral_only_design(
             f"P fails to certify uniform decay (margin {eps:.3e})",
             best_residual=-eps,
         )
-    ki_star, pi_bar = integral_gain_bound(sys, eq, P, eps)
+    ki_star, pi_bar = integral_gain_bound(sys, P, eps)
     if k_i is None:
         k_i = 0.5 * ki_star
     if k_i <= 0.0:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import max_monotone_violation, trajectory_monitors
-from .controllers import INTEGRAL_ONLY, LAW_CODES, OUTPUT_FEEDBACK, PI
+from .controllers import LAW_CODES, OUTPUT_FEEDBACK, PI
 from .design import DesignArtifacts, require_artifacts_fit
 from .errors import (
     MissingObserverStateError,
@@ -84,7 +84,11 @@ class SimScenario:
 
 @dataclass
 class SimResult:
-    """Sampled closed-loop series; one row per integration step boundary."""
+    """Sampled closed-loop series; one row per integration step boundary.
+
+    monitors holds the law's Lyapunov monitor series by name, in the order
+    analysis.trajectory_monitors gives and write_csv writes them.
+    """
 
     times: np.ndarray
     x: np.ndarray
@@ -219,14 +223,9 @@ def load_scenario(
 
 def _result(scn: SimScenario, X, XH, Z, U_raw, U_sat, Err, Y) -> SimResult:
     """Wrap one trajectory's kernel series and attach its monitor series."""
-    monitors: dict[str, np.ndarray] = {}
-    if scn.law != PI:
-        V, U, W = trajectory_monitors(scn, X, XH, Z)
-        monitors["V"] = V
-        if scn.law == OUTPUT_FEEDBACK:
-            monitors["U"] = U
-        if scn.law in (OUTPUT_FEEDBACK, INTEGRAL_ONLY):
-            monitors["W"] = W
+    # before the time column is built, so the monitors' temporaries and that
+    # column are never held at once
+    monitors = trajectory_monitors(scn, X, XH, Z)
     return SimResult(
         times=np.arange(scn.n_steps + 1) * scn.dt,
         x=X,
@@ -312,9 +311,7 @@ def write_csv(res: SimResult, path: str | Path) -> None:
         cols += [(f"xhat_{i + 1}", res.x_hat[:, i]) for i in range(n)]
     cols += [("u_raw", res.u_raw), ("u_sat", res.u_sat), ("e", res.e)]
     cols += [(f"y_{i + 1}", res.y[:, i]) for i in range(p)]
-    for name in ("V", "U", "W"):
-        if name in res.monitors:
-            cols.append((name, res.monitors[name]))
+    cols += res.monitors.items()
     header = ",".join(name for name, _ in cols)
     data = [col for _, col in cols]
     row_fmt = ",".join(["%.17g"] * len(data)) + "\n"

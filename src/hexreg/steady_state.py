@@ -301,11 +301,15 @@ def invert_reference(sys: BilinearSystem, r: float) -> Equilibrium:
     = 0: at the roots of that (n + 1) pencil.  pi is solved at the roots in
     one stacked call, and the first that meets the tolerance is taken.  An
     r that ReachableSet.require admits beyond an interior extremum has no
-    real root, so the extrema's inputs are tried last.
+    real root, so the extrema's inputs are tried last.  An r equal to r_min
+    or r_max is met at u_at_min or u_at_max, which is returned as it is: a
+    tangency is a double root of the pencil, known only to about sqrt(eps).
     """
     r = float(r)
     rs = reachable_set(sys)
     rs.require(r)
+    if r in (rs.r_min, rs.r_max):
+        return equilibrium_at(sys, rs.u_at_min if r == rs.r_min else rs.u_at_max)
     M0 = np.block([[sys.A, sys.E[:, None]], [sys.C[None], np.full((1, 1), -r)]])
     M1 = np.block([[sys.B, sys.b[:, None]], [np.zeros((1, sys.n_states + 1))]])
     us = np.append(_pencil_roots(M0, M1, sys.u_min, sys.u_max), (rs.u_at_min, rs.u_at_max))

@@ -217,24 +217,64 @@ def test_assumption3_hex_conservative(hexsys, table1):
     assert rep.failed_checks(require_a3=True) == ["a3a_feasible", "a3b_sign_constant"]
 
 
+def a3a_block_top(sys, P, nu, eps, mu, u):
+    """Largest eigenvalue of the A3(a) block at one input, built by hand."""
+    n = sys.n_states
+    F = sys.frozen(u)
+    top = P @ F + F.T @ P + (nu * mu * mu + 2.0 * eps) * np.eye(n)
+    return float(np.linalg.eigvalsh(np.block([[top, P], [P, -nu * np.eye(n)]]))[-1])
+
+
 def test_assumption3a_does_not_depend_on_u_grid(hexsys, table1):
     """The A3(a) block is affine in u, so its largest eigenvalue is convex
-    in u and peaks at an input bound: u-grids 2 and 64 agree exactly."""
+    in u and peaks at an input bound: every u grid gives the same bits,
+    those of the block at the bounds."""
     P = hexreg.hex_analytic_P(table1)
     mu = hexreg.design.input_coupling_bound(hexsys)
     nu = float(np.linalg.norm(P, 2) / mu)
     eps = 0.5 * hexreg.lyapunov_decay_margin(hexsys, P, grid=2)
-    worst = [hexreg.assumption_report(hexsys, P, nu, eps, u_grid=n_u,
+    worst = {hexreg.assumption_report(hexsys, P, nu, eps, u_grid=n_u,
                                       v_grid=2).a3a_worst_residual
-             for n_u in (2, 64)]
-    assert worst[0] == worst[1]
-    at_bounds = []
-    for u in (hexsys.u_min, hexsys.u_max):
-        F = hexsys.frozen(u)
-        top = P @ F + F.T @ P + (nu * mu * mu + 2.0 * eps) * np.eye(16)
-        block = np.block([[top, P], [P, -nu * np.eye(16)]])
-        at_bounds.append(np.linalg.eigvalsh(block)[-1])
-    assert worst[0] == pytest.approx(max(at_bounds), rel=1e-12)
+             for n_u in (2, 3, 64, 256)}
+    assert worst == {max(a3a_block_top(hexsys, P, nu, eps, mu, u)
+                         for u in (hexsys.u_min, hexsys.u_max))}
+    assert worst == {32.14365527048028}
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_assumption3a_matches_a_dense_input_grid(seed):
+    """On seeded random 2-5-state plants with a random P, the report's
+    A3(a) residual, taken at the two input bounds, is the largest of the
+    block's top eigenvalue over 257 inputs."""
+    rng = np.random.default_rng(seed)
+    for n in range(2, 6):
+        G = rng.standard_normal((n, n))
+        sys = hexreg.BilinearSystem(
+            A=G - (np.linalg.norm(G, 2) + 1.0) * np.eye(n), B=rng.standard_normal((n, n)),
+            b=rng.standard_normal(n), E=rng.standard_normal(n), C=rng.standard_normal(n),
+            D=np.eye(1, n), u_min=-0.2, u_max=0.3)
+        H = rng.standard_normal((n, n))
+        P = H @ H.T + 0.1 * np.eye(n)
+        nu, eps = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.01, 1.0))
+        mu = hexreg.design.input_coupling_bound(sys)
+        rep = hexreg.assumption_report(sys, P, nu, eps, u_grid=2, v_grid=2)
+        dense = max(a3a_block_top(sys, P, nu, eps, mu, u)
+                    for u in np.linspace(sys.u_min, sys.u_max, 257))
+        assert rep.a3a_worst_residual == dense, (seed, n)
+
+
+@pytest.mark.parametrize("u_grid", [2, 64])
+def test_assumption_report_builds_the_a3a_block_twice(hexsys, table1, monkeypatch, u_grid):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return hexreg.design.robust_decay_block(*args)
+
+    monkeypatch.setattr(analysis, "robust_decay_block", counted)
+    P = hexreg.hex_analytic_P(table1)
+    hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=u_grid, v_grid=2)
+    assert len(built) == 2
 
 
 def a3b_per_pair(sys, grid, v_range):
@@ -351,22 +391,23 @@ def test_assumption_report_serializes(hexsys):
 # -- monitors ---------------------------------------------------------------
 
 
-def forwarding_monitors(hexsys, art, x, z):
+def forwarding_V(hexsys, art, x, z):
+    """The forwarding law's one monitor, V, at one sample."""
     scn = make_scenario(hexsys, art, hexreg.FORWARDING, 1.0, 1.0,
                         [[0.0, float(hexsys.C @ art.x_ss)]])
-    V, U, W = analysis.trajectory_monitors(scn, x[None], None, np.array([z]))
-    return float(V[0]), float(U[0]), float(W[0])
+    monitors = analysis.trajectory_monitors(scn, x[None], None, np.array([z]))
+    assert list(monitors) == ["V"]
+    return float(monitors["V"][0])
 
 
 def test_lyapunov_monitors_zero_at_origin(hexsys, fwd_art):
-    V, U, W = forwarding_monitors(hexsys, fwd_art, fwd_art.x_ss, 0.0)
-    assert V == 0.0 and U == 0.0 and W == 0.0
+    assert forwarding_V(hexsys, fwd_art, fwd_art.x_ss, 0.0) == 0.0
 
 
 def test_lyapunov_monitors_positive_off_origin(hexsys, fwd_art):
     rng = np.random.default_rng(2)
     x = fwd_art.x_ss + rng.normal(0.0, 1.0, 16)
-    V, _, _ = forwarding_monitors(hexsys, fwd_art, x, 0.7)
+    V = forwarding_V(hexsys, fwd_art, x, 0.7)
     xt = x - fwd_art.x_ss
     expected = (fwd_art.k_p * float(xt @ fwd_art.P @ xt)
                 + fwd_art.k_i * (0.7 - float(fwd_art.M @ xt)) ** 2)
@@ -374,7 +415,7 @@ def test_lyapunov_monitors_positive_off_origin(hexsys, fwd_art):
 
 
 def integral_only_point(sys, art, x, z):
-    """(V, U, W) at one integral-only sample, with one solve per sample:
+    """(V, W) at one integral-only sample, with one solve per sample:
     V is the squared P-norm of x - x_ss minus the frozen equilibrium's shift
     pi_v = -(F_ss + B v)^-1 g_ss v at the applied increment v, and W adds
     gamma |z| with gamma = 2 k_i pi_bar sqrt(lmax(P))."""
@@ -384,7 +425,7 @@ def integral_only_point(sys, art, x, z):
     d = (x - art.x_ss) - piv
     V = float(max(d @ art.P @ d, 0.0))
     gamma = 2.0 * art.k_i * art.pi_bar * np.sqrt(float(np.linalg.eigvalsh(art.P)[-1]))
-    return V, 0.0, float(np.sqrt(V) + gamma * abs(z))
+    return V, float(np.sqrt(V) + gamma * abs(z))
 
 
 @pytest.mark.parametrize("dist, saturates", [(0.0, False), (-40.0, True)])
@@ -404,8 +445,9 @@ def test_trajectory_monitors_integral_only_matches_monitor_point(
     points = np.array([integral_only_point(hexsys, io_art, X[k], float(Z[k]))
                        for k in range(Z.shape[0])])
     assert Z.shape[0] > analysis._MONITOR_BLOCK
-    for i, name in enumerate("VUW"):
-        assert series[i].tobytes() == points[:, i].tobytes(), name
+    assert list(series) == ["V", "W"]
+    for i, name in enumerate(series):
+        assert series[name].tobytes() == points[:, i].tobytes(), name
 
 
 def test_observer_monitor_constants(synthetic_observable, synthetic_observer):

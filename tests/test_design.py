@@ -9,7 +9,7 @@ import pytest
 import hexreg
 from hexreg import design
 
-from conftest import TABLE1
+from conftest import KELVIN, TABLE1
 
 
 def scalar_system(A=-1.0, B=0.0, b=1.0, C=1.0, E=0.0, u_min=-2.0, u_max=2.0):
@@ -247,22 +247,19 @@ def test_observer_design_hex_five_sensors_infeasible(hexsys5):
 
 
 def test_integral_gain_bound_constant_pi_bar():
-    """With B = 0 the shifted-equilibrium norm is input-independent, so the
-    bound collapses to its closed form."""
+    """With B = 0, |dpi/du| = |A^-1 b| is input-independent, so the bound
+    collapses to its closed form."""
     sys = scalar_system(A=-2.0, B=0.0, b=1.0, C=3.0, E=0.0)
-    eq = hexreg.equilibrium_at(sys, 0.5)
     P = np.array([[4.0]])
     eps = 1.0
-    ki_star, pi_bar = hexreg.integral_gain_bound(sys, eq, P, eps)
-    # |F^-1 g| = 1/2, |C| = 3, sqrt(pl pu) = 4
+    ki_star, pi_bar = hexreg.integral_gain_bound(sys, P, eps)
+    # |A^-1 b| = 1/2, |C| = 3, sqrt(pl pu) = 4
     assert pi_bar == pytest.approx(0.5, rel=1e-12)
     assert ki_star == pytest.approx(1.0 / (3.0 * 3.0 * 0.5 * 4.0), rel=1e-12)
 
 
 def test_integral_gain_bound_scalar_unit():
-    sys = scalar_system()
-    eq = hexreg.equilibrium_at(sys, 0.0)
-    ki_star, pi_bar = hexreg.integral_gain_bound(sys, eq, np.eye(1), 1.0)
+    ki_star, pi_bar = hexreg.integral_gain_bound(scalar_system(), np.eye(1), 1.0)
     assert (ki_star, pi_bar) == (pytest.approx(1.0 / 3.0), pytest.approx(1.0))
 
 
@@ -320,43 +317,66 @@ def test_sign_dc_gain_hex_constant_over_grid(hexsys):
     assert signs == {1.0}
 
 
-def test_pi_shift_sup_positive(hexsys, eq265):
-    assert hexreg.pi_shift_sup(hexsys, eq265) > 0.0
+def test_pi_shift_sup_positive(hexsys):
+    assert hexreg.pi_shift_sup(hexsys) > 0.0
 
 
-def test_pi_shift_sup_matches_per_point_sweep(hexsys, eq265):
+def test_pi_shift_sup_matches_per_point_sweep(hexsys):
     """The stacked sweep gives the bits of one cond, two solves and one
-    norm per deviation, refined by the same golden-section search."""
+    norm per input, refined by the same golden-section search."""
     from hexreg.design import _golden_section_max
 
-    lo, hi = hexsys.u_min - eq265.u_ss, hexsys.u_max - eq265.u_ss
-    F = hexsys.frozen(eq265.u_ss)
-    g = hexsys.input_gain(eq265.x_ss)
+    lo, hi = hexsys.u_min, hexsys.u_max
 
-    def magnitude(v):
-        Fv = F + hexsys.B * v
-        assert np.linalg.cond(Fv) <= 1e14
-        y1 = np.linalg.solve(Fv, g)
-        y2 = v * np.linalg.solve(Fv, hexsys.B @ y1) - y1
-        return float(np.linalg.norm(y2))
+    def magnitude(u):
+        F = hexsys.A + hexsys.B * u
+        assert np.linalg.cond(F) <= 1e14
+        y = np.linalg.solve(F, hexsys.b * u + hexsys.E)
+        return float(np.linalg.norm(np.linalg.solve(F, hexsys.b - hexsys.B @ y)))
 
     grid = np.linspace(lo, hi, 512)
-    vals = np.array([magnitude(v) for v in grid])
+    vals = np.array([magnitude(u) for u in grid])
     i = int(np.argmax(vals))
     _, peak = _golden_section_max(magnitude, grid[max(i - 1, 0)],
                                   grid[min(i + 1, 511)], 1e-10 * (1.0 + hi - lo))
     want = float(max(peak, vals[i]))
-    assert np.float64(hexreg.pi_shift_sup(hexsys, eq265)).tobytes() == \
-        np.float64(want).tobytes()
+    assert np.float64(hexreg.pi_shift_sup(hexsys)).tobytes() == np.float64(want).tobytes()
+
+
+def test_pi_shift_sup_refines_a_peak_between_grid_inputs():
+    """F_u = [[-e, u - c], [c - u, -e]] with E = (1, 0) gives
+    pi_1 + i pi_2 = 1 / (e + i (u - c)), so |dpi/du| = 1 / (e^2 + (u - c)^2)
+    peaks at 1/e^2 at u = c.  c = 1/2 sits midway between two of the 512
+    grid inputs on [0, 1], where the value is about half the peak; the
+    golden section recovers the peak."""
+    e, c = 1e-3, 0.5
+    sys = hexreg.BilinearSystem(
+        A=np.array([[-e, -c], [c, -e]]), B=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        b=np.zeros(2), E=np.array([1.0, 0.0]), C=np.array([1.0, 0.0]), D=np.eye(2),
+        u_min=0.0, u_max=1.0,
+    )
+    grid = np.linspace(0.0, 1.0, 512)
+    on_grid = float(np.max(1.0 / (e * e + (grid - c) ** 2)))
+    assert on_grid < 0.6 / (e * e)
+    assert hexreg.pi_shift_sup(sys) == pytest.approx(1.0 / (e * e), rel=1e-9)
 
 
 def test_pi_shift_sup_refuses_singular_shift():
-    """F + B v = u_ss - 1 + v is singular at v = 1 - u_ss, the top of the
-    deviation range when u_max = 1."""
+    """F_u = u - 1 is singular at u = 1, the top of the input interval."""
     sys = scalar_system(A=-1.0, B=1.0, u_min=0.0, u_max=1.0)
-    eq = hexreg.equilibrium_at(sys, 0.5)
-    with pytest.raises(hexreg.SingularMatrixError, match=r"singular at v = 0\.5\b"):
-        hexreg.pi_shift_sup(sys, eq)
+    with pytest.raises(hexreg.SingularMatrixError, match=r"singular at u = 1\.0\b"):
+        hexreg.pi_shift_sup(sys)
+
+
+def test_certified_gain_is_one_number_for_every_reference(hexsys, table1):
+    """pi_bar and ki_star depend on the plant and P alone: the designs at
+    25.5 to 27.0 C share them to the bit."""
+    designs = [hexreg.integral_only_design(hexsys, hexreg.invert_reference(hexsys, t + KELVIN),
+                                           hex_params=table1)
+               for t in (25.5, 26.0, 26.5, 27.0)]
+    assert len({art.pi_bar for art in designs}) == 1
+    assert len({art.ki_star for art in designs}) == 1
+    assert designs[0].pi_bar == pytest.approx(3713.15156706538, rel=1e-13)
 
 
 # -- serialization ----------------------------------------------------------

@@ -229,11 +229,12 @@ def test_invert_reference_takes_smallest_root():
 
 def test_invert_reference_at_the_bowl_extrema():
     """r = 3.0 touches the interior minimum at u = 1, a double root of the
-    pencil, known only to about sqrt(eps); r = 4.0 is met at both ends and
-    the smaller, u = 0, is taken."""
+    pencil, known only to about sqrt(eps); the reachable set's u_at_min is
+    returned exactly.  r = 4.0 is met at both ends and the smaller, u = 0,
+    is taken."""
     sys = _bowl_system()
     eq = hexreg.invert_reference(sys, 3.0)
-    assert eq.u_ss == pytest.approx(1.0, abs=1e-7) and abs(eq.y_ss - 3.0) <= 4e-8
+    assert eq.u_ss == 1.0 and eq.y_ss == 3.0
     eq = hexreg.invert_reference(sys, 4.0)
     assert eq.u_ss == 0.0 and eq.y_ss == 4.0
 
