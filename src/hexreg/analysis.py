@@ -25,6 +25,7 @@ from .design import (
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
 from .model import BilinearSystem
 from .kernels import _rowdot
+from .parallel import fork_join
 from .steady_state import _STACK_BLOCK, pi_map, screen_singular
 
 __all__ = [
@@ -136,6 +137,73 @@ class AssumptionReport:
         return asdict(self)
 
 
+@dataclass
+class _Sweep:
+    """The per-input part of assumption_report over one range of the u grid."""
+
+    hurwitz: float
+    gains: np.ndarray
+    dc_singular: int
+    min_abs: float
+    singular: int
+    pos: int
+    neg: int
+
+    def then(self, later: "_Sweep") -> "_Sweep":
+        """This range followed by the next one, merged exactly: a max and a
+        min keep the first of equal values, as a running max and min do, the
+        counts add up and the gains concatenate in u order."""
+        return _Sweep(hurwitz=max(self.hurwitz, later.hurwitz),
+                      gains=np.concatenate((self.gains, later.gains)),
+                      dc_singular=self.dc_singular + later.dc_singular,
+                      min_abs=min(self.min_abs, later.min_abs),
+                      singular=self.singular + later.singular,
+                      pos=self.pos + later.pos, neg=self.neg + later.neg)
+
+
+def _sweep_inputs(sys: BilinearSystem, us: np.ndarray, lo: int, hi: int, a3b) -> _Sweep:
+    """assumption_report's per-input checks at us[lo:hi], in u order.
+
+    a3b is None without P; with P it is (vs, pair_singular), the deviation
+    grid and the screen's verdict on every (u, v) pair, and a singular F_u
+    raises SingularMatrixError at the lowest such input of the range.
+    """
+    out = _Sweep(hurwitz=-np.inf, gains=np.full(hi - lo, np.nan), dc_singular=0,
+                 min_abs=np.inf, singular=0, pos=0, neg=0)
+    if a3b is not None:
+        vs, pair_singular = a3b
+        buf = np.empty((_STACK_BLOCK, sys.n_states, sys.n_states))  # F_u + B v, in place
+    for i in range(lo, hi):
+        u = float(us[i])
+        F = sys.frozen(u)
+        out.hurwitz = max(out.hurwitz, float(np.max(np.linalg.eigvals(F).real)))
+        try:
+            g_u = sys.input_gain(pi_map(sys, u))
+        except SingularMatrixError:
+            if a3b is not None:
+                raise
+            out.dc_singular += 1
+            continue
+        out.gains[i - lo] = float(sys.C @ np.linalg.solve(F, g_u))
+        if a3b is None:
+            continue
+        for start in range(0, len(vs), _STACK_BLOCK):
+            v = vs[start : start + _STACK_BLOCK, None, None]
+            Fv = buf[: len(v)]
+            np.multiply(sys.B, v, out=Fv)
+            np.add(F, Fv, out=Fv)
+            bad = pair_singular[i, start : start + _STACK_BLOCK]
+            if bad.any():
+                out.singular += int(np.count_nonzero(bad))
+                Fv = Fv[~bad]
+            vals = _rowdot(sys.C, np.linalg.solve(Fv, g_u[:, None])[..., 0])[:, 0]
+            # fmin skips NaN, as a scalar min over the pairs does
+            out.min_abs = min(out.min_abs, float(np.fmin.reduce(np.abs(vals), initial=np.inf)))
+            out.pos += int(np.count_nonzero(vals > 0.0))
+            out.neg += int(np.count_nonzero(vals < 0.0))
+    return out
+
+
 def assumption_report(
     sys: BilinearSystem,
     P: np.ndarray | None = None,
@@ -173,6 +241,12 @@ def assumption_report(
     C times each solution with the dot product of a per-pair loop, so every
     value, minimum and sign count keeps its bits.  Before the sweep, every
     argument is checked: a grid below 2 points, or swept and above 10**6.
+
+    The per-input work runs on two processes (parallel.fork_join): this
+    one takes the lower half of the u grid and a forked child the upper
+    half, after the screen.  The halves merge exactly (_Sweep.then), so
+    every field has the bits of one pass in u order; with P, a singular
+    F_u in the lower half raises first, as it would in that one pass.
     """
     n_u, n_v = int(u_grid), int(v_grid)
     if n_u < 2 or n_v < 2:
@@ -180,6 +254,7 @@ def assumption_report(
     if n_u > _MAX_GRID or (P is not None and n_v > _MAX_GRID):
         raise ValueError(f"grid sizes must be <= {_MAX_GRID}, got ({u_grid!r}, {v_grid!r})")
     us = np.linspace(sys.u_min, sys.u_max, n_u)
+    a3b = None
     if P is not None:
         if nu is None or eps is None:
             raise ValueError("nu and eps are required alongside P")
@@ -194,47 +269,18 @@ def assumption_report(
         mu = input_coupling_bound(sys)
         v_range = (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
         vs = np.linspace(v_range[0], v_range[1], n_v)
-        pair_singular, _ = screen_singular(sys.A, sys.B, us[:, None], vs)
-        buf = np.empty((_STACK_BLOCK, n, n))  # each block of F_u + B v, formed in place
+        a3b = (vs, screen_singular(sys.A, sys.B, us[:, None], vs)[0])
 
-    hurwitz = -np.inf
-    gains = np.full(n_u, np.nan)
-    dc_singular = 0
-    min_abs, singular, pos, neg = np.inf, 0, 0, 0
-    for i, u in enumerate(us):
-        u = float(u)
-        F = sys.frozen(u)
-        hurwitz = max(hurwitz, float(np.max(np.linalg.eigvals(F).real)))
-        try:
-            g_u = sys.input_gain(pi_map(sys, u))
-        except SingularMatrixError:
-            if P is not None:
-                raise
-            dc_singular += 1
-            continue
-        gains[i] = float(sys.C @ np.linalg.solve(F, g_u))
-        if P is None:
-            continue
-        for start in range(0, n_v, _STACK_BLOCK):
-            v = vs[start : start + _STACK_BLOCK, None, None]
-            Fv = buf[: len(v)]
-            np.multiply(sys.B, v, out=Fv)
-            np.add(F, Fv, out=Fv)
-            bad = pair_singular[i, start : start + _STACK_BLOCK]
-            if bad.any():
-                singular += int(np.count_nonzero(bad))
-                Fv = Fv[~bad]
-            vals = _rowdot(sys.C, np.linalg.solve(Fv, g_u[:, None])[..., 0])[:, 0]
-            # fmin skips NaN, as a scalar min over the pairs does
-            min_abs = min(min_abs, float(np.fmin.reduce(np.abs(vals), initial=np.inf)))
-            pos += int(np.count_nonzero(vals > 0.0))
-            neg += int(np.count_nonzero(vals < 0.0))
+    mid = n_u // 2
+    upper, lower = fork_join(lambda: _sweep_inputs(sys, us, mid, n_u, a3b),
+                             lambda: _sweep_inputs(sys, us, 0, mid, a3b))
+    sweep = lower.then(upper)
 
-    finite = gains[np.isfinite(gains)]
+    finite = sweep.gains[np.isfinite(sweep.gains)]
     rep = AssumptionReport(
-        hurwitz_margin=hurwitz,
+        hurwitz_margin=sweep.hurwitz,
         dc_gain_min_abs=float(np.min(np.abs(finite))) if finite.size else float("nan"),
-        dc_sign_constant=bool(finite.size) and dc_singular == 0
+        dc_sign_constant=bool(finite.size) and sweep.dc_singular == 0
         and bool(np.all(finite > 0.0) or np.all(finite < 0.0)),
         grid_sizes={"u": n_u},
     )
@@ -244,9 +290,10 @@ def assumption_report(
               for F in (sys.frozen(sys.u_min), sys.frozen(sys.u_max)))
     rep.a3a_feasible = bool(a3a <= _A3A_TOL)
     rep.a3a_worst_residual = a3a
-    rep.a3b_min_abs = float(min_abs) if np.isfinite(min_abs) else float("nan")
-    rep.a3b_sign_constant = (pos == 0 or neg == 0) and singular == 0 and (pos + neg) > 0
-    rep.a3b_singular_points = singular
+    rep.a3b_min_abs = float(sweep.min_abs) if np.isfinite(sweep.min_abs) else float("nan")
+    rep.a3b_sign_constant = ((sweep.pos == 0 or sweep.neg == 0) and sweep.singular == 0
+                             and (sweep.pos + sweep.neg) > 0)
+    rep.a3b_singular_points = sweep.singular
     rep.grid_sizes["v"] = n_v
     rep.lmi = LMIRecord(nu=float(nu), eps=float(eps), mu=float(mu),
                         u_range=(sys.u_min, sys.u_max),
@@ -378,6 +425,33 @@ def max_monotone_violation(vals: np.ndarray) -> float:
 # integral-only linearization
 
 
+def _linearization(sys: BilinearSystem, artifacts: DesignArtifacts):
+    """k -> the closed-loop matrix of linearization_matrix at gain k.
+
+    F, h, F^-1 g, the outer product (F^-1 g) C and the row C are built once;
+    each call fills the entries that depend on k into one buffer, which it
+    returns, with the arithmetic of a fresh build, so every entry keeps its
+    bits.  Raises ZeroDCGainError when h is numerically zero.
+    """
+    n = sys.n_states
+    F = sys.frozen(artifacts.u_ss)
+    h, Fg = _dc_path(sys, artifacts.u_ss, artifacts.x_ss)
+    s = 1.0 if h > 0.0 else -1.0
+    FgC = np.outer(Fg, sys.C)
+    A_cl = np.zeros((n + 1, n + 1))
+    A_cl[n, :n] = sys.C
+    top = A_cl[:n, :n]
+
+    def at(k_i: float) -> np.ndarray:
+        np.multiply(s * k_i, FgC, out=top)
+        np.add(F, top, out=top)
+        A_cl[:n, n] = -(k_i**2) * h * Fg
+        A_cl[n, n] = -k_i * abs(h)
+        return A_cl
+
+    return at
+
+
 def linearization_matrix(
     sys: BilinearSystem, artifacts: DesignArtifacts, k_i: float
 ) -> np.ndarray:
@@ -395,16 +469,7 @@ def linearization_matrix(
     """
     if k_i < 0.0:
         raise ValueError(f"k_i must be nonnegative, got {k_i!r}")
-    n = sys.n_states
-    F = sys.frozen(artifacts.u_ss)
-    h, Fg = _dc_path(sys, artifacts.u_ss, artifacts.x_ss)
-    s = 1.0 if h > 0.0 else -1.0
-    A_cl = np.zeros((n + 1, n + 1))
-    A_cl[:n, :n] = F + s * k_i * np.outer(Fg, sys.C)
-    A_cl[:n, n] = -(k_i**2) * h * Fg
-    A_cl[n, :n] = sys.C
-    A_cl[n, n] = -k_i * abs(h)
-    return A_cl
+    return _linearization(sys, artifacts)(k_i)
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
@@ -421,11 +486,13 @@ def integral_gain_stability_limit(
     the loop is stable, then doubles the gain until the spectral abscissa
     crosses zero and bisects the bracket to relative width 1e-9.  Returns
     inf if no crossing is found below 1e9.  The certified bound ki_star
-    must sit at or below this empirical limit.
+    must sit at or below this empirical limit.  The parts of the matrix
+    that do not depend on the gain are built once per call.
     """
+    at = _linearization(sys, artifacts)
 
     def unstable(k: float) -> bool:
-        return spectral_abscissa(linearization_matrix(sys, artifacts, k)) >= 0.0
+        return spectral_abscissa(at(k)) >= 0.0
 
     lo = artifacts.ki_star or 1e-6
     while unstable(lo):

@@ -415,7 +415,11 @@ def pi_shift_sup(sys: BilinearSystem) -> float:
     stacked solves, per-row products (kernels._rowwise, _rowdot) and sqrt
     make the same floating-point operations as one input at a time, so
     every magnitude keeps its bits, in the sweep and in the refinement.
+    The first call keeps its result on the frozen sys, and later calls
+    return it; a call that raises keeps nothing.
     """
+    if sys._pi_bar is not None:
+        return sys._pi_bar
     lo, hi = sys.u_min, sys.u_max
 
     def magnitudes(us: np.ndarray) -> np.ndarray:
@@ -440,7 +444,9 @@ def pi_shift_sup(sys: BilinearSystem) -> float:
     _, peak = _golden_section_max(lambda u: float(magnitudes(np.array([u]))[0]),
                                   grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
                                   1e-10 * (1.0 + hi - lo))
-    return float(max(vals[i], peak))
+    pi_bar = float(max(vals[i], peak))
+    object.__setattr__(sys, "_pi_bar", pi_bar)
+    return pi_bar
 
 
 def integral_gain_bound(sys: BilinearSystem, P: np.ndarray, eps: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the type and finiteness
 checks that the parameter, system, artifact and scenario loaders share."""
 
+import copyreg
 import math
 from numbers import Real
 
@@ -45,7 +46,16 @@ def as_array(name: str, value, ndim: int) -> np.ndarray:
 
 
 class HexRegError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Every subclass pickles: it is rebuilt from its args and attributes
+    without calling __init__, whose parameters differ from args in the
+    subclasses that format their message, so an error raised in another
+    process arrives with its type, message and attributes.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SingularMatrixError(HexRegError):

@@ -118,8 +118,9 @@ class BilinearSystem:
     D is the measured-output matrix (p, n).  Arrays are stored float64,
     C-contiguous and read-only, and the instance is frozen, so what is
     derived from the plant alone can be kept on it: steady_state.reachable_set
-    stores its result in ``_reachable`` on first use.  dataclasses.replace
-    builds a new instance, which starts without one.
+    stores its result in ``_reachable`` and design.pi_shift_sup in
+    ``_pi_bar`` on first use.  dataclasses.replace builds a new instance,
+    which starts without either.
     """
 
     A: np.ndarray
@@ -131,6 +132,7 @@ class BilinearSystem:
     u_min: float
     u_max: float
     _reachable: object = field(default=None, init=False, repr=False, compare=False)
+    _pi_bar: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, ndim in (("A", 2), ("B", 2), ("b", 1), ("E", 1), ("C", 1), ("D", 2)):

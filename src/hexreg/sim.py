@@ -36,6 +36,7 @@ from .errors import (
 )
 from .kernels import closed_loop_rk4, closed_loop_rk4_batch, first_nonfinite
 from .model import BilinearSystem
+from .parallel import fork_join
 from .serde import read_object, require_fields
 from .steady_state import invert_reference, reachable_set
 
@@ -415,24 +416,29 @@ def _require_shared(a: SimScenario, b: SimScenario, fields: tuple[str, ...]) -> 
         raise SchedulesDifferError("t_end/dt differ between the scenarios")
 
 
+def _summary(scn: SimScenario) -> dict:
+    """One law's entry in the compare_pi report: run, metrics, the summary."""
+    m = run_metrics(scn, run(scn))
+    return {
+        "law": scn.law,
+        "settling_times": m["settling_times"],
+        "max_abs_u_raw": max(abs(m["max_u_raw"]), abs(m["min_u_raw"])),
+        "sat_duty": m["sat_duty"],
+        "iae": m["iae"],
+        "post_last_step": m["post_last_step"],
+    }
+
+
 def compare_pi(scn_ours: SimScenario, scn_pi: SimScenario) -> dict:
     """Run the proposed law and the PI baseline on one scenario and report both.
 
     The two scenarios must agree on the plant, both schedules, the grid
     (dt, t_end), and the initial state; only the law and its gains differ.
+    The two runs share nothing, so parallel.fork_join runs the PI run and
+    its metrics in a forked process while the proposed law runs in this
+    one; the report is the one the two runs give in turn.  An error of
+    the proposed law's run comes first, as it did when it ran first.
     """
-    a, b = scn_ours, scn_pi
-    _require_shared(a, b, ("ref_t", "ref_v", "dist_t", "dist_v", "x0"))
-    out = {}
-    for tag, scn in (("ours", a), ("pi", b)):
-        res = run(scn)
-        m = run_metrics(scn, res)
-        out[tag] = {
-            "law": scn.law,
-            "settling_times": m["settling_times"],
-            "max_abs_u_raw": max(abs(m["max_u_raw"]), abs(m["min_u_raw"])),
-            "sat_duty": m["sat_duty"],
-            "iae": m["iae"],
-            "post_last_step": m["post_last_step"],
-        }
-    return out
+    _require_shared(scn_ours, scn_pi, ("ref_t", "ref_v", "dist_t", "dist_v", "x0"))
+    pi, ours = fork_join(lambda: _summary(scn_pi), lambda: _summary(scn_ours))
+    return {"ours": ours, "pi": pi}

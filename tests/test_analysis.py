@@ -380,6 +380,92 @@ def test_assumption3b_screen_inverts_few_pairs(hexsys, table1, monkeypatch):
     assert sum(taken) <= 0.01 * 256 * 513
 
 
+# -- the sweep split across two processes ------------------------------------
+
+
+def sweep_grids(sys, P, u_grid, v_grid):
+    """The u grid and, with P, the deviation grid and pair screen that
+    assumption_report hands to analysis._sweep_inputs."""
+    us = np.linspace(sys.u_min, sys.u_max, u_grid)
+    if P is None:
+        return us, None
+    vs = np.linspace(*_full_range(sys), v_grid)
+    return us, (vs, hexreg.steady_state.screen_singular(sys.A, sys.B, us[:, None], vs)[0])
+
+
+def _split_matches_serial(sys, P, u_grid, v_grid, nu=1.0, eps=1e-3):
+    """The two-process report equals the serial sweep field by field, bit
+    for bit, and the two halves merge into the serial sweep exactly."""
+    us, a3b = sweep_grids(sys, P, u_grid, v_grid)
+    whole = analysis._sweep_inputs(sys, us, 0, u_grid, a3b)
+    mid = u_grid // 2
+    merged = analysis._sweep_inputs(sys, us, 0, mid, a3b).then(
+        analysis._sweep_inputs(sys, us, mid, u_grid, a3b))
+    assert merged.gains.tobytes() == whole.gains.tobytes()
+    assert ({k: v for k, v in vars(merged).items() if k != "gains"}
+            == {k: v for k, v in vars(whole).items() if k != "gains"})
+    rep = hexreg.assumption_report(sys, P, nu if P is not None else None,
+                                   eps if P is not None else None, u_grid, v_grid)
+    finite = whole.gains[np.isfinite(whole.gains)]
+    want = {"hurwitz_margin": whole.hurwitz,
+            "dc_gain_min_abs": float(np.min(np.abs(finite))) if finite.size else float("nan")}
+    _same_bits({k: getattr(rep, k) for k in want}, want)
+    assert rep.dc_sign_constant == (bool(finite.size) and whole.dc_singular == 0
+                                    and bool(np.all(finite > 0.0) or np.all(finite < 0.0)))
+    if P is not None:
+        want_min = whole.min_abs if np.isfinite(whole.min_abs) else float("nan")
+        _same_bits({"a3b_min_abs": rep.a3b_min_abs}, {"a3b_min_abs": want_min})
+        assert rep.a3b_singular_points == whole.singular
+        assert rep.a3b_sign_constant == ((whole.pos == 0 or whole.neg == 0)
+                                         and whole.singular == 0 and whole.pos + whole.neg > 0)
+    return rep
+
+
+@pytest.mark.parametrize("u_grid, v_grid", [(2, 2), (3, 5), (8, 17), (64, 129), (256, 513)])
+def test_assumption_report_split_matches_serial_sweep(hexsys, table1, u_grid, v_grid):
+    _split_matches_serial(hexsys, None, u_grid, v_grid)
+    _split_matches_serial(hexsys, hexreg.hex_analytic_P(table1), u_grid, v_grid)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_assumption_report_split_matches_serial_on_random_plants(seed):
+    """Seeded random 2-5-state plants, with and without a random P."""
+    rng = np.random.default_rng(100 + seed)
+    n = 2 + seed % 4
+    sys = hexreg.BilinearSystem(
+        A=rng.standard_normal((n, n)) - 2.0 * np.eye(n), B=rng.standard_normal((n, n)),
+        b=rng.standard_normal(n), E=rng.standard_normal(n), C=rng.standard_normal(n),
+        D=np.eye(1, n), u_min=-0.3, u_max=0.4)
+    H = rng.standard_normal((n, n))
+    u_grid, v_grid = int(rng.integers(2, 12)), int(rng.integers(2, 20))
+    _split_matches_serial(sys, None, u_grid, v_grid)
+    _split_matches_serial(sys, H @ H.T + 0.1 * np.eye(n), u_grid, v_grid,
+                          nu=float(rng.uniform(0.1, 10.0)), eps=float(rng.uniform(0.01, 1.0)))
+
+
+@pytest.mark.parametrize("poles", [(0.25, 0.75), (0.75,)], ids=["both-halves", "upper-half"])
+def test_assumption_report_raises_the_serial_error(poles):
+    """F_u = diag(u - p_1, u - p_2, -1) on [0, 1] is singular at the grid
+    inputs in poles: 1/4 is in the lower half of the 5-point grid, 3/4 in
+    the upper half.  Without P every pole counts; with P the error is the
+    serial loop's, at the lowest pole, from whichever half holds it."""
+    p = (*poles, 2.0)[:2]
+    sys = hexreg.BilinearSystem(
+        A=np.diag([-p[0], -p[1], -1.0]), B=np.diag([1.0, 1.0, 0.0]),
+        b=np.array([1.0, 1.0, 0.5]), E=np.array([0.1, 0.2, 0.3]),
+        C=np.array([1.0, 1.0, 1.0]), D=np.eye(3), u_min=0.0, u_max=1.0)
+    rep = _split_matches_serial(sys, None, 5, 3)
+    assert rep.dc_sign_constant is False
+    us, a3b = sweep_grids(sys, np.eye(3), 5, 3)
+    with pytest.raises(hexreg.SingularMatrixError) as serial:
+        analysis._sweep_inputs(sys, us, 0, 5, a3b)
+    with pytest.raises(hexreg.SingularMatrixError) as split:
+        hexreg.assumption_report(sys, np.eye(3), nu=1.0, eps=1e-3, u_grid=5, v_grid=3)
+    assert f"at u = {poles[0]}" in str(serial.value)
+    assert str(split.value) == str(serial.value)
+    assert split.value.cond == serial.value.cond
+
+
 def test_assumption_report_serializes(hexsys):
     rep = hexreg.assumption_report(hexsys, u_grid=8, v_grid=5)
     d = rep.to_dict()
@@ -493,3 +579,51 @@ def test_integral_gain_stability_limit(hexsys, io_art):
     assert io_art.ki_star <= limit
     # certified bound is conservative by a wide margin here
     assert limit / io_art.ki_star > 100.0
+
+
+def per_k_linearization(sys, art, k_i):
+    """The closed-loop matrix built afresh at one gain, as the docstring of
+    linearization_matrix writes it."""
+    n = sys.n_states
+    F = sys.frozen(art.u_ss)
+    h, Fg = hexreg.design._dc_path(sys, art.u_ss, art.x_ss)
+    s = 1.0 if h > 0.0 else -1.0
+    A_cl = np.zeros((n + 1, n + 1))
+    A_cl[:n, :n] = F + s * k_i * np.outer(Fg, sys.C)
+    A_cl[:n, n] = -(k_i**2) * h * Fg
+    A_cl[n, :n] = sys.C
+    A_cl[n, n] = -k_i * abs(h)
+    return A_cl
+
+
+def per_k_stability_limit(sys, art):
+    """integral_gain_stability_limit's search with a fresh matrix per gain."""
+    def unstable(k):
+        return analysis.spectral_abscissa(per_k_linearization(sys, art, k)) >= 0.0
+
+    lo = art.ki_star or 1e-6
+    while unstable(lo):
+        lo /= 2.0
+    hi = lo * 2.0
+    while not unstable(hi):
+        lo, hi = hi, hi * 2.0
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if unstable(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("ref_c", [20.0, 24.0, 26.5, 29.0, 32.0])
+def test_integral_gain_stability_limit_matches_per_k_matrices(hexsys, table1, ref_c):
+    """The limit built from pieces made once per call has the bits of the
+    search that builds every matrix afresh, and so does each matrix."""
+    art = hexreg.integral_only_design(hexsys, hexreg.invert_reference(hexsys, ref_c + KELVIN),
+                                      hex_params=table1)
+    for k in (0.0, art.ki_star, 1e-4):
+        assert (hexreg.linearization_matrix(hexsys, art, k).tobytes()
+                == per_k_linearization(hexsys, art, k).tobytes())
+    got = hexreg.integral_gain_stability_limit(hexsys, art)
+    assert np.float64(got).tobytes() == np.float64(per_k_stability_limit(hexsys, art)).tobytes()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -617,6 +618,31 @@ def test_compare_pi_command(ws, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["ours"]["law"] == "forwarding"
     assert rep["pi"]["law"] == "pi"
+
+
+def test_compare_pi_nonfinite_pi_run_exit3(ws, tmp_path, monkeypatch, capsys):
+    """A NonFiniteError of the PI run, which runs in a forked process,
+    reaches main as exit 3 with its message, and leaves no child behind."""
+    real_run = sim.run
+
+    def run(scn):
+        if scn.law == "pi":
+            raise hexreg.NonFiniteError(5, 0.5, "z", u_sat=0.02)
+        return real_run(scn)
+
+    monkeypatch.setattr(sim, "run", run)
+    ours = scenario_file(tmp_path, name="o3.json", t_end=5.0)
+    pi = scenario_file(tmp_path, name="p3.json", t_end=5.0, law="pi",
+                       kp_pi=-0.01, ki_pi=-0.001)
+    capsys.readouterr()
+    rc = main(["compare-pi", str(ws / "hex.json"), str(ws / "fwd.json"),
+               str(ours), str(pi), "--out", str(tmp_path / "c3.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: non-finite state at step 5 (t = 0.5 s): z first, last finite u_sat = 0.02"]
+    assert not (tmp_path / "c3.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_compare_pi_schedule_mismatch_exit2(ws, tmp_path):

@@ -340,7 +340,9 @@ def test_pi_shift_sup_matches_per_point_sweep(hexsys):
     _, peak = _golden_section_max(magnitude, grid[max(i - 1, 0)],
                                   grid[min(i + 1, 511)], 1e-10 * (1.0 + hi - lo))
     want = float(max(peak, vals[i]))
-    assert np.float64(hexreg.pi_shift_sup(hexsys)).tobytes() == np.float64(want).tobytes()
+    # a fresh plant, so that the sweep runs rather than return a kept value
+    got = hexreg.pi_shift_sup(replace(hexsys))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_pi_shift_sup_refines_a_peak_between_grid_inputs():
@@ -362,10 +364,33 @@ def test_pi_shift_sup_refines_a_peak_between_grid_inputs():
 
 
 def test_pi_shift_sup_refuses_singular_shift():
-    """F_u = u - 1 is singular at u = 1, the top of the input interval."""
+    """F_u = u - 1 is singular at u = 1, the top of the input interval.
+    A call that raises keeps nothing, so the next one raises again."""
     sys = scalar_system(A=-1.0, B=1.0, u_min=0.0, u_max=1.0)
-    with pytest.raises(hexreg.SingularMatrixError, match=r"singular at u = 1\.0\b"):
-        hexreg.pi_shift_sup(sys)
+    for _ in range(2):
+        with pytest.raises(hexreg.SingularMatrixError, match=r"singular at u = 1\.0\b"):
+            hexreg.pi_shift_sup(sys)
+        assert sys._pi_bar is None
+
+
+def test_pi_shift_sup_sweeps_once_per_plant(hexsys, monkeypatch):
+    """The first call on a plant keeps pi_bar on it; the second makes no
+    solve and returns the same bits.  dataclasses.replace starts afresh."""
+    solves = []
+
+    def counted(*args, _real=np.linalg.solve):
+        solves.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    sys = replace(hexsys)
+    assert sys._pi_bar is None
+    first = hexreg.pi_shift_sup(sys)
+    assert solves and sys._pi_bar == first
+    solves.clear()
+    assert np.float64(hexreg.pi_shift_sup(sys)).tobytes() == np.float64(first).tobytes()
+    assert solves == []
+    assert replace(sys)._pi_bar is None
 
 
 def test_certified_gain_is_one_number_for_every_reference(hexsys, table1):

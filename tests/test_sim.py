@@ -7,6 +7,7 @@ import pytest
 
 import hexreg
 from hexreg import sim
+from hexreg.serde import dumps_json
 
 from conftest import KELVIN, make_scenario, per_step_nonfinite
 
@@ -310,6 +311,36 @@ def test_compare_pi_identical_laws(hexsys, fwd_art):
                           [[0.0, 26.5 + KELVIN]], kp_pi=-0.01, ki_pi=-0.001)
     rep = hexreg.compare_pi(scn_a, scn_b)
     assert rep["ours"] == rep["pi"]
+
+
+def test_compare_pi_equals_the_two_runs_in_this_process(hexsys, fwd_art):
+    """The PI half runs in a forked process; the report is the one two
+    in-process run + run_metrics calls give, to the byte of its JSON."""
+    refs = [[0.0, 26.5 + KELVIN], [20.0, 28.0 + KELVIN], [60.0, 24.4 + KELVIN]]
+    ours = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 120.0, 0.5, refs)
+    pi = make_scenario(hexsys, fwd_art, hexreg.PI, 120.0, 0.5, refs,
+                       kp_pi=-0.01, ki_pi=-0.001)
+    want = {}
+    for tag, scn in (("ours", ours), ("pi", pi)):
+        m = hexreg.run_metrics(scn, hexreg.run(scn))
+        want[tag] = {"law": scn.law, "settling_times": m["settling_times"],
+                     "max_abs_u_raw": max(abs(m["max_u_raw"]), abs(m["min_u_raw"])),
+                     "sat_duty": m["sat_duty"], "iae": m["iae"],
+                     "post_last_step": m["post_last_step"]}
+    assert dumps_json(hexreg.compare_pi(ours, pi)) == dumps_json(want)
+
+
+def test_compare_pi_reports_the_proposed_law_error_first(hexsys, fwd_art, monkeypatch):
+    """Both runs fail: the proposed law's error wins, as when it ran first."""
+    def run(scn):
+        raise hexreg.NonFiniteError(3 if scn.law == hexreg.PI else 2, 0.1, "x_1")
+
+    monkeypatch.setattr(sim, "run", run)
+    ours = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 1.0, 0.1, [[0.0, 300.0]])
+    pi = make_scenario(hexsys, fwd_art, hexreg.PI, 1.0, 0.1, [[0.0, 300.0]])
+    with pytest.raises(hexreg.NonFiniteError) as info:
+        hexreg.compare_pi(ours, pi)
+    assert info.value.step == 2
 
 
 # -- CSV --------------------------------------------------------------------
