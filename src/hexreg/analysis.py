@@ -2,15 +2,18 @@
 
 Everything here re-derives quantities from first principles so tests and the
 verify subcommand can cross-examine design artifacts: checks of the standing
-assumptions (on an input grid, except the robust-decay inequality, which is
-affine in the input and decided at its two bounds), Lyapunov monitor
-evaluation along trajectories, and the linearized stability analysis of the
-integral-only loop.  Negative findings are reported as data; only malformed
-inputs raise.
+assumptions, Lyapunov monitor evaluation along trajectories, and the
+linearized stability analysis of the integral-only loop.  The Hurwitz margin
+and the DC-gain minimum are sampled on an input grid.  The DC-gain sign and
+the shifted DC gain's sign in the deviation v come from the real roots of
+linear pencils, and the robust-decay inequality, affine in the input, is
+decided at its two bounds.  Negative findings are reported as data; only
+malformed inputs raise.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,9 +27,13 @@ from .design import (
 )
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
 from .model import BilinearSystem
-from .kernels import _rowdot
-from .parallel import fork_join
-from .steady_state import _STACK_BLOCK, pi_map, screen_singular
+from .steady_state import (
+    _ROOT_TOL,
+    _equilibria,
+    _pencil_roots,
+    _stationary_points,
+    pi_map,
+)
 
 __all__ = [
     "AssumptionReport",
@@ -85,13 +92,16 @@ class AssumptionReport:
     hurwitz_margin is the max over the input grid of the largest real
     eigenvalue part of the frozen matrix (negative means the whole family is
     Hurwitz).  dc_gain_min_abs is the min of |C F_u^-1 g_u| over the same
-    grid.  The a3a fields cover the robust-decay LMI at the supplied
-    (P, nu, eps) over the whole input interval, with no grid: the block is
-    affine in u, so its largest eigenvalue is convex in u and the two input
-    bounds decide it.  The a3b fields cover |C (F_u + B v)^-1 g_u| over the
-    product grid.  Grid points where the shifted frozen matrix is
-    numerically singular are counted, excluded from the minima, and spoil
-    sign constancy.
+    grid.  dc_sign_constant is decided over the whole input interval, with
+    no grid: the DC gain keeps its sign iff A + B u is nowhere singular and
+    the gain nowhere zero in [u_min, u_max].  The a3a fields cover the
+    robust-decay LMI at the supplied (P, nu, eps) over the whole input
+    interval, also with no grid: the block is affine in u, so its largest
+    eigenvalue is convex in u and the two input bounds decide it.  The a3b
+    fields count, over the sampled inputs u, the deviations v in
+    [u_min - u_max, u_max - u_min] at which C (F_u + B v)^-1 g_u is zero
+    (a3b_roots) or F_u + B v singular (a3b_poles), decided exactly in v,
+    and how many of those have u + v in [u_min, u_max] (a3b_admissible).
     """
 
     hurwitz_margin: float | None = None
@@ -99,9 +109,10 @@ class AssumptionReport:
     dc_sign_constant: bool | None = None
     a3a_feasible: bool | None = None
     a3a_worst_residual: float | None = None
-    a3b_min_abs: float | None = None
     a3b_sign_constant: bool | None = None
-    a3b_singular_points: int = 0
+    a3b_roots: int | None = None
+    a3b_poles: int | None = None
+    a3b_admissible: int | None = None
     grid_sizes: dict = field(default_factory=dict)
     lmi: LMIRecord | None = None
 
@@ -109,9 +120,10 @@ class AssumptionReport:
         """Names of the report fields whose check ran and came back negative.
 
         The frozen-family checks (Hurwitz margin, nonvanishing DC gain) count
-        whenever present.  The robust-decay results only count when
-        require_a3 is set, since that assumption is strictly stronger and
-        can fail on plants the base design still covers.
+        whenever present.  The Assumption 3 verdicts, a3a_feasible and
+        a3b_sign_constant, only count when require_a3 is set, since that
+        assumption is strictly stronger and can fail on plants the base
+        design still covers.
         """
         failed = []
         if self.hurwitz_margin is not None and not self.hurwitz_margin < 0.0:
@@ -124,11 +136,6 @@ class AssumptionReport:
         if require_a3:
             if self.a3a_feasible is not None and not self.a3a_feasible:
                 failed.append("a3a_feasible")
-            if self.a3b_min_abs is not None:
-                if not self.a3b_min_abs > 0.0:
-                    failed.append("a3b_min_abs")
-                if self.a3b_singular_points > 0:
-                    failed.append("a3b_singular_points")
             if self.a3b_sign_constant is not None and not self.a3b_sign_constant:
                 failed.append("a3b_sign_constant")
         return failed
@@ -137,71 +144,25 @@ class AssumptionReport:
         return asdict(self)
 
 
-@dataclass
-class _Sweep:
-    """The per-input part of assumption_report over one range of the u grid."""
+def _a3b_crossings(sys: BilinearSystem, u: float, g_u: np.ndarray,
+                   w_poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The deviations v in [u_min - u_max, u_max - u_min] at which
+    C (F_u + B v)^-1 g_u changes sign: (zeros, poles), each ascending.
 
-    hurwitz: float
-    gains: np.ndarray
-    dc_singular: int
-    min_abs: float
-    singular: int
-    pos: int
-    neg: int
-
-    def then(self, later: "_Sweep") -> "_Sweep":
-        """This range followed by the next one, merged exactly: a max and a
-        min keep the first of equal values, as a running max and min do, the
-        counts add up and the gains concatenate in u order."""
-        return _Sweep(hurwitz=max(self.hurwitz, later.hurwitz),
-                      gains=np.concatenate((self.gains, later.gains)),
-                      dc_singular=self.dc_singular + later.dc_singular,
-                      min_abs=min(self.min_abs, later.min_abs),
-                      singular=self.singular + later.singular,
-                      pos=self.pos + later.pos, neg=self.neg + later.neg)
-
-
-def _sweep_inputs(sys: BilinearSystem, us: np.ndarray, lo: int, hi: int, a3b) -> _Sweep:
-    """assumption_report's per-input checks at us[lo:hi], in u order.
-
-    a3b is None without P; with P it is (vs, pair_singular), the deviation
-    grid and the screen's verdict on every (u, v) pair, and a singular F_u
-    raises SingularMatrixError at the lowest such input of the range.
+    The zeros are the real roots in range of the (n + 1) pencil
+    [[F_u, g_u], [C, 0]] + v [[B, 0], [0, 0]], whose determinant is
+    det(F_u + B v) times -C (F_u + B v)^-1 g_u.  The poles are w - u for the
+    roots w of the pencil (A, B) in w_poles that fall in range, to the
+    pencils' tolerance of 1e-9 of the range.
     """
-    out = _Sweep(hurwitz=-np.inf, gains=np.full(hi - lo, np.nan), dc_singular=0,
-                 min_abs=np.inf, singular=0, pos=0, neg=0)
-    if a3b is not None:
-        vs, pair_singular = a3b
-        buf = np.empty((_STACK_BLOCK, sys.n_states, sys.n_states))  # F_u + B v, in place
-    for i in range(lo, hi):
-        u = float(us[i])
-        F = sys.frozen(u)
-        out.hurwitz = max(out.hurwitz, float(np.max(np.linalg.eigvals(F).real)))
-        try:
-            g_u = sys.input_gain(pi_map(sys, u))
-        except SingularMatrixError:
-            if a3b is not None:
-                raise
-            out.dc_singular += 1
-            continue
-        out.gains[i - lo] = float(sys.C @ np.linalg.solve(F, g_u))
-        if a3b is None:
-            continue
-        for start in range(0, len(vs), _STACK_BLOCK):
-            v = vs[start : start + _STACK_BLOCK, None, None]
-            Fv = buf[: len(v)]
-            np.multiply(sys.B, v, out=Fv)
-            np.add(F, Fv, out=Fv)
-            bad = pair_singular[i, start : start + _STACK_BLOCK]
-            if bad.any():
-                out.singular += int(np.count_nonzero(bad))
-                Fv = Fv[~bad]
-            vals = _rowdot(sys.C, np.linalg.solve(Fv, g_u[:, None])[..., 0])[:, 0]
-            # fmin skips NaN, as a scalar min over the pairs does
-            out.min_abs = min(out.min_abs, float(np.fmin.reduce(np.abs(vals), initial=np.inf)))
-            out.pos += int(np.count_nonzero(vals > 0.0))
-            out.neg += int(np.count_nonzero(vals < 0.0))
-    return out
+    n = sys.n_states
+    lo, hi = sys.u_min - sys.u_max, sys.u_max - sys.u_min
+    M0 = np.block([[sys.frozen(u), g_u[:, None]], [sys.C[None], np.zeros((1, 1))]])
+    M1 = np.block([[sys.B, np.zeros((n, 1))], [np.zeros((1, n + 1))]])
+    tol = _ROOT_TOL * (hi - lo)
+    poles = w_poles - u
+    return (_pencil_roots(M0, M1, lo, hi),
+            poles[(poles >= lo - tol) & (poles <= hi + tol)])
 
 
 def assumption_report(
@@ -215,46 +176,39 @@ def assumption_report(
     """One sweep of the frozen family F_u = A + B u over u_grid inputs.
 
     At each input u in [u_min, u_max] it takes the largest real eigenvalue
-    part of F_u and the DC gain C F_u^-1 g_u, with g_u from one pi_map.
-    Without P, a point where pi_map finds F_u singular is left out of the
-    gain minimum and revokes sign constancy; with P the SingularMatrixError
-    propagates.
+    part of F_u and the DC gain C F_u^-1 g_u, with g_u = B pi(u) + b and pi
+    from one stacked steady_state._equilibria.  Without P, when that call
+    raises, pi is taken input by input: a point where pi_map finds F_u
+    singular is left out of the gain minimum.  With P the SingularMatrixError
+    propagates.  The DC-gain sign is decided with no grid: it is constant
+    iff the pencil (A, B) has no root in [u_min, u_max] and
+    steady_state._stationary_points, the zeros of the DC gain, is empty.
 
     With P the report also checks Assumption 3.  Part (a): largest
     eigenvalue of design.robust_decay_block with S = P F_u + F_u^T P and
     Q = P, [[P F_u + F_u^T P + (nu mu^2 + 2 eps) I, P], [P, -nu I]], with
     mu = |B| max(|u_min|, |u_max|).  The block is affine in u, so that
     eigenvalue is convex in u and its maximum over [u_min, u_max] is the
-    larger of its values at the two bounds, the only inputs it is taken at;
-    both bounds are members of the u grid.  Part (b): |C (F_u + B v)^-1 g_u| at
-    v_grid deviations v of the full range [u_min - u_max, u_max - u_min],
-    admissible effective input or not.
+    larger of its values at the two bounds, the only inputs it is taken at.
+    Part (b): at each grid input, the sign changes of C (F_u + B v)^-1 g_u
+    over the full deviation range [u_min - u_max, u_max - u_min],
+    admissible effective input or not, from two pencils (_a3b_crossings),
+    with no v grid.  The poles, roots w = u + v of (A, B), are found once
+    over [2 u_min - u_max, 2 u_max - u_min] for every u.  a3b_sign_constant
+    holds iff no grid input has a zero or a pole and the DC-gain sign, the
+    v = 0 column, is constant.  The u direction stays sampled.
 
-    Before the sweep, steady_state.screen_singular screens all u_grid x
-    v_grid pairs as the one family A + w B, w = u + v, each pair formed as
-    F_u + B v.  It marks a pair singular exactly when cond_2(F_u + B v) >
-    1e14 or is not finite, as a per-pair cond test would: the inverses of
-    a few anchors in w clear the well-conditioned pairs, and only the rest
-    get their own inverse or the exact cond.  Part (b) then runs on stacks
-    of F_u + B v, 64 deviations at a time, each formed in one reused buffer.
-    The pairs not marked share one stacked solve, and kernels._rowdot takes
-    C times each solution with the dot product of a per-pair loop, so every
-    value, minimum and sign count keeps its bits.  Before the sweep, every
-    argument is checked: a grid below 2 points, or swept and above 10**6.
-
-    The per-input work runs on two processes (parallel.fork_join): this
-    one takes the lower half of the u grid and a forked child the upper
-    half, after the screen.  The halves merge exactly (_Sweep.then), so
-    every field has the bits of one pass in u order; with P, a singular
-    F_u in the lower half raises first, as it would in that one pass.
+    v_grid plays no part in the report; it is kept for the callers that
+    pass it.  Before the sweep, every argument is checked: a grid below 2
+    points, or above 10**6 (for v_grid, with P).
     """
     n_u, n_v = int(u_grid), int(v_grid)
     if n_u < 2 or n_v < 2:
         raise ValueError(f"grid sizes must be >= 2, got ({u_grid!r}, {v_grid!r})")
     if n_u > _MAX_GRID or (P is not None and n_v > _MAX_GRID):
         raise ValueError(f"grid sizes must be <= {_MAX_GRID}, got ({u_grid!r}, {v_grid!r})")
-    us = np.linspace(sys.u_min, sys.u_max, n_u)
-    a3b = None
+    lo, hi = sys.u_min, sys.u_max
+    us = np.linspace(lo, hi, n_u)
     if P is not None:
         if nu is None or eps is None:
             raise ValueError("nu and eps are required alongside P")
@@ -266,38 +220,48 @@ def assumption_report(
             raise ValueError("P must be positive definite")
         if nu <= 0.0 or eps <= 0.0:
             raise ValueError("nu and eps must be positive")
-        mu = input_coupling_bound(sys)
-        v_range = (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
-        vs = np.linspace(v_range[0], v_range[1], n_v)
-        a3b = (vs, screen_singular(sys.A, sys.B, us[:, None], vs)[0])
 
-    mid = n_u // 2
-    upper, lower = fork_join(lambda: _sweep_inputs(sys, us, mid, n_u, a3b),
-                             lambda: _sweep_inputs(sys, us, 0, mid, a3b))
-    sweep = lower.then(upper)
-
-    finite = sweep.gains[np.isfinite(sweep.gains)]
+    try:
+        X = _equilibria(sys, us)
+    except SingularMatrixError:
+        if P is not None:
+            raise
+        X = np.full((n_u, sys.n_states), np.nan)
+        for i, u in enumerate(us):
+            with suppress(SingularMatrixError):
+                X[i] = pi_map(sys, u)
+    hurwitz, gains = -np.inf, np.full(n_u, np.nan)
+    for i, u in enumerate(us):
+        F = sys.frozen(float(u))
+        hurwitz = max(hurwitz, float(np.max(np.linalg.eigvals(F).real)))
+        if not np.isnan(X[i, 0]):
+            gains[i] = float(sys.C @ np.linalg.solve(F, sys.input_gain(X[i])))
+    finite = gains[np.isfinite(gains)]
     rep = AssumptionReport(
-        hurwitz_margin=sweep.hurwitz,
+        hurwitz_margin=hurwitz,
         dc_gain_min_abs=float(np.min(np.abs(finite))) if finite.size else float("nan"),
-        dc_sign_constant=bool(finite.size) and sweep.dc_singular == 0
-        and bool(np.all(finite > 0.0) or np.all(finite < 0.0)),
+        dc_sign_constant=not (_pencil_roots(sys.A, sys.B, lo, hi).size
+                              or _stationary_points(sys).size),
         grid_sizes={"u": n_u},
     )
     if P is None:
         return rep
+    mu = input_coupling_bound(sys)
     a3a = max(float(np.linalg.eigvalsh(robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu))[-1])
-              for F in (sys.frozen(sys.u_min), sys.frozen(sys.u_max)))
+              for F in (sys.frozen(lo), sys.frozen(hi)))
     rep.a3a_feasible = bool(a3a <= _A3A_TOL)
     rep.a3a_worst_residual = a3a
-    rep.a3b_min_abs = float(sweep.min_abs) if np.isfinite(sweep.min_abs) else float("nan")
-    rep.a3b_sign_constant = ((sweep.pos == 0 or sweep.neg == 0) and sweep.singular == 0
-                             and (sweep.pos + sweep.neg) > 0)
-    rep.a3b_singular_points = sweep.singular
-    rep.grid_sizes["v"] = n_v
-    rep.lmi = LMIRecord(nu=float(nu), eps=float(eps), mu=float(mu),
-                        u_range=(sys.u_min, sys.u_max),
-                        v_range=(float(v_range[0]), float(v_range[1])))
+    w_poles = _pencil_roots(sys.A, sys.B, 2.0 * lo - hi, 2.0 * hi - lo)
+    rep.a3b_roots = rep.a3b_poles = rep.a3b_admissible = 0
+    for u, x in zip(us, X):
+        zeros, poles = _a3b_crossings(sys, float(u), sys.input_gain(x), w_poles)
+        w = u + np.concatenate((zeros, poles))
+        rep.a3b_roots += len(zeros)
+        rep.a3b_poles += len(poles)
+        rep.a3b_admissible += int(np.count_nonzero((w >= lo) & (w <= hi)))
+    rep.a3b_sign_constant = rep.dc_sign_constant and rep.a3b_roots + rep.a3b_poles == 0
+    rep.lmi = LMIRecord(nu=float(nu), eps=float(eps), mu=float(mu), u_range=(lo, hi),
+                        v_range=(lo - hi, hi - lo))
     return rep
 
 

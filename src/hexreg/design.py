@@ -18,7 +18,6 @@ from .errors import (
     InfeasibleError,
     NotHurwitzError,
     NotObservableError,
-    SingularMatrixError,
     ZeroDCGainError,
     as_array,
     as_float,
@@ -26,7 +25,7 @@ from .errors import (
 from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem, HexParams
 from .serde import dump_json, read_object, require_fields
-from .steady_state import _STACK_BLOCK, Equilibrium, screen_singular
+from .steady_state import _STACK_BLOCK, Equilibrium, _refuse_poles
 
 __all__ = [
     "DesignArtifacts",
@@ -409,26 +408,23 @@ def pi_shift_sup(sys: BilinearSystem) -> float:
     = -v F_u^{-1} g_ss for u = u_ss + v, so it bounds every shift of the
     equilibrium the saturated input can make.  A 512-point sweep, then a
     golden-section search between the neighbours of its peak; the grid
-    value wins a tie.  steady_state.screen_singular screens the sweep as the
-    family A + u B and raises SingularMatrixError at the first u whose F_u
-    has cond_2 > 1e14.  The two solves per input run on stacks of 64 F_u;
-    stacked solves, per-row products (kernels._rowwise, _rowdot) and sqrt
-    make the same floating-point operations as one input at a time, so
-    every magnitude keeps its bits, in the sweep and in the refinement.
+    value wins a tie.  Before the sweep, a real root of the pencil (A, B)
+    in [u_min, u_max], where F_u is singular and the supremum infinite,
+    raises SingularMatrixError naming the lowest, on the grid or between
+    its inputs, as reachable_set does.  The two solves per input run on
+    stacks of 64 F_u; stacked solves, per-row products (kernels._rowwise,
+    _rowdot) and sqrt make the same floating-point operations as one input
+    at a time, so every magnitude keeps its bits, in the sweep and in the
+    refinement.
     The first call keeps its result on the frozen sys, and later calls
     return it; a call that raises keeps nothing.
     """
     if sys._pi_bar is not None:
         return sys._pi_bar
     lo, hi = sys.u_min, sys.u_max
+    _refuse_poles(sys)
 
     def magnitudes(us: np.ndarray) -> np.ndarray:
-        singular, kappa = screen_singular(sys.A, sys.B, us)
-        if singular.any():
-            i = int(np.argmax(singular))
-            raise SingularMatrixError(
-                f"A + B u numerically singular at u = {float(us[i])!r}", cond=float(kappa[i])
-            )
         out = np.empty(len(us))
         for k in range(0, len(us), _STACK_BLOCK):
             u = us[k : k + _STACK_BLOCK]

@@ -32,11 +32,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e14  # a matrix with 2-norm condition number above this is singular
-# an anchor's Neumann bound, or a member's own |F|_F |F^-1|_F, at or below
-# this clears the member without an SVD; 100x below the cut, it absorbs the
-# rounding of the computed inverse
+# a member's own |F|_F |F^-1|_F at or below this clears it without an SVD;
+# 100x below the cut, it absorbs the rounding of the computed inverse
 _COND_CLEAR = 1e12
-_EPS = float(np.finfo(np.float64).eps)
 _STACK_BLOCK = 64  # matrices per stacked screen and solve; bounds the (block, n, n) temporaries
 _ROOT_TOL = 1e-9  # a pencil root is real, and in range, to this fraction of the range
 _SHIFTS = (0.5, 0.3819660112501051)  # where _pencil_roots shifts, as fractions of the range
@@ -75,49 +73,25 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", X, X))
 
 
-def screen_singular(M, B, *shifts) -> tuple[np.ndarray, np.ndarray]:
-    """Which members of the affine family M + t B are numerically singular:
-    (singular, kappa), each of the shape the shifts broadcast to.
+def screen_singular(M, B, t) -> tuple[np.ndarray, np.ndarray]:
+    """Which members M + t_i B of an affine family are numerically singular:
+    (singular, kappa), each of the shape of t.
 
-    Member i is M + B s_1[i] + ... + B s_m[i], for m shifts broadcast
-    together, formed in that order with one rounded update per shift, as
-    the callers form it; its parameter is t_i = s_1[i] + ... + s_m[i].  The
-    verdict is that of the exact test, cond_2 not finite or above 1e14, but
-    most members are cleared from the inverse R of an anchor
-    F_a = M + t_a B.  With Delta a bound on the rounding of member and
-    anchor,
-
-        rho = |t - t_a| |R B|_F + |R|_F Delta < 1
-
-    gives, by the Neumann series, kappa_2(F) <= |F|_F |R|_F / (1 - rho).  A
-    member is cleared when rho <= 1/2 and this bound is at most 1e12: its
-    exact condition number, even as computed, lies far below 1e14.  Both
-    tests hold out to a reach in |t - t_a|.  The anchors walk the members
-    in order of t: each sits one reach of the last anchor past the first
-    member not yet cleared, or on that member when that misses it.
-
-    A member that no anchor clears, the member of a family of one, and
-    every member of a family with a shift that is not finite take the
-    per-matrix test: its own inverse, the bound |F|_F |F^-1|_F, and
-    np.linalg.cond where that bound is above 1e12 or not finite, or where
-    the inverse raises.  So kappa is a bound on cleared members and the
-    exact condition number on the rest.  Only the members that take the
-    per-matrix test are built, 64 at a time.
+    Each member gets the per-matrix test: its own inverse, the bound
+    |F|_F |F^-1|_F, and np.linalg.cond where that bound is above 1e12 or
+    not finite, or where the inverse raises.  A member is singular when its
+    cond_2 is not finite or above 1e14, so the verdict is that of
+    np.linalg.cond; kappa is the bound on the members it clears and the
+    exact condition number on the rest.  The members are built 64 at a
+    time.
     """
     M = np.asarray(M, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    shifts = np.broadcast_arrays(*(np.asarray(s, dtype=np.float64) for s in shifts))
+    t = np.asarray(t, dtype=np.float64)
+    kappa = np.empty(t.size)
     with np.errstate(all="ignore"):
-        # an anchor clears one member no cheaper than its own inverse does
-        if shifts[0].size > 1:
-            kappa, own = _walk_anchors(M, B, shifts)
-        else:
-            kappa, own = np.empty(shifts[0].shape), np.zeros(shifts[0].size, np.intp)
-        for j in range(0, len(own), _STACK_BLOCK):
-            rows = own[j : j + _STACK_BLOCK]
-            F = M
-            for s in shifts:
-                F = F + B * s.flat[rows][:, None, None]
+        for j in range(0, t.size, _STACK_BLOCK):
+            F = M + B * t.flat[j : j + _STACK_BLOCK][:, None, None]
             try:
                 inv = np.linalg.inv(F)
             except np.linalg.LinAlgError:
@@ -127,65 +101,16 @@ def screen_singular(M, B, *shifts) -> tuple[np.ndarray, np.ndarray]:
             hard = ~(bound <= _COND_CLEAR)
             if hard.any():
                 bound[hard] = np.linalg.cond(F[hard])
-            kappa.put(rows, bound)
+            kappa[j : j + _STACK_BLOCK] = bound
+    kappa = kappa.reshape(t.shape)
     return ~(kappa <= _COND_LIMIT), kappa
-
-
-def _walk_anchors(M, B, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """The anchor walk of screen_singular: kappa, in the shape of the
-    shifts, with the bound of each member the walk clears, and the flat
-    indices of the members left over."""
-    t = sum(shifts)
-    shape = t.shape
-    order = np.argsort(t, axis=None, kind="stable")
-    ts = t.reshape(-1)[order]
-    del t  # three numbers per member at a time: order, ts and kappa
-    kappa = np.empty(shape)
-    flat = kappa.reshape(-1)
-    norm_B = _frobenius(B)
-    # the member's rounded updates, the anchor's one and the sum t
-    delta = 4.0 * (len(shifts) + 1) * _EPS * (
-        _frobenius(M) + 2.0 * sum(max(s.max(), -s.min()) for s in shifts) * norm_B)
-    if not np.isfinite(delta):
-        # a shift that is not finite, or so large that delta overflows: no
-        # anchor can clear a member
-        return kappa, order
-    own = []
-    i, reach = 0, 0.0
-    while i < len(ts):
-        t_a = min(ts[i] + reach, ts[-1])
-        F_a = M + B * t_a
-        try:
-            R = np.linalg.inv(F_a)
-        except np.linalg.LinAlgError:
-            R = np.full_like(F_a, np.nan)
-        norm_R, norm_RB, norm_F = _frobenius(R), _frobenius(R @ B), _frobenius(F_a)
-        rho_0 = norm_R * delta
-        # rho <= 1/2 and the bound <= 1e12 hold together for |t - t_a| <= reach;
-        # a NaN reach clears nothing
-        reach = np.minimum((0.5 - rho_0) / norm_RB,
-                           (_COND_CLEAR * (1.0 - rho_0) - (norm_F + delta) * norm_R)
-                           / (norm_B * norm_R + _COND_CLEAR * norm_RB))
-        lo, hi = ts.searchsorted((t_a - reach, t_a + reach), side="right")
-        if reach >= 0.0 and lo <= i < hi:
-            d = np.abs(ts[i:hi] - t_a)
-            flat[order[i:hi]] = (norm_F + d * norm_B + delta) * norm_R / (1.0 - rho_0 - d * norm_RB)
-            i = hi
-        elif t_a > ts[i]:
-            reach = 0.0
-        else:
-            # the anchor is on member i: nothing at its t can be cleared
-            j = ts.searchsorted(t_a, side="right")
-            own.extend(order[i:j])
-            i, reach = j, 0.0
-    return kappa, np.array(own, dtype=np.intp)
 
 
 def _equilibria(sys: BilinearSystem, us: np.ndarray) -> np.ndarray:
     """pi(u) for each input of us, one row each, in stacks of 64 F_u.
 
-    screen_singular screens all of us as the one family A + u B.  Then per
-    input: one solve, one refinement and a check of the residual
+    screen_singular tests each F_u = A + u B of us.  Then per input: one
+    solve, one refinement and a check of the residual
     F x + b u + E.  Stacked solves and kernels._rowwise keep the bits of
     pi_map at each input, and the first input that fails raises what
     pi_map raises there.
@@ -253,6 +178,16 @@ def _pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float, hi: float) -> np.nd
     return np.array(exact)
 
 
+def _refuse_poles(sys: BilinearSystem) -> None:
+    """Raise SingularMatrixError at the lowest root in [u_min, u_max] of the
+    pencil (A, B), an input where A + B u is singular."""
+    lo, hi = sys.u_min, sys.u_max
+    poles = _pencil_roots(sys.A, sys.B, lo, hi)
+    if poles.size:
+        raise SingularMatrixError(f"A + B u is singular at u = {float(poles[0])!r}, "
+                                  f"inside [{lo!r}, {hi!r}]", cond=np.inf)
+
+
 def _stationary_points(sys: BilinearSystem) -> np.ndarray:
     """The inputs in range where dy_ss/du vanishes (see reachable_set)."""
     n = sys.n_states
@@ -280,12 +215,8 @@ def reachable_set(sys: BilinearSystem) -> ReachableSet:
     """
     if sys._reachable is not None:
         return sys._reachable
-    lo, hi = sys.u_min, sys.u_max
-    poles = _pencil_roots(sys.A, sys.B, lo, hi)
-    if poles.size:
-        raise SingularMatrixError(f"A + B u is singular at u = {float(poles[0])!r}, "
-                                  f"inside [{lo!r}, {hi!r}]", cond=np.inf)
-    us = np.concatenate(([lo], _stationary_points(sys), [hi]))
+    _refuse_poles(sys)
+    us = np.concatenate(([sys.u_min], _stationary_points(sys), [sys.u_max]))
     ys = _rowdot(sys.C, _equilibria(sys, us))[:, 0]
     i, j = int(np.argmin(ys)), int(np.argmax(ys))
     rs = ReachableSet(r_min=float(ys[i]), r_max=float(ys[j]),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hexreg
-from hexreg import analysis, kernels
+from hexreg import analysis, kernels, steady_state
 
 from conftest import KELVIN, TABLE1, make_scenario
 
@@ -59,27 +59,24 @@ def test_max_monotone_violation():
 
 
 def a1_per_point(sys, grid):
-    """The assumption-1 sweep one input at a time: eigvals, pi_map, solve."""
-    worst, gains, singular = -np.inf, [], 0
+    """The sampled assumption-1 fields one input at a time: eigvals,
+    pi_map, solve."""
+    worst, gains = -np.inf, []
     for u in np.linspace(sys.u_min, sys.u_max, grid):
         F = sys.frozen(float(u))
         worst = max(worst, float(np.max(np.linalg.eigvals(F).real)))
         try:
             x = hexreg.pi_map(sys, float(u))
         except hexreg.SingularMatrixError:
-            singular += 1
             continue
         gains.append(float(sys.C @ np.linalg.solve(F, sys.input_gain(x))))
     gains = np.array(gains)
     return {"hurwitz_margin": worst,
-            "dc_gain_min_abs": float(np.min(np.abs(gains))) if gains.size else float("nan"),
-            "dc_sign_constant": bool(gains.size) and singular == 0
-            and bool(np.all(gains > 0.0) or np.all(gains < 0.0))}
+            "dc_gain_min_abs": float(np.min(np.abs(gains))) if gains.size else float("nan")}
 
 
 def _a1_fields(rep):
-    return {k: getattr(rep, k) for k in
-            ("hurwitz_margin", "dc_gain_min_abs", "dc_sign_constant")}
+    return {k: getattr(rep, k) for k in ("hurwitz_margin", "dc_gain_min_abs")}
 
 
 def _same_bits(got, want):
@@ -121,6 +118,7 @@ def test_assumption1_linear_system_constant_margin():
     rep = hexreg.assumption_report(sys, u_grid=16)
     # with B = 0 the frozen family never moves
     assert rep.hurwitz_margin == pytest.approx(-1.0, abs=1e-12)
+    assert rep.dc_sign_constant is True
 
 
 def singular_frozen_system():
@@ -134,8 +132,8 @@ def singular_frozen_system():
 
 
 def test_assumption1_counts_singular_frozen_matrix():
-    """Without P, the singular grid point is left out of the gain minimum
-    and revokes sign constancy."""
+    """Without P, the singular grid point is left out of the gain minimum,
+    and the pole of A + B u it sits on revokes sign constancy."""
     sys = singular_frozen_system()
     with pytest.raises(hexreg.SingularMatrixError):
         hexreg.pi_map(sys, 0.5)
@@ -149,11 +147,66 @@ def test_assumption1_counts_singular_frozen_matrix():
     assert "dc_sign_constant" in rep.failed_checks()
 
 
+_SHIFT = np.diag([1.0, 1.0], 1)  # nilpotent: (-I + w N)^-1 = -(I + w N + w^2 N^2)
+
+
+def nilpotent_system(b):
+    """F_u = -I + u N on [0, 1], N the 3 x 3 upward shift, E = 0, C = e_1:
+    C pi(u) = b_1 u + b_2 u^2 + b_3 u^3, and C (F_u + v N)^-1 g_u is minus a
+    quadratic in w = u + v.  Hurwitz for every u, never singular."""
+    return hexreg.BilinearSystem(
+        A=-np.eye(3), B=_SHIFT, b=np.asarray(b, dtype=np.float64), E=np.zeros(3),
+        C=np.array([1.0, 0.0, 0.0]), D=np.eye(3), u_min=0.0, u_max=1.0)
+
+
+def test_dc_sign_sees_two_zeros_between_grid_inputs():
+    """dy_ss/du = 3 (u - 0.498) (u - 0.502) changes sign twice between the
+    64-point grid's inputs 31/63 and 32/63, where it is positive: the grid
+    sees one sign, the report does not."""
+    h = 0.002
+    sys = nilpotent_system([3.0 * (0.25 - h * h), -1.5, 1.0])
+    assert np.allclose(steady_state._stationary_points(sys), [0.5 - h, 0.5 + h], atol=1e-12)
+    us = np.linspace(sys.u_min, sys.u_max, 64)
+    assert us[31] < 0.5 - h < 0.5 + h < us[32]
+    gains = [float(sys.C @ np.linalg.solve(sys.frozen(u), sys.input_gain(hexreg.pi_map(sys, u))))
+             for u in us]
+    assert np.all(np.array(gains) < 0.0)
+    rep = hexreg.assumption_report(sys, u_grid=64)
+    assert rep.hurwitz_margin == -1.0 and rep.dc_gain_min_abs > 0.0
+    assert rep.dc_sign_constant is False
+    assert rep.failed_checks() == ["dc_sign_constant"]
+
+
 def test_assumption3_singular_frozen_matrix_raises():
     """With P, the same singular grid point is a numerical failure."""
     with pytest.raises(hexreg.SingularMatrixError):
         hexreg.assumption_report(singular_frozen_system(), np.eye(2), nu=1.0,
                                  eps=1e-3, u_grid=3, v_grid=3)
+
+
+@pytest.mark.parametrize("poles", [(0.25, 0.75), (0.75,)], ids=["both-halves", "upper-half"])
+def test_assumption_report_raises_the_serial_error(poles):
+    """F_u = diag(u - p_1, u - p_2, -1) on [0, 1] is singular at the grid
+    inputs in poles: 1/4 is in the lower half of the 5-point grid, 3/4 in
+    the upper half.  Without P every pole is left out of the gain minimum,
+    as a loop of pi_map calls leaves it out; with P the error is that
+    loop's, at the lowest pole."""
+    p = (*poles, 2.0)[:2]
+    sys = hexreg.BilinearSystem(
+        A=np.diag([-p[0], -p[1], -1.0]), B=np.diag([1.0, 1.0, 0.0]),
+        b=np.array([1.0, 1.0, 0.5]), E=np.array([0.1, 0.2, 0.3]),
+        C=np.array([1.0, 1.0, 1.0]), D=np.eye(3), u_min=0.0, u_max=1.0)
+    rep = hexreg.assumption_report(sys, u_grid=5)
+    _same_bits(_a1_fields(rep), a1_per_point(sys, 5))
+    assert rep.dc_sign_constant is False
+    with pytest.raises(hexreg.SingularMatrixError) as serial:
+        for u in np.linspace(sys.u_min, sys.u_max, 5):
+            hexreg.pi_map(sys, float(u))
+    with pytest.raises(hexreg.SingularMatrixError) as report:
+        hexreg.assumption_report(sys, np.eye(3), nu=1.0, eps=1e-3, u_grid=5)
+    assert f"at u = {poles[0]}" in str(serial.value)
+    assert str(report.value) == str(serial.value)
+    assert report.value.cond == serial.value.cond
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -174,7 +227,7 @@ def test_assumption_report_validates_before_sweeping(hexsys, monkeypatch, kwargs
     def no_sweep(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(analysis, "pi_map", no_sweep)
+    monkeypatch.setattr(analysis, "_equilibria", no_sweep)
     with pytest.raises(ValueError, match=message):
         hexreg.assumption_report(hexsys, **kwargs)
 
@@ -193,13 +246,15 @@ def test_assumption3_feasible_linear_case():
     rep = hexreg.assumption_report(sys, P, nu=100.0, eps=0.25)
     assert rep.a3a_feasible is True
     assert rep.a3a_worst_residual <= 0.0
+    # with B = 0 the shifted DC gain is the DC gain, of one sign
+    assert (rep.a3b_roots, rep.a3b_poles, rep.a3b_sign_constant) == (0, 0, True)
 
 
 def test_assumption3_hex_conservative(hexsys, table1):
     """On the exchanger the mu-term swamps the decay at these constants;
-    the grid check reports the inequality infeasible with a definite
-    positive residual.  Over the full deviation range the shifted DC gain
-    changes sign, as verify --a3 reports."""
+    the check reports the inequality infeasible with a definite positive
+    residual.  Over the full deviation range the shifted DC gain changes
+    sign, as verify --a3 reports, though never at an admissible u + v."""
     P = hexreg.hex_analytic_P(table1)
     margin = hexreg.lyapunov_decay_margin(hexsys, P, grid=64)
     assert margin > 0.0
@@ -211,9 +266,8 @@ def test_assumption3_hex_conservative(hexsys, table1):
     assert rep.a3a_feasible is False
     assert rep.a3a_worst_residual == pytest.approx(32.1, rel=0.05)
     assert rep.a3b_sign_constant is False
-    assert rep.a3b_singular_points == 0
-    assert 0.0 < rep.a3b_min_abs < rep.dc_gain_min_abs
-    assert rep.a3b_min_abs == pytest.approx(2.2286, rel=1e-4)
+    assert rep.a3b_roots > 0
+    assert rep.a3b_poles == 0 and rep.a3b_admissible == 0
     assert rep.failed_checks(require_a3=True) == ["a3a_feasible", "a3b_sign_constant"]
 
 
@@ -241,6 +295,15 @@ def test_assumption3a_does_not_depend_on_u_grid(hexsys, table1):
     assert worst == {32.14365527048028}
 
 
+def _random_plant(rng, n, u_min, u_max):
+    """A seeded random plant whose A is stable: A = G - (|G|_2 + 1) I."""
+    G = rng.standard_normal((n, n))
+    return hexreg.BilinearSystem(
+        A=G - (np.linalg.norm(G, 2) + 1.0) * np.eye(n), B=rng.standard_normal((n, n)),
+        b=rng.standard_normal(n), E=rng.standard_normal(n), C=rng.standard_normal(n),
+        D=np.eye(1, n), u_min=u_min, u_max=u_max)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_assumption3a_matches_a_dense_input_grid(seed):
     """On seeded random 2-5-state plants with a random P, the report's
@@ -248,11 +311,7 @@ def test_assumption3a_matches_a_dense_input_grid(seed):
     block's top eigenvalue over 257 inputs."""
     rng = np.random.default_rng(seed)
     for n in range(2, 6):
-        G = rng.standard_normal((n, n))
-        sys = hexreg.BilinearSystem(
-            A=G - (np.linalg.norm(G, 2) + 1.0) * np.eye(n), B=rng.standard_normal((n, n)),
-            b=rng.standard_normal(n), E=rng.standard_normal(n), C=rng.standard_normal(n),
-            D=np.eye(1, n), u_min=-0.2, u_max=0.3)
+        sys = _random_plant(rng, n, -0.2, 0.3)
         H = rng.standard_normal((n, n))
         P = H @ H.T + 0.1 * np.eye(n)
         nu, eps = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.01, 1.0))
@@ -277,97 +336,137 @@ def test_assumption_report_builds_the_a3a_block_twice(hexsys, table1, monkeypatc
     assert len(built) == 2
 
 
-def a3b_per_pair(sys, grid, v_range):
-    """The A3(b) sweep one (u, v) pair at a time: cond, then solve."""
-    u_grid = np.linspace(sys.u_min, sys.u_max, grid[0])
-    v_grid = np.linspace(v_range[0], v_range[1], grid[1])
-    min_abs, singular, pos, neg = np.inf, 0, 0, 0
-    for u in u_grid:
-        F = sys.frozen(float(u))
+def a3b_per_pair(sys, us, vs):
+    """The dense A3(b) reference: C (F_u + B v)^-1 g_u at every (u, v)
+    pair, one row per u, NaN where cond_2(F_u + B v) is above 1e14 or not
+    finite.  g_u comes from pi_map, and C times each solution is the 1-D
+    dot product (kernels._rowdot)."""
+    out = np.full((len(us), len(vs)), np.nan)
+    for i, u in enumerate(us):
         g_u = sys.input_gain(hexreg.pi_map(sys, float(u)))
-        for v in v_grid:
-            Fv = F + sys.B * float(v)
-            cond = np.linalg.cond(Fv)
-            if not np.isfinite(cond) or cond > 1e14:
-                singular += 1
-                continue
-            val = float(sys.C @ np.linalg.solve(Fv, g_u))
-            min_abs = min(min_abs, abs(val))
-            pos += val > 0.0
-            neg += val < 0.0
-    sign_const = (pos == 0 or neg == 0) and singular == 0 and (pos + neg) > 0
-    return {"a3b_min_abs": float(min_abs) if np.isfinite(min_abs) else float("nan"),
-            "a3b_sign_constant": sign_const, "a3b_singular_points": singular}
+        Fv = sys.frozen(float(u)) + sys.B * vs[:, None, None]
+        cond = np.linalg.cond(Fv)
+        ok = np.isfinite(cond) & (cond <= 1e14)
+        if ok.any():
+            sol = np.linalg.solve(Fv[ok], g_u[:, None])[..., 0]
+            out[i, ok] = kernels._rowdot(sys.C, sol)[:, 0]
+    return out
 
 
-def _a3b_fields(rep):
-    return {k: getattr(rep, k) for k in
-            ("a3b_min_abs", "a3b_sign_constant", "a3b_singular_points")}
+def _changing_cells(vals):
+    """Indices j where vals[j] and vals[j + 1] are not both of one strict
+    sign: a sign change, a zero or a singular pair (NaN)."""
+    return np.flatnonzero(~(np.sign(vals[:-1]) * np.sign(vals[1:]) > 0.0))
+
+
+def _crossings(sys, us):
+    """analysis._a3b_crossings at each input of us, with g_u from pi_map."""
+    lo, hi = sys.u_min, sys.u_max
+    w_poles = steady_state._pencil_roots(sys.A, sys.B, 2.0 * lo - hi, 2.0 * hi - lo)
+    return [analysis._a3b_crossings(sys, u, sys.input_gain(hexreg.pi_map(sys, u)), w_poles)
+            for u in map(float, us)]
 
 
 def _full_range(sys):
     return (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
 
 
+def _assert_cells_hold_a_crossing(us, vs, vals, crossings):
+    """Every cell of the oracle's v grid where the map is not of one sign
+    holds a zero or a pole of the pencils, to 1e-9 of the range."""
+    tol = 1e-9 * (vs[-1] - vs[0])
+    for i, (zeros, poles) in enumerate(crossings):
+        found = np.concatenate((zeros, poles))
+        for j in _changing_cells(vals[i]):
+            assert np.any((found >= vs[j] - tol) & (found <= vs[j + 1] + tol)), (us[i], j)
+
+
 def test_assumption3_v_zero_column_matches_a1(hexsys, table1):
-    """At v = 0 the shifted map is the plain DC gain: the per-pair sweep on
-    the v = 0 column gives the assumption-1 minimum bit for bit, and an odd
-    deviation grid holds v = 0, so its minimum cannot exceed it."""
-    want = a3b_per_pair(hexsys, (8, 2), (0.0, 0.0))["a3b_min_abs"]
+    """At v = 0 the shifted map is the plain DC gain: the per-pair oracle's
+    v = 0 column gives the assumption-1 minimum bit for bit, with P or
+    without."""
+    us = np.linspace(hexsys.u_min, hexsys.u_max, 8)
+    want = float(np.min(np.abs(a3b_per_pair(hexsys, us, np.zeros(1)))))
     assert hexreg.assumption_report(hexsys, u_grid=8).dc_gain_min_abs == want
-    assert np.linspace(*_full_range(hexsys), 17)[8] == 0.0
     P = hexreg.hex_analytic_P(table1)
-    rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=8, v_grid=17)
+    rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=8)
     assert rep.dc_gain_min_abs == want
-    assert rep.a3b_min_abs <= want
 
 
 def test_assumption3b_matches_per_pair_sweep(hexsys, table1):
-    """The stacked A3(b) sweep gives the per-pair loop's bits."""
+    """On the 16-state plant at 256 inputs, the pencils find, input by
+    input, one zero in each cell of the 513-point per-pair grid where the
+    map changes sign and no other, no pole and no admissible crossing."""
     P = hexreg.hex_analytic_P(table1)
-    rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=8, v_grid=17)
-    _same_bits(_a3b_fields(rep), a3b_per_pair(hexsys, (8, 17), _full_range(hexsys)))
+    rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=256)
+    us = np.linspace(hexsys.u_min, hexsys.u_max, 256)
+    vs = np.linspace(*_full_range(hexsys), 513)
+    vals = a3b_per_pair(hexsys, us, vs)
+    crossings = _crossings(hexsys, us)
+    for i, (zeros, poles) in enumerate(crossings):
+        cells = _changing_cells(vals[i])
+        assert len(poles) == 0
+        assert np.array_equal(np.searchsorted(vs, zeros) - 1, cells), us[i]
+    assert rep.a3b_roots == sum(len(z) for z, _ in crossings) == 233
+    assert (rep.a3b_poles, rep.a3b_admissible) == (0, 0)
+    assert rep.a3b_sign_constant is False
     assert rep.lmi.v_range == _full_range(hexsys)
 
 
-def singular_pair_system(delta):
-    """F_u + B v = blkdiag(u + v - 1 - delta, [[-2, 0.5], [0.3, -3]]) with
-    u in [0, 0.5]: on the full deviation range [-0.5, 0.5] only the
-    (u_max, v_max) corner comes near singular, of condition about
-    3 / delta there (exactly singular at delta = 0)."""
-    A = np.array([[-1.0 - delta, 0.0, 0.0], [0.0, -2.0, 0.5], [0.0, 0.3, -3.0]])
-    return hexreg.BilinearSystem(
-        A=A, B=np.diag([1.0, 0.0, 0.0]), b=np.array([1.0, 0.5, 0.0]),
-        E=np.array([0.2, 1.0, 0.3]), C=np.array([1.0, 0.0, 1.0]), D=np.eye(3),
-        u_min=0.0, u_max=0.5,
-    )
+@pytest.mark.parametrize("seed", range(15))
+def test_assumption_report_matches_the_oracles_on_random_plants(seed):
+    """Seeded random 2-5-state plants with a stable A, on an input range
+    wide enough that each one's map has zeros or poles, with and without a
+    random P: the sampled A1 fields keep the per-point loop's bits, every
+    cell of a 257-point per-pair v grid where the map is not of one sign
+    holds a zero or pole of the pencils, a sign change anywhere on the grid
+    makes a3b_sign_constant False, and the report's counts are those of
+    analysis._a3b_crossings."""
+    rng = np.random.default_rng(100 + seed)
+    n = 2 + seed % 4
+    sys = _random_plant(rng, n, -1.0, 1.5)
+    H = rng.standard_normal((n, n))
+    u_grid = int(rng.integers(2, 12))
+    want = a1_per_point(sys, u_grid)
+    _same_bits(_a1_fields(hexreg.assumption_report(sys, u_grid=u_grid)), want)
+    rep = hexreg.assumption_report(sys, H @ H.T + 0.1 * np.eye(n),
+                                   nu=float(rng.uniform(0.1, 10.0)),
+                                   eps=float(rng.uniform(0.01, 1.0)), u_grid=u_grid)
+    _same_bits(_a1_fields(rep), want)
+    us = np.linspace(sys.u_min, sys.u_max, u_grid)
+    vs = np.linspace(*_full_range(sys), 257)
+    vals = a3b_per_pair(sys, us, vs)
+    crossings = _crossings(sys, us)
+    _assert_cells_hold_a_crossing(us, vs, vals, crossings)
+    if not (np.all(vals > 0.0) or np.all(vals < 0.0)):
+        assert rep.a3b_sign_constant is False
+    assert rep.a3b_roots == sum(len(z) for z, _ in crossings)
+    assert rep.a3b_poles == sum(len(p) for _, p in crossings)
 
 
-@pytest.mark.parametrize("delta, cond_range, singular", [
-    # inv raises on the stack that holds the singular corner
-    pytest.param(0.0, (np.inf, np.inf), 1, id="exactly-singular"),
-    # the bound cannot clear the corner, the exact cond (about 3e13) keeps it
-    pytest.param(1e-13, (1e12, 1e14), 0, id="cond-3e13"),
-    # the exact cond (about 3e15) refuses it
-    pytest.param(1e-15, (1e14, 1e17), 1, id="cond-3e15"),
-])
-def test_assumption3b_screen_matches_cond(delta, cond_range, singular):
-    """Singular and near-singular pairs get the per-pair cond verdict."""
-    sys = singular_pair_system(delta)
-    v_range = _full_range(sys)
-    cond = np.linalg.cond(sys.frozen(sys.u_max) + sys.B * v_range[1])
-    assert cond_range[0] <= cond <= cond_range[1]
-    rep = hexreg.assumption_report(sys, np.eye(3), nu=1.0, eps=1e-3, u_grid=3, v_grid=5)
-    want = a3b_per_pair(sys, (3, 5), v_range)
-    _same_bits(_a3b_fields(rep), want)
-    assert want["a3b_singular_points"] == singular
+def test_assumption3b_two_zeros_between_grid_deviations():
+    """At u = 0 the shifted map is -(w + 0.54) (w + 0.56), w = v: two
+    zeros between the 17-point v grid's -0.625 and -0.5, and the map is
+    negative at every grid pair of both inputs.  The grid sees one sign, the
+    pencil two zeros, neither at an admissible u + v."""
+    sys = nilpotent_system([0.3024, 1.1, 1.0])
+    us = np.linspace(sys.u_min, sys.u_max, 2)
+    vals = a3b_per_pair(sys, us, np.linspace(*_full_range(sys), 17))
+    assert np.all(vals < 0.0)
+    (zeros, poles), (zeros_1, poles_1) = _crossings(sys, us)
+    assert np.allclose(zeros, [-0.56, -0.54], atol=1e-12)
+    assert zeros_1.size == poles.size == poles_1.size == 0
+    rep = hexreg.assumption_report(sys, np.eye(3), nu=1.0, eps=1e-3, u_grid=2)
+    assert rep.dc_sign_constant is True
+    assert (rep.a3b_roots, rep.a3b_poles, rep.a3b_admissible) == (2, 0, 0)
+    assert rep.a3b_sign_constant is False
 
 
 def test_assumption3b_screen_inverts_few_pairs(hexsys, table1, monkeypatch):
-    """The 16-state plant's 256 x 513 A3(b) grid is screened from a few
-    anchor inverses: counting every matrix that np.linalg.inv or cond
-    takes, the 256 pi_map calls included, at most 1% of the 131 328 pairs
-    get an inverse or a cond of their own."""
+    """The 16-state plant's A3(b) check at 256 inputs takes no inverse per
+    (u, v) pair: counting every matrix that np.linalg.inv or cond takes,
+    the 256 equilibria included, at most 1% of the 131 328 pairs of a
+    513-point deviation grid get one."""
     taken = []
     for name in ("inv", "cond"):
         def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
@@ -376,101 +475,15 @@ def test_assumption3b_screen_inverts_few_pairs(hexsys, table1, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     P = hexreg.hex_analytic_P(table1)
     rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=256, v_grid=513)
-    assert rep.a3b_singular_points == 0
+    assert rep.a3b_poles == 0
     assert sum(taken) <= 0.01 * 256 * 513
-
-
-# -- the sweep split across two processes ------------------------------------
-
-
-def sweep_grids(sys, P, u_grid, v_grid):
-    """The u grid and, with P, the deviation grid and pair screen that
-    assumption_report hands to analysis._sweep_inputs."""
-    us = np.linspace(sys.u_min, sys.u_max, u_grid)
-    if P is None:
-        return us, None
-    vs = np.linspace(*_full_range(sys), v_grid)
-    return us, (vs, hexreg.steady_state.screen_singular(sys.A, sys.B, us[:, None], vs)[0])
-
-
-def _split_matches_serial(sys, P, u_grid, v_grid, nu=1.0, eps=1e-3):
-    """The two-process report equals the serial sweep field by field, bit
-    for bit, and the two halves merge into the serial sweep exactly."""
-    us, a3b = sweep_grids(sys, P, u_grid, v_grid)
-    whole = analysis._sweep_inputs(sys, us, 0, u_grid, a3b)
-    mid = u_grid // 2
-    merged = analysis._sweep_inputs(sys, us, 0, mid, a3b).then(
-        analysis._sweep_inputs(sys, us, mid, u_grid, a3b))
-    assert merged.gains.tobytes() == whole.gains.tobytes()
-    assert ({k: v for k, v in vars(merged).items() if k != "gains"}
-            == {k: v for k, v in vars(whole).items() if k != "gains"})
-    rep = hexreg.assumption_report(sys, P, nu if P is not None else None,
-                                   eps if P is not None else None, u_grid, v_grid)
-    finite = whole.gains[np.isfinite(whole.gains)]
-    want = {"hurwitz_margin": whole.hurwitz,
-            "dc_gain_min_abs": float(np.min(np.abs(finite))) if finite.size else float("nan")}
-    _same_bits({k: getattr(rep, k) for k in want}, want)
-    assert rep.dc_sign_constant == (bool(finite.size) and whole.dc_singular == 0
-                                    and bool(np.all(finite > 0.0) or np.all(finite < 0.0)))
-    if P is not None:
-        want_min = whole.min_abs if np.isfinite(whole.min_abs) else float("nan")
-        _same_bits({"a3b_min_abs": rep.a3b_min_abs}, {"a3b_min_abs": want_min})
-        assert rep.a3b_singular_points == whole.singular
-        assert rep.a3b_sign_constant == ((whole.pos == 0 or whole.neg == 0)
-                                         and whole.singular == 0 and whole.pos + whole.neg > 0)
-    return rep
-
-
-@pytest.mark.parametrize("u_grid, v_grid", [(2, 2), (3, 5), (8, 17), (64, 129), (256, 513)])
-def test_assumption_report_split_matches_serial_sweep(hexsys, table1, u_grid, v_grid):
-    _split_matches_serial(hexsys, None, u_grid, v_grid)
-    _split_matches_serial(hexsys, hexreg.hex_analytic_P(table1), u_grid, v_grid)
-
-
-@pytest.mark.parametrize("seed", range(15))
-def test_assumption_report_split_matches_serial_on_random_plants(seed):
-    """Seeded random 2-5-state plants, with and without a random P."""
-    rng = np.random.default_rng(100 + seed)
-    n = 2 + seed % 4
-    sys = hexreg.BilinearSystem(
-        A=rng.standard_normal((n, n)) - 2.0 * np.eye(n), B=rng.standard_normal((n, n)),
-        b=rng.standard_normal(n), E=rng.standard_normal(n), C=rng.standard_normal(n),
-        D=np.eye(1, n), u_min=-0.3, u_max=0.4)
-    H = rng.standard_normal((n, n))
-    u_grid, v_grid = int(rng.integers(2, 12)), int(rng.integers(2, 20))
-    _split_matches_serial(sys, None, u_grid, v_grid)
-    _split_matches_serial(sys, H @ H.T + 0.1 * np.eye(n), u_grid, v_grid,
-                          nu=float(rng.uniform(0.1, 10.0)), eps=float(rng.uniform(0.01, 1.0)))
-
-
-@pytest.mark.parametrize("poles", [(0.25, 0.75), (0.75,)], ids=["both-halves", "upper-half"])
-def test_assumption_report_raises_the_serial_error(poles):
-    """F_u = diag(u - p_1, u - p_2, -1) on [0, 1] is singular at the grid
-    inputs in poles: 1/4 is in the lower half of the 5-point grid, 3/4 in
-    the upper half.  Without P every pole counts; with P the error is the
-    serial loop's, at the lowest pole, from whichever half holds it."""
-    p = (*poles, 2.0)[:2]
-    sys = hexreg.BilinearSystem(
-        A=np.diag([-p[0], -p[1], -1.0]), B=np.diag([1.0, 1.0, 0.0]),
-        b=np.array([1.0, 1.0, 0.5]), E=np.array([0.1, 0.2, 0.3]),
-        C=np.array([1.0, 1.0, 1.0]), D=np.eye(3), u_min=0.0, u_max=1.0)
-    rep = _split_matches_serial(sys, None, 5, 3)
-    assert rep.dc_sign_constant is False
-    us, a3b = sweep_grids(sys, np.eye(3), 5, 3)
-    with pytest.raises(hexreg.SingularMatrixError) as serial:
-        analysis._sweep_inputs(sys, us, 0, 5, a3b)
-    with pytest.raises(hexreg.SingularMatrixError) as split:
-        hexreg.assumption_report(sys, np.eye(3), nu=1.0, eps=1e-3, u_grid=5, v_grid=3)
-    assert f"at u = {poles[0]}" in str(serial.value)
-    assert str(split.value) == str(serial.value)
-    assert split.value.cond == serial.value.cond
 
 
 def test_assumption_report_serializes(hexsys):
     rep = hexreg.assumption_report(hexsys, u_grid=8, v_grid=5)
     d = rep.to_dict()
     assert d["hurwitz_margin"] < 0.0
-    assert "a3a_feasible" in d
+    assert "a3a_feasible" in d and d["a3b_roots"] is None
     assert rep.failed_checks() == []
 
 

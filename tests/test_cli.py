@@ -272,14 +272,16 @@ def test_steady_state_pole_in_range_exit3(tmp_path, capsys):
 
 
 def test_steady_state_and_scenario_leave_scipy_unimported(ws):
-    """steady-state --ref and a scenario load, the start of every tracking
-    run, use numpy alone: importing scipy.linalg would add a third of a
-    second to each process."""
+    """steady-state --ref, verify with and without --a3 on the exchanger
+    and a scenario load, the start of every tracking run, use numpy alone:
+    importing scipy.linalg would add a third of a second to each process."""
     code = (
         "import sys\n"
         "from hexreg import cli, design, model, serde, sim\n"
         "hex_json, art_json, scn_json = sys.argv[1:]\n"
         "assert cli.main(['steady-state', hex_json, '--ref', '26.5', '--units', 'C']) == 0\n"
+        "assert cli.main(['verify', hex_json]) == 0\n"
+        "assert cli.main(['verify', hex_json, '--a3']) == 1\n"
         "plant, _ = model.load_system(hex_json)\n"
         "sim.scenario_from_dict(serde.read_object(scn_json), plant,\n"
         "                       design.load_artifacts(art_json))\n"
@@ -352,7 +354,7 @@ def test_verify_oversized_grid_exit2(ws, monkeypatch, capsys, a3):
     def no_sweep(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(analysis, "pi_map", no_sweep)
+    monkeypatch.setattr(analysis, "_equilibria", no_sweep)
     capsys.readouterr()
     rc = main(["verify", str(ws / "hex.json"), "--grid", "1000001", *a3])
     assert rc == 2

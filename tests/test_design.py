@@ -10,6 +10,7 @@ import hexreg
 from hexreg import design
 
 from conftest import KELVIN, TABLE1
+from test_steady_state import _pole_system
 
 
 def scalar_system(A=-1.0, B=0.0, b=1.0, C=1.0, E=0.0, u_min=-2.0, u_max=2.0):
@@ -371,6 +372,17 @@ def test_pi_shift_sup_refuses_singular_shift():
         with pytest.raises(hexreg.SingularMatrixError, match=r"singular at u = 1\.0\b"):
             hexreg.pi_shift_sup(sys)
         assert sys._pi_bar is None
+
+
+def test_pi_shift_sup_names_a_pole_between_grid_inputs():
+    """A + B u singular at u = 0.701, between two of the 512 grid inputs,
+    makes the supremum infinite: the pencil (A, B) names the pole."""
+    sys = _pole_system(0.701)
+    assert not np.any(np.linspace(sys.u_min, sys.u_max, 512) == 0.701)
+    with pytest.raises(hexreg.SingularMatrixError, match=r"singular at u = 0\.701") as err:
+        hexreg.pi_shift_sup(sys)
+    assert err.value.cond == np.inf
+    assert sys._pi_bar is None
 
 
 def test_pi_shift_sup_sweeps_once_per_plant(hexsys, monkeypatch):

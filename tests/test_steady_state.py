@@ -490,9 +490,7 @@ _offsets = (st.just(0.0)
 def test_screen_singular_matches_cond(data):
     """The screen's verdict on a family, and on each member alone, is the
     exact test: cond_2 finite and at most 1e14 means not singular.  Members
-    sit on, near and far from a real generalized eigenvalue of (M, -B), and
-    are formed in one update, M + B t, or in two, (M + B u) + B (t - u), as
-    the A3(b) sweep forms its pairs."""
+    sit on, near and far from a real generalized eigenvalue of (M, -B)."""
     n = data.draw(st.integers(1, 8), label="n")
     t_star = data.draw(st.floats(-2.0, 2.0), label="t_star")
     M, B = _singular_family(data.draw(st.integers(0, 2**32 - 1), label="seed"), n, t_star,
@@ -500,21 +498,9 @@ def test_screen_singular_matches_cond(data):
                             data.draw(st.floats(-150.0, 150.0), label="scale"))
     t = t_star + np.array(data.draw(st.lists(_offsets, min_size=1, max_size=10),
                                     label="offsets"))
-    if data.draw(st.booleans(), label="two_step"):
-        u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(t),
-                                        max_size=len(t)), label="u"))
-        shifts = (u, t - u)
-    else:
-        shifts = (t,)
-    members = []
-    for i in range(len(t)):
-        F = M
-        for s in shifts:
-            F = F + B * s[i]
-        members.append(F)
-    cond = np.linalg.cond(np.array(members))
+    cond = np.linalg.cond(M + B * t[:, None, None])
     want = ~(np.isfinite(cond) & (cond <= 1e14))
-    singular, kappa = steady_state.screen_singular(M, B, *shifts)
+    singular, kappa = steady_state.screen_singular(M, B, t)
     assert singular.shape == kappa.shape == (len(t),)
     assert np.array_equal(singular, want)
     # kappa bounds a cleared member's condition number and is exact elsewhere
@@ -522,32 +508,24 @@ def test_screen_singular_matches_cond(data):
     assert np.array_equal(kappa[hard], cond[hard])
     assert np.all(kappa[~hard] >= cond[~hard] * (1.0 - 1e-3))
     for i in range(len(t)):
-        one, _ = steady_state.screen_singular(M, B, *(s[i : i + 1] for s in shifts))
+        one, _ = steady_state.screen_singular(M, B, t[i : i + 1])
         assert one.shape == (1,) and one[0] == want[i]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
-@pytest.mark.parametrize("two_step", [False, True], ids=["one_step", "two_step"])
-def test_screen_singular_non_finite_member_is_that_of_cond(bad, two_step):
-    """A family with a shift that is not finite, or so large that the
-    screen's rounding bound overflows, ends: each member gets the verdict
-    of its own np.linalg.cond, and where that raises, the screen raises
-    as well."""
+def test_screen_singular_non_finite_member_is_that_of_cond(bad):
+    """A member with a shift that is not finite, or so large that the
+    member overflows, gets the verdict of its own np.linalg.cond, and
+    where that raises, the screen raises as well."""
     M, B = _singular_family(7, 4, 0.5, 3.0, 0.0)
     t = np.array([-1.0, 0.1, bad, 0.9, 2.0])
-    shifts = (t / 2, t / 2) if two_step else (t,)
-    members = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(t)):
-            F = M
-            for s in shifts:
-                F = F + B * s[i]
-            members.append(F)
+        members = M + B * t[:, None, None]
     try:
-        cond = np.linalg.cond(np.array(members))
+        cond = np.linalg.cond(members)
     except np.linalg.LinAlgError as exc:
         with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
-            steady_state.screen_singular(M, B, *shifts)
+            steady_state.screen_singular(M, B, t)
         return
-    singular, _ = steady_state.screen_singular(M, B, *shifts)
+    singular, _ = steady_state.screen_singular(M, B, t)
     assert np.array_equal(singular, ~(np.isfinite(cond) & (cond <= 1e14)))
