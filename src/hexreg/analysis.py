@@ -26,11 +26,13 @@ from .design import (
     robust_decay_block,
 )
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
+from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem
 from .steady_state import (
     _ROOT_TOL,
     _equilibria,
     _pencil_roots,
+    _stacked_pencil_roots,
     _stationary_points,
     pi_map,
 )
@@ -50,8 +52,6 @@ __all__ = [
 
 _A3A_TOL = 1e-9  # slack on the largest LMI eigenvalue before declaring infeasible
 _MONITOR_BLOCK = 1024  # samples per stacked solve; bounds the (block, n, n) temporaries
-_GAIN_CAP = 1e9  # integral_gain_stability_limit gives up (inf) above this gain
-_GAIN_RTOL = 1e-9  # relative width of its final bisection bracket
 _MAX_GRID = 10**6  # most points assumption_report sweeps per grid
 
 
@@ -144,27 +144,6 @@ class AssumptionReport:
         return asdict(self)
 
 
-def _a3b_crossings(sys: BilinearSystem, u: float, g_u: np.ndarray,
-                   w_poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The deviations v in [u_min - u_max, u_max - u_min] at which
-    C (F_u + B v)^-1 g_u changes sign: (zeros, poles), each ascending.
-
-    The zeros are the real roots in range of the (n + 1) pencil
-    [[F_u, g_u], [C, 0]] + v [[B, 0], [0, 0]], whose determinant is
-    det(F_u + B v) times -C (F_u + B v)^-1 g_u.  The poles are w - u for the
-    roots w of the pencil (A, B) in w_poles that fall in range, to the
-    pencils' tolerance of 1e-9 of the range.
-    """
-    n = sys.n_states
-    lo, hi = sys.u_min - sys.u_max, sys.u_max - sys.u_min
-    M0 = np.block([[sys.frozen(u), g_u[:, None]], [sys.C[None], np.zeros((1, 1))]])
-    M1 = np.block([[sys.B, np.zeros((n, 1))], [np.zeros((1, n + 1))]])
-    tol = _ROOT_TOL * (hi - lo)
-    poles = w_poles - u
-    return (_pencil_roots(M0, M1, lo, hi),
-            poles[(poles >= lo - tol) & (poles <= hi + tol)])
-
-
 def assumption_report(
     sys: BilinearSystem,
     P: np.ndarray | None = None,
@@ -177,7 +156,11 @@ def assumption_report(
 
     At each input u in [u_min, u_max] it takes the largest real eigenvalue
     part of F_u and the DC gain C F_u^-1 g_u, with g_u = B pi(u) + b and pi
-    from one stacked steady_state._equilibria.  Without P, when that call
+    from one stacked steady_state._equilibria.  The eigenvalues, the solves
+    and the A3(b) pencils below are stacked over the inputs; a stacked
+    numpy.linalg call makes the LAPACK call of a single one per matrix, and
+    kernels._rowwise and _rowdot the BLAS calls of B @ x and C @ y, so every
+    field has the bits of an input-by-input loop.  Without P, when that call
     raises, pi is taken input by input: a point where pi_map finds F_u
     singular is left out of the gain minimum.  With P the SingularMatrixError
     propagates.  The DC-gain sign is decided with no grid: it is constant
@@ -192,9 +175,13 @@ def assumption_report(
     larger of its values at the two bounds, the only inputs it is taken at.
     Part (b): at each grid input, the sign changes of C (F_u + B v)^-1 g_u
     over the full deviation range [u_min - u_max, u_max - u_min],
-    admissible effective input or not, from two pencils (_a3b_crossings),
-    with no v grid.  The poles, roots w = u + v of (A, B), are found once
-    over [2 u_min - u_max, 2 u_max - u_min] for every u.  a3b_sign_constant
+    admissible effective input or not, with no v grid.  Its zeros are the
+    real roots in range of the (n + 1) pencil
+    [[F_u, g_u], [C, 0]] + v [[B, 0], [0, 0]], whose determinant is
+    det(F_u + B v) times -C (F_u + B v)^-1 g_u
+    (steady_state._stacked_pencil_roots).  Its poles are w - u for the roots
+    w of (A, B), found once over [2 u_min - u_max, 2 u_max - u_min], that
+    fall in range to the pencils' 1e-9 of the range.  a3b_sign_constant
     holds iff no grid input has a zero or a pole and the DC-gain sign, the
     v = 0 column, is constant.  The u direction stays sampled.
 
@@ -207,13 +194,12 @@ def assumption_report(
         raise ValueError(f"grid sizes must be >= 2, got ({u_grid!r}, {v_grid!r})")
     if n_u > _MAX_GRID or (P is not None and n_v > _MAX_GRID):
         raise ValueError(f"grid sizes must be <= {_MAX_GRID}, got ({u_grid!r}, {v_grid!r})")
-    lo, hi = sys.u_min, sys.u_max
+    lo, hi, n = sys.u_min, sys.u_max, sys.n_states
     us = np.linspace(lo, hi, n_u)
     if P is not None:
         if nu is None or eps is None:
             raise ValueError("nu and eps are required alongside P")
         P = np.asarray(P, dtype=np.float64)
-        n = sys.n_states
         if P.shape != (n, n):
             raise ValueError(f"P must be {n}x{n}, got {P.shape}")
         if np.linalg.eigvalsh(0.5 * (P + P.T))[0] <= 0.0:
@@ -226,19 +212,17 @@ def assumption_report(
     except SingularMatrixError:
         if P is not None:
             raise
-        X = np.full((n_u, sys.n_states), np.nan)
+        X = np.full((n_u, n), np.nan)
         for i, u in enumerate(us):
             with suppress(SingularMatrixError):
                 X[i] = pi_map(sys, u)
-    hurwitz, gains = -np.inf, np.full(n_u, np.nan)
-    for i, u in enumerate(us):
-        F = sys.frozen(float(u))
-        hurwitz = max(hurwitz, float(np.max(np.linalg.eigvals(F).real)))
-        if not np.isnan(X[i, 0]):
-            gains[i] = float(sys.C @ np.linalg.solve(F, sys.input_gain(X[i])))
+    Fu = sys.A + sys.B * us[:, None, None]
+    gu = _rowwise(sys.B, X) + sys.b
+    ok = ~np.isnan(X[:, 0])
+    gains = _rowdot(sys.C, np.linalg.solve(Fu[ok], gu[ok][..., None])[..., 0])[:, 0]
     finite = gains[np.isfinite(gains)]
     rep = AssumptionReport(
-        hurwitz_margin=hurwitz,
+        hurwitz_margin=float(np.max(np.linalg.eigvals(Fu).real)),
         dc_gain_min_abs=float(np.min(np.abs(finite))) if finite.size else float("nan"),
         dc_sign_constant=not (_pencil_roots(sys.A, sys.B, lo, hi).size
                               or _stationary_points(sys).size),
@@ -251,17 +235,20 @@ def assumption_report(
               for F in (sys.frozen(lo), sys.frozen(hi)))
     rep.a3a_feasible = bool(a3a <= _A3A_TOL)
     rep.a3a_worst_residual = a3a
-    w_poles = _pencil_roots(sys.A, sys.B, 2.0 * lo - hi, 2.0 * hi - lo)
-    rep.a3b_roots = rep.a3b_poles = rep.a3b_admissible = 0
-    for u, x in zip(us, X):
-        zeros, poles = _a3b_crossings(sys, float(u), sys.input_gain(x), w_poles)
-        w = u + np.concatenate((zeros, poles))
-        rep.a3b_roots += len(zeros)
-        rep.a3b_poles += len(poles)
-        rep.a3b_admissible += int(np.count_nonzero((w >= lo) & (w <= hi)))
+    M0 = np.zeros((n_u, n + 1, n + 1))
+    M0[:, :n, :n], M0[:, :n, n], M0[:, n, :n] = Fu, gu, sys.C
+    v_lo, v_hi = lo - hi, hi - lo
+    rows, zeros = _stacked_pencil_roots(M0, np.pad(sys.B, ((0, 1), (0, 1))), v_lo, v_hi)
+    tol = _ROOT_TOL * (v_hi - v_lo)
+    poles = _pencil_roots(sys.A, sys.B, 2.0 * lo - hi, 2.0 * hi - lo) - us[:, None]
+    in_range = (poles >= v_lo - tol) & (poles <= v_hi + tol)
+    w = np.concatenate((us[rows] + zeros, (us[:, None] + poles)[in_range]))
+    rep.a3b_roots = len(zeros)
+    rep.a3b_poles = int(np.count_nonzero(in_range))
+    rep.a3b_admissible = int(np.count_nonzero((w >= lo) & (w <= hi)))
     rep.a3b_sign_constant = rep.dc_sign_constant and rep.a3b_roots + rep.a3b_poles == 0
     rep.lmi = LMIRecord(nu=float(nu), eps=float(eps), mu=float(mu), u_range=(lo, hi),
-                        v_range=(lo - hi, hi - lo))
+                        v_range=(v_lo, v_hi))
     return rep
 
 
@@ -389,33 +376,6 @@ def max_monotone_violation(vals: np.ndarray) -> float:
 # integral-only linearization
 
 
-def _linearization(sys: BilinearSystem, artifacts: DesignArtifacts):
-    """k -> the closed-loop matrix of linearization_matrix at gain k.
-
-    F, h, F^-1 g, the outer product (F^-1 g) C and the row C are built once;
-    each call fills the entries that depend on k into one buffer, which it
-    returns, with the arithmetic of a fresh build, so every entry keeps its
-    bits.  Raises ZeroDCGainError when h is numerically zero.
-    """
-    n = sys.n_states
-    F = sys.frozen(artifacts.u_ss)
-    h, Fg = _dc_path(sys, artifacts.u_ss, artifacts.x_ss)
-    s = 1.0 if h > 0.0 else -1.0
-    FgC = np.outer(Fg, sys.C)
-    A_cl = np.zeros((n + 1, n + 1))
-    A_cl[n, :n] = sys.C
-    top = A_cl[:n, :n]
-
-    def at(k_i: float) -> np.ndarray:
-        np.multiply(s * k_i, FgC, out=top)
-        np.add(F, top, out=top)
-        A_cl[:n, n] = -(k_i**2) * h * Fg
-        A_cl[n, n] = -k_i * abs(h)
-        return A_cl
-
-    return at
-
-
 def linearization_matrix(
     sys: BilinearSystem, artifacts: DesignArtifacts, k_i: float
 ) -> np.ndarray:
@@ -433,7 +393,11 @@ def linearization_matrix(
     """
     if k_i < 0.0:
         raise ValueError(f"k_i must be nonnegative, got {k_i!r}")
-    return _linearization(sys, artifacts)(k_i)
+    h, Fg = _dc_path(sys, artifacts.u_ss, artifacts.x_ss)
+    s = 1.0 if h > 0.0 else -1.0
+    return np.block([[sys.frozen(artifacts.u_ss) + s * k_i * np.outer(Fg, sys.C),
+                      (-(k_i**2) * h * Fg)[:, None]],
+                     [sys.C[None], np.full((1, 1), -k_i * abs(h))]])
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
@@ -446,35 +410,40 @@ def integral_gain_stability_limit(
 ) -> float:
     """Smallest integral gain at which the linearized loop stops being Hurwitz.
 
-    Starts from the artifacts' ki_star (1e-6 without one), halving it until
-    the loop is stable, then doubles the gain until the spectral abscissa
-    crosses zero and bisects the bracket to relative width 1e-9.  Returns
-    inf if no crossing is found below 1e9.  The certified bound ki_star
-    must sit at or below this empirical limit.  The parts of the matrix
-    that do not depend on the gain are built once per call.
+    With s the DC-gain sign, the loop of linearization_matrix is similar to
+    [[F, s k g], [C, 0]], so its eigenvalues solve lambda = s k H(lambda)
+    with H(lambda) = C (lambda I - F)^-1 g.  Raises NotHurwitzError when F
+    is not Hurwitz, for then the loop is unstable as k goes to 0+.  A root
+    meets the imaginary axis at i w only where Re H(i w) = 0, a zero of
+    H(lambda) + H(-lambda), which is a finite eigenvalue of the (2n + 1)
+    pencil
+
+        ([[F, 0, g], [0, -F, g], [C, -C, 0]], [[I, 0], [0, 0]]).
+
+    It is shift-inverted at 0, regular since h = C F^-1 g is not zero
+    (design._dc_path raises ZeroDCGainError when it is): the finite
+    eigenvalues are the inverses of the nonzero ones of the top-left 2n
+    block K of M0^-1, M0 the pencil's first matrix.  (g, g) and
+    (F g, -F g) span a nilpotent chain of K, from infinite eigenvalues that
+    every such pencil has and that rounding would make finite, so K is
+    taken on the complement of that span.  The
+    crossing gain at i w is k = i w / (s H(i w)); a root counts when it is
+    on the axis to 1e-9 |lambda| and k > 0, and the smallest such k is
+    returned, inf when the root locus never reaches the axis.  The
+    certified bound ki_star must sit at or below this limit.
     """
-    at = _linearization(sys, artifacts)
-
-    def unstable(k: float) -> bool:
-        return spectral_abscissa(at(k)) >= 0.0
-
-    lo = artifacts.ki_star or 1e-6
-    while unstable(lo):
-        lo /= 2.0
-        if lo < 1e-15:
-            raise NotHurwitzError(
-                "linearized loop unstable down to vanishing integral gain"
-            )
-    hi = lo * 2.0
-    while not unstable(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > _GAIN_CAP:
-            return float("inf")
-    while hi - lo > _GAIN_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if unstable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    F = sys.frozen(artifacts.u_ss)
+    if spectral_abscissa(F) >= 0.0:
+        raise NotHurwitzError("linearized loop unstable at vanishing integral gain")
+    h, _ = _dc_path(sys, artifacts.u_ss, artifacts.x_ss)
+    n, g, C = sys.n_states, sys.input_gain(artifacts.x_ss), sys.C
+    M0 = np.zeros((2 * n + 1, 2 * n + 1))
+    M0[:n, :n], M0[n:-1, n:-1] = F, -F
+    M0[:-1, -1], M0[-1, :-1] = np.tile(g, 2), np.concatenate((C, -C))
+    chain = np.array([np.tile(g, 2), np.concatenate((F @ g, -(F @ g)))]).T
+    W = np.linalg.qr(chain, mode="complete")[0][:, 2:]
+    lam = 1.0 / np.linalg.eigvals(W.T @ np.linalg.inv(M0)[:-1, :-1] @ W)
+    w = lam.imag[(lam.imag > 0.0) & (np.abs(lam.real) <= _ROOT_TOL * np.abs(lam))]
+    H = np.linalg.solve(1j * w[:, None, None] * np.eye(n) - F, g) @ C
+    k = (1j * w / (np.sign(h) * H)).real
+    return float(np.min(k[k > 0.0], initial=np.inf))

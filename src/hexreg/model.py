@@ -157,6 +157,12 @@ class BilinearSystem:
         if scale > 1.0 and not math.isfinite(
                 scale * float(max(np.abs(self.B).max(), np.abs(self.b).max()))):
             raise ValueError(f"B u and b u overflow for u in [{u_min}, {u_max}]")
+        # A3(b) takes pencils over the deviations u - u' and the wider 2 u - u'
+        # of two inputs; that range and |B| times it must be finite
+        lo2, hi2 = 2.0 * u_min - u_max, 2.0 * u_max - u_min
+        if not math.isfinite(max(abs(lo2), abs(hi2)) * float(np.abs(self.B).max())):
+            raise ValueError(f"B v overflows for v in [2 u_min - u_max, 2 u_max - u_min]"
+                             f" = [{lo2}, {hi2}]")
         object.__setattr__(self, "u_min", u_min)
         object.__setattr__(self, "u_max", u_max)
 

@@ -154,6 +154,17 @@ def equilibrium_at(sys: BilinearSystem, u: float) -> Equilibrium:
     return Equilibrium(u_ss=float(u), x_ss=x, y_ss=float(sys.C @ x))
 
 
+def _roots_at_shift(M0, M1, lo, hi, s) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, u): u = s - 1/mu for the eigenvalues mu of (M0 + s M1)^-1 M1, a
+    row per member of a stack M0, kept where real and in [lo, hi] to 1e-9
+    (hi - lo).  Raises LinAlgError where M0 + s M1 is singular."""
+    mu = np.linalg.eigvals(np.linalg.solve(M0 + s * M1, M1))
+    with np.errstate(all="ignore"):
+        u = s - 1.0 / mu
+    tol = _ROOT_TOL * (hi - lo)
+    return (np.abs(u.imag) <= tol) & (u.real >= lo - tol) & (u.real <= hi + tol), u
+
+
 def _pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The real u in [lo, hi] at which M0 + u M1 is singular, ascending.
 
@@ -163,19 +174,30 @@ def _pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float, hi: float) -> np.nd
     clipped to the range.  Where the solve at s raises, s is a root, and a
     second shift finds the others.
     """
-    tol = _ROOT_TOL * (hi - lo)
     exact = []
     for s in lo + np.multiply(_SHIFTS, hi - lo):
         try:
-            mu = np.linalg.eigvals(np.linalg.solve(M0 + s * M1, M1))
+            keep, u = _roots_at_shift(M0, M1, lo, hi, s)
         except np.linalg.LinAlgError:
             exact.append(s)
             continue
-        with np.errstate(all="ignore"):
-            u = s - 1.0 / mu
-        keep = (np.abs(u.imag) <= tol) & (u.real >= lo - tol) & (u.real <= hi + tol)
         return np.sort(np.append(exact, np.clip(u.real[keep], lo, hi)))
     return np.array(exact)
+
+
+def _stacked_pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float,
+                          hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """_pencil_roots of each member of the stack M0 + u M1, as (member,
+    root) pairs in order of member: one stacked solve and eigvals at the
+    first shift, which make the LAPACK calls of single ones, so each root
+    keeps its bits.  When a member is singular there, the members are taken
+    one by one by _pencil_roots, which shifts again."""
+    try:
+        keep, u = _roots_at_shift(M0, M1, lo, hi, lo + np.multiply(_SHIFTS[0], hi - lo))
+    except np.linalg.LinAlgError:
+        roots = [_pencil_roots(M, M1, lo, hi) for M in M0]
+        return np.repeat(np.arange(len(M0)), [len(r) for r in roots]), np.concatenate(roots)
+    return np.nonzero(keep)[0], np.clip(u.real[keep], lo, hi)
 
 
 def _refuse_poles(sys: BilinearSystem) -> None:

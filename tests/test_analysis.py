@@ -1,5 +1,7 @@
 """Assumption checks, monitors, and the linearized gain sweep."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,12 +361,99 @@ def _changing_cells(vals):
     return np.flatnonzero(~(np.sign(vals[:-1]) * np.sign(vals[1:]) > 0.0))
 
 
+def a3b_crossings(sys, u, g_u, w_poles):
+    """The deviations v in [u_min - u_max, u_max - u_min] at which
+    C (F_u + B v)^-1 g_u changes sign, at one input: (zeros, poles), each
+    ascending.  The zeros are the roots in range of the (n + 1) pencil
+    [[F_u, g_u], [C, 0]] + v [[B, 0], [0, 0]], built with np.block; the
+    poles are w - u for the roots w of (A, B) in w_poles that fall in range,
+    to the pencils' 1e-9 of the range."""
+    n = sys.n_states
+    lo, hi = sys.u_min - sys.u_max, sys.u_max - sys.u_min
+    M0 = np.block([[sys.frozen(u), g_u[:, None]], [sys.C[None], np.zeros((1, 1))]])
+    M1 = np.block([[sys.B, np.zeros((n, 1))], [np.zeros((1, n + 1))]])
+    tol = 1e-9 * (hi - lo)
+    poles = w_poles - u
+    return (steady_state._pencil_roots(M0, M1, lo, hi),
+            poles[(poles >= lo - tol) & (poles <= hi + tol)])
+
+
 def _crossings(sys, us):
-    """analysis._a3b_crossings at each input of us, with g_u from pi_map."""
+    """a3b_crossings at each input of us, with g_u from pi_map."""
     lo, hi = sys.u_min, sys.u_max
     w_poles = steady_state._pencil_roots(sys.A, sys.B, 2.0 * lo - hi, 2.0 * hi - lo)
-    return [analysis._a3b_crossings(sys, u, sys.input_gain(hexreg.pi_map(sys, u)), w_poles)
+    return [a3b_crossings(sys, u, sys.input_gain(hexreg.pi_map(sys, u)), w_poles)
             for u in map(float, us)]
+
+
+def report_per_input(sys, u_grid):
+    """The report's sampled fields and A3(b) counts one input at a time:
+    eigvals, pi_map, solve and a3b_crossings per input, and the DC-gain
+    sign from the pencils."""
+    us = np.linspace(sys.u_min, sys.u_max, u_grid)
+    want = a1_per_point(sys, u_grid)
+    want["dc_sign_constant"] = not (
+        steady_state._pencil_roots(sys.A, sys.B, sys.u_min, sys.u_max).size
+        or steady_state._stationary_points(sys).size)
+    roots = poles = admissible = 0
+    for u, (z, p) in zip(us, _crossings(sys, us)):
+        w = u + np.concatenate((z, p))
+        roots, poles = roots + len(z), poles + len(p)
+        admissible += int(np.count_nonzero((w >= sys.u_min) & (w <= sys.u_max)))
+    return want, {"a3b_roots": roots, "a3b_poles": poles, "a3b_admissible": admissible}
+
+
+def _assert_report_is_per_input(rep, sys, u_grid):
+    want, counts = report_per_input(sys, u_grid)
+    _same_bits({k: getattr(rep, k) for k in want}, want)
+    assert {k: getattr(rep, k) for k in counts} == counts
+
+
+@pytest.mark.parametrize("u_grid", [64, 256])
+def test_stacked_report_is_the_per_input_loop_on_hex(hexsys, table1, u_grid):
+    """The stacked sweep gives the per-input loop's bits on the exchanger."""
+    P = hexreg.hex_analytic_P(table1)
+    rep = hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=u_grid)
+    _assert_report_is_per_input(rep, hexsys, u_grid)
+    assert rep.a3b_roots == {64: 58, 256: 233}[u_grid]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stacked_report_is_the_per_input_loop_on_random_plants(seed):
+    """Seeded random stable 2-6-state plants, with a random P."""
+    rng = np.random.default_rng(300 + seed)
+    n = 2 + seed % 5
+    sys = _random_plant(rng, n, -1.0, 1.5)
+    H = rng.standard_normal((n, n))
+    u_grid = int(rng.integers(2, 40))
+    rep = hexreg.assumption_report(sys, H @ H.T + 0.1 * np.eye(n), nu=1.0, eps=1e-3,
+                                   u_grid=u_grid)
+    _assert_report_is_per_input(rep, sys, u_grid)
+
+
+def test_stacked_report_takes_a_singular_first_shift_alone(monkeypatch):
+    """C pi(u) = 0.6 u^2 + u^3 has a zero DC gain at the grid input u = 0,
+    so that input's A3(b) pencil is exactly singular at the first shift,
+    v = 0, which is its root.  The members are then taken one by one and
+    that input's second shift finds the others; the report is the per-input
+    loop's."""
+    sys = nilpotent_system([0.0, 0.6, 1.0])
+    M0 = np.block([[sys.frozen(0.0), sys.b[:, None]], [sys.C[None], np.zeros((1, 1))]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(M0, np.eye(4))
+    alone = []
+
+    def counted(M0, *args, _real=steady_state._pencil_roots):
+        alone.append(M0.shape)
+        return _real(M0, *args)
+
+    monkeypatch.setattr(steady_state, "_pencil_roots", counted)
+    rep = hexreg.assumption_report(sys, np.eye(3), nu=1.0, eps=1e-3, u_grid=9)
+    assert alone.count((4, 4)) == 9
+    monkeypatch.undo()
+    _assert_report_is_per_input(rep, sys, 9)
+    assert 0.0 in _crossings(sys, [0.0])[0][0]
+    assert rep.dc_gain_min_abs == 0.0 and rep.a3b_roots > 0
 
 
 def _full_range(sys):
@@ -421,7 +510,7 @@ def test_assumption_report_matches_the_oracles_on_random_plants(seed):
     cell of a 257-point per-pair v grid where the map is not of one sign
     holds a zero or pole of the pencils, a sign change anywhere on the grid
     makes a3b_sign_constant False, and the report's counts are those of
-    analysis._a3b_crossings."""
+    a3b_crossings."""
     rng = np.random.default_rng(100 + seed)
     n = 2 + seed % 4
     sys = _random_plant(rng, n, -1.0, 1.5)
@@ -610,7 +699,10 @@ def per_k_linearization(sys, art, k_i):
 
 
 def per_k_stability_limit(sys, art):
-    """integral_gain_stability_limit's search with a fresh matrix per gain."""
+    """The bisection that integral_gain_stability_limit once made, with a
+    fresh matrix per gain: from ki_star (1e-6 without one), halve until the
+    loop is stable, double until it is not (inf above 1e9), and bisect the
+    bracket to a relative width of 1e-9."""
     def unstable(k):
         return analysis.spectral_abscissa(per_k_linearization(sys, art, k)) >= 0.0
 
@@ -620,6 +712,8 @@ def per_k_stability_limit(sys, art):
     hi = lo * 2.0
     while not unstable(hi):
         lo, hi = hi, hi * 2.0
+        if hi > 1e9:
+            return np.inf
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if unstable(mid):
@@ -629,14 +723,63 @@ def per_k_stability_limit(sys, art):
     return 0.5 * (lo + hi)
 
 
+def _assert_limit_is_the_bisection(sys, art):
+    """The pencil's limit within 1e-9 of the bisection's, and the loop
+    Hurwitz just below it and not just above it."""
+    got = hexreg.integral_gain_stability_limit(sys, art)
+    want = per_k_stability_limit(sys, art)
+    if np.isinf(want):
+        assert got == np.inf
+        return got
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    below = per_k_linearization(sys, art, got * (1.0 - 1e-7))
+    above = per_k_linearization(sys, art, got * (1.0 + 1e-7))
+    assert analysis.spectral_abscissa(below) < 0.0 <= analysis.spectral_abscissa(above)
+    return got
+
+
 @pytest.mark.parametrize("ref_c", [20.0, 24.0, 26.5, 29.0, 32.0])
 def test_integral_gain_stability_limit_matches_per_k_matrices(hexsys, table1, ref_c):
-    """The limit built from pieces made once per call has the bits of the
-    search that builds every matrix afresh, and so does each matrix."""
+    """Each matrix has the bits of one built afresh, and the limit from the
+    zero pencil is the bisection's over those matrices."""
     art = hexreg.integral_only_design(hexsys, hexreg.invert_reference(hexsys, ref_c + KELVIN),
                                       hex_params=table1)
     for k in (0.0, art.ki_star, 1e-4):
         assert (hexreg.linearization_matrix(hexsys, art, k).tobytes()
                 == per_k_linearization(hexsys, art, k).tobytes())
-    got = hexreg.integral_gain_stability_limit(hexsys, art)
-    assert np.float64(got).tobytes() == np.float64(per_k_stability_limit(hexsys, art)).tobytes()
+    assert art.ki_star <= _assert_limit_is_the_bisection(hexsys, art)
+
+
+def _at_zero_input(sys):
+    """Integral-only linearization data at u_ss = 0: all the limit reads."""
+    return SimpleNamespace(u_ss=0.0, x_ss=hexreg.pi_map(sys, 0.0), ki_star=None)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_integral_gain_stability_limit_matches_the_bisection_on_random_plants(seed):
+    """Seeded random plants with 2-6 states, linearized at u = 0 where
+    F = A is stable: some loci cross the axis, the rest never do (inf)."""
+    rng = np.random.default_rng(seed)
+    sys = _random_plant(rng, 2 + seed % 5, -1.0, 1.0)
+    _assert_limit_is_the_bisection(sys, _at_zero_input(sys))
+
+
+def test_integral_gain_stability_limit_refuses_an_unstable_plant():
+    """F with an eigenvalue at +0.5: the loop is unstable as k goes to 0+."""
+    sys = hexreg.BilinearSystem(
+        A=np.diag([0.5, -2.0]), B=np.zeros((2, 2)), b=np.array([1.0, 1.0]),
+        E=np.zeros(2), C=np.array([1.0, 1.0]), D=np.eye(2), u_min=-1.0, u_max=1.0)
+    with pytest.raises(hexreg.NotHurwitzError):
+        hexreg.integral_gain_stability_limit(sys, _at_zero_input(sys))
+
+
+def test_integral_gain_stability_limit_is_inf_for_one_state():
+    """With one state, k H(lambda) / lambda is second order: the loop's
+    roots keep the real part f / 2 < 0 at every gain, so the locus never
+    reaches the imaginary axis."""
+    sys = hexreg.BilinearSystem(
+        A=np.array([[-1.5]]), B=np.array([[0.3]]), b=np.array([2.0]), E=np.array([0.4]),
+        C=np.array([1.0]), D=np.eye(1), u_min=-1.0, u_max=1.0)
+    art = _at_zero_input(sys)
+    assert hexreg.integral_gain_stability_limit(sys, art) == np.inf
+    assert analysis.spectral_abscissa(per_k_linearization(sys, art, 1e12)) < 0.0

@@ -245,6 +245,24 @@ def test_verify_a3_overflowing_input_grid_exit2(ws, tmp_path):
     _run_overflowing_range(ws, tmp_path, "verify", "--a3", "--grid", "8")
 
 
+def test_verify_a3_overflowing_doubled_range_exit2(tmp_path):
+    """On [0, 1e308] with B = -1e-308 I, B u stays finite but the shifted
+    inputs of A3(b) reach 2 u_max - u_min = inf.  The loader refuses the
+    system, exit 2, naming that range, before any pencil warns."""
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps({
+        "n_states": 2, "A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[-1e-308, 0.0], [0.0, -1e-308]],
+        "b": [0.0, 0.0], "E": [1.0, 1.0], "C": [1.0, 0.0], "D": [[1.0, 0.0]],
+        "u_min": 0.0, "u_max": 1e308}))
+    done = subprocess.run([sys.executable, "-m", "hexreg", "verify", str(path), "--a3",
+                           "--grid", "4"],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1] == (
+        "error: B v overflows for v in [2 u_min - u_max, 2 u_max - u_min] = [-1e+308, inf]")
+    assert "RuntimeWarning" not in done.stderr
+
+
 def test_steady_state_ref_conflict(ws):
     rc = main(["steady-state", str(ws / "hex.json"), "--u", "0.02",
                "--ref", "26.5"])
@@ -272,19 +290,26 @@ def test_steady_state_pole_in_range_exit3(tmp_path, capsys):
 
 
 def test_steady_state_and_scenario_leave_scipy_unimported(ws):
-    """steady-state --ref, verify with and without --a3 on the exchanger
-    and a scenario load, the start of every tracking run, use numpy alone:
-    importing scipy.linalg would add a third of a second to each process."""
+    """steady-state --ref, verify with and without --a3 on the exchanger,
+    a scenario load, the start of every tracking run, and the certify path
+    (an integral-only design, its gain's stability limit and a 256-input
+    assumption report with the closed-form P) use numpy alone: importing
+    scipy.linalg would add a third of a second to each process."""
     code = (
         "import sys\n"
-        "from hexreg import cli, design, model, serde, sim\n"
+        "from hexreg import analysis, cli, design, model, serde, sim, steady_state\n"
         "hex_json, art_json, scn_json = sys.argv[1:]\n"
         "assert cli.main(['steady-state', hex_json, '--ref', '26.5', '--units', 'C']) == 0\n"
         "assert cli.main(['verify', hex_json]) == 0\n"
         "assert cli.main(['verify', hex_json, '--a3']) == 1\n"
-        "plant, _ = model.load_system(hex_json)\n"
+        "plant, params = model.load_system(hex_json)\n"
         "sim.scenario_from_dict(serde.read_object(scn_json), plant,\n"
         "                       design.load_artifacts(art_json))\n"
+        "eq = steady_state.invert_reference(plant, 299.65)\n"
+        "io = design.integral_only_design(plant, eq, hex_params=params)\n"
+        "assert io.ki_star <= analysis.integral_gain_stability_limit(plant, io)\n"
+        "P = design.hex_analytic_P(params)\n"
+        "analysis.assumption_report(plant, P=P, nu=1.0, eps=1e-3, u_grid=256)\n"
         "print('scipy.linalg' in sys.modules)\n"
     )
     done = subprocess.run(
