@@ -31,7 +31,8 @@ from .model import BilinearSystem
 from .steady_state import (
     _ROOT_TOL,
     _equilibria,
-    _pencil_roots,
+    _in_range,
+    _pencil_eigenvalues,
     _stacked_pencil_roots,
     _stationary_points,
     pi_map,
@@ -166,6 +167,9 @@ def assumption_report(
     propagates.  The DC-gain sign is decided with no grid: it is constant
     iff the pencil (A, B) has no root in [u_min, u_max] and
     steady_state._stationary_points, the zeros of the DC gain, is empty.
+    The roots of (A, B) come from one shift-invert over the wider range
+    [2 u_min - u_max, 2 u_max - u_min] (steady_state._pencil_eigenvalues);
+    each use keeps those real and in its own range, to 1e-9 of that range.
 
     With P the report also checks Assumption 3.  Part (a): largest
     eigenvalue of design.robust_decay_block with S = P F_u + F_u^T P and
@@ -180,8 +184,8 @@ def assumption_report(
     [[F_u, g_u], [C, 0]] + v [[B, 0], [0, 0]], whose determinant is
     det(F_u + B v) times -C (F_u + B v)^-1 g_u
     (steady_state._stacked_pencil_roots).  Its poles are w - u for the roots
-    w of (A, B), found once over [2 u_min - u_max, 2 u_max - u_min], that
-    fall in range to the pencils' 1e-9 of the range.  a3b_sign_constant
+    w of (A, B) in [2 u_min - u_max, 2 u_max - u_min] that fall in range to
+    the pencils' 1e-9 of the range.  a3b_sign_constant
     holds iff no grid input has a zero or a pole and the DC-gain sign, the
     v = 0 column, is constant.  The u direction stays sampled.
 
@@ -221,10 +225,12 @@ def assumption_report(
     ok = ~np.isnan(X[:, 0])
     gains = _rowdot(sys.C, np.linalg.solve(Fu[ok], gu[ok][..., None])[..., 0])[:, 0]
     finite = gains[np.isfinite(gains)]
+    w_lo, w_hi = 2.0 * lo - hi, 2.0 * hi - lo
+    ab_roots = _pencil_eigenvalues(sys.A, sys.B, w_lo, w_hi)
     rep = AssumptionReport(
         hurwitz_margin=float(np.max(np.linalg.eigvals(Fu).real)),
         dc_gain_min_abs=float(np.min(np.abs(finite))) if finite.size else float("nan"),
-        dc_sign_constant=not (_pencil_roots(sys.A, sys.B, lo, hi).size
+        dc_sign_constant=not (_in_range(ab_roots, lo, hi).size
                               or _stationary_points(sys).size),
         grid_sizes={"u": n_u},
     )
@@ -240,7 +246,7 @@ def assumption_report(
     v_lo, v_hi = lo - hi, hi - lo
     rows, zeros = _stacked_pencil_roots(M0, np.pad(sys.B, ((0, 1), (0, 1))), v_lo, v_hi)
     tol = _ROOT_TOL * (v_hi - v_lo)
-    poles = _pencil_roots(sys.A, sys.B, 2.0 * lo - hi, 2.0 * hi - lo) - us[:, None]
+    poles = _in_range(ab_roots, w_lo, w_hi) - us[:, None]
     in_range = (poles >= v_lo - tol) & (poles <= v_hi + tol)
     w = np.concatenate((us[rows] + zeros, (us[:, None] + poles)[in_range]))
     rep.a3b_roots = len(zeros)
@@ -265,9 +271,11 @@ def observer_monitor_constants(
     linear map J eps with rows [k_p P L D; k_i (C - M L D)].  Its gain from
     the Euclidean norm of eps into the V-metric is
     a = sqrt(lmax(J J^T, Sigma)) with Sigma = blkdiag(k_p P, k_i), an exact
-    generalized-eigenvalue computation rather than a sampled bound.  Any
-    c > a sqrt(lmax(Q)) / eps then makes the sum decrease; we return twice
-    that threshold.
+    generalized-eigenvalue computation rather than a sampled bound: with
+    Sigma = R R^T its Cholesky factor, a = |R^-1 J|_2.  A Sigma that is not
+    positive definite (k_p or k_i not positive, or P not positive definite)
+    raises ValueError.  Any c > a sqrt(lmax(Q)) / eps then makes the sum
+    decrease; we return twice that threshold.
     """
     if artifacts.observer is None:
         raise MissingObserverStateError(
@@ -283,10 +291,14 @@ def observer_monitor_constants(
     Sigma = np.zeros((n + 1, n + 1))
     Sigma[:n, :n] = artifacts.k_p * artifacts.P
     Sigma[n, n] = artifacts.k_i
-    import scipy.linalg
-
-    top = scipy.linalg.eigh(J @ J.T, Sigma, eigvals_only=True)[-1]
-    a = float(np.sqrt(max(top, 0.0)))
+    try:
+        R = np.linalg.cholesky(Sigma)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "the output-feedback monitor needs blkdiag(k_p P, k_i) positive definite: "
+            f"k_p = {artifacts.k_p!r} and k_i = {artifacts.k_i!r} must be positive "
+            "and P positive definite") from None
+    a = float(np.linalg.norm(np.linalg.solve(R, J), 2))
     q_max = float(np.linalg.eigvalsh(obs.Q)[-1])
     c = 2.0 * a * np.sqrt(q_max) / obs.eps
     return a, float(c)

@@ -55,6 +55,8 @@ _LMI_DECLARE = -1e-9  # certificate threshold on the largest eigenvalue
 _LMI_FLOOR = 1e-6  # projection floor delta for Q, nu, eps
 _LMI_ITERS = 5000
 _PI_SHIFT_GRID = 512  # input grid of pi_shift_sup before refinement
+_SIGN_TOL = 1e-8  # relative update of the sign iteration before its last step
+_SIGN_ITERS = 100
 
 
 @dataclass
@@ -98,21 +100,46 @@ class DesignArtifacts:
 def solve_lyapunov(F: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
     """Solve F^T P + P F = -2 Upsilon for symmetric positive definite P.
 
-    Requires F Hurwitz and Upsilon symmetric positive definite.
+    Requires Upsilon symmetric positive definite.  Newton's iteration for
+    the matrix sign of [[F^T, 2 Upsilon], [0, -F]], which is
+    [[-I, 2 P], [0, I]] when F is Hurwitz, runs on its two blocks (A, Q),
+    from (F^T, 2 Upsilon), scaled by c = sqrt(|A^-1|_F / |A|_F):
+
+        A <- (c A + A^-1 / c) / 2,   Q <- (c Q + A^-1 Q A^-T / c) / 2.
+
+    One more step is taken after the update of A falls below 1e-8 of |A|_1.
+    A then is sign(F^T), which is -I exactly when F is Hurwitz; a sign with
+    an eigenvalue +1 is at least 2 from -I in any induced norm.  So
+    NotHurwitzError is raised when the last A is 1 or more from -I in
+    |.|_1, when an iterate is singular (an eigenvalue of F on the imaginary
+    axis), or when 100 steps do not converge.
     """
     F = np.asarray(F, dtype=np.float64)
     Upsilon = np.asarray(Upsilon, dtype=np.float64)
-    if np.max(np.real(np.linalg.eigvals(F))) >= 0.0:
-        raise NotHurwitzError("F has an eigenvalue with Re >= 0")
     if np.linalg.norm(Upsilon - Upsilon.T, np.inf) > 1e-12 * (1 + np.linalg.norm(Upsilon, np.inf)):
         raise ValueError("Upsilon must be symmetric")
     if np.min(np.linalg.eigvalsh(Upsilon)) <= 0.0:
         raise ValueError("Upsilon must be positive definite")
-    import scipy.linalg as sla
-
-    P = sla.solve_continuous_lyapunov(F.T, -2.0 * Upsilon)
-    P = 0.5 * (P + P.T)
-    return P
+    A, Q = F.T, 2.0 * Upsilon
+    last = False
+    for _ in range(_SIGN_ITERS):
+        try:
+            Ai = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            raise NotHurwitzError("F has an eigenvalue on the imaginary axis") from None
+        c = np.sqrt(np.linalg.norm(Ai) / np.linalg.norm(A))
+        A_next = 0.5 * (c * A + Ai / c)
+        Q = 0.5 * (c * Q + Ai @ Q @ Ai.T / c)
+        step = np.linalg.norm(A_next - A, 1)
+        A = A_next
+        if last:
+            break
+        last = step <= _SIGN_TOL * np.linalg.norm(A, 1)
+    else:
+        raise NotHurwitzError(f"the sign iteration did not converge in {_SIGN_ITERS} steps")
+    if not np.linalg.norm(A + np.eye(len(A)), 1) < 1.0:
+        raise NotHurwitzError("F has an eigenvalue with Re >= 0")
+    return 0.25 * (Q + Q.T)
 
 
 def hex_analytic_P(p: HexParams) -> np.ndarray:
@@ -249,10 +276,10 @@ def _placement_gain(A: np.ndarray, D: np.ndarray, shift: float) -> np.ndarray:
     targets = targets - spread * (1.0 + np.arange(n))
     G = np.zeros((p, n))
     G[np.arange(n) % p, np.arange(n)] = 1.0
-    import scipy.linalg as sla
-
+    # Lam is diagonal, so column i of X solves (A^T - t_i I) x_i = (D^T G)_i
+    shifted = A.T - targets[:, None, None] * np.eye(n)
     try:
-        X = sla.solve_sylvester(A.T, -np.diag(targets), D.T @ G)
+        X = np.linalg.solve(shifted, (D.T @ G).T[..., None])[..., 0].T
         L = np.linalg.solve(X.T, G.T)
     except np.linalg.LinAlgError:
         return np.zeros((n, p))

@@ -154,35 +154,46 @@ def equilibrium_at(sys: BilinearSystem, u: float) -> Equilibrium:
     return Equilibrium(u_ss=float(u), x_ss=x, y_ss=float(sys.C @ x))
 
 
-def _roots_at_shift(M0, M1, lo, hi, s) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, u): u = s - 1/mu for the eigenvalues mu of (M0 + s M1)^-1 M1, a
-    row per member of a stack M0, kept where real and in [lo, hi] to 1e-9
-    (hi - lo).  Raises LinAlgError where M0 + s M1 is singular."""
+def _shift_invert(M0, M1, s) -> np.ndarray:
+    """s - 1/mu for the eigenvalues mu of (M0 + s M1)^-1 M1, a row per member
+    of a stack M0.  Raises LinAlgError where M0 + s M1 is singular."""
     mu = np.linalg.eigvals(np.linalg.solve(M0 + s * M1, M1))
     with np.errstate(all="ignore"):
-        u = s - 1.0 / mu
+        return s - 1.0 / mu
+
+
+def _real_in_range(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Where u is real and in [lo, hi], each to 1e-9 (hi - lo)."""
     tol = _ROOT_TOL * (hi - lo)
-    return (np.abs(u.imag) <= tol) & (u.real >= lo - tol) & (u.real <= hi + tol), u
+    return (np.abs(u.imag) <= tol) & (u.real >= lo - tol) & (u.real <= hi + tol)
 
 
-def _pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The real u in [lo, hi] at which M0 + u M1 is singular, ascending.
+def _in_range(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The u of _real_in_range, clipped to [lo, hi], ascending."""
+    return np.sort(np.clip(u.real[_real_in_range(u, lo, hi)], lo, hi))
 
-    Shift-invert about the middle s of the range: the roots are
-    u = s - 1/mu for the eigenvalues mu of (M0 + s M1)^-1 M1.  A root
-    counts as real, and as in range, to within 1e-9 (hi - lo); it is then
-    clipped to the range.  Where the solve at s raises, s is a root, and a
-    second shift finds the others.
+
+def _pencil_eigenvalues(M0: np.ndarray, M1: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The finite u, complex, at which M0 + u M1 is singular.
+
+    Shift-invert about the middle s of [lo, hi]: the roots are
+    u = s - 1/mu for the eigenvalues mu of (M0 + s M1)^-1 M1.  Where the
+    solve at s raises, s is a root, and a second shift finds the others.
     """
     exact = []
     for s in lo + np.multiply(_SHIFTS, hi - lo):
         try:
-            keep, u = _roots_at_shift(M0, M1, lo, hi, s)
+            return np.append(exact, _shift_invert(M0, M1, s))
         except np.linalg.LinAlgError:
             exact.append(s)
-            continue
-        return np.sort(np.append(exact, np.clip(u.real[keep], lo, hi)))
-    return np.array(exact)
+    return np.array(exact, dtype=complex)
+
+
+def _pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The real u in [lo, hi] at which M0 + u M1 is singular, ascending: the
+    roots of _pencil_eigenvalues that are real, and in range, to within
+    1e-9 (hi - lo), clipped to the range."""
+    return _in_range(_pencil_eigenvalues(M0, M1, lo, hi), lo, hi)
 
 
 def _stacked_pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float,
@@ -193,10 +204,11 @@ def _stacked_pencil_roots(M0: np.ndarray, M1: np.ndarray, lo: float,
     keeps its bits.  When a member is singular there, the members are taken
     one by one by _pencil_roots, which shifts again."""
     try:
-        keep, u = _roots_at_shift(M0, M1, lo, hi, lo + np.multiply(_SHIFTS[0], hi - lo))
+        u = _shift_invert(M0, M1, lo + np.multiply(_SHIFTS[0], hi - lo))
     except np.linalg.LinAlgError:
         roots = [_pencil_roots(M, M1, lo, hi) for M in M0]
         return np.repeat(np.arange(len(M0)), [len(r) for r in roots]), np.concatenate(roots)
+    keep = _real_in_range(u, lo, hi)
     return np.nonzero(keep)[0], np.clip(u.real[keep], lo, hi)
 
 

@@ -650,6 +650,35 @@ def test_observer_monitor_constants(synthetic_observable, synthetic_observer):
     assert c > a * np.sqrt(q_max) / synthetic_observer.eps
 
 
+def test_observer_monitor_constants_match_scipy_eigh(synthetic_observable,
+                                                    synthetic_observer):
+    """a = |R^-1 J|_2 is the square root of the largest generalized
+    eigenvalue of (J J^T, Sigma) that scipy.linalg.eigh finds."""
+    import scipy.linalg as sla
+
+    sys, obs = synthetic_observable, synthetic_observer
+    art = hexreg.forwarding_design(sys, hexreg.equilibrium_at(sys, 0.0), k_p=0.5, k_i=0.2)
+    art.observer = obs
+    LD = obs.L @ sys.D
+    J = np.vstack([art.k_p * (art.P @ LD), art.k_i * (sys.C - art.M @ LD)])
+    Sigma = np.zeros((4, 4))
+    Sigma[:3, :3], Sigma[3, 3] = art.k_p * art.P, art.k_i
+    a_ref = np.sqrt(sla.eigh(J @ J.T, Sigma, eigvals_only=True)[-1])
+    a, _ = hexreg.observer_monitor_constants(sys, art)
+    assert a == pytest.approx(a_ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("gains", [(0.0, 0.2), (0.5, 0.0), (0.5, -0.2)])
+def test_observer_monitor_constants_refuse_an_indefinite_sigma(synthetic_observable,
+                                                               synthetic_observer, gains):
+    sys = synthetic_observable
+    art = hexreg.forwarding_design(sys, hexreg.equilibrium_at(sys, 0.0), k_p=0.5, k_i=0.2)
+    art.observer = synthetic_observer
+    art.k_p, art.k_i = gains
+    with pytest.raises(ValueError, match=r"blkdiag\(k_p P, k_i\) positive definite"):
+        hexreg.observer_monitor_constants(sys, art)
+
+
 def test_observer_monitor_constants_requires_observer(hexsys, fwd_art):
     with pytest.raises(hexreg.MissingObserverStateError):
         hexreg.observer_monitor_constants(hexsys, fwd_art)

@@ -46,6 +46,22 @@ def ws(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def toy_ws(tmp_path_factory, synthetic_observable):
+    """Workspace with the 3-state toy plant (no hex_params), its
+    output-feedback artifacts and a short output-feedback scenario."""
+    root = tmp_path_factory.mktemp("toy")
+    hexreg.save_system(root / "toy.json", synthetic_observable)
+    assert main(["design", str(root / "toy.json"), "--law", "output_feedback",
+                 "--uss", "0.0", "--out", str(root / "of.json")]) == 0
+    x0 = hexreg.equilibrium_at(synthetic_observable, -0.05).x_ss
+    (root / "of_scn.json").write_text(json.dumps({
+        "units": "K", "law": "output_feedback", "t_end": 2.0, "dt": 0.01,
+        "reference_schedule": [[0.0, hexreg.equilibrium_at(synthetic_observable, 0.05).y_ss]],
+        "x0": x0.tolist(), "x_hat0": [0.0, 0.0, 0.0]}))
+    return root
+
+
 def test_build_model_writes_system(ws):
     sys_, params = hexreg.load_system(str(ws / "hex.json"))
     assert sys_.n_states == 16
@@ -289,19 +305,37 @@ def test_steady_state_pole_in_range_exit3(tmp_path, capsys):
     assert err.startswith("error: A + B u is singular at u = 0.70"), err
 
 
-def test_steady_state_and_scenario_leave_scipy_unimported(ws):
-    """steady-state --ref, verify with and without --a3 on the exchanger,
-    a scenario load, the start of every tracking run, and the certify path
-    (an integral-only design, its gain's stability limit and a 256-input
-    assumption report with the closed-form P) use numpy alone: importing
-    scipy.linalg would add a third of a second to each process."""
+def test_steady_state_and_scenario_leave_scipy_unimported(ws, toy_ws, tmp_path):
+    """Every subcommand runs on numpy alone: build-model; design for each
+    law, output feedback on the toy plant and integral-only also on a plant
+    without hex_params; steady-state --ref; verify with and without --a3,
+    on the exchanger and (--a3) on the toy plant; simulate, output feedback
+    included; compare-pi; a scenario load and the certify path (an
+    integral-only design, its gain's stability limit and a 256-input
+    assumption report with the closed-form P).  No scipy module is loaded."""
+    ours = scenario_file(tmp_path, name="ours.json", t_end=2.0)
+    pi = scenario_file(tmp_path, name="pi.json", t_end=2.0, law="pi",
+                       kp_pi=-0.01, ki_pi=-0.001)
     code = (
         "import sys\n"
         "from hexreg import analysis, cli, design, model, serde, sim, steady_state\n"
-        "hex_json, art_json, scn_json = sys.argv[1:]\n"
-        "assert cli.main(['steady-state', hex_json, '--ref', '26.5', '--units', 'C']) == 0\n"
-        "assert cli.main(['verify', hex_json]) == 0\n"
-        "assert cli.main(['verify', hex_json, '--a3']) == 1\n"
+        "params_json, hex_json, art_json, scn_json, toy, of_json, of_scn, ours, pi, out = \\\n"
+        "    sys.argv[1:]\n"
+        "def run(*argv, rc=0):\n"
+        "    assert cli.main(list(argv)) == rc, argv\n"
+        "run('build-model', params_json, '--out', out + '/hex.json')\n"
+        "for law in ('forwarding', 'integral_only'):\n"
+        "    run('design', hex_json, '--law', law, '--ref', '26.5', '--units', 'C',\n"
+        "        '--out', out + f'/{law}.json')\n"
+        "for law in ('output_feedback', 'integral_only'):\n"
+        "    run('design', toy, '--law', law, '--uss', '0.0', '--out', out + f'/toy_{law}.json')\n"
+        "run('steady-state', hex_json, '--ref', '26.5', '--units', 'C')\n"
+        "run('verify', hex_json)\n"
+        "run('verify', hex_json, '--a3', rc=1)\n"
+        "run('verify', toy, '--a3')\n"
+        "run('simulate', hex_json, art_json, ours, '--out', out + '/fwd')\n"
+        "run('simulate', toy, of_json, of_scn, '--out', out + '/of')\n"
+        "run('compare-pi', hex_json, art_json, ours, pi, '--out', out + '/cmp.json')\n"
         "plant, params = model.load_system(hex_json)\n"
         "sim.scenario_from_dict(serde.read_object(scn_json), plant,\n"
         "                       design.load_artifacts(art_json))\n"
@@ -310,14 +344,35 @@ def test_steady_state_and_scenario_leave_scipy_unimported(ws):
         "assert io.ki_star <= analysis.integral_gain_stability_limit(plant, io)\n"
         "P = design.hex_analytic_P(params)\n"
         "analysis.assumption_report(plant, P=P, nu=1.0, eps=1e-3, u_grid=256)\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, str(ws / "hex.json"), str(ws / "fwd.json"),
-         str(CONFIGS / "experiment2.json")],
-        env=child_env(), capture_output=True, text=True, timeout=60)
+        [sys.executable, "-c", code, str(CONFIGS / "hex_table1.json"),
+         str(ws / "hex.json"), str(ws / "fwd.json"),
+         str(CONFIGS / "experiment2.json"), str(toy_ws / "toy.json"),
+         str(toy_ws / "of.json"), str(toy_ws / "of_scn.json"), str(ours), str(pi),
+         str(tmp_path)],
+        env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "of" / "of_scn.metrics.json").exists()
+
+
+def test_simulate_output_feedback_indefinite_sigma_exit2(toy_ws, tmp_path, capsys):
+    """An output-feedback artifact set with k_p = 0 has no positive definite
+    blkdiag(k_p P, k_i) for its monitor: simulate exits 2 naming k_p, k_i
+    and P, not the matrix LAPACK factors."""
+    data = json.loads((toy_ws / "of.json").read_text())
+    data["k_p"] = 0
+    art = tmp_path / "kp0.json"
+    art.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["simulate", str(toy_ws / "toy.json"), str(art), str(toy_ws / "of_scn.json"),
+               "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the output-feedback monitor needs blkdiag(k_p P, k_i) positive definite: "
+        f"k_p = 0.0 and k_i = {data['k_i']!r} must be positive and P positive definite"]
 
 
 @pytest.mark.parametrize("field, value, differs", [

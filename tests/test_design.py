@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import hexreg
 from hexreg import design
@@ -52,6 +53,70 @@ def test_solve_lyapunov_hex_kronecker_oracle(hexsys):
 def test_solve_lyapunov_rejects_unstable():
     with pytest.raises(hexreg.NotHurwitzError):
         hexreg.solve_lyapunov(np.array([[1.0]]), np.eye(1))
+
+
+def lyapunov_residual(F, P, Upsilon):
+    """|F^T P + P F + 2 Upsilon|_F / (2 |F|_F |P|_F)."""
+    R = F.T @ P + P @ F + 2.0 * Upsilon
+    return np.linalg.norm(R) / (2.0 * np.linalg.norm(F) * np.linalg.norm(P))
+
+
+def assert_matches_scipy(F, Upsilon, rtol):
+    """solve_lyapunov's P has a relative residual of at most 1e-15 and is
+    within rtol of scipy's solve_continuous_lyapunov, relative in |.|_F."""
+    P = hexreg.solve_lyapunov(F, Upsilon)
+    P_ref = sla.solve_continuous_lyapunov(F.T, -2.0 * Upsilon)
+    assert np.array_equal(P, P.T)
+    assert lyapunov_residual(F, P, Upsilon) <= 1e-15
+    assert np.linalg.norm(P - P_ref) <= rtol * np.linalg.norm(P_ref)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_lyapunov_matches_scipy_on_random_plants(seed):
+    """Seeded random 2-8-state F with spectral abscissa in [-1, -0.1] and a
+    random positive definite Upsilon."""
+    rng = np.random.default_rng(500 + seed)
+    n = 2 + seed % 7
+    F = rng.standard_normal((n, n))
+    F -= (np.max(np.linalg.eigvals(F).real) + rng.uniform(0.1, 1.0)) * np.eye(n)
+    H = rng.standard_normal((n, n))
+    assert_matches_scipy(F, H @ H.T + 0.1 * np.eye(n), 1e-12)
+
+
+@pytest.mark.parametrize("n_cells", [8, 32, 64])
+def test_solve_lyapunov_matches_scipy_on_the_exchanger(n_cells):
+    """The exchanger refined to N cells (lam, V_hot and V_cold scaled by
+    8/N), at u = 0.02."""
+    scaled = {k: TABLE1[k] * 8 / n_cells for k in ("lam", "V_hot", "V_cold")}
+    plant = hexreg.build_hex(hexreg.HexParams(**{**TABLE1, "n_cells": n_cells, **scaled}))
+    assert_matches_scipy(plant.frozen(0.02), np.eye(plant.n_states), 1e-12)
+
+
+def test_solve_lyapunov_matches_scipy_across_the_reachable_set(hexsys):
+    """At 20 references, one in each twentieth of the reachable set, placed
+    by seed 1: P within 1e-13 of scipy's."""
+    reach = hexreg.reachable_set(hexsys)
+    rng = np.random.default_rng(1)
+    fractions = (np.arange(20) + rng.uniform(0.05, 0.95, 20)) / 20
+    for r in reach.r_min + fractions * (reach.r_max - reach.r_min):
+        eq = hexreg.invert_reference(hexsys, float(r))
+        assert_matches_scipy(hexsys.frozen(eq.u_ss), np.eye(16), 1e-13)
+
+
+@pytest.mark.parametrize("F", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]],
+                               [[1.0, 3.0], [0.0, -2.0]], [[0.5, 2.0], [-2.0, 0.5]]],
+                         ids=["imaginary-pair", "zero", "right-real", "right-pair"])
+def test_solve_lyapunov_refuses_a_non_hurwitz_F(F):
+    """An eigenvalue on the imaginary axis makes an iterate singular; one in
+    the right half-plane makes the sign differ from -I."""
+    with pytest.raises(hexreg.NotHurwitzError):
+        hexreg.solve_lyapunov(np.array(F), np.eye(2))
+
+
+def test_solve_lyapunov_refuses_an_iteration_that_does_not_converge(hexsys, monkeypatch):
+    monkeypatch.setattr(design, "_SIGN_ITERS", 2)
+    with pytest.raises(hexreg.NotHurwitzError, match="did not converge in 2 steps"):
+        hexreg.solve_lyapunov(hexsys.frozen(0.02), np.eye(16))
 
 
 def test_solve_lyapunov_rejects_bad_upsilon():
@@ -196,6 +261,22 @@ def test_observer_design_synthetic_feasible(synthetic_observable,
     assert np.max(np.linalg.eigvalsh(schur)) <= -2.0 * obs.eps + 1e-8
     # and the error decay it certifies must be real: A - LD Hurwitz
     assert np.max(np.real(np.linalg.eigvals(A_L))) < 0.0
+
+
+def test_placement_gain_matches_scipy_sylvester(synthetic_observable):
+    """The stacked column solves give solve_sylvester's gain on the toy
+    plant, and A - L D has the placement targets as its eigenvalues."""
+    A, D = synthetic_observable.A, synthetic_observable.D
+    n, p = A.shape[0], D.shape[0]
+    targets = np.sort(np.linalg.eigvals(A).real) - 1.0 - 1e-3 * (1.0 + np.arange(n))
+    G = np.zeros((p, n))
+    G[np.arange(n) % p, np.arange(n)] = 1.0
+    X = sla.solve_sylvester(A.T, -np.diag(targets), D.T @ G)
+    L_ref = np.linalg.solve(X.T, G.T)
+    L = design._placement_gain(A, D, 1.0)
+    assert np.max(np.abs(L - L_ref)) <= 1e-13 * np.max(np.abs(L_ref))
+    assert np.allclose(np.sort(np.linalg.eigvals(A - L @ D).real), targets, rtol=0.0,
+                       atol=1e-12)
 
 
 def test_observer_design_unobservable_pair():
