@@ -152,6 +152,7 @@ def assumption_report(
     eps: float | None = None,
     u_grid: int = 64,
     v_grid: int = 129,
+    a3b: bool = False,
 ) -> AssumptionReport:
     """One sweep of the frozen family F_u = A + B u over u_grid inputs.
 
@@ -161,10 +162,10 @@ def assumption_report(
     and the A3(b) pencils below are stacked over the inputs; a stacked
     numpy.linalg call makes the LAPACK call of a single one per matrix, and
     kernels._rowwise and _rowdot the BLAS calls of B @ x and C @ y, so every
-    field has the bits of an input-by-input loop.  Without P, when that call
-    raises, pi is taken input by input: a point where pi_map finds F_u
-    singular is left out of the gain minimum.  With P the SingularMatrixError
-    propagates.  The DC-gain sign is decided with no grid: it is constant
+    field has the bits of an input-by-input loop.  Without P or a3b, when
+    that call raises, pi is taken input by input: a point where pi_map finds
+    F_u singular is left out of the gain minimum.  Otherwise the
+    SingularMatrixError propagates.  The DC-gain sign is decided with no grid: it is constant
     iff the pencil (A, B) has no root in [u_min, u_max] and
     steady_state._stationary_points, the zeros of the DC gain, is empty.
     The roots of (A, B) come from one shift-invert over the wider range
@@ -177,7 +178,8 @@ def assumption_report(
     mu = |B| max(|u_min|, |u_max|).  The block is affine in u, so that
     eigenvalue is convex in u and its maximum over [u_min, u_max] is the
     larger of its values at the two bounds, the only inputs it is taken at.
-    Part (b): at each grid input, the sign changes of C (F_u + B v)^-1 g_u
+    Part (b), which needs no P and also runs without it when a3b is set:
+    at each grid input, the sign changes of C (F_u + B v)^-1 g_u
     over the full deviation range [u_min - u_max, u_max - u_min],
     admissible effective input or not, with no v grid.  Its zeros are the
     real roots in range of the (n + 1) pencil
@@ -214,7 +216,7 @@ def assumption_report(
     try:
         X = _equilibria(sys, us)
     except SingularMatrixError:
-        if P is not None:
+        if P is not None or a3b:
             raise
         X = np.full((n_u, n), np.nan)
         for i, u in enumerate(us):
@@ -234,13 +236,8 @@ def assumption_report(
                               or _stationary_points(sys).size),
         grid_sizes={"u": n_u},
     )
-    if P is None:
+    if P is None and not a3b:
         return rep
-    mu = input_coupling_bound(sys)
-    a3a = max(float(np.linalg.eigvalsh(robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu))[-1])
-              for F in (sys.frozen(lo), sys.frozen(hi)))
-    rep.a3a_feasible = bool(a3a <= _A3A_TOL)
-    rep.a3a_worst_residual = a3a
     M0 = np.zeros((n_u, n + 1, n + 1))
     M0[:, :n, :n], M0[:, :n, n], M0[:, n, :n] = Fu, gu, sys.C
     v_lo, v_hi = lo - hi, hi - lo
@@ -253,6 +250,13 @@ def assumption_report(
     rep.a3b_poles = int(np.count_nonzero(in_range))
     rep.a3b_admissible = int(np.count_nonzero((w >= lo) & (w <= hi)))
     rep.a3b_sign_constant = rep.dc_sign_constant and rep.a3b_roots + rep.a3b_poles == 0
+    if P is None:
+        return rep
+    mu = input_coupling_bound(sys)
+    a3a = max(float(np.linalg.eigvalsh(robust_decay_block(P @ F + F.T @ P, P, nu, eps, mu))[-1])
+              for F in (sys.frozen(lo), sys.frozen(hi)))
+    rep.a3a_feasible = bool(a3a <= _A3A_TOL)
+    rep.a3a_worst_residual = a3a
     rep.lmi = LMIRecord(nu=float(nu), eps=float(eps), mu=float(mu), u_range=(lo, hi),
                         v_range=(v_lo, v_hi))
     return rep
@@ -278,9 +282,7 @@ def observer_monitor_constants(
     decrease; we return twice that threshold.
     """
     if artifacts.observer is None:
-        raise MissingObserverStateError(
-            "observer_monitor_constants requires observer artifacts"
-        )
+        raise MissingObserverStateError("output-feedback monitors need observer artifacts")
     obs = artifacts.observer
     n = sys.n_states
     LD = obs.L @ sys.D

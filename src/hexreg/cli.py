@@ -142,7 +142,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     sys_, params = model.load_system(args.system)
-    P = nu = eps = None
+    P = nu = eps = no_decay = None
     if args.a3:
         if params is not None:
             P = design.hex_analytic_P(params)
@@ -151,21 +151,26 @@ def _cmd_verify(args) -> int:
                 sys_.frozen(0.5 * (sys_.u_min + sys_.u_max)), np.eye(sys_.n_states)
             )
         margin = design.lyapunov_decay_margin(sys_, P)
-        if margin <= 0.0:
-            raise InfeasibleError(
-                f"decay margin {margin:.3e} <= 0; no LMI constants to test",
-                best_residual=-margin,
-            )
-        eps = 0.5 * margin
-        mu = design.input_coupling_bound(sys_)
-        nu = float(np.linalg.norm(P, 2) / mu) if mu > 0.0 else 1.0
-    rep = analysis.assumption_report(sys_, P=P, nu=nu, eps=eps, u_grid=args.grid)
+        if margin > 0.0:
+            eps = 0.5 * margin
+            mu = design.input_coupling_bound(sys_)
+            nu = float(np.linalg.norm(P, 2) / mu) if mu > 0.0 else 1.0
+        else:
+            # an eigenvalue >= 0 of P F_u + F_u^T P at some input leaves the A3(a)
+            # block's upper-left corner indefinite for every nu, eps > 0
+            P = None
+            no_decay = f"decay margin {margin:.3e} <= 0: P certifies no A3(a) constants"
+    rep = analysis.assumption_report(sys_, P=P, nu=nu, eps=eps, u_grid=args.grid, a3b=args.a3)
+    if no_decay is not None:
+        rep.a3a_feasible = False
     failed = rep.failed_checks(require_a3=args.a3)
     payload = rep.to_dict()
     payload["all_hold"] = not failed
     _emit(payload, args.out)
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=_sys.stderr)
+        if no_decay is not None:
+            print(no_decay, file=_sys.stderr)
         return 1
     return 0
 

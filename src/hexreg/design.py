@@ -25,7 +25,7 @@ from .errors import (
 from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem, HexParams
 from .serde import dump_json, read_object, require_fields
-from .steady_state import _STACK_BLOCK, Equilibrium, _refuse_poles
+from .steady_state import Equilibrium, _refuse_poles, _slope_stationary_points
 
 __all__ = [
     "DesignArtifacts",
@@ -54,7 +54,6 @@ __all__ = [
 _LMI_DECLARE = -1e-9  # certificate threshold on the largest eigenvalue
 _LMI_FLOOR = 1e-6  # projection floor delta for Q, nu, eps
 _LMI_ITERS = 5000
-_PI_SHIFT_GRID = 512  # input grid of pi_shift_sup before refinement
 _SIGN_TOL = 1e-8  # relative update of the sign iteration before its last step
 _SIGN_ITERS = 100
 
@@ -407,67 +406,29 @@ def observer_design(sys: BilinearSystem) -> ObserverDesign:
                           lmi_residual=float(residual))
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Deterministic golden-section maximizer on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    u_best = 0.5 * (a + b)
-    return u_best, f(u_best)
-
-
 def pi_shift_sup(sys: BilinearSystem) -> float:
     """Supremum over [u_min, u_max] of |dpi/du| = |F_u^{-1} (b - B y)|, with
     y = F_u^{-1} (b u + E) = -pi(u).
 
     A constant of the plant, not of the design input: pi(u_ss + v) - pi(u_ss)
     = -v F_u^{-1} g_ss for u = u_ss + v, so it bounds every shift of the
-    equilibrium the saturated input can make.  A 512-point sweep, then a
-    golden-section search between the neighbours of its peak; the grid
-    value wins a tie.  Before the sweep, a real root of the pencil (A, B)
-    in [u_min, u_max], where F_u is singular and the supremum infinite,
-    raises SingularMatrixError naming the lowest, on the grid or between
-    its inputs, as reachable_set does.  The two solves per input run on
-    stacks of 64 F_u; stacked solves, per-row products (kernels._rowwise,
-    _rowdot) and sqrt make the same floating-point operations as one input
-    at a time, so every magnitude keeps its bits, in the sweep and in the
-    refinement.
-    The first call keeps its result on the frozen sys, and later calls
-    return it; a call that raises keeps nothing.
+    equilibrium the saturated input can make.  A root of the pencil (A, B)
+    in range, where the supremum is infinite, raises SingularMatrixError
+    naming the lowest, as reachable_set does.  Otherwise it is the largest
+    value at u_min, u_max and the zeros of d|dpi/du|^2/du
+    (steady_state._slope_stationary_points), with no grid.  Stacked solves
+    and per-row products (kernels._rowwise, _rowdot) give each candidate the
+    bits of one input at a time.  The first call keeps its result on the
+    frozen sys, and later calls return it; a call that raises keeps nothing.
     """
     if sys._pi_bar is not None:
         return sys._pi_bar
-    lo, hi = sys.u_min, sys.u_max
     _refuse_poles(sys)
-
-    def magnitudes(us: np.ndarray) -> np.ndarray:
-        out = np.empty(len(us))
-        for k in range(0, len(us), _STACK_BLOCK):
-            u = us[k : k + _STACK_BLOCK]
-            F = sys.A + sys.B * u[:, None, None]
-            y = np.linalg.solve(F, (sys.b * u[:, None] + sys.E)[..., None])[..., 0]
-            d = np.linalg.solve(F, (sys.b - _rowwise(sys.B, y))[..., None])[..., 0]
-            out[k : k + _STACK_BLOCK] = np.sqrt(_rowdot(d, d)[:, 0])
-        return out
-
-    grid = np.linspace(lo, hi, _PI_SHIFT_GRID)
-    vals = magnitudes(grid)
-    i = int(np.argmax(vals))
-    _, peak = _golden_section_max(lambda u: float(magnitudes(np.array([u]))[0]),
-                                  grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
-                                  1e-10 * (1.0 + hi - lo))
-    pi_bar = float(max(vals[i], peak))
+    us = np.concatenate(([sys.u_min], _slope_stationary_points(sys), [sys.u_max]))
+    F = sys.A + sys.B * us[:, None, None]
+    y = np.linalg.solve(F, (sys.b * us[:, None] + sys.E)[..., None])[..., 0]
+    d = np.linalg.solve(F, (sys.b - _rowwise(sys.B, y))[..., None])[..., 0]
+    pi_bar = float(np.sqrt(_rowdot(d, d)[:, 0]).max())
     object.__setattr__(sys, "_pi_bar", pi_bar)
     return pi_bar
 
@@ -475,7 +436,8 @@ def pi_shift_sup(sys: BilinearSystem) -> float:
 def integral_gain_bound(sys: BilinearSystem, P: np.ndarray, eps: float) -> tuple[float, float]:
     """Certified integral gain bound ki_star = eps / (3 c0 pi_bar sqrt(pl pu)).
 
-    c0 = |C|, pi_bar = pi_shift_sup over the input interval, and pl, pu are
+    c0 = |C|, pi_bar = pi_shift_sup, the maximum of |dpi/du| over the input
+    interval taken at its candidates rather than on a grid, and pl, pu are
     the extreme eigenvalues of P.  eps must be a decay rate certified for P
     over the frozen family, P F_u + F_u^T P <= -2 eps I for every u in
     [u_min, u_max], as lyapunov_decay_margin gives it.  Both factors depend

@@ -23,11 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import max_monotone_violation, trajectory_monitors
+from .analysis import max_monotone_violation, observer_monitor_constants, trajectory_monitors
 from .controllers import LAW_CODES, OUTPUT_FEEDBACK, PI
 from .design import DesignArtifacts, require_artifacts_fit
 from .errors import (
-    MissingObserverStateError,
     NonFiniteError,
     SchedulesDifferError,
     as_array,
@@ -134,9 +133,11 @@ def scenario_from_dict(
     strictly increasing schedules starting at t = 0 and contained in
     [0, t_end]; t_end an exact multiple of dt of at most 10**7 steps; every
     reference inside the reachable set; artifact arrays whose shapes fit
-    sys.  x0 defaults to the open-loop equilibrium of the first reference,
-    x_hat0 to x0.  The reachable set is the one reachable_set keeps on sys,
-    so every scenario on one plant shares it.
+    sys; for output feedback, observer artifacts whose monitor constants
+    exist, so a refused monitor stops the scenario before it runs.  x0
+    defaults to the open-loop equilibrium of the first reference, x_hat0 to
+    x0.  The reachable set is the one reachable_set keeps on sys, so every
+    scenario on one plant shares it.
     """
     require_fields(data, "scenario", _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL)
     require_artifacts_fit(sys, artifacts)
@@ -194,10 +195,10 @@ def scenario_from_dict(
         raise ValueError("kp_pi/ki_pi are only valid with the pi law")
     if law == PI and "ki_pi" not in data:
         raise ValueError("the pi law requires ki_pi in the scenario")
-    if law == OUTPUT_FEEDBACK and artifacts.observer is None:
-        raise MissingObserverStateError(
-            "output-feedback scenarios need observer artifacts"
-        )
+    if law == OUTPUT_FEEDBACK:
+        # the monitor refuses missing observer artifacts and an indefinite
+        # blkdiag(k_p P, k_i) here, before the run
+        observer_monitor_constants(sys, artifacts)
 
     return SimScenario(
         sys=sys,

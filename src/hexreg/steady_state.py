@@ -7,8 +7,8 @@ For a frozen admissible input u the equilibrium is
 the steady output is C pi(u), and the reachable reference set is the range
 of C pi over [u_min, u_max].  _equilibria solves for pi on stacks of inputs
 (pi_map is one input).  The poles of pi, the stationary points of C pi and
-the inputs that meet a reference are the real roots in range of three
-affine matrix pencils (_pencil_roots); no grid is involved.
+of |dpi/du|, and the inputs that meet a reference are the real roots in
+range of four affine matrix pencils (_pencil_roots); no grid is involved.
 """
 
 from __future__ import annotations
@@ -229,6 +229,28 @@ def _stationary_points(sys: BilinearSystem) -> np.ndarray:
     M0 = np.block([[sys.A, Z, sys.E[:, None]], [-sys.B, sys.A, -sys.b[:, None]],
                    [z.T, sys.C[None], np.zeros((1, 1))]])
     M1 = np.block([[sys.B, Z, sys.b[:, None]], [Z, sys.B, z], [np.zeros((1, 2 * n + 1))]])
+    return _pencil_roots(M0, M1, sys.u_min, sys.u_max)
+
+
+def _slope_stationary_points(sys: BilinearSystem) -> np.ndarray:
+    """The inputs in range where d|pi'|^2/du = -4 q(u) vanishes, with
+    pi' = dpi/du and q = pi'^T F_u^-1 B pi', since pi'' = -2 F_u^-1 B pi'.
+
+    They are the roots of the (5n + 1) pencil on (pi, a, w, xi, eta, t)
+    with block rows F_u pi + (b u + E) t, B pi + F_u a + b t,
+    -B a + F_u w, -w + F_u^T xi, -B^T xi + F_u^T eta and
+    (b u + E)^T eta - b^T xi.  At t = 1, a = pi', w = F_u^-1 B pi' and the
+    last row is a^T w = q, so the determinant is +-det(F_u)^5 q(u).
+    """
+    n = sys.n_states
+    A, B, I, Z = sys.A, sys.B, np.eye(n), np.zeros((n, n))
+    b, E, z = sys.b[:, None], sys.E[:, None], np.zeros((n, 1))
+    M0 = np.block([[A, Z, Z, Z, Z, E], [B, A, Z, Z, Z, b], [Z, -B, A, Z, Z, z],
+                   [Z, Z, -I, A.T, Z, z], [Z, Z, Z, -B.T, A.T, z],
+                   [z.T, z.T, z.T, -b.T, E.T, np.zeros((1, 1))]])
+    M1 = np.block([[B, Z, Z, Z, Z, b], [Z, B, Z, Z, Z, z], [Z, Z, B, Z, Z, z],
+                   [Z, Z, Z, B.T, Z, z], [Z, Z, Z, Z, B.T, z],
+                   [z.T, z.T, z.T, z.T, b.T, np.zeros((1, 1))]])
     return _pencil_roots(M0, M1, sys.u_min, sys.u_max)
 
 

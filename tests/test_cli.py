@@ -358,14 +358,20 @@ def test_steady_state_and_scenario_leave_scipy_unimported(ws, toy_ws, tmp_path):
     assert (tmp_path / "of" / "of_scn.metrics.json").exists()
 
 
-def test_simulate_output_feedback_indefinite_sigma_exit2(toy_ws, tmp_path, capsys):
+def test_simulate_output_feedback_indefinite_sigma_exit2(toy_ws, tmp_path, capsys,
+                                                         monkeypatch):
     """An output-feedback artifact set with k_p = 0 has no positive definite
     blkdiag(k_p P, k_i) for its monitor: simulate exits 2 naming k_p, k_i
-    and P, not the matrix LAPACK factors."""
+    and P, not the matrix LAPACK factors, before the kernel runs."""
     data = json.loads((toy_ws / "of.json").read_text())
     data["k_p"] = 0
     art = tmp_path / "kp0.json"
     art.write_text(json.dumps(data))
+
+    def kernel_called(*args, **kwargs):
+        raise AssertionError("the kernel ran before the monitor was checked")
+
+    monkeypatch.setattr(sim, "closed_loop_rk4", kernel_called)
     capsys.readouterr()
     rc = main(["simulate", str(toy_ws / "toy.json"), str(art), str(toy_ws / "of_scn.json"),
                "--out", str(tmp_path / "runs")])
@@ -424,6 +430,36 @@ def test_verify_a3_reports_infeasible(ws, tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["all_hold"] is False
     assert captured.err.splitlines() == [failed]
+
+
+def test_verify_a3_without_a_decaying_P_reports_a1_and_a3b(ws, tmp_path, capsys):
+    """Without hex_params, verify --a3 takes P from the Lyapunov equation at
+    the middle input, and that P has a decay margin below 0 on the
+    exchanger: P F_u + F_u^T P has an eigenvalue >= 0 at some input, so the
+    A3(a) block fails for every nu, eps > 0.  The A1 checks and A3(b), which
+    needs no P, are still reported, a3a_feasible is false, and verify exits
+    1 naming the margin."""
+    data = json.loads((ws / "hex.json").read_text())
+    del data["hex_params"]
+    path = tmp_path / "no_params.json"
+    path.write_text(json.dumps(data))
+    sys_, _ = hexreg.load_system(str(path))
+    P = hexreg.solve_lyapunov(sys_.frozen(0.5 * (sys_.u_min + sys_.u_max)), np.eye(16))
+    margin = hexreg.lyapunov_decay_margin(sys_, P)
+    assert margin < 0.0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--a3"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    a1 = hexreg.assumption_report(sys_, a3b=True).to_dict()
+    assert a1["a3b_sign_constant"] is False and a1["a3a_feasible"] is None
+    assert {k: report[k] for k in a1 if k != "a3a_feasible"} == {
+        k: v for k, v in a1.items() if k != "a3a_feasible"}
+    assert report["a3a_feasible"] is False and report["all_hold"] is False
+    assert report["hurwitz_margin"] < 0.0 and report["dc_sign_constant"] is True
+    assert captured.err.splitlines() == [
+        "verification failed: a3a_feasible, a3b_sign_constant",
+        f"decay margin {margin:.3e} <= 0: P certifies no A3(a) constants"]
 
 
 @pytest.mark.parametrize("a3", [[], ["--a3"]], ids=["plain", "a3"])

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 import hexreg
-from hexreg import design
+from hexreg import design, steady_state
 
 from conftest import KELVIN, TABLE1
 from test_steady_state import _pole_system
@@ -403,28 +403,60 @@ def test_pi_shift_sup_positive(hexsys):
     assert hexreg.pi_shift_sup(hexsys) > 0.0
 
 
+def _pi_shift(sys, u):
+    """|dpi/du| at one input: two solves and one norm."""
+    F = sys.A + sys.B * u
+    y = np.linalg.solve(F, sys.b * u + sys.E)
+    return float(np.linalg.norm(np.linalg.solve(F, sys.b - sys.B @ y)))
+
+
 def test_pi_shift_sup_matches_per_point_sweep(hexsys):
-    """The stacked sweep gives the bits of one cond, two solves and one
-    norm per input, refined by the same golden-section search."""
-    from hexreg.design import _golden_section_max
-
-    lo, hi = hexsys.u_min, hexsys.u_max
-
-    def magnitude(u):
-        F = hexsys.A + hexsys.B * u
-        assert np.linalg.cond(F) <= 1e14
-        y = np.linalg.solve(F, hexsys.b * u + hexsys.E)
-        return float(np.linalg.norm(np.linalg.solve(F, hexsys.b - hexsys.B @ y)))
-
-    grid = np.linspace(lo, hi, 512)
-    vals = np.array([magnitude(u) for u in grid])
-    i = int(np.argmax(vals))
-    _, peak = _golden_section_max(magnitude, grid[max(i - 1, 0)],
-                                  grid[min(i + 1, 511)], 1e-10 * (1.0 + hi - lo))
-    want = float(max(peak, vals[i]))
-    # a fresh plant, so that the sweep runs rather than return a kept value
+    """On the exchanger the supremum sits at u_min, and the stacked
+    candidates give it the bits of two solves and one norm there."""
+    assert np.linalg.cond(hexsys.frozen(hexsys.u_min)) <= 1e14
+    want = _pi_shift(hexsys, hexsys.u_min)
+    # a fresh plant, so that the candidates are evaluated rather than a kept value returned
     got = hexreg.pi_shift_sup(replace(hexsys))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pi_shift_sup_is_the_max_over_a_dense_sweep(seed):
+    """Seeded random 2-6-state plants with a skew-symmetric B, so the
+    symmetric part of F_u = A + u B is that of A, at most -I, at every
+    input: F_u is Hurwitz, and |dpi/du| mostly peaks inside [-2, 2].
+    pi_bar is the per-point magnitude at one of its candidates, the bounds
+    and the pencil's stationary points, and no input of a 4001-point
+    sweep exceeds it."""
+    rng = np.random.default_rng(700 + seed)
+    n = 2 + seed % 5
+    G = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    sys = hexreg.BilinearSystem(
+        A=G - (np.linalg.norm(G, 2) + 1.0) * np.eye(n), B=B - B.T,
+        b=rng.standard_normal(n), E=rng.standard_normal(n), C=rng.standard_normal(n),
+        D=np.eye(1, n), u_min=-2.0, u_max=2.0)
+    pi_bar = hexreg.pi_shift_sup(sys)
+    candidates = np.concatenate(([sys.u_min], steady_state._slope_stationary_points(sys),
+                                 [sys.u_max]))
+    assert pi_bar in [_pi_shift(sys, u) for u in candidates]
+    assert pi_bar >= max(_pi_shift(sys, u) for u in np.linspace(sys.u_min, sys.u_max, 4001))
+
+
+def test_pi_shift_sup_finds_a_narrow_peak_away_from_the_widest():
+    """Two rotation blocks F_u = [[-e, c - u], [u - c, -e]], e = 1e-4 at
+    c = 1/2 and e = 5e-4 at c = 1/5, with E = (1, 0, 1, 0): each block's
+    |dpi/du| is 1 / (e^2 + (u - c)^2).  On a 512-point grid the wider
+    peak at 1/5 reads highest, but the supremum is the narrow one's 1e8."""
+    A, B = np.zeros((4, 4)), np.zeros((4, 4))
+    for k, (e, c) in enumerate(((1e-4, 0.5), (5e-4, 0.2))):
+        A[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[-e, c], [-c, -e]]
+        B[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[0.0, -1.0], [1.0, 0.0]]
+    sys = hexreg.BilinearSystem(A=A, B=B, b=np.zeros(4), E=np.array([1.0, 0.0, 1.0, 0.0]),
+                                C=np.eye(1, 4)[0], D=np.eye(4), u_min=0.0, u_max=1.0)
+    grid = np.linspace(0.0, 1.0, 512)
+    assert grid[np.argmax([_pi_shift(sys, u) for u in grid])] == pytest.approx(0.2, abs=2e-3)
+    assert hexreg.pi_shift_sup(sys) == pytest.approx(1e8, rel=1e-12)
 
 
 def test_pi_shift_sup_refines_a_peak_between_grid_inputs():
@@ -432,7 +464,7 @@ def test_pi_shift_sup_refines_a_peak_between_grid_inputs():
     pi_1 + i pi_2 = 1 / (e + i (u - c)), so |dpi/du| = 1 / (e^2 + (u - c)^2)
     peaks at 1/e^2 at u = c.  c = 1/2 sits midway between two of the 512
     grid inputs on [0, 1], where the value is about half the peak; the
-    golden section recovers the peak."""
+    pencil's stationary point recovers the peak."""
     e, c = 1e-3, 0.5
     sys = hexreg.BilinearSystem(
         A=np.array([[-e, -c], [c, -e]]), B=np.array([[0.0, 1.0], [-1.0, 0.0]]),
