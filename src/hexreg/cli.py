@@ -9,6 +9,7 @@ failure, 2 usage or parse error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys as _sys
 from pathlib import Path
@@ -61,10 +62,8 @@ def _emit(data: dict, out: str | None) -> None:
 def _resolve_uss(sys_, args) -> float:
     if args.uss is not None:
         return float(args.uss)
-    if args.ref is not None:
-        eq = steady_state.invert_reference(sys_, args.ref + sim.kelvin_offset(args.units))
-        return eq.u_ss
-    raise ValueError("one of --ref or --uss is required")
+    eq = steady_state.invert_reference(sys_, args.ref + sim.kelvin_offset(args.units))
+    return eq.u_ss
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +75,7 @@ def _cmd_build_model(args) -> int:
     sys_ = model.build_hex(params)
     if args.sensors is not None:
         D = model.block_average_sensors(sys_.n_states, args.sensors)
-        sys_ = model.BilinearSystem(
-            A=sys_.A, B=sys_.B, b=sys_.b, E=sys_.E, C=sys_.C, D=D,
-            u_min=sys_.u_min, u_max=sys_.u_max,
-        )
+        sys_ = dataclasses.replace(sys_, D=D)
     model.save_system(args.out, sys_, params)
     print(f"wrote {sys_.n_states}-state system ({sys_.n_outputs} outputs) to {args.out}")
     return 0
@@ -177,8 +173,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_steady_state(args) -> int:
     sys_, _ = model.load_system(args.system)
-    if args.u is not None and args.ref is not None:
-        raise ValueError("--u and --ref are mutually exclusive")
     if args.u is not None:
         eq = steady_state.equilibrium_at(sys_, args.u)
         payload = {
@@ -241,9 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help="system JSON file")
     p.add_argument("--law", required=True, choices=list(LAW_CODES),
                    help="control law to design for")
-    p.add_argument("--ref", type=float, default=None,
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--ref", type=float, default=None,
                    help="target reference (see --units)")
-    p.add_argument("--uss", type=float, default=None,
+    g.add_argument("--uss", type=float, default=None,
                    help="steady input, as an alternative to --ref")
     p.add_argument("--units", choices=["K", "C"], default="K",
                    help="units of --ref (default K)")
@@ -276,8 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("steady-state", help="equilibria and the reachable set")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--u", type=float, default=None, help="constant input to solve at")
-    p.add_argument("--ref", type=float, default=None,
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--u", type=float, default=None, help="constant input to solve at")
+    g.add_argument("--ref", type=float, default=None,
                    help="reference to invert (see --units)")
     p.add_argument("--units", choices=["K", "C"], default="K",
                    help="units of --ref (default K)")

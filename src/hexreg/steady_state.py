@@ -73,54 +73,44 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", X, X))
 
 
-def screen_singular(M, B, t) -> tuple[np.ndarray, np.ndarray]:
-    """Which members M + t_i B of an affine family are numerically singular:
-    (singular, kappa), each of the shape of t.
+def screen_singular(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a stack F, (k, n, n), are numerically singular:
+    (singular, kappa), one entry per matrix.
 
-    Each member gets the per-matrix test: its own inverse, the bound
+    Each matrix gets the per-matrix test: its own inverse, the bound
     |F|_F |F^-1|_F, and np.linalg.cond where that bound is above 1e12 or
-    not finite, or where the inverse raises.  A member is singular when its
+    not finite, or where the inverse raises.  A matrix is singular when its
     cond_2 is not finite or above 1e14, so the verdict is that of
-    np.linalg.cond; kappa is the bound on the members it clears and the
-    exact condition number on the rest.  The members are built 64 at a
-    time.
+    np.linalg.cond; kappa is the bound on the matrices it clears and the
+    exact condition number on the rest.
     """
-    M = np.asarray(M, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    kappa = np.empty(t.size)
     with np.errstate(all="ignore"):
-        for j in range(0, t.size, _STACK_BLOCK):
-            F = M + B * t.flat[j : j + _STACK_BLOCK][:, None, None]
-            try:
-                inv = np.linalg.inv(F)
-            except np.linalg.LinAlgError:
-                bound = np.full(len(F), np.inf)
-            else:
-                bound = _frobenius(F) * _frobenius(inv)
-            hard = ~(bound <= _COND_CLEAR)
-            if hard.any():
-                bound[hard] = np.linalg.cond(F[hard])
-            kappa[j : j + _STACK_BLOCK] = bound
-    kappa = kappa.reshape(t.shape)
+        try:
+            inv = np.linalg.inv(F)
+        except np.linalg.LinAlgError:
+            kappa = np.full(len(F), np.inf)
+        else:
+            kappa = _frobenius(F) * _frobenius(inv)
+        hard = ~(kappa <= _COND_CLEAR)
+        if hard.any():
+            kappa[hard] = np.linalg.cond(F[hard])
     return ~(kappa <= _COND_LIMIT), kappa
 
 
 def _equilibria(sys: BilinearSystem, us: np.ndarray) -> np.ndarray:
     """pi(u) for each input of us, one row each, in stacks of 64 F_u.
 
-    screen_singular tests each F_u = A + u B of us.  Then per input: one
-    solve, one refinement and a check of the residual
+    Each stack F_u = A + u B is formed once and tested by screen_singular.
+    Then per input: one solve, one refinement and a check of the residual
     F x + b u + E.  Stacked solves and kernels._rowwise keep the bits of
     pi_map at each input, and the first input that fails raises what
     pi_map raises there.
     """
     out = np.empty((len(us), sys.n_states))
-    refused, kappa = screen_singular(sys.A, sys.B, us)
     for k in range(0, len(us), _STACK_BLOCK):
         u = us[k : k + _STACK_BLOCK]
         F = sys.A + sys.B * u[:, None, None]
-        singular = refused[k : k + _STACK_BLOCK]
+        singular, kappa = screen_singular(F)
         # a refused matrix is swapped for I so the stacked solve cannot raise
         F[singular] = np.eye(sys.n_states)
         rhs = -(sys.b * u[:, None] + sys.E)
@@ -134,7 +124,7 @@ def _equilibria(sys: BilinearSystem, us: np.ndarray) -> np.ndarray:
             at = f"at u = {float(u[i])!r}"
             if singular[i]:
                 raise SingularMatrixError(f"A + B u numerically singular {at}",
-                                          cond=float(kappa[k + i]))
+                                          cond=float(kappa[i]))
             raise SingularMatrixError(
                 f"equilibrium residual {residual[i]:.3e} exceeds {limit[i]:.3e} {at}")
         out[k : k + _STACK_BLOCK] = x

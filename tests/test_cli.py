@@ -186,6 +186,17 @@ def test_design_requires_ref_or_uss(ws):
     assert rc == 2
 
 
+def test_design_ref_and_uss_conflict(ws, capsys):
+    """--ref and --uss each set the design input: given both, design exits
+    2 through the parser and writes no artifact file."""
+    capsys.readouterr()
+    rc = main(["design", str(ws / "hex.json"), "--law", "forwarding", "--ref", "26.5",
+               "--units", "C", "--uss", "0.02", "--out", str(ws / "both.json")])
+    assert rc == 2
+    assert "argument --uss: not allowed with argument --ref" in capsys.readouterr().err
+    assert not (ws / "both.json").exists()
+
+
 def test_design_pi_has_no_artifacts(ws, capsys):
     """design accepts every law name; pi is refused with the reason."""
     capsys.readouterr()

@@ -153,6 +153,20 @@ def test_decay_margin_does_not_depend_on_grid(hexsys, table1):
     assert margins == [min(at_bounds)] * 4
 
 
+def test_decay_margin_takes_two_eigendecompositions(hexsys, table1, monkeypatch):
+    """The margin is taken at u_min and u_max only, whatever the grid."""
+    P = hexreg.hex_analytic_P(table1)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(S):
+        calls.append(S.shape)
+        return eigvalsh(S)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    hexreg.lyapunov_decay_margin(hexsys, P, grid=256)
+    assert calls == [(16, 16)] * 2
+
+
 def test_hex_analytic_P_single_cell_closed_form():
     """For one compartment pair, P F_u + F_u^T P is 2x2; strict negativity
     is equivalent to a positive determinant given a negative trace."""
