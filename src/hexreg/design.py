@@ -52,8 +52,8 @@ __all__ = [
 ]
 
 _LMI_DECLARE = -1e-9  # certificate threshold on the largest eigenvalue
-_LMI_FLOOR = 1e-6  # projection floor delta for Q, nu, eps
-_LMI_ITERS = 5000
+_CENTRE_TOL = 1e-10  # squared Newton decrement that ends a centring
+_PHASE_ONE_GAP = 1e-12  # relative duality gap that ends the phase-I search
 _SIGN_TOL = 1e-8  # relative update of the sign iteration before its last step
 _SIGN_ITERS = 100
 
@@ -246,90 +246,56 @@ def robust_decay_block(S: np.ndarray, Q: np.ndarray, nu: float, eps: float,
     return np.block([[top, Q], [Q, -nu * np.eye(n)]])
 
 
-def _observer_lmi(A, D, mu, Q, Y, nu, eps) -> np.ndarray:
-    return robust_decay_block(Q @ A + A.T @ Q - Y @ D - D.T @ Y.T, Q, nu, eps, mu)
+def _observer_residual(A, D, mu, Q, Y, nu, eps) -> float:
+    """Largest eigenvalue of the observer block at (Q, Y, nu, eps)."""
+    S = Q @ A + A.T @ Q - Y @ D - D.T @ Y.T
+    return float(np.linalg.eigvalsh(robust_decay_block(S, Q, nu, eps, mu))[-1])
 
 
-def _project(Q, nu, eps):
-    Q = 0.5 * (Q + Q.T)
-    w, V = np.linalg.eigh(Q)
-    w = np.maximum(w, _LMI_FLOOR)
-    Q = (V * w) @ V.T
-    return Q, max(nu, _LMI_FLOOR), max(eps, _LMI_FLOOR)
+def _phase_one(F, x):
+    """Minimize s subject to F(x) <= s I for an affine symmetric F, from x.
 
-
-def _placement_gain(A: np.ndarray, D: np.ndarray, shift: float) -> np.ndarray:
-    """Deterministic output-injection gain moving every eigenvalue left.
-
-    Targets Re(lambda_i(A)) - shift with duplicates spread slightly so the
-    placement problem stays well posed.  Assignment goes through the
-    Sylvester equation A^T X - X Lam = D^T G with a fixed output-cycling
-    pattern G; then (A - L D)^T has eigenvector matrix X at the targets
-    for L = X^{-T} G^T.  Falls back to the zero gain if the solve degenerates,
-    since callers only need a starting point.
+    Damped Newton steps dz / (1 + lam), lam^2 = -grad . dz, centre
+    t s - log det(s I - F(x)) for t = d / m, 10 d / m, ..., with d the size
+    of F and m = 1 + |lambda_max(F(x))| at the start; each centre's s is
+    within d / t of the infimum.  Returns (s, x) at the first centre with
+    s < 0, a point where F(x) < 0.  Else it stops once d / t is below
+    _PHASE_ONE_GAP m, a step no longer lowers the barrier, or the Newton
+    system or s I - F(x) is singular, and returns the last point it reached.
     """
-    n = A.shape[0]
-    p = D.shape[0]
-    targets = np.sort(np.real(np.linalg.eigvals(A))) - shift
-    spread = 1e-3 * max(1.0, shift)
-    targets = targets - spread * (1.0 + np.arange(n))
-    G = np.zeros((p, n))
-    G[np.arange(n) % p, np.arange(n)] = 1.0
-    # Lam is diagonal, so column i of X solves (A^T - t_i I) x_i = (D^T G)_i
-    shifted = A.T - targets[:, None, None] * np.eye(n)
-    try:
-        X = np.linalg.solve(shifted, (D.T @ G).T[..., None])[..., 0].T
-        L = np.linalg.solve(X.T, G.T)
-    except np.linalg.LinAlgError:
-        return np.zeros((n, p))
-    if not np.all(np.isfinite(L)):
-        return np.zeros((n, p))
-    return np.ascontiguousarray(L)
+    x = np.asarray(x, dtype=np.float64)
+    F0 = F(np.zeros_like(x))
+    d = len(F0)
+    Gk = np.stack([F0 - F(e) for e in np.eye(len(x))] + [np.eye(d)])
+    top = float(np.linalg.eigvalsh(F(x))[-1])
+    m = 1.0 + abs(top)
+    z, t = np.append(x, top + m), d / m
 
+    def barrier(z):
+        R = np.linalg.cholesky(np.tensordot(z, Gk, 1) - F0)
+        return R, t * z[-1] - 2.0 * np.log(np.diag(R)).sum()
 
-def _subgradient_descent(A, D, mu, Q, Y, nu, eps, iters):
-    """Projected subgradient on the largest LMI eigenvalue.
-
-    The block matrix is affine in (Q, Y, nu, eps); the outer product of its
-    top eigenvector gives a subgradient of the largest-eigenvalue objective.
-    Diminishing steps c / sqrt(k); the first strictly negative residual wins
-    (the problem is homogeneous, so any strictly feasible point can be
-    rescaled to clear the declaration threshold).
-    """
-    n = A.shape[0]
-    best = (np.inf, Q.copy(), Y.copy(), nu, eps)
-    scale = max(1.0, np.linalg.norm(Q), np.linalg.norm(Y))
-    step0 = 0.2 * scale
-    for k in range(1, iters + 1):
-        lam_max, vec = _top_eig(_observer_lmi(A, D, mu, Q, Y, nu, eps))
-        if lam_max < best[0]:
-            best = (lam_max, Q.copy(), Y.copy(), nu, eps)
-        if lam_max < -1e-12:
-            return best
-        v1, v2 = vec[:n], vec[n:]
-        Av1 = A @ v1
-        Dv1 = D @ v1
-        gQ = np.outer(v1, Av1) + np.outer(Av1, v1) + np.outer(v1, v2) + np.outer(v2, v1)
-        gY = -2.0 * np.outer(v1, Dv1)
-        gnu = mu * mu * float(v1 @ v1) - float(v2 @ v2)
-        geps = 2.0 * float(v1 @ v1)
-        gnorm = np.sqrt(
-            np.sum(gQ * gQ) + np.sum(gY * gY) + gnu * gnu + geps * geps
-        )
-        if gnorm == 0.0:
-            break
-        alpha = step0 / (np.sqrt(k) * gnorm)
-        Q = Q - alpha * gQ
-        Y = Y - alpha * gY
-        nu = nu - alpha * gnu
-        eps = eps - alpha * geps
-        Q, nu, eps = _project(Q, nu, eps)
-    return best
-
-
-def _top_eig(Mblk: np.ndarray) -> tuple[float, np.ndarray]:
-    w, V = np.linalg.eigh(Mblk)
-    return float(w[-1]), V[:, -1]
+    while True:
+        R, f = barrier(z)
+        while True:
+            Ri = np.linalg.inv(R)
+            W = (Ri @ Gk @ Ri.T).reshape(len(z), -1)
+            grad = t * (np.arange(len(z)) == len(x)) - W[:, ::d + 1].sum(axis=1)
+            try:
+                dz = -np.linalg.solve(W @ W.T, grad)
+                lam2 = -float(grad @ dz)
+                if not lam2 > _CENTRE_TOL:
+                    break
+                z_new = z + dz / (1.0 + np.sqrt(lam2))
+                R_new, f_new = barrier(z_new)
+            except np.linalg.LinAlgError:
+                return z[-1], z[:-1]
+            if not f_new < f:
+                break
+            z, R, f = z_new, R_new, f_new
+        if z[-1] < 0.0 or d / t <= _PHASE_ONE_GAP * m:
+            return z[-1], z[:-1]
+        t *= 10.0
 
 
 def gain_rank_obstruction(sys: BilinearSystem) -> float | None:
@@ -361,22 +327,28 @@ def observer_design(sys: BilinearSystem) -> ObserverDesign:
 
     with mu = ||B||_2 max(|u_min|, |u_max|).  The certificate makes the
     estimation error contract for every admissible saturated input, with
-    no input grid.  The rank obstruction test runs
-    first: when it fires, no gain can ever satisfy the inequality and the
-    search is skipped.  Otherwise: projected subgradient from the
-    pole-placement seed.
+    no input grid.  The rank obstruction test runs first: when it fires, no
+    gain can ever satisfy the inequality and the search is skipped.
+
+    Otherwise Y is eliminated by the projection lemma (Gahinet & Apkarian
+    1994): with N an orthonormal basis of ker D, some Y makes the block
+    negative definite iff [[N^T (QA + A^T Q + nu mu^2 I) N + 2 eps I, N^T Q],
+    [QN, -nu I]] < 0.  _phase_one lowers the largest eigenvalue s of that
+    block at eps = 0 and of -Q over Q, nu with trace Q + nu = n + 1 (the
+    inequality is homogeneous).  s >= 0 is infeasible for every gain; s < 0
+    gives eps = -s / 4 and Y = (sigma / 2) D^T, with sigma twice the weight
+    on D^T D that the Schur complement of the ker D part needs on range D^T.
     """
     A, D = sys.A, sys.D
     check_observability(A, D)
     mu = input_coupling_bound(sys)
-    n = A.shape[0]
+    p, n = D.shape
+    Y0 = np.zeros((n, p))
 
     witness = gain_rank_obstruction(sys)
     if witness is not None:
-        p = D.shape[0]
-        start = _top_eig(_observer_lmi(A, D, mu, np.eye(n), np.zeros((n, p)),
-                                       max(1.0, 1.0 / mu) if mu > 0.0 else 1.0,
-                                       _LMI_FLOOR))[0]
+        start = _observer_residual(A, D, mu, np.eye(n), Y0,
+                                   max(1.0, 1.0 / mu) if mu > 0.0 else 1.0, 0.0)
         raise InfeasibleError(
             "observer LMI infeasible for every gain: feasibility needs "
             f"sigma_min(A - LD) > mu = {mu:.6g}, but rank-{p} output "
@@ -384,20 +356,41 @@ def observer_design(sys: BilinearSystem) -> ObserverDesign:
             best_residual=start,
         )
 
-    Q0 = np.eye(n)
-    Y0 = _placement_gain(A, D, 1.0)  # Y = Q0 L with Q0 = I
-    nu0 = max(1.0, 1.0 / mu) if mu > 0.0 else 1.0
-    eps0 = 0.1
-    best = _subgradient_descent(A, D, mu, Q0, Y0, nu0, eps0, _LMI_ITERS)
+    _, sv, Vt = np.linalg.svd(D)
+    r = np.linalg.matrix_rank(D)
+    T, N = Vt[:r].T, Vt[r:].T
+    V = np.zeros((3 * n, 3 * n - r))  # blkdiag(N, I, I)
+    V[:n, :n - r], V[n:, n - r:] = N, np.eye(2 * n)
+    iu, Z = np.triu_indices(n), np.zeros((2 * n, n))
 
-    lam_best, Q, Y, nu, eps = best
-    if lam_best >= -1e-12:
-        raise InfeasibleError("observer LMI search exhausted", best_residual=lam_best)
+    def unpack(x):
+        Q = np.zeros((n, n))
+        Q[iu] = Q.T[iu] = x
+        return Q, n + 1.0 - np.trace(Q)
+
+    def projected(x):
+        Q, nu = unpack(x)
+        blk = robust_decay_block(Q @ A + A.T @ Q, Q, nu, 0.0, mu)
+        return V.T @ np.block([[blk, Z], [Z.T, -Q]]) @ V
+
+    s, x = _phase_one(projected, np.eye(n)[iu])
+    Q, nu = unpack(x)
+    if not s < 0.0:
+        raise InfeasibleError(
+            "observer LMI infeasible for every gain: its projection onto "
+            "ker D has no strictly feasible Q, nu",
+            best_residual=_observer_residual(A, D, mu, Q, Y0, nu, 0.0),
+        )
+    eps = -0.25 * s
+    R = Q @ A + A.T @ Q + (nu * mu * mu + 2.0 * eps) * np.eye(n) + Q @ Q / nu
+    K = T.T @ R @ T - T.T @ R @ N @ np.linalg.solve(N.T @ R @ N, N.T @ R @ T)
+    Y = max(float(np.linalg.eigvalsh(K)[-1]), 0.0) / sv[r - 1] ** 2 * D.T
+    residual = _observer_residual(A, D, mu, Q, Y, nu, eps)
 
     # Homogeneous rescale so the certificate clears the threshold cleanly.
-    c = max(1.0, 4.0 * abs(_LMI_DECLARE) / abs(lam_best))
+    c = max(1.0, 4.0 * abs(_LMI_DECLARE) / abs(residual))
     Q, Y, nu, eps = c * Q, c * Y, c * nu, c * eps
-    residual = _top_eig(_observer_lmi(A, D, mu, Q, Y, nu, eps))[0]
+    residual = _observer_residual(A, D, mu, Q, Y, nu, eps)
     if residual >= _LMI_DECLARE:
         raise InfeasibleError("observer LMI rescale lost the margin", best_residual=residual)
 

@@ -84,7 +84,8 @@ class NotObservableError(HexRegError):
 
 
 class InfeasibleError(HexRegError):
-    """The observer LMI solver exhausted its budget without a certificate."""
+    """A certificate inequality has no strict solution (no observer gain, or
+    a P without uniform decay); best_residual is its largest eigenvalue."""
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(f"{message} (best residual {best_residual:.3e})")

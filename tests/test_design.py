@@ -260,37 +260,66 @@ def test_observer_design_trivial_feasible():
     assert np.max(independent_lmi_eigenvalues(sys, obs)) <= 1e-9
 
 
-def test_observer_design_synthetic_feasible(synthetic_observable,
-                                            synthetic_observer):
-    sys, obs = synthetic_observable, synthetic_observer
-    assert obs.mu == pytest.approx(0.05)
+def _three_state(A, D, u):
+    """A 3-state plant with one sensor whose only bilinear coupling is
+    B[0, 1] = 1, so mu = u."""
+    B = np.zeros((3, 3))
+    B[0, 1] = 1.0
+    return hexreg.BilinearSystem(
+        A=np.array(A), B=B, b=np.array([1.0, 0.0, 0.0]), E=np.zeros(3),
+        C=np.array([0.0, 0.0, 1.0]), D=np.array(D), u_min=-u, u_max=u,
+    )
+
+
+@pytest.mark.parametrize("plant, mu", [
+    ("toy", 0.05), ("hex_16_sensors", 1.95422), ("three_state", 0.8),
+], ids=["toy", "hex_16_sensors", "three_state"])
+def test_observer_design_synthetic_feasible(request, plant, mu):
+    """The toy plant; the exchanger with one sensor per state (D = I, so
+    ker D = {0}); and an unstable 3-state plant with one sensor."""
+    if plant == "toy":
+        sys = request.getfixturevalue("synthetic_observable")
+        obs = request.getfixturevalue("synthetic_observer")
+    else:
+        if plant == "hex_16_sensors":
+            hexsys = request.getfixturevalue("hexsys")
+            sys = replace(hexsys, D=hexreg.block_average_sensors(hexsys.n_states, 16))
+        else:
+            sys = _three_state([[1.566, -0.077, -2.017], [-0.649, -0.822, -0.5],
+                                [1.36, 1.002, -1.652]], [[-1.005, -0.7, -1.473]], 0.8)
+        obs = hexreg.observer_design(sys)
+    n = sys.n_states
+    assert obs.mu == pytest.approx(mu, rel=1e-5)
     assert obs.lmi_residual <= 0.0
     assert np.max(independent_lmi_eigenvalues(sys, obs)) <= 1e-9
     # the Schur-reduced form must hold as well: Q A_L + A_L^T Q
     # + nu mu^2 I + Q Q / nu <= -2 eps I
     A_L = sys.A - obs.L @ sys.D
     schur = (obs.Q @ A_L + A_L.T @ obs.Q
-             + obs.nu * obs.mu ** 2 * np.eye(3)
+             + obs.nu * obs.mu ** 2 * np.eye(n)
              + obs.Q @ obs.Q / obs.nu)
     assert np.max(np.linalg.eigvalsh(schur)) <= -2.0 * obs.eps + 1e-8
     # and the error decay it certifies must be real: A - LD Hurwitz
     assert np.max(np.real(np.linalg.eigvals(A_L))) < 0.0
 
 
-def test_placement_gain_matches_scipy_sylvester(synthetic_observable):
-    """The stacked column solves give solve_sylvester's gain on the toy
-    plant, and A - L D has the placement targets as its eigenvalues."""
-    A, D = synthetic_observable.A, synthetic_observable.D
-    n, p = A.shape[0], D.shape[0]
-    targets = np.sort(np.linalg.eigvals(A).real) - 1.0 - 1e-3 * (1.0 + np.arange(n))
-    G = np.zeros((p, n))
-    G[np.arange(n) % p, np.arange(n)] = 1.0
-    X = sla.solve_sylvester(A.T, -np.diag(targets), D.T @ G)
-    L_ref = np.linalg.solve(X.T, G.T)
-    L = design._placement_gain(A, D, 1.0)
-    assert np.max(np.abs(L - L_ref)) <= 1e-13 * np.max(np.abs(L_ref))
-    assert np.allclose(np.sort(np.linalg.eigvals(A - L @ D).real), targets, rtol=0.0,
-                       atol=1e-12)
+def test_observer_design_infeasible_where_the_rank_witness_is_silent():
+    """For a unit v in ker D, A_L v = A v, and the Schur form needs
+    2 v^T Q A v + nu mu^2 + |Qv|^2 / nu < 0.  By AM-GM the last two terms
+    are at least 2 mu |Qv|, and 2 v^T Q A v >= -2 |Qv| |Av|, so every
+    certificate needs |Av| > mu, that is sigma_min(A N_D) > mu.  Here
+    sigma_min(A N_D) = 0.5075 <= mu = 0.6: no gain exists, while
+    sigma_2(A) = 2.0 > mu leaves gain_rank_obstruction silent."""
+    sys = _three_state([[-1.1, 0.3, -1.4], [0.8, -2.2, -1.1], [0.1, -0.2, -1.3]],
+                       [[-1.6, 1.8, -0.6]], 0.6)
+    N = np.linalg.svd(sys.D)[2][1:].T
+    sigma = np.linalg.svd(sys.A @ N, compute_uv=False)[-1]
+    assert sigma == pytest.approx(0.5075, abs=1e-4)
+    assert sigma <= design.input_coupling_bound(sys) == pytest.approx(0.6)
+    assert hexreg.gain_rank_obstruction(sys) is None
+    with pytest.raises(hexreg.InfeasibleError, match="every gain") as err:
+        hexreg.observer_design(sys)
+    assert err.value.best_residual > 0.0
 
 
 def test_observer_design_unobservable_pair():

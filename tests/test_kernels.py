@@ -109,7 +109,17 @@ def test_kernel_rejects_nonfinite(hexsys, io_art):
     assert err.value.column == "x_1"
 
 
-def _diverging(hexsys, fwd_art, synthetic_observable, synthetic_observer, case):
+# A certified observer for the toy plant, written out in full so the xhat
+# case below does not depend on how observer_design searches: Q = I, with
+# A - L D at eigenvalues near -4, -5 and -6.
+_TOY_L = np.array([[2.9950220676379886, -0.0009428876541059801],
+                   [-0.014725005639627156, -0.004705008375560093],
+                   [0.14952800969386623, 0.01568294073756938]])
+_TOY_OBSERVER = hexreg.ObserverDesign(L=_TOY_L, Q=np.eye(3), Y=_TOY_L.copy(), nu=20.0,
+                                      eps=0.1, mu=0.05, lmi_residual=-7.609162311818393)
+
+
+def _diverging(hexsys, fwd_art, synthetic_observable, case):
     """A scenario whose state first goes non-finite at a known step."""
     if case == "xhat":
         # RK4 at dt = 0.8 s is stable for this plant but not for its faster
@@ -117,7 +127,7 @@ def _diverging(hexsys, fwd_art, synthetic_observable, synthetic_observer, case):
         sys_ = synthetic_observable
         eq = hexreg.equilibrium_at(sys_, 0.0)
         art = hexreg.forwarding_design(sys_, eq, k_p=0.5, k_i=0.2)
-        art.observer = synthetic_observer
+        art.observer = _TOY_OBSERVER
         return make_scenario(sys_, art, hexreg.OUTPUT_FEEDBACK, 320.0, 0.8,
                              [[0.0, eq.y_ss]], x0=eq.x_ss, x_hat0=eq.x_ss + 0.1)
     # An output disturbance of 1e308 from time t_d drives e, and so z, to
@@ -136,8 +146,8 @@ def _diverging(hexsys, fwd_art, synthetic_observable, synthetic_observer, case):
     ("xhat", 292, "xhat_1"),
 ])
 def test_block_scan_reports_per_step_nonfinite(hexsys, fwd_art, synthetic_observable,
-                                               synthetic_observer, case, step, column):
-    scn = _diverging(hexsys, fwd_art, synthetic_observable, synthetic_observer, case)
+                                               case, step, column):
+    scn = _diverging(hexsys, fwd_art, synthetic_observable, case)
     assert per_step_nonfinite(scn) == step
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -153,7 +163,7 @@ def test_block_scan_reports_per_step_nonfinite(hexsys, fwd_art, synthetic_observ
 def test_only_z_diverges(hexsys, fwd_art):
     """The PI integrator runs off to infinity while the clamped input keeps
     the plant finite; the error names z and the clamped input."""
-    scn = _diverging(hexsys, fwd_art, None, None, 65)
+    scn = _diverging(hexsys, fwd_art, None, 65)
     with np.errstate(over="ignore", invalid="ignore"):
         X, _, Z, _, U_sat, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
     assert np.isfinite(X[:66]).all() and not np.isfinite(Z[65])
