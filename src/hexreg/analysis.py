@@ -53,6 +53,9 @@ __all__ = [
 
 _A3A_TOL = 1e-9  # slack on the largest LMI eigenvalue before declaring infeasible
 _MONITOR_BLOCK = 1024  # samples per stacked solve; bounds the (block, n, n) temporaries
+# each law's monitor series, by name in the order trajectory_monitors gives them
+_MONITOR_NAMES = {PI: (), FORWARDING: ("V",), INTEGRAL_ONLY: ("V", "W"),
+                  OUTPUT_FEEDBACK: ("V", "U", "W")}
 _MAX_GRID = 10**6  # most points assumption_report sweeps per grid
 
 
@@ -319,7 +322,9 @@ def _integral_only_V_rows(scn, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     F_ss = sys.frozen(art.u_ss)
     g_ss = sys.input_gain(art.x_ss)
     v = np.clip(art.u_ss + art.sign_dc * art.k_i * Z, sys.u_min, sys.u_max) - art.u_ss
-    sol = np.linalg.solve(F_ss + sys.B * v[:, None, None], g_ss[:, None])[..., 0]
+    F = sys.B * v[:, None, None]
+    F += F_ss  # in place: one (block, n, n) temporary, not two
+    sol = np.linalg.solve(F, g_ss[:, None])[..., 0]
     D = (X - art.x_ss) - (-sol * v[:, None])
     q = np.matmul(np.matmul(D[:, None, :], art.P), D[:, :, None])[:, 0, 0]
     return np.where(0.0 > q, 0.0, q)
@@ -332,11 +337,15 @@ def trajectory_monitors(
     Z: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """The monitor series of the scenario scn's law over stacked samples, by
-    name in CSV order: none for PI, V for forwarding, V and W for
-    integral-only, V, U and W for output feedback.
+    name in CSV order, as _MONITOR_NAMES lists them: none for PI, V for
+    forwarding, V and W for integral-only, V, U and W for output feedback.
 
     scn is a sim.SimScenario; its plant, artifacts and law define the
-    monitors.  Rows of X, XH and Z are samples.
+    monitors.  Rows of X, XH and Z are samples.  Called on consecutive
+    blocks of rows that start at multiples of _MONITOR_BLOCK, it gives the
+    whole series' bits, block by block.  Blocks that start elsewhere need
+    not: XT @ M is one BLAS call over the block, and a row's bits there
+    depend on its position in it.
     """
     sys, art, law = scn.sys, scn.artifacts, scn.law
     if law == PI:

@@ -109,30 +109,26 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def _run_one(system_path: str, artifact_path: str, scenario_path: str,
-             out_dir: str, dt: float | None, law: str | None) -> str:
-    sys_, _ = model.load_system(system_path)
-    art = design.load_artifacts(artifact_path)
-    data = read_object(scenario_path)
-    if dt is not None:
-        data["dt"] = dt
-    if law is not None:
-        data["law"] = law
-    scn = sim.scenario_from_dict(data, sys_, art)
-    res = sim.run(scn)
-    stem = Path(scenario_path).stem
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{stem}.csv"
-    sim.write_csv(res, csv_path)
-    dump_json(out / f"{stem}.metrics.json", sim.run_metrics(scn, res))
-    return str(csv_path)
-
-
 def _cmd_simulate(args) -> int:
-    for s in args.scenario:
-        path = _run_one(args.system, args.artifacts, s, args.out, args.dt, args.law)
-        print(f"wrote {path}")
+    sys_, _ = model.load_system(args.system)
+    art = design.load_artifacts(args.artifacts)
+    runs = []
+    for path in args.scenario:
+        data = read_object(path)
+        if args.dt is not None:
+            data["dt"] = args.dt
+        if args.law is not None:
+            data["law"] = args.law
+        runs.append((Path(path).stem, sim.scenario_from_dict(data, sys_, art)))
+    # every input is checked, and the output directory made, before the
+    # first step
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, scn in runs:
+        csv_path = out / f"{stem}.csv"
+        res = sim.run(scn, csv_path)
+        dump_json(out / f"{stem}.metrics.json", sim.run_metrics(scn, res))
+        print(f"wrote {csv_path}")
     return 0
 
 

@@ -22,7 +22,9 @@ the rows stored for it are.  The loop therefore checks no state per step:
 it scans the rows stored in X, XH and Z once per block of _SCAN_ROWS steps
 and once at the end.  A diverging run integrates up to one block past the
 failure and then reports the same first non-finite step as a per-step
-check would.
+check would.  Each scan also turns the rows it passed from deviations into
+absolute states, so a row is final once scanned, and a caller that asked
+for notice (on_final) may read it while the loop goes on.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def first_nonfinite(X, XH, Z, lo, hi):
     return lo + int(step), (int(row) if batch else None), name
 
 
-def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
+def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     """Classic RK4 of the scenario scn; returns X, XH, Z, U_raw, U_sat, Err,
     Y, bad_step.
 
@@ -97,6 +99,11 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     after the start at which the state (of any row) is non-finite, or -1;
     the series then hold every step up to bad_step, and first_nonfinite
     finds what went non-finite there.
+
+    For one trajectory, out may give the arrays to fill, in the order and
+    the shapes returned (XH None unless the law is output feedback).
+    on_final(rows), when given, is called after each scan that finds rows
+    0..rows-1 finite; those rows are final and never written again.
     """
     sys, art = scn.sys, scn.artifacts
     dt, n_steps = scn.dt, scn.n_steps
@@ -169,12 +176,16 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     read_mwc, read_hmw = reader(gx[..., 3 * n : 3 * n + 3]), reader(gh[..., 3 * n : 3 * n + 2])
     read_acc = reader(acc)
 
-    X = np.empty(lead + (T, n))
-    XH = np.empty(lead + (T, n)) if observer else None
-    Y = np.empty(lead + (T, p))
-    # A batch's scalar series keep a trailing axis of one while they fill,
-    # so a (k, 1) column stores into [:, step] as a float into [step].
-    Z, U_raw, U_sat, Err = (np.empty(scalar_shape) for _ in range(4))
+    if out is None:
+        X = np.empty(lead + (T, n))
+        XH = np.empty(lead + (T, n)) if observer else None
+        Y = np.empty(lead + (T, p))
+        # A batch's scalar series keep a trailing axis of one while they
+        # fill, so a (k, 1) column stores into [:, step] as a float into
+        # [step].
+        Z, U_raw, U_sat, Err = (np.empty(scalar_shape) for _ in range(4))
+    else:
+        X, XH, Z, U_raw, U_sat, Err, Y = out
     Z_rows = Z[..., 0] if lead else Z
 
     # Stage j is evaluated at t + a_j dt with a = (0, 1/2, 1/2, 1).  The
@@ -193,7 +204,7 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     ref_at, dist_at = [0, 0, 0], [0, 0, 0]
 
     bad_step = -1
-    scanned = 1   # steps below this are known finite; step 0 is the start
+    final = 0   # rows below this are scanned and absolute; row 0 is the start
     for step in range(T):
         t = step * dt
         at = (slice(None), step) if lead else step
@@ -255,19 +266,21 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
                 np.add(Kxh[j], corr, Kxh[j])
             Kz[j][...] = e
         if step % _SCAN_ROWS == 0 or step == n_steps:
-            bad = first_nonfinite(X, XH, Z_rows, scanned, step + 1)
+            bad = first_nonfinite(X, XH, Z_rows, max(final, 1), step + 1)
+            X[..., final : step + 1, :] += x_ss
+            if observer:
+                XH[..., final : step + 1, :] += x_ss
             if bad is not None:
                 bad_step = bad[0]
                 break
-            scanned = step + 1
+            final = step + 1
+            if on_final is not None:
+                on_final(final)
         if step == n_steps:
             break
         np.matmul(stage_b, K, ds)
         np.add(s, ds, s)
 
-    X += x_ss
-    if observer:
-        XH += x_ss
     if lead:
         Z, U_raw, U_sat, Err = (a[..., 0] for a in (Z, U_raw, U_sat, Err))
     return X, XH, Z, U_raw, U_sat, Err, Y, bad_step

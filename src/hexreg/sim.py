@@ -4,8 +4,9 @@ A scenario bundles the plant, the design artifacts, the control law, and the
 piecewise-constant reference / output-disturbance schedules.  `run` advances
 plant, observer, and integrator together with one fixed-step RK4 pass
 (kernels.closed_loop_rk4), then attaches the applicable Lyapunov monitor
-series.  `run_many` passes the same kernel one start per row, so each of
-its results is bit for bit what `run` gives on that scenario.
+series; given a CSV path, it writes the CSV from a forked process while the
+kernel runs.  `run_many` passes the same kernel one start per row, so each
+of its results is bit for bit what `run` gives on that scenario.
 Identical inputs give bit-identical outputs.
 
 Temperatures may be scripted in kelvin or Celsius; everything is converted
@@ -18,12 +19,21 @@ moves only through the feedback path.
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import max_monotone_violation, observer_monitor_constants, trajectory_monitors
+from .analysis import (
+    _MONITOR_BLOCK,
+    _MONITOR_NAMES,
+    max_monotone_violation,
+    observer_monitor_constants,
+    trajectory_monitors,
+)
 from .controllers import LAW_CODES, OUTPUT_FEEDBACK, PI
 from .design import DesignArtifacts, require_artifacts_fit
 from .errors import (
@@ -35,7 +45,7 @@ from .errors import (
 )
 from .kernels import closed_loop_rk4, closed_loop_rk4_batch, first_nonfinite
 from .model import BilinearSystem
-from .parallel import fork_join
+from .parallel import fork_join, fork_stream
 from .serde import read_object, require_fields
 from .steady_state import invert_reference, reachable_set
 
@@ -52,7 +62,7 @@ __all__ = [
     "write_csv",
 ]
 
-_CSV_BLOCK = 256  # rows formatted per stacked block in write_csv
+_CSV_BLOCK = 256  # rows formatted per stacked block of a CSV
 _MAX_STEPS = 10**7  # longest run a scenario may ask for; the kernel stores every step
 _SCENARIO_REQUIRED = ("units", "law", "t_end", "dt", "reference_schedule")
 _SCENARIO_OPTIONAL = ("output_disturbance", "x0", "x_hat0", "kp_pi", "ki_pi")
@@ -251,15 +261,86 @@ def _nonfinite(scn: SimScenario, series, bad_step: int) -> NonFiniteError:
                           float(finite[-1]) if finite.size else None)
 
 
-def run(scn: SimScenario) -> SimResult:
-    """Integrate the closed loop and attach monitor series."""
+def _shared_empty(*shape: int) -> np.ndarray:
+    """A float64 array in anonymous shared memory: a process forked after
+    this call sees what this one writes into it."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, 8 * count)
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+
+
+def _integrate(scn: SimScenario, out=None, on_final=None) -> list:
+    """The kernel's series of scn, or NonFiniteError where it diverged."""
     # A diverging run ends in NonFiniteError; numpy's overflow warnings on
     # the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        *series, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+        *series, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0,
+                                            out=out, on_final=on_final)
     if bad_step >= 0:
         raise _nonfinite(scn, series, bad_step)
-    return _result(scn, *series)
+    return series
+
+
+def _run_to_csv(scn: SimScenario, path: Path) -> SimResult:
+    """run(scn) that also writes write_csv's bytes to path, from a forked
+    writer that formats each block of rows once it is final.
+
+    The series the CSV holds live in shared memory.  Here the kernel
+    integrates, and each 1024-row block it reports final gets its monitors
+    and is passed to the writer; parallel.fork_stream runs the two.  The
+    writer fills a partial file beside path, which becomes path only when
+    the run succeeds.
+    """
+    T, n, p = scn.n_steps + 1, scn.sys.n_states, scn.sys.n_outputs
+    Z = np.empty(T)  # the integrator state, which no CSV column holds
+    XH = _shared_empty(T, n) if scn.law == OUTPUT_FEEDBACK else None
+    res = SimResult(
+        times=np.arange(T) * scn.dt, x=_shared_empty(T, n), x_hat=XH,
+        u_raw=_shared_empty(T), u_sat=_shared_empty(T), e=_shared_empty(T),
+        y=_shared_empty(T, p),
+        monitors={name: _shared_empty(T) for name in _MONITOR_NAMES[scn.law]})
+    out = (res.x, XH, Z, res.u_raw, res.u_sat, res.e, res.y)
+    caller_err = np.geterr()
+
+    def integrate(send) -> None:
+        done = 0  # rows with monitors, passed to the writer
+
+        def on_final(rows: int) -> None:
+            nonlocal done
+            with np.errstate(**caller_err):
+                while rows - done >= _MONITOR_BLOCK or done < rows == T:
+                    hi = min(done + _MONITOR_BLOCK, rows)
+                    block = trajectory_monitors(scn, res.x[done:hi],
+                                                None if XH is None else XH[done:hi],
+                                                Z[done:hi])
+                    for name, series in block.items():
+                        res.monitors[name][done:hi] = series
+                    send(hi)
+                    done = hi
+
+        _integrate(scn, out, on_final)
+
+    part = path.with_name(f".{path.name}.part")
+    open(part, "w").close()  # an unwritable path fails before the first step
+    try:
+        fork_stream(lambda received: _write_rows(part, res, received), integrate)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+    return res
+
+
+def run(scn: SimScenario, csv_path: str | Path | None = None) -> SimResult:
+    """Integrate the closed loop and attach monitor series.
+
+    With csv_path, the run also writes its CSV there, the bytes of
+    write_csv(run(scn), csv_path), while the kernel integrates.  A path
+    that cannot be written fails before the first step, and a run that
+    fails writes nothing: no CSV and no partial file.
+    """
+    if csv_path is not None:
+        return _run_to_csv(scn, Path(csv_path))
+    return _result(scn, *_integrate(scn))
 
 
 def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
@@ -299,12 +380,9 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
 # outputs
 
 
-def write_csv(res: SimResult, path: str | Path) -> None:
-    """Time series as CSV with 17-significant-digit floats.
-
-    Column order: t, states, estimates (when present), u_raw, u_sat, e,
-    measured outputs, then whichever monitors the law produced.
-    """
+def _write_rows(path: str | Path, res: SimResult, received) -> None:
+    """Write res's CSV to path, rows lo..hi-1 of its columns for each count
+    hi that received yields; the last count is the row total."""
     n = res.x.shape[1]
     p = res.y.shape[1]
     cols: list[tuple[str, np.ndarray]] = [("t", res.times)]
@@ -314,17 +392,28 @@ def write_csv(res: SimResult, path: str | Path) -> None:
     cols += [("u_raw", res.u_raw), ("u_sat", res.u_sat), ("e", res.e)]
     cols += [(f"y_{i + 1}", res.y[:, i]) for i in range(p)]
     cols += res.monitors.items()
-    header = ",".join(name for name, _ in cols)
     data = [col for _, col in cols]
     row_fmt = ",".join(["%.17g"] * len(data)) + "\n"
-    T = res.times.shape[0]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        # a block of rows at a time: stacking the whole table would hold a
-        # second copy of it
-        for lo in range(0, T, _CSV_BLOCK):
-            rows = np.column_stack([col[lo : lo + _CSV_BLOCK] for col in data]).tolist()
-            fh.writelines(row_fmt % tuple(row) for row in rows)
+        fh.write(",".join(name for name, _ in cols) + "\n")
+        lo = 0
+        for hi in received:
+            # a block of rows at a time: stacking the whole table would
+            # hold a second copy of it
+            for a in range(lo, hi, _CSV_BLOCK):
+                b = min(a + _CSV_BLOCK, hi)
+                rows = np.column_stack([col[a:b] for col in data]).tolist()
+                fh.writelines(row_fmt % tuple(row) for row in rows)
+            lo = hi
+
+
+def write_csv(res: SimResult, path: str | Path) -> None:
+    """Time series as CSV with 17-significant-digit floats.
+
+    Column order: t, states, estimates (when present), u_raw, u_sat, e,
+    measured outputs, then whichever monitors the law produced.
+    """
+    _write_rows(path, res, [res.times.shape[0]])
 
 
 def _segment_bounds(scn: SimScenario, res: SimResult) -> list[tuple[int, int, float]]:

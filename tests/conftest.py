@@ -43,6 +43,14 @@ def child_env() -> dict:
     return env
 
 
+@pytest.fixture
+def no_child_left():
+    """After the test, this process has no child, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def table1():
     return hexreg.HexParams(**TABLE1)

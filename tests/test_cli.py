@@ -513,6 +513,7 @@ def scenario_file(tmp_path, name="scn.json", **over):
     return path
 
 
+@pytest.mark.usefixtures("no_child_left")
 def test_simulate_writes_csv_and_metrics(ws, tmp_path):
     scn = scenario_file(tmp_path)
     out = tmp_path / "runs"
@@ -521,7 +522,7 @@ def test_simulate_writes_csv_and_metrics(ws, tmp_path):
     assert rc == 0
     csv = out / "scn.csv"
     metrics = out / "scn.metrics.json"
-    assert csv.exists() and metrics.exists()
+    assert sorted(p.name for p in out.iterdir()) == ["scn.csv", "scn.metrics.json"]
     header = csv.read_text().splitlines()[0]
     assert header.startswith("t,x_1")
     m = json.loads(metrics.read_text())
@@ -553,23 +554,54 @@ def test_simulate_several_scenarios(ws, tmp_path):
     assert (out / "j1.csv").exists() and (out / "j2.csv").exists()
 
 
+@pytest.mark.usefixtures("no_child_left")
 def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
     """RK4 at dt = 20 s diverges on this plant; the run ends with the
     exit-3 message, naming the first non-finite state entry and the last
     finite input, and no numpy overflow warnings before it.  The step of
     the overflow moves with the last bits of the designed and the inverted
-    u_ss (37 to 39 for inversions that differ by 1e-11 relative)."""
+    u_ss (37 to 39 for inversions that differ by 1e-11 relative).  The
+    output directory holds no CSV and no partial file."""
     capsys.readouterr()
+    out = tmp_path / "runs_div"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
                    str(CONFIGS / "experiment2.json"),
-                   "--out", str(tmp_path / "runs_div"), "--dt", "20"])
+                   "--out", str(out), "--dt", "20"])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [
         "error: non-finite state at step 38 (t = 760 s): x_1 first, "
         "last finite u_sat = 0.05"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.usefixtures("no_child_left")
+def test_simulate_unwritable_out_exit2_before_the_first_step(ws, tmp_path, capsys,
+                                                             monkeypatch):
+    """An --out under a regular file cannot be made: exit 2 with the
+    error, before the kernel takes a step."""
+    monkeypatch.setattr(sim, "closed_loop_rk4", lambda *a, **k: pytest.fail("kernel ran"))
+    (tmp_path / "plain").write_text("")
+    capsys.readouterr()
+    rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
+               str(scenario_file(tmp_path)), "--out", str(tmp_path / "plain" / "runs")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+
+
+def test_simulate_checks_every_scenario_before_the_first_run(ws, tmp_path, monkeypatch):
+    """A malformed second scenario exits 2 before the first one runs, and
+    nothing is written."""
+    monkeypatch.setattr(sim, "closed_loop_rk4", lambda *a, **k: pytest.fail("kernel ran"))
+    good = scenario_file(tmp_path, name="good.json")
+    bad = scenario_file(tmp_path, name="bad.json", t_end=-1.0)
+    out = tmp_path / "runs_two"
+    rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
+               str(good), str(bad), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value, problem", [

@@ -1,4 +1,5 @@
-"""fork_join: results, errors and the child processes it leaves (none)."""
+"""fork_join and fork_stream: results, notes, errors and the child
+processes they leave (none)."""
 
 import errno
 import inspect
@@ -11,15 +12,9 @@ import pytest
 
 import hexreg
 from hexreg import errors
-from hexreg.parallel import fork_join
+from hexreg.parallel import fork_join, fork_stream
 
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """After each test, this process has no child, running or unreaped."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 def test_returns_both_results():
@@ -102,6 +97,121 @@ def test_with_another_thread_running_both_halves_run_here():
     finally:
         stop.set()
         thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
+def _sending(notes, result="parent"):
+    """A parent half that sends each of notes, then returns result."""
+    def parent(send):
+        for k in notes:
+            send(k)
+        return result
+    return parent
+
+
+def test_stream_child_receives_every_note_in_order():
+    """40 000 notes, five times what the pipe holds unread, arrive in
+    order, and received ends when the parent returns."""
+    notes = [7, 0, 2**64 - 1] + list(range(40_000))
+    got, mine = fork_stream(list, _sending(notes))
+    assert got == notes and mine == "parent"
+    assert fork_stream(list, _sending([])) == ([], "parent")
+
+
+def test_stream_child_works_while_the_parent_sends(tmp_path):
+    """The child handles each note while the parent waits to see it
+    handled: both halves run at once."""
+    path = tmp_path / "notes"
+    path.write_text("")
+
+    def child(received):
+        for k in received:
+            with open(path, "a") as fh:
+                fh.write(f"{k}\n")
+        return "done"
+
+    def parent(send):
+        seen = []
+        for k in range(3):
+            send(k)
+            deadline = time.monotonic() + 30.0
+            while len(seen) <= k and time.monotonic() < deadline:
+                seen = path.read_text().split()
+        return seen
+
+    assert fork_stream(child, parent) == ("done", ["0", "1", "2"])
+
+
+def test_stream_child_error_comes_back_after_the_parent_returns():
+    """A child that raises at its second note ends; the parent's later
+    sends do nothing, and its exception is raised here with its type."""
+    def child(received):
+        for k in received:
+            if k == 1:
+                raise hexreg.NonFiniteError(k, 0.5, "z", u_sat=0.01)
+
+    with pytest.raises(hexreg.NonFiniteError) as info:
+        fork_stream(child, _sending(range(20_000)))
+    assert (info.value.step, info.value.column) == (1, "z")
+
+
+def test_stream_child_that_stops_reading_early():
+    """A child may return before received ends; the parent goes on."""
+    def child(received):
+        return next(iter(received))
+
+    assert fork_stream(child, _sending(range(20_000))) == (0, "parent")
+
+
+def test_stream_parent_error_kills_the_waiting_child():
+    """The child waits for notes that never come; the parent's error
+    comes back at once, and the fixture finds the child reaped."""
+    def parent(send):
+        send(1)
+        raise KeyError("parent")
+
+    t0 = time.monotonic()
+    with pytest.raises(KeyError, match="parent"):
+        fork_stream(lambda received: [time.sleep(60.0) for _ in received], parent)
+    assert time.monotonic() - t0 < 30.0
+
+
+@pytest.mark.parametrize("mode", ["missing", "failing", "thread"])
+def test_stream_without_fork_runs_in_turn(monkeypatch, mode):
+    """Without os.fork, when it fails, or with another thread running,
+    the parent runs first, then the child on every note the parent sent,
+    in this process; no pipe end is left open."""
+    if mode == "missing":
+        monkeypatch.delattr(os, "fork")
+    elif mode == "failing":
+        def failing():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", failing)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if mode == "thread":
+        thread.start()
+    try:
+        open_fds = len(os.listdir("/dev/fd"))
+        order = []
+
+        def child(received):
+            order.append(("child", os.getpid()))
+            return list(received)
+
+        def parent(send):
+            order.append(("parent", os.getpid()))
+            send(3)
+            send(5)
+            return "parent"
+
+        assert fork_stream(child, parent) == ([3, 5], "parent")
+        assert order == [("parent", os.getpid()), ("child", os.getpid())]
+        assert len(os.listdir("/dev/fd")) == open_fds
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10.0)
     assert not thread.is_alive()
 
 

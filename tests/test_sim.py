@@ -1,12 +1,15 @@
 """Scenario parsing, closed-loop runs, metrics, CSV output."""
 
+import contextlib
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import hexreg
-from hexreg import sim
+from hexreg import analysis, sim
+from hexreg.kernels import closed_loop_rk4
 from hexreg.serde import dumps_json
 
 from conftest import KELVIN, make_scenario, per_step_nonfinite
@@ -502,3 +505,169 @@ def test_run_many_rejects_scenarios_differing_beyond_start(
     pi_b = scn(law=hexreg.PI, kp_pi=-0.02, ki_pi=-0.001)
     with pytest.raises(hexreg.SchedulesDifferError):
         hexreg.run_many([pi_a, pi_b])
+
+
+# -- the CSV written while the kernel runs ----------------------------------
+
+
+def _law_scenario(law, n_steps, hexsys, fwd_art, io_art, synthetic_observable,
+                  synthetic_observer):
+    """A run of n_steps steps of one law, with a reference step and a
+    disturbance inside it: the exchanger for forwarding, integral-only and
+    PI, the toy plant for output feedback."""
+    if law == hexreg.OUTPUT_FEEDBACK:
+        sys_ = synthetic_observable
+        eq = hexreg.equilibrium_at(sys_, 0.0)
+        art = hexreg.forwarding_design(sys_, eq, k_p=0.5, k_i=0.2)
+        art.observer = synthetic_observer
+        dt = 0.01
+        return make_scenario(sys_, art, law, n_steps * dt, dt,
+                             [[0.0, eq.y_ss], [n_steps * dt / 3, eq.y_ss + 0.05]],
+                             dists=[[n_steps * dt / 2, 0.02]],
+                             x0=eq.x_ss + np.array([0.3, -0.2, 0.1]),
+                             x_hat0=eq.x_ss)
+    art = io_art if law == hexreg.INTEGRAL_ONLY else fwd_art
+    gains = dict(kp_pi=-0.01, ki_pi=-0.001) if law == hexreg.PI else {}
+    dt = 0.5
+    return make_scenario(hexsys, art, law, n_steps * dt, dt,
+                         [[0.0, 26.5 + KELVIN], [n_steps * dt / 3, 26.0 + KELVIN]],
+                         dists=[[n_steps * dt / 2, 0.5]],
+                         x0=art.x_ss + np.linspace(-2.0, 2.0, 16), **gains)
+
+
+LAWS = [hexreg.FORWARDING, hexreg.INTEGRAL_ONLY, hexreg.OUTPUT_FEEDBACK, hexreg.PI]
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_monitors_on_aligned_blocks_keep_their_bits(
+        law, hexsys, fwd_art, io_art, synthetic_observable, synthetic_observer):
+    """trajectory_monitors on row blocks that start at multiples of 1024
+    gives the whole series' bits, which run(scn, path) relies on; names
+    and order are those _MONITOR_NAMES lists."""
+    scn = _law_scenario(law, 3000, hexsys, fwd_art, io_art,
+                        synthetic_observable, synthetic_observer)
+    X, XH, Z, *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    assert bad == -1
+    whole = sim.trajectory_monitors(scn, X, XH, Z)
+    assert tuple(whole) == analysis._MONITOR_NAMES[law]
+    block = analysis._MONITOR_BLOCK
+    parts = [sim.trajectory_monitors(scn, X[lo:lo + block],
+                                     None if XH is None else XH[lo:lo + block],
+                                     Z[lo:lo + block])
+             for lo in range(0, X.shape[0], block)]
+    assert len(parts) == 3
+    for name, series in whole.items():
+        assert _same_bits(np.concatenate([part[name] for part in parts]), series), name
+
+
+@contextlib.contextmanager
+def _forking(mode, monkeypatch):
+    """Within it, fork_stream forks ("fork") or runs its halves in turn,
+    because os.fork is missing ("no_fork") or another thread runs
+    ("thread")."""
+    if mode == "no_fork":
+        monkeypatch.delattr(sim.os, "fork")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if mode == "thread":
+        thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("mode", ["fork", "no_fork", "thread"])
+@pytest.mark.parametrize("n_steps", [700, 2047, 2048])
+@pytest.mark.parametrize("law", LAWS)
+def test_run_to_csv_writes_write_csv_bytes(
+        law, n_steps, mode, tmp_path, monkeypatch, hexsys, fwd_art, io_art,
+        synthetic_observable, synthetic_observer):
+    """run(scn, path) writes the bytes of write_csv(run(scn), path) and
+    returns a result with the same run_metrics, for fewer than 1024 rows,
+    exactly 2 * 1024 and 2 * 1024 + 1; forked, and in turn."""
+    scn = _law_scenario(law, n_steps, hexsys, fwd_art, io_art,
+                        synthetic_observable, synthetic_observer)
+    ref = hexreg.run(scn)
+    hexreg.write_csv(ref, tmp_path / "ref.csv")
+    with _forking(mode, monkeypatch):
+        res = hexreg.run(scn, tmp_path / "run.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.csv", "run.csv"]
+    assert res.x.shape[0] == n_steps + 1
+    _assert_same_result(res, ref)
+    assert dumps_json(hexreg.run_metrics(scn, res)) == dumps_json(hexreg.run_metrics(scn, ref))
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("mode", ["fork", "no_fork"])
+def test_run_to_csv_nonfinite_run_writes_nothing(mode, tmp_path, monkeypatch,
+                                                 hexsys, fwd_art):
+    """A run that diverges after its first 1024-row block went to the
+    writer (a 20 K disturbance at step 1100, with RK4 at dt = 6 s) raises
+    run's NonFiniteError and leaves neither the CSV nor a partial file."""
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 12000.0, 6.0,
+                        [[0.0, 26.5 + KELVIN]], dists=[[6600.0, 20.0]])
+    with pytest.raises(hexreg.NonFiniteError) as alone:
+        hexreg.run(scn)
+    assert alone.value.step > 1024
+    with _forking(mode, monkeypatch), pytest.raises(hexreg.NonFiniteError) as streamed:
+        hexreg.run(scn, tmp_path / "div.csv")
+    assert str(streamed.value) == str(alone.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.usefixtures("no_child_left")
+def test_run_to_csv_writer_error_comes_back_with_its_type(tmp_path, monkeypatch,
+                                                         hexsys, fwd_art):
+    """The forked writer's exception reaches the caller as itself, and
+    no file is left."""
+    def failing(path, res, received):
+        for hi in received:
+            raise IsADirectoryError(f"writer failed at row {hi}")
+
+    monkeypatch.setattr(sim, "_write_rows", failing)
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 1500.0, 0.5,
+                        [[0.0, 26.5 + KELVIN]])
+    with pytest.raises(IsADirectoryError, match="writer failed at row 1024"):
+        hexreg.run(scn, tmp_path / "w.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.usefixtures("no_child_left")
+def test_run_to_csv_parent_error_kills_the_writer(tmp_path, monkeypatch, hexsys, fwd_art):
+    """An error in this process mid-run (here in the second block's
+    monitors) propagates at once; the writer, waiting for rows, is
+    killed and reaped, and no file is left."""
+    real = sim.trajectory_monitors
+    calls = []
+
+    def monitors(scn, X, XH, Z):
+        calls.append(X.shape[0])
+        if len(calls) == 2:
+            raise KeyError("monitor")
+        return real(scn, X, XH, Z)
+
+    monkeypatch.setattr(sim, "trajectory_monitors", monitors)
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 2500.0, 0.5,
+                        [[0.0, 26.5 + KELVIN]])
+    with pytest.raises(KeyError, match="monitor"):
+        hexreg.run(scn, tmp_path / "p.csv")
+    assert calls == [1024, 1024]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_to_csv_unwritable_path_fails_before_the_first_step(tmp_path, monkeypatch,
+                                                               hexsys, fwd_art):
+    """A CSV path whose directory is a regular file raises OSError before
+    the kernel runs."""
+    monkeypatch.setattr(sim, "closed_loop_rk4", lambda *a, **k: pytest.fail("kernel ran"))
+    (tmp_path / "file").write_text("")
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 10.0, 0.5,
+                        [[0.0, 26.5 + KELVIN]])
+    with pytest.raises(NotADirectoryError):
+        hexreg.run(scn, tmp_path / "file" / "x.csv")
