@@ -113,13 +113,19 @@ def _cmd_simulate(args) -> int:
     sys_, _ = model.load_system(args.system)
     art = design.load_artifacts(args.artifacts)
     runs = []
+    seen = {}  # stem -> the scenario path that names its outputs
     for path in args.scenario:
+        stem = Path(path).stem
+        if stem in seen:
+            raise ValueError(f"scenarios {seen[stem]} and {path} share the stem "
+                             f"{stem!r}, so one run's outputs would overwrite the other's")
+        seen[stem] = path
         data = read_object(path)
         if args.dt is not None:
             data["dt"] = args.dt
         if args.law is not None:
             data["law"] = args.law
-        runs.append((Path(path).stem, sim.scenario_from_dict(data, sys_, art)))
+        runs.append((stem, sim.scenario_from_dict(data, sys_, art)))
     # every input is checked, and the output directory made, before the
     # first step
     out = Path(args.out)

@@ -104,6 +104,8 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     the shapes returned (XH None unless the law is output feedback).
     on_final(rows), when given, is called after each scan that finds rows
     0..rows-1 finite; those rows are final and never written again.
+    sim.run always passes both, with or without a CSV path; sim.run_many
+    passes neither.
     """
     sys, art = scn.sys, scn.artifacts
     dt, n_steps = scn.dt, scn.n_steps

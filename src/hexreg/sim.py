@@ -3,10 +3,12 @@
 A scenario bundles the plant, the design artifacts, the control law, and the
 piecewise-constant reference / output-disturbance schedules.  `run` advances
 plant, observer, and integrator together with one fixed-step RK4 pass
-(kernels.closed_loop_rk4), then attaches the applicable Lyapunov monitor
-series; given a CSV path, it writes the CSV from a forked process while the
-kernel runs.  `run_many` passes the same kernel one start per row, so each
-of its results is bit for bit what `run` gives on that scenario.
+(kernels.closed_loop_rk4) and takes the applicable Lyapunov monitor series
+of each finished block of rows while the kernel goes on.  It has one path:
+given a CSV path, a forked process writes the CSV from the finished blocks
+beside the kernel; without one, no process starts.  `run_many` passes the
+same kernel one start per row, so each of its results is bit for bit what
+`run` gives on that scenario.
 Identical inputs give bit-identical outputs.
 
 Temperatures may be scripted in kelvin or Celsius; everything is converted
@@ -233,23 +235,6 @@ def load_scenario(
     return scenario_from_dict(read_object(path), sys, artifacts)
 
 
-def _result(scn: SimScenario, X, XH, Z, U_raw, U_sat, Err, Y) -> SimResult:
-    """Wrap one trajectory's kernel series and attach its monitor series."""
-    # before the time column is built, so the monitors' temporaries and that
-    # column are never held at once
-    monitors = trajectory_monitors(scn, X, XH, Z)
-    return SimResult(
-        times=np.arange(scn.n_steps + 1) * scn.dt,
-        x=X,
-        x_hat=XH,
-        u_raw=U_raw,
-        u_sat=U_sat,
-        e=Err,
-        y=Y,
-        monitors=monitors,
-    )
-
-
 def _nonfinite(scn: SimScenario, series, bad_step: int) -> NonFiniteError:
     """The error for kernel series that went non-finite at bad_step: what
     went first, in which batch row, and the last finite u_sat before it."""
@@ -269,27 +254,18 @@ def _shared_empty(*shape: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
 
 
-def _integrate(scn: SimScenario, out=None, on_final=None) -> list:
-    """The kernel's series of scn, or NonFiniteError where it diverged."""
-    # A diverging run ends in NonFiniteError; numpy's overflow warnings on
-    # the way there would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        *series, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0,
-                                            out=out, on_final=on_final)
-    if bad_step >= 0:
-        raise _nonfinite(scn, series, bad_step)
-    return series
+def run(scn: SimScenario, csv_path: str | Path | None = None) -> SimResult:
+    """Integrate the closed loop and attach monitor series.
 
-
-def _run_to_csv(scn: SimScenario, path: Path) -> SimResult:
-    """run(scn) that also writes write_csv's bytes to path, from a forked
-    writer that formats each block of rows once it is final.
-
-    The series the CSV holds live in shared memory.  Here the kernel
-    integrates, and each 1024-row block it reports final gets its monitors
-    and is passed to the writer; parallel.fork_stream runs the two.  The
-    writer fills a partial file beside path, which becomes path only when
-    the run succeeds.
+    The series live in anonymous shared memory.  The kernel fills them,
+    and each 1024-row block it reports final gets its monitors there and
+    is sent on.  Without csv_path nothing receives the blocks and no
+    process starts.  With csv_path, parallel.fork_stream runs a forked
+    writer beside the kernel, which formats each block as it arrives into
+    a partial file beside csv_path; the bytes are those of
+    write_csv(run(scn), csv_path).  A path that cannot be written fails
+    before the first step, and a run that fails writes nothing: no CSV
+    and no partial file.
     """
     T, n, p = scn.n_steps + 1, scn.sys.n_states, scn.sys.n_outputs
     Z = np.empty(T)  # the integrator state, which no CSV column holds
@@ -303,7 +279,7 @@ def _run_to_csv(scn: SimScenario, path: Path) -> SimResult:
     caller_err = np.geterr()
 
     def integrate(send) -> None:
-        done = 0  # rows with monitors, passed to the writer
+        done = 0  # rows with monitors, sent on
 
         def on_final(rows: int) -> None:
             nonlocal done
@@ -318,8 +294,18 @@ def _run_to_csv(scn: SimScenario, path: Path) -> SimResult:
                     send(hi)
                     done = hi
 
-        _integrate(scn, out, on_final)
+        # A diverging run ends in NonFiniteError; numpy's overflow warnings
+        # on the way there would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0,
+                                           out=out, on_final=on_final)
+        if bad_step >= 0:
+            raise _nonfinite(scn, out, bad_step)
 
+    if csv_path is None:
+        integrate(lambda hi: None)
+        return res
+    path = Path(csv_path)
     part = path.with_name(f".{path.name}.part")
     open(part, "w").close()  # an unwritable path fails before the first step
     try:
@@ -328,19 +314,6 @@ def _run_to_csv(scn: SimScenario, path: Path) -> SimResult:
     finally:
         part.unlink(missing_ok=True)
     return res
-
-
-def run(scn: SimScenario, csv_path: str | Path | None = None) -> SimResult:
-    """Integrate the closed loop and attach monitor series.
-
-    With csv_path, the run also writes its CSV there, the bytes of
-    write_csv(run(scn), csv_path), while the kernel integrates.  A path
-    that cannot be written fails before the first step, and a run that
-    fails writes nothing: no CSV and no partial file.
-    """
-    if csv_path is not None:
-        return _run_to_csv(scn, Path(csv_path))
-    return _result(scn, *_integrate(scn))
 
 
 def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
@@ -372,8 +345,15 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
         *series, bad_step = closed_loop_rk4_batch(first, x0, x_hat0)
     if bad_step >= 0:
         raise _nonfinite(first, series, bad_step)
-    return [_result(scn, *(None if s is None else s[i] for s in series))
-            for i, scn in enumerate(scenarios)]
+    results = []
+    for i, scn in enumerate(scenarios):
+        X, XH, Z, U_raw, U_sat, Err, Y = (None if s is None else s[i] for s in series)
+        # before the time column is built, so the monitors' temporaries and
+        # that column are never held at once
+        monitors = trajectory_monitors(scn, X, XH, Z)
+        results.append(SimResult(np.arange(scn.n_steps + 1) * scn.dt,
+                                 X, XH, U_raw, U_sat, Err, Y, monitors))
+    return results
 
 
 # ---------------------------------------------------------------------------

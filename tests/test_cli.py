@@ -604,6 +604,28 @@ def test_simulate_checks_every_scenario_before_the_first_run(ws, tmp_path, monke
     assert not out.exists()
 
 
+def test_simulate_repeated_stem_exit2_before_the_first_run(ws, tmp_path, monkeypatch,
+                                                           capsys):
+    """Two scenario files with one stem would write one CSV and one metrics
+    file: exit 2 naming the stem and both paths, before the first step and
+    before --out is made."""
+    monkeypatch.setattr(sim, "closed_loop_rk4", lambda *a, **k: pytest.fail("kernel ran"))
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = scenario_file(tmp_path / "a", name="s.json")
+    second = scenario_file(tmp_path / "b", name="s.json")
+    out = tmp_path / "runs_stem"
+    capsys.readouterr()
+    rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
+               str(first), str(second), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenarios ") and "'s'" in err
+    assert str(first) in err and str(second) in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value, problem", [
     pytest.param("t_end", float("inf"), "must be finite", id="t_end-inf"),
     pytest.param("dt", float("nan"), "must be finite", id="dt-nan"),

@@ -542,8 +542,8 @@ LAWS = [hexreg.FORWARDING, hexreg.INTEGRAL_ONLY, hexreg.OUTPUT_FEEDBACK, hexreg.
 def test_monitors_on_aligned_blocks_keep_their_bits(
         law, hexsys, fwd_art, io_art, synthetic_observable, synthetic_observer):
     """trajectory_monitors on row blocks that start at multiples of 1024
-    gives the whole series' bits, which run(scn, path) relies on; names
-    and order are those _MONITOR_NAMES lists."""
+    gives the whole series' bits, which run relies on; names and order
+    are those _MONITOR_NAMES lists."""
     scn = _law_scenario(law, 3000, hexsys, fwd_art, io_art,
                         synthetic_observable, synthetic_observer)
     X, XH, Z, *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0)

@@ -51,3 +51,24 @@ def test_tracer_reads_kernel_and_monitor_spans(hexsys, eq265, fwd_art):
     assert attrs("analysis.trajectory_monitors") == [
         {"law": hexreg.FORWARDING, "samples": 11}] * 3
     assert [a["law"] for a in attrs("sim.run")] == [hexreg.FORWARDING]
+
+
+def test_tracer_reads_block_monitor_spans_of_one_run(hexsys, fwd_art):
+    """A 2049-row run takes its monitors on 1024-row blocks inside the
+    kernel's span: spans of 1024, 1024 and 1 samples, and one kernel span
+    of 2048 steps, which the per-sample monitor metrics divide by."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 204.8, 0.1,
+                        [[0.0, 26.5 + KELVIN]])
+    assert scn.n_steps == 2048
+    restore = tracing.instrument(tracer)
+    try:
+        sim.run(scn)
+    finally:
+        restore()
+    kernel = [s for s in tracer.spans if s["name"] == "kernels.closed_loop_rk4"]
+    monitors = [s for s in tracer.spans if s["name"] == "analysis.trajectory_monitors"]
+    assert [s["attrs"] for s in kernel] == [{"traj_steps": 2048}]
+    assert [s["attrs"]["samples"] for s in monitors] == [1024, 1024, 1]
+    assert all(s["parent"] == kernel[0]["id"] for s in monitors)
