@@ -12,9 +12,14 @@ adds (dt b) @ K, with b the RK4 weights.
 closed_loop_rk4 advances one trajectory from a start of shape (n,), or k
 trajectories that differ only in their start from one of shape (k, n).
 Each law is written once; the rank only picks how the loop reads and
-stores scalars and clamps.  Every row performs the same floating-point
-operations in the same order, so each batch row is bit for bit the
-single-trajectory result on that start, whatever k is.
+stores scalars, clamps and calls its products.  One trajectory calls
+np.dot on 1-D operands and hands the clamped input to the ufuncs as a
+reused 0-d array, which costs less per call than np.matmul on columns and
+a Python float; a batch calls the stacked np.matmul on columns, one BLAS
+call per row.  Both make the same gemv and dot calls, and every row
+performs the same floating-point operations in the same order, so each
+batch row is bit for bit the single-trajectory result on that start,
+whatever k is (tests/test_kernels.py pins the BLAS side of that).
 
 A non-finite entry of the state stays non-finite under s += ds, and the
 constant ones never change, so the state is finite at a step exactly when
@@ -100,6 +105,9 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     the series then hold every step up to bad_step, and first_nonfinite
     finds what went non-finite there.
 
+    The rank of x0 picks the product calls: np.dot for one trajectory,
+    the stacked np.matmul for k, with the same bits per row.
+
     For one trajectory, out may give the arrays to fill, in the order and
     the shapes returned (XH None unless the law is output feedback).
     on_final(rows), when given, is called after each scan that finds rows
@@ -140,10 +148,30 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
         # bound, as the conditional below does.
         clamp = lambda u: np.minimum(u_hi, np.maximum(u_lo, u))
         scalar_shape = lead + (T, 1)
+        # Product operands are columns, so the stacked matmul makes for
+        # each row the gemv call that np.dot makes for one trajectory.
+        mul, col = np.matmul, lambda v: v[..., None]
+
+        def pdot(a, b):
+            """A function that gives a[i] . b[i] for every row i as a
+            (k, 1) column; the stacked matmul again makes np.dot's call."""
+            l, r, acc = a[..., None, :], b[..., None], np.empty(lead + (1, 1))
+            val = acc[..., 0]
+            def dot():
+                np.matmul(l, r, acc)
+                return val
+            return dot
     else:
         reader = lambda v: v.tolist
-        clamp = lambda u: u_lo if u < u_lo else (u_hi if u > u_hi else u)
+        # The clamped input goes to a reused 0-d array, which the ufuncs
+        # take at less cost than a Python float, with the same bits.
+        u_in = np.empty(())
+        def clamp(u):
+            u_in[()] = u_lo if u < u_lo else (u_hi if u > u_hi else u)
+            return u_in
         scalar_shape = (T,)
+        mul, col = np.dot, lambda v: v
+        pdot = lambda a, b: lambda: float(a.dot(b))
 
     # The state is [x - x_ss, 1, x_hat - x_ss, 1, z], the estimate block
     # only for the output-feedback law.  The ones carry the affine terms
@@ -156,27 +184,28 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     s[..., -1] = z0
     K = np.zeros(lead + (4, W))   # row j: the derivative at stage j
     gx, gxh = np.empty(lead + (len(G),)), np.empty(lead + (len(G),))
-    acc, innov, corr = np.empty(lead + (1,)), np.empty(lead + (p,)), np.empty(lead + (n,))
+    innov, corr = np.empty(lead + (p,)), np.empty(lead + (n,))
     if observer:
         s[..., ixh] = xhat0 - x_ss
         L = np.ascontiguousarray(art.observer.L)
-    # Fixed views of these buffers, and readers of their scalars.  Product
-    # operands are columns, so each batch row makes the same BLAS call that
-    # one trajectory makes.
-    stage_x = [v[..., : n + 1, None] for v in (s, st, st, st)]
-    stage_xh = [v[..., n + 1 : 2 * n + 2, None] for v in (s, st, st, st)]
+    # Fixed views of these buffers and product operands, and readers of
+    # their scalars.
+    stage_x = [col(v[..., : n + 1]) for v in (s, st, st, st)]
+    stage_xh = [col(v[..., n + 1 : 2 * n + 2]) for v in (s, st, st, st)]
     read_z = [reader(v[..., -1:]) for v in (s, st, st, st)]
     x_dev, xh_dev = s[..., ix], s[..., ixh]
     Kj = [K[..., j, :] for j in range(4)]
-    Kx, Kxh, Kz = ([K[..., j, i] for j in range(4)] for i in (ix, ixh, slice(-1, None)))
-    gx_col, gxh_col = gx[..., None], gxh[..., None]
+    Kx, Kxh = ([K[..., j, i] for j in range(4)] for i in (ix, ixh))
+    # where stage j's z derivative goes: a batch's column view, or one
+    # trajectory's element, which takes a float at less cost than a view
+    Kz = [(K[..., j, -1:], ...) if lead else (K, (j, -1)) for j in range(4)]
+    gx_out, gxh_out = col(gx), col(gxh)
     ga, gb, gy = gx[..., ia], gx[..., ib], gx[..., iy]
     gha, ghb, ghy = gxh[..., ia], gxh[..., ib], gxh[..., iy]
     gh = gxh if observer else gx
-    dot_l, dot_r, acc_out = gh[..., None, ip], gh[..., ib, None], acc[..., None]
-    innov_col, corr_col = innov[..., None], corr[..., None]
+    p_dot_w = pdot(gh[..., ip], gh[..., ib])
+    innov_in, corr_out = col(innov), col(corr)
     read_mwc, read_hmw = reader(gx[..., 3 * n : 3 * n + 3]), reader(gh[..., 3 * n : 3 * n + 2])
-    read_acc = reader(acc)
 
     if out is None:
         X = np.empty(lead + (T, n))
@@ -227,17 +256,15 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
             dist_at[slot] = i
             d = dist_vals[i - 1] if i else 0.0
 
-            np.matmul(G, stage_x[j], gx_col)
+            mul(G, stage_x[j], gx_out)
             mx, mw, yc = read_mwc()
             (z,) = read_z[j]()
             e = yc - r + d
             if observer:
-                np.matmul(G, stage_xh[j], gxh_col)
+                mul(G, stage_xh[j], gxh_out)
                 mx, mw = read_hmw()
             if feedback:
-                np.matmul(dot_l, dot_r, acc_out)
-                (acc_p,) = read_acc()
-                phi = -kp * acc_p + ki * (z - mx) * mw
+                phi = -kp * p_dot_w() + ki * (z - mx) * mw
             elif law == 2:
                 phi = sign_dc * ki * z
             else:
@@ -262,11 +289,12 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
             np.add(Kx[j], ga, Kx[j])
             if observer:
                 np.subtract(gy, ghy, innov)
-                np.matmul(L, innov_col, corr_col)
+                mul(L, innov_in, corr_out)
                 np.multiply(ghb, us, Kxh[j])
                 np.add(Kxh[j], gha, Kxh[j])
                 np.add(Kxh[j], corr, Kxh[j])
-            Kz[j][...] = e
+            z_dst, z_at = Kz[j]
+            z_dst[z_at] = e
         if step % _SCAN_ROWS == 0 or step == n_steps:
             bad = first_nonfinite(X, XH, Z_rows, max(final, 1), step + 1)
             X[..., final : step + 1, :] += x_ss
@@ -280,7 +308,7 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
                 on_final(final)
         if step == n_steps:
             break
-        np.matmul(stage_b, K, ds)
+        mul(stage_b, K, ds)
         np.add(s, ds, s)
 
     if lead:

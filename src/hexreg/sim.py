@@ -397,9 +397,14 @@ def write_csv(res: SimResult, path: str | Path) -> None:
 
 
 def _segment_bounds(scn: SimScenario, res: SimResult) -> list[tuple[int, int, float]]:
-    """(start_index, end_index, reference) per constant-reference segment."""
+    """(start_index, end_index, reference) per constant-reference segment.
+
+    A segment starts at the first sample whose time is >= its entry's, the
+    step at which the kernel switches to that reference; an entry after
+    the last sample starts a segment of that sample alone.
+    """
     T = res.times.shape[0]
-    edges = [int(round(t / scn.dt)) for t in scn.ref_t]
+    edges = np.minimum(np.searchsorted(res.times, scn.ref_t), T - 1).tolist()
     edges.append(T - 1)
     out = []
     for i in range(len(scn.ref_t)):

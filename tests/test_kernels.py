@@ -172,3 +172,45 @@ def test_only_z_diverges(hexsys, fwd_art):
         hexreg.run(scn)
     assert str(err.value) == ("non-finite state at step 65 (t = 65 s): z first, "
                               "last finite u_sat = 0.05")
+
+
+
+def _draws(rng, shape):
+    """Random doubles spread over twelve decades, both signs."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+
+
+# The kernel's products, with n = 16, p = 1 for the exchanger and n = 3,
+# p = 2 for the toy plant: G (3n+3+p, n+1) on the state and L (n, p) on the
+# innovation, shared by a batch's rows; P x~ . w of length n, per row; the
+# RK4 sum b (4,), shared, on K (4, W).
+@pytest.mark.parametrize("left, right, shared", [
+    ((52, 17), (17,), True), ((14, 4), (4,), True),
+    ((16, 1), (1,), True), ((3, 2), (2,), True),
+    ((16,), (16,), False), ((3,), (3,), False),
+    ((4,), (4, 18), True), ((4,), (4, 9), True),
+])
+def test_dot_matches_stacked_matmul_bitwise(left, right, shared):
+    """np.dot, which one trajectory calls, returns the bits of the stacked
+    np.matmul on column operands, which a batch calls for all its rows.
+
+    run_many's rows equal run's bits only while this holds, so a numpy or
+    BLAS change that breaks it fails here by name."""
+    rng = np.random.default_rng(20251020)
+    groups, rows = 40, 50
+    for g in range(groups):
+        a = _draws(rng, left if shared else (rows,) + left)
+        v = _draws(rng, (rows,) + right)
+        one = np.array([np.dot(a if shared else a[i], v[i]) for i in range(rows)])
+        if len(left) == 2:   # a matrix times a column per row
+            stacked = np.matmul(a, v[..., None])[..., 0]
+        elif shared:         # the RK4 weights on each row's stage block
+            stacked = np.matmul(a, v)
+        else:                # a row times a column per row
+            stacked = np.matmul(a[..., None, :], v[..., None])[..., 0, 0]
+        bad = np.flatnonzero((one != stacked).reshape(rows, -1).any(axis=1))
+        assert bad.size == 0, (
+            f"np.dot and the stacked np.matmul differ on {left} x {right} in "
+            f"{bad.size} of {rows} rows of draw group {g}: the one-trajectory "
+            "kernel no longer gives the bits of a batch row, so run and "
+            "run_many disagree")

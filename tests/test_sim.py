@@ -287,6 +287,21 @@ def test_run_metrics_fields(hexsys, fwd_art):
     assert m["post_last_step"]["sat_duty"] == 0.0
 
 
+def test_segments_start_where_the_kernel_switches_reference(hexsys, fwd_art):
+    """An entry between two samples (5.05 s at dt 0.1 s) takes effect at
+    the first sample after it, step 51, in the error the kernel stores and
+    in the segments run_metrics settles and summarises."""
+    scn = hexreg.scenario_from_dict(
+        base_dict(t_end=10.0, dt=0.1, reference_schedule=[[0.0, 26.5], [5.05, 28.0]]),
+        hexsys, fwd_art)
+    res = hexreg.run(scn)
+    r0, r1 = (float(r) for r in scn.ref_v)
+    y = res.x @ hexsys.C
+    assert res.e[50] + r0 == pytest.approx(y[50], abs=1e-9)
+    assert res.e[51] + r1 == pytest.approx(y[51], abs=1e-9)
+    assert sim._segment_bounds(scn, res) == [(0, 51, r0), (51, 100, r1)]
+
+
 def test_run_metrics_iae_quadrature(hexsys, io_art):
     """IAE equals the rectangle-rule integral of |e|."""
     scn = make_scenario(hexsys, io_art, hexreg.INTEGRAL_ONLY, 50.0, 0.5,
