@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _A3A_TOL = 1e-9  # slack on the largest LMI eigenvalue before declaring infeasible
-_MONITOR_BLOCK = 1024  # samples per stacked solve; bounds the (block, n, n) temporaries
 # each law's monitor series, by name in the order trajectory_monitors gives them
 _MONITOR_NAMES = {PI: (), FORWARDING: ("V",), INTEGRAL_ONLY: ("V", "W"),
                   OUTPUT_FEEDBACK: ("V", "U", "W")}
@@ -341,11 +340,13 @@ def trajectory_monitors(
     forwarding, V and W for integral-only, V, U and W for output feedback.
 
     scn is a sim.SimScenario; its plant, artifacts and law define the
-    monitors.  Rows of X, XH and Z are samples.  Called on consecutive
-    blocks of rows that start at multiples of _MONITOR_BLOCK, it gives the
-    whole series' bits, block by block.  Blocks that start elsewhere need
-    not: XT @ M is one BLAS call over the block, and a row's bits there
-    depend on its position in it.
+    monitors.  Rows of X, XH and Z are samples, one block of them: sim
+    calls it on each block of rows the kernel reports
+    (kernels.closed_loop_rk4's on_final), which bounds the integral-only
+    law's (block, n, n) temporaries.  Called on consecutive blocks that
+    start at multiples of 1024, it gives the whole series' bits, block by
+    block.  Blocks that start elsewhere need not: XT @ M is one BLAS call
+    over the block, and a row's bits there depend on its position in it.
     """
     sys, art, law = scn.sys, scn.artifacts, scn.law
     if law == PI:
@@ -353,11 +354,7 @@ def trajectory_monitors(
     if law == INTEGRAL_ONLY:
         if art.pi_bar is None:
             raise ValueError("integral-only monitors require pi_bar in the artifacts")
-        T = X.shape[0]
-        V = np.empty(T)
-        for lo in range(0, T, _MONITOR_BLOCK):
-            hi = min(lo + _MONITOR_BLOCK, T)
-            V[lo:hi] = _integral_only_V_rows(scn, X[lo:hi], Z[lo:hi])
+        V = _integral_only_V_rows(scn, X, Z)
         p_max = float(np.linalg.eigvalsh(art.P)[-1])
         gamma = 2.0 * art.k_i * art.pi_bar * np.sqrt(p_max)
         return {"V": V, "W": np.sqrt(V) + gamma * np.abs(Z)}

@@ -21,15 +21,19 @@ performs the same floating-point operations in the same order, so each
 batch row is bit for bit the single-trajectory result on that start,
 whatever k is (tests/test_kernels.py pins the BLAS side of that).
 
-A non-finite entry of the state stays non-finite under s += ds, and the
-constant ones never change, so the state is finite at a step exactly when
-the rows stored for it are.  The loop therefore checks no state per step:
-it scans the rows stored in X, XH and Z once per block of _SCAN_ROWS steps
-and once at the end.  A diverging run integrates up to one block past the
-failure and then reports the same first non-finite step as a per-step
-check would.  Each scan also turns the rows it passed from deviations into
-absolute states, so a row is final once scanned, and a caller that asked
-for notice (on_final) may read it while the loop goes on.
+The loop walks the rows in blocks of _BLOCK steps: rows [0, 1024),
+[1024, 2048), ..., the last one shorter.  It integrates each block with
+numpy's overflow and invalid warnings off, since a diverging run ends in
+bad_step and those warnings would only repeat it.  A non-finite entry of
+the state stays non-finite under s += ds, and the constant ones never
+change, so the state is finite at a step exactly when the rows stored for
+it are.  The loop therefore checks no state per step: it scans the rows
+of each block once it is integrated.  A diverging run integrates up to
+one block past the failure and then reports the same first non-finite
+step as a per-step check would.  The scan also turns the block's rows
+from deviations into absolute states, so a block is final once scanned,
+and a caller that asked for notice (on_final) may read it, under its own
+numpy error state, while the loop goes on.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = [
     "first_nonfinite",
 ]
 
-_SCAN_ROWS = 64  # stored steps per scan for non-finite entries
+_BLOCK = 1024  # rows per block: integrated, scanned and reported together
 
 
 def _rowwise(Mat, v):
@@ -110,10 +114,11 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
 
     For one trajectory, out may give the arrays to fill, in the order and
     the shapes returned (XH None unless the law is output feedback).
-    on_final(rows), when given, is called after each scan that finds rows
-    0..rows-1 finite; those rows are final and never written again.
-    sim.run always passes both, with or without a CSV path; sim.run_many
-    passes neither.
+    on_final(lo, hi), when given, is called for each block of rows lo..hi-1
+    that the scan finds finite, in order: (0, 1024), (1024, 2048), ...,
+    with hi = n_steps + 1 last.  Those rows are final and never written
+    again.  sim.run always passes both, with or without a CSV path;
+    sim.run_many passes neither.
     """
     sys, art = scn.sys, scn.artifacts
     dt, n_steps = scn.dt, scn.n_steps
@@ -235,81 +240,81 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     ref_at, dist_at = [0, 0, 0], [0, 0, 0]
 
     bad_step = -1
-    final = 0   # rows below this are scanned and absolute; row 0 is the start
-    for step in range(T):
-        t = step * dt
-        at = (slice(None), step) if lead else step
-        for j in range(4):
-            if j:
-                np.multiply(Kj[j - 1], stage_h0d[j], st)
-                np.add(st, s, st)
-            tj = t + stage_h[j]
-            slot = stage_slot[j]
-            i = ref_at[slot]
-            while i < nref and ref_times[i] <= tj:
-                i += 1
-            ref_at[slot] = i
-            r = ref_vals[i - 1] if i else r_first
-            i = dist_at[slot]
-            while i < ndist and dist_times[i] <= tj:
-                i += 1
-            dist_at[slot] = i
-            d = dist_vals[i - 1] if i else 0.0
+    for lo in range(0, T, _BLOCK):
+        hi = min(lo + _BLOCK, T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(lo, hi):
+                t = step * dt
+                at = (slice(None), step) if lead else step
+                for j in range(4):
+                    if j:
+                        np.multiply(Kj[j - 1], stage_h0d[j], st)
+                        np.add(st, s, st)
+                    tj = t + stage_h[j]
+                    slot = stage_slot[j]
+                    i = ref_at[slot]
+                    while i < nref and ref_times[i] <= tj:
+                        i += 1
+                    ref_at[slot] = i
+                    r = ref_vals[i - 1] if i else r_first
+                    i = dist_at[slot]
+                    while i < ndist and dist_times[i] <= tj:
+                        i += 1
+                    dist_at[slot] = i
+                    d = dist_vals[i - 1] if i else 0.0
 
-            mul(G, stage_x[j], gx_out)
-            mx, mw, yc = read_mwc()
-            (z,) = read_z[j]()
-            e = yc - r + d
-            if observer:
-                mul(G, stage_xh[j], gxh_out)
-                mx, mw = read_hmw()
-            if feedback:
-                phi = -kp * p_dot_w() + ki * (z - mx) * mw
-            elif law == 2:
-                phi = sign_dc * ki * z
-            else:
-                phi = -(kp_pi * e + ki_pi * z)
+                    mul(G, stage_x[j], gx_out)
+                    mx, mw, yc = read_mwc()
+                    (z,) = read_z[j]()
+                    e = yc - r + d
+                    if observer:
+                        mul(G, stage_xh[j], gxh_out)
+                        mx, mw = read_hmw()
+                    if feedback:
+                        phi = -kp * p_dot_w() + ki * (z - mx) * mw
+                    elif law == 2:
+                        phi = sign_dc * ki * z
+                    else:
+                        phi = -(kp_pi * e + ki_pi * z)
 
-            u_raw = u_ss + phi
-            us = clamp(u_raw)
+                    u_raw = u_ss + phi
+                    us = clamp(u_raw)
 
-            if j == 0:
-                X[at] = x_dev
-                if observer:
-                    XH[at] = xh_dev
-                Z[at] = z
-                U_raw[at] = u_raw
-                U_sat[at] = us
-                Err[at] = e
-                Y[at] = gy
+                    if j == 0:
+                        X[at] = x_dev
+                        if observer:
+                            XH[at] = xh_dev
+                        Z[at] = z
+                        U_raw[at] = u_raw
+                        U_sat[at] = us
+                        Err[at] = e
+                        Y[at] = gy
+                        if step == n_steps:
+                            break
+
+                    np.multiply(gb, us, Kx[j])
+                    np.add(Kx[j], ga, Kx[j])
+                    if observer:
+                        np.subtract(gy, ghy, innov)
+                        mul(L, innov_in, corr_out)
+                        np.multiply(ghb, us, Kxh[j])
+                        np.add(Kxh[j], gha, Kxh[j])
+                        np.add(Kxh[j], corr, Kxh[j])
+                    z_dst, z_at = Kz[j]
+                    z_dst[z_at] = e
                 if step == n_steps:
                     break
-
-            np.multiply(gb, us, Kx[j])
-            np.add(Kx[j], ga, Kx[j])
-            if observer:
-                np.subtract(gy, ghy, innov)
-                mul(L, innov_in, corr_out)
-                np.multiply(ghb, us, Kxh[j])
-                np.add(Kxh[j], gha, Kxh[j])
-                np.add(Kxh[j], corr, Kxh[j])
-            z_dst, z_at = Kz[j]
-            z_dst[z_at] = e
-        if step % _SCAN_ROWS == 0 or step == n_steps:
-            bad = first_nonfinite(X, XH, Z_rows, max(final, 1), step + 1)
-            X[..., final : step + 1, :] += x_ss
-            if observer:
-                XH[..., final : step + 1, :] += x_ss
-            if bad is not None:
-                bad_step = bad[0]
-                break
-            final = step + 1
-            if on_final is not None:
-                on_final(final)
-        if step == n_steps:
+                mul(stage_b, K, ds)
+                np.add(s, ds, s)
+        bad = first_nonfinite(X, XH, Z_rows, max(lo, 1), hi)
+        X[..., lo:hi, :] += x_ss
+        if observer:
+            XH[..., lo:hi, :] += x_ss
+        if bad is not None:
+            bad_step = bad[0]
             break
-        mul(stage_b, K, ds)
-        np.add(s, ds, s)
+        if on_final is not None:
+            on_final(lo, hi)
 
     if lead:
         Z, U_raw, U_sat, Err = (a[..., 0] for a in (Z, U_raw, U_sat, Err))

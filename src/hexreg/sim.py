@@ -4,11 +4,12 @@ A scenario bundles the plant, the design artifacts, the control law, and the
 piecewise-constant reference / output-disturbance schedules.  `run` advances
 plant, observer, and integrator together with one fixed-step RK4 pass
 (kernels.closed_loop_rk4) and takes the applicable Lyapunov monitor series
-of each finished block of rows while the kernel goes on.  It has one path:
-given a CSV path, a forked process writes the CSV from the finished blocks
-beside the kernel; without one, no process starts.  `run_many` passes the
-same kernel one start per row, so each of its results is bit for bit what
-`run` gives on that scenario.
+of each 1024-row block the kernel reports final while the kernel goes on.
+It has one path: given a CSV path, a forked process writes the CSV from
+those blocks beside the kernel; without one, no process starts.
+`run_many` passes the same kernel one start per row and takes the monitors
+of the same blocks once it returns, so each of its results is bit for bit
+what `run` gives on that scenario.
 Identical inputs give bit-identical outputs.
 
 Temperatures may be scripted in kelvin or Celsius; everything is converted
@@ -30,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    _MONITOR_BLOCK,
     _MONITOR_NAMES,
     max_monotone_violation,
     observer_monitor_constants,
@@ -45,7 +45,7 @@ from .errors import (
     as_float,
     require_finite,
 )
-from .kernels import closed_loop_rk4, closed_loop_rk4_batch, first_nonfinite
+from .kernels import _BLOCK, closed_loop_rk4, closed_loop_rk4_batch, first_nonfinite
 from .model import BilinearSystem
 from .parallel import fork_join, fork_stream
 from .serde import read_object, require_fields
@@ -64,7 +64,6 @@ __all__ = [
     "write_csv",
 ]
 
-_CSV_BLOCK = 256  # rows formatted per stacked block of a CSV
 _MAX_STEPS = 10**7  # longest run a scenario may ask for; the kernel stores every step
 _SCENARIO_REQUIRED = ("units", "law", "t_end", "dt", "reference_schedule")
 _SCENARIO_OPTIONAL = ("output_disturbance", "x0", "x_hat0", "kp_pi", "ki_pi")
@@ -254,11 +253,21 @@ def _shared_empty(*shape: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
 
 
+def _block_monitors(scn: SimScenario, res: SimResult, Z: np.ndarray,
+                    lo: int, hi: int) -> None:
+    """Fill rows lo..hi-1 of res.monitors from those rows of res and Z."""
+    block = trajectory_monitors(scn, res.x[lo:hi],
+                                None if res.x_hat is None else res.x_hat[lo:hi],
+                                Z[lo:hi])
+    for name, series in block.items():
+        res.monitors[name][lo:hi] = series
+
+
 def run(scn: SimScenario, csv_path: str | Path | None = None) -> SimResult:
     """Integrate the closed loop and attach monitor series.
 
     The series live in anonymous shared memory.  The kernel fills them,
-    and each 1024-row block it reports final gets its monitors there and
+    and each block of rows it reports final gets its monitors there and
     is sent on.  Without csv_path nothing receives the blocks and no
     process starts.  With csv_path, parallel.fork_stream runs a forked
     writer beside the kernel, which formats each block as it arrives into
@@ -276,29 +285,14 @@ def run(scn: SimScenario, csv_path: str | Path | None = None) -> SimResult:
         y=_shared_empty(T, p),
         monitors={name: _shared_empty(T) for name in _MONITOR_NAMES[scn.law]})
     out = (res.x, XH, Z, res.u_raw, res.u_sat, res.e, res.y)
-    caller_err = np.geterr()
 
     def integrate(send) -> None:
-        done = 0  # rows with monitors, sent on
+        def on_final(lo: int, hi: int) -> None:
+            _block_monitors(scn, res, Z, lo, hi)
+            send(hi)
 
-        def on_final(rows: int) -> None:
-            nonlocal done
-            with np.errstate(**caller_err):
-                while rows - done >= _MONITOR_BLOCK or done < rows == T:
-                    hi = min(done + _MONITOR_BLOCK, rows)
-                    block = trajectory_monitors(scn, res.x[done:hi],
-                                                None if XH is None else XH[done:hi],
-                                                Z[done:hi])
-                    for name, series in block.items():
-                        res.monitors[name][done:hi] = series
-                    send(hi)
-                    done = hi
-
-        # A diverging run ends in NonFiniteError; numpy's overflow warnings
-        # on the way there would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            *_, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0,
-                                           out=out, on_final=on_final)
+        *_, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0,
+                                       out=out, on_final=on_final)
         if bad_step >= 0:
             raise _nonfinite(scn, out, bad_step)
 
@@ -341,18 +335,18 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
             raise SchedulesDifferError("kp_pi/ki_pi differ between the scenarios")
     x0 = np.stack([scn.x0 for scn in scenarios])
     x_hat0 = np.stack([scn.x_hat0 for scn in scenarios])
-    with np.errstate(over="ignore", invalid="ignore"):
-        *series, bad_step = closed_loop_rk4_batch(first, x0, x_hat0)
+    *series, bad_step = closed_loop_rk4_batch(first, x0, x_hat0)
     if bad_step >= 0:
         raise _nonfinite(first, series, bad_step)
+    T = first.n_steps + 1
     results = []
     for i, scn in enumerate(scenarios):
         X, XH, Z, U_raw, U_sat, Err, Y = (None if s is None else s[i] for s in series)
-        # before the time column is built, so the monitors' temporaries and
-        # that column are never held at once
-        monitors = trajectory_monitors(scn, X, XH, Z)
-        results.append(SimResult(np.arange(scn.n_steps + 1) * scn.dt,
-                                 X, XH, U_raw, U_sat, Err, Y, monitors))
+        res = SimResult(np.arange(T) * scn.dt, X, XH, U_raw, U_sat, Err, Y,
+                        {name: np.empty(T) for name in _MONITOR_NAMES[scn.law]})
+        for lo in range(0, T, _BLOCK):
+            _block_monitors(scn, res, Z, lo, min(lo + _BLOCK, T))
+        results.append(res)
     return results
 
 
@@ -361,8 +355,10 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
 
 
 def _write_rows(path: str | Path, res: SimResult, received) -> None:
-    """Write res's CSV to path, rows lo..hi-1 of its columns for each count
-    hi that received yields; the last count is the row total."""
+    """Write res's CSV to path: for each count hi that received yields,
+    rows lo..hi-1 of its columns in one stacked block, lo being the count
+    before (0 at first); the last count is the row total.  run and
+    write_csv send the ends of the kernel's blocks."""
     n = res.x.shape[1]
     p = res.y.shape[1]
     cols: list[tuple[str, np.ndarray]] = [("t", res.times)]
@@ -380,10 +376,8 @@ def _write_rows(path: str | Path, res: SimResult, received) -> None:
         for hi in received:
             # a block of rows at a time: stacking the whole table would
             # hold a second copy of it
-            for a in range(lo, hi, _CSV_BLOCK):
-                b = min(a + _CSV_BLOCK, hi)
-                rows = np.column_stack([col[a:b] for col in data]).tolist()
-                fh.writelines(row_fmt % tuple(row) for row in rows)
+            rows = np.column_stack([col[lo:hi] for col in data]).tolist()
+            fh.writelines(row_fmt % tuple(row) for row in rows)
             lo = hi
 
 
@@ -393,7 +387,8 @@ def write_csv(res: SimResult, path: str | Path) -> None:
     Column order: t, states, estimates (when present), u_raw, u_sat, e,
     measured outputs, then whichever monitors the law produced.
     """
-    _write_rows(path, res, [res.times.shape[0]])
+    T = res.times.shape[0]
+    _write_rows(path, res, [*range(_BLOCK, T, _BLOCK), T])
 
 
 def _segment_bounds(scn: SimScenario, res: SimResult) -> list[tuple[int, int, float]]:

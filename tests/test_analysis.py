@@ -632,7 +632,7 @@ def test_trajectory_monitors_integral_only_matches_monitor_point(
     series = analysis.trajectory_monitors(scn, X, XH, Z)
     points = np.array([integral_only_point(hexsys, io_art, X[k], float(Z[k]))
                        for k in range(Z.shape[0])])
-    assert Z.shape[0] > analysis._MONITOR_BLOCK
+    assert Z.shape[0] > kernels._BLOCK
     assert list(series) == ["V", "W"]
     for i, name in enumerate(series):
         assert series[name].tobytes() == points[:, i].tobytes(), name

@@ -132,17 +132,19 @@ def _diverging(hexsys, fwd_art, synthetic_observable, case):
                              [[0.0, eq.y_ss]], x0=eq.x_ss, x_hat0=eq.x_ss + 0.1)
     # An output disturbance of 1e308 from time t_d drives e, and so z, to
     # infinity at step t_d + 2 (dt = 1 s), while u clamps and x stays finite.
-    t_end, t_d = (100.0, 98.0) if case == "last" else (200.0, case - 2.0)
+    t_end, t_d = (100.0, 98.0) if case == "last" else (1100.0, case - 2.0)
     return make_scenario(hexsys, fwd_art, hexreg.PI, t_end, 1.0,
                          [[0.0, 26.5 + KELVIN]], dists=[[t_d, 1e308]],
                          kp_pi=-0.01, ki_pi=-0.001)
 
 
-# The non-finite scan runs once per 64 stored steps: cases one step before
-# a block boundary, at it, just after it, on the last step, and one where
-# only the observer estimate diverges.
+# The non-finite scan runs once per block of 1024 stored steps: cases
+# within the first block, one step before a block boundary, at it, just
+# after it, on the last step, and one where only the observer estimate
+# diverges.
 @pytest.mark.parametrize("case, step, column", [
-    (63, 63, "z"), (64, 64, "z"), (65, 65, "z"), ("last", 100, "z"),
+    (63, 63, "z"), (64, 64, "z"), (65, 65, "z"),
+    (1023, 1023, "z"), (1024, 1024, "z"), (1025, 1025, "z"), ("last", 100, "z"),
     ("xhat", 292, "xhat_1"),
 ])
 def test_block_scan_reports_per_step_nonfinite(hexsys, fwd_art, synthetic_observable,
@@ -158,6 +160,26 @@ def test_block_scan_reports_per_step_nonfinite(hexsys, fwd_art, synthetic_observ
     for err, row in ((alone.value, None), (batch.value, 0)):
         assert (err.step, err.t, err.column, err.row) == (step, step * scn.dt, column, row)
         assert np.isfinite(err.u_sat)
+
+
+def test_on_final_reports_each_block_once_final(hexsys, fwd_art):
+    """on_final gets the kernel's 1024-row blocks in order, the last one
+    shorter, and each block's rows are already the values returned."""
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 204.8, 0.1,
+                        [[0.0, 26.5 + KELVIN], [100.0, 26.0 + KELVIN]],
+                        x0=fwd_art.x_ss + 1.0)
+    calls, seen = [], []
+    X = np.empty((2049, 16))
+    out = (X, None, np.empty(2049), *(np.empty(2049) for _ in range(3)), np.empty((2049, 1)))
+
+    def on_final(lo, hi):
+        calls.append((lo, hi))
+        seen.append(X[lo:hi].copy())
+
+    *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, out=out, on_final=on_final)
+    assert bad == -1
+    assert calls == [(0, 1024), (1024, 2048), (2048, 2049)]
+    assert np.concatenate(seen).tobytes() == X.tobytes()
 
 
 def test_only_z_diverges(hexsys, fwd_art):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hexreg
-from hexreg import analysis, sim
+from hexreg import analysis, kernels, sim
 from hexreg.kernels import closed_loop_rk4
 from hexreg.serde import dumps_json
 
@@ -474,24 +474,24 @@ def test_run_many_nonfinite_reports_run_step(hexsys, fwd_art):
 
 
 def test_run_many_names_the_row_that_diverges_after_the_first_block(hexsys, fwd_art):
-    """At dt = 6 s RK4 holds starts near x_ss but not one 20 K off; that
-    row alone goes non-finite, past the first 64-step scan block, and the
-    batch reports its step and its row."""
+    """At dt = 2.5 s RK4 holds starts near x_ss but not one 20 K off; that
+    row alone goes non-finite, inside the kernel's second 1024-row block,
+    and the batch reports its step and its row."""
     rng = np.random.default_rng(5)
     x0 = fwd_art.x_ss + rng.uniform(-1e-3, 1e-3, (20, 16))
     x0[13] = fwd_art.x_ss + 20.0
-    scns = [make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 900.0, 6.0,
+    scns = [make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 3000.0, 2.5,
                           [[0.0, 26.5 + KELVIN]], x0=x) for x in x0]
     steps = [per_step_nonfinite(scn) for scn in scns]
-    assert steps == [-1] * 13 + [79] + [-1] * 6
+    assert steps == [-1] * 13 + [1160] + [-1] * 6
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(hexreg.NonFiniteError) as alone:
             hexreg.run(scns[13])
         with pytest.raises(hexreg.NonFiniteError) as batch:
             hexreg.run_many(scns)
-    assert (alone.value.step, alone.value.row) == (79, None)
-    assert (batch.value.step, batch.value.row, batch.value.t) == (79, 13, 474.0)
+    assert (alone.value.step, alone.value.row) == (1160, None)
+    assert (batch.value.step, batch.value.row, batch.value.t) == (1160, 13, 2900.0)
     assert batch.value.column == alone.value.column
     assert batch.value.u_sat == alone.value.u_sat
 
@@ -565,7 +565,7 @@ def test_monitors_on_aligned_blocks_keep_their_bits(
     assert bad == -1
     whole = sim.trajectory_monitors(scn, X, XH, Z)
     assert tuple(whole) == analysis._MONITOR_NAMES[law]
-    block = analysis._MONITOR_BLOCK
+    block = kernels._BLOCK
     parts = [sim.trajectory_monitors(scn, X[lo:lo + block],
                                      None if XH is None else XH[lo:lo + block],
                                      Z[lo:lo + block])
