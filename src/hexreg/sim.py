@@ -392,33 +392,27 @@ def write_csv(res: SimResult, path: str | Path) -> None:
 
 
 def _segment_bounds(scn: SimScenario, res: SimResult) -> list[tuple[int, int, float]]:
-    """(start_index, end_index, reference) per constant-reference segment.
+    """(lo, hi, reference) per constant-reference segment, rows lo..hi-1.
 
     A segment starts at the first sample whose time is >= its entry's, the
-    step at which the kernel switches to that reference; an entry after
-    the last sample starts a segment of that sample alone.
+    step at which the kernel switches to that reference, and ends where the
+    next one starts; the last runs to the end.  An entry after the last
+    sample, or one that the next entry follows before any sample, has a
+    segment with no sample.
     """
-    T = res.times.shape[0]
-    edges = np.minimum(np.searchsorted(res.times, scn.ref_t), T - 1).tolist()
-    edges.append(T - 1)
-    out = []
-    for i in range(len(scn.ref_t)):
-        out.append((edges[i], edges[i + 1], float(scn.ref_v[i])))
-    return out
+    edges = np.searchsorted(res.times, scn.ref_t).tolist()
+    edges.append(res.times.shape[0])
+    return [(edges[i], edges[i + 1], float(scn.ref_v[i])) for i in range(len(scn.ref_t))]
 
 
 def _settle_time(
     times: np.ndarray, err: np.ndarray, lo: int, hi: int, band: float
 ) -> float | None:
-    """Earliest time in [lo, hi] after which |e| stays within the band."""
-    seg = np.abs(err[lo : hi + 1])
-    bad = np.nonzero(seg > band)[0]
-    if bad.size == 0:
-        return float(times[lo])
-    last = lo + int(bad[-1]) + 1
-    if last > hi:
-        return None
-    return float(times[last])
+    """Earliest time in rows lo..hi-1 after which |e| stays within the band;
+    None when it is out of the band at row hi-1 or there is no row."""
+    bad = np.nonzero(np.abs(err[lo:hi]) > band)[0]
+    last = lo + int(bad[-1]) + 1 if bad.size else lo
+    return float(times[last]) if last < hi else None
 
 
 def run_metrics(scn: SimScenario, res: SimResult) -> dict:
@@ -438,7 +432,8 @@ def run_metrics(scn: SimScenario, res: SimResult) -> dict:
         band = max(0.02 * abs(r - prev_r), 0.01)
         settling.append(_settle_time(res.times, res.e, lo, hi, band))
         prev_r = r
-    last_lo = segments[-1][0]
+    # after the last step; the last sample alone if that step has no sample
+    last_lo = min(segments[-1][0], res.e.shape[0] - 1)
     post = np.abs(res.e[last_lo:])
     metrics = {
         "law": scn.law,

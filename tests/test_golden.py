@@ -28,13 +28,13 @@ GOLDEN = {
     "fwd/experiment2.csv":
         "ace2b0cb78e939590aa47f7cf66b42c0042c4d6cd0c66e6a064ae841b76db139",
     "fwd/experiment2.metrics.json":
-        "f31c8904ddb55a9cbbb17028bbaa6a8a1d756bf3618a91cce21386892db159d8",
+        "0a8016861432812f1d44e0b74af3d68d25f3dd2cbd73494e2f4696be4331af2c",
     "io/experiment2.csv":
         "298d0e6b50ae0356a2e76816c2db31d013b1be03700d1b41cdc97a5959f1a8c5",
     "io/experiment2.metrics.json":
-        "c31a3c58d0a64d976ba1735bac184e29cb779dd1209deace4a2cf4ceb99bc168",
+        "23b84bf6331471b3167e6396347db26c93b4a9b29bb7f40a3e3966a694e7274b",
     "cmp.json":
-        "0e647c04e14627286583ddfcca1d7e68f8d513c986028c603ce3c86567ecad30",
+        "31e24e3c11e3619983bd9f772ff216a087f70d18b9764d7f861705aaeb8b6ecc",
     "reach.json":
         "27c22b40d8fa0c88382af6155ac9b84c1528b521b47c68605a572128bc8502ec",
     "ss_ref.json":

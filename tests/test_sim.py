@@ -299,7 +299,23 @@ def test_segments_start_where_the_kernel_switches_reference(hexsys, fwd_art):
     y = res.x @ hexsys.C
     assert res.e[50] + r0 == pytest.approx(y[50], abs=1e-9)
     assert res.e[51] + r1 == pytest.approx(y[51], abs=1e-9)
-    assert sim._segment_bounds(scn, res) == [(0, 51, r0), (51, 100, r1)]
+    assert sim._segment_bounds(scn, res) == [(0, 51, r0), (51, 101, r1)]
+
+
+def test_a_segment_followed_by_a_step_can_settle(hexsys, fwd_art):
+    """A segment's settling window ends before the sample at which the next
+    reference holds: the first segment, at equilibrium, settles at once.
+    Two entries before one sample leave the first of them no sample, and
+    it cannot settle."""
+    scn = hexreg.scenario_from_dict(
+        base_dict(reference_schedule=[[0.0, 26.5], [5.01, 27.0], [5.02, 27.5]]),
+        hexsys, fwd_art)
+    res = hexreg.run(scn)
+    assert np.abs(res.e[:51]).max() <= 1e-9 < abs(res.e[51])
+    settling = hexreg.run_metrics(scn, res)["settling_times"]
+    assert settling[:2] == [0.0, None]
+    assert [seg[:2] for seg in sim._segment_bounds(scn, res)] == [(0, 51), (51, 51),
+                                                                  (51, 101)]
 
 
 def test_run_metrics_iae_quadrature(hexsys, io_art):
