@@ -168,14 +168,19 @@ def _pencil_eigenvalues(M0: np.ndarray, M1: np.ndarray, lo: float, hi: float) ->
 
     Shift-invert about the middle s of [lo, hi]: the roots are
     u = s - 1/mu for the eigenvalues mu of (M0 + s M1)^-1 M1.  Where the
-    solve at s raises, s is a root, and a second shift finds the others.
+    solve at s raises, s is a root, and a second shift finds the others;
+    it finds s again, rounded, so its nearest eigenvalue to s is dropped.
     """
     exact = []
     for s in lo + np.multiply(_SHIFTS, hi - lo):
         try:
-            return np.append(exact, _shift_invert(M0, M1, s))
+            u = _shift_invert(M0, M1, s)
         except np.linalg.LinAlgError:
             exact.append(s)
+            continue
+        for root in exact:
+            u = np.delete(u, np.argmin(np.abs(u - root)))
+        return np.append(exact, u)
     return np.array(exact, dtype=complex)
 
 

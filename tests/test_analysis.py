@@ -456,6 +456,17 @@ def test_stacked_report_takes_a_singular_first_shift_alone(monkeypatch):
     assert rep.dc_gain_min_abs == 0.0 and rep.a3b_roots > 0
 
 
+def test_a3b_counts_a_root_on_the_shift_once():
+    """At u = 0, C (F_0 + v N)^-1 g_0 = -v (v + 0.6), whose root v = 0 is
+    the exactly singular first shift: two roots there, not three.  With
+    the two at u = 0.125, the 9-point grid counts 4."""
+    sys = nilpotent_system([0.0, 0.6, 1.0])
+    roots, _ = _crossings(sys, [0.0])[0]
+    assert roots.shape == (2,)
+    rep = hexreg.assumption_report(sys, np.eye(3), nu=1.0, eps=1e-3, u_grid=9)
+    assert rep.a3b_roots == 4
+
+
 def _full_range(sys):
     return (sys.u_min - sys.u_max, sys.u_max - sys.u_min)
 

@@ -247,6 +247,18 @@ def test_invert_reference_root_on_the_shift():
     assert eq.u_ss == pytest.approx(0.5, abs=1e-15) and abs(eq.y_ss - 2.5) <= 1e-15
 
 
+def test_a_root_on_the_shift_is_found_once():
+    """The bowl's pencil for r = 2.5 on [0, 2] is singular at its first
+    shift, u = 1: that root is kept exact, and the second shift's rounded
+    copy of it is dropped, so the roots are 0.5 and 1 once each."""
+    sys = _bowl_system(k=3.0, u_max=2.0)
+    M0 = np.block([[sys.A, sys.E[:, None]], [sys.C[None], np.full((1, 1), -2.5)]])
+    M1 = np.block([[sys.B, sys.b[:, None]], [np.zeros((1, sys.n_states + 1))]])
+    roots = steady_state._pencil_roots(M0, M1, sys.u_min, sys.u_max)
+    assert roots.shape == (2,)
+    assert roots[0] == pytest.approx(0.5, abs=1e-12) and roots[1] == 1.0
+
+
 def test_invert_reference_clips_a_root_past_the_bound():
     """On [0.5, 3] the bowl's C pi(0.5) is met at u = 0.5 and u = 5/3; the
     pencil puts the first root 1.5e-14 below u_min, which is clipped to
