@@ -341,12 +341,12 @@ def trajectory_monitors(
 
     scn is a sim.SimScenario; its plant, artifacts and law define the
     monitors.  Rows of X, XH and Z are samples, one block of them: sim
-    calls it on each block of rows the kernel reports
-    (kernels.closed_loop_rk4's on_final), which bounds the integral-only
-    law's (block, n, n) temporaries.  Called on consecutive blocks that
-    start at multiples of 1024, it gives the whole series' bits, block by
-    block.  Blocks that start elsewhere need not: XT @ M is one BLAS call
-    over the block, and a row's bits there depend on its position in it.
+    calls it on each block of rows the kernel reports (kernels._BLOCK
+    rows, the last block shorter), which bounds the integral-only law's
+    (block, n, n) temporaries.  Called on consecutive blocks that start at
+    multiples of 1024, it gives the whole series' bits, block by block.
+    Blocks that start elsewhere need not: XT @ M is one BLAS call over the
+    block, and a row's bits there depend on its position in it.
     """
     sys, art, law = scn.sys, scn.artifacts, scn.law
     if law == PI:
