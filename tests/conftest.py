@@ -140,8 +140,7 @@ def per_step_nonfinite(scn):
     """The first step after the start at which the state of scn is
     non-finite, found by checking the kernel's stored x, x_hat and z one
     step at a time, as a per-step np.isfinite on the state would; or -1."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        X, XH, Z, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    X, XH, Z, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
     for step in range(1, len(Z)):
         rows = (X[step], Z[step], XH[step] if XH is not None else 0.0)
         if not all(np.isfinite(row).all() for row in rows):

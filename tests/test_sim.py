@@ -477,13 +477,12 @@ def test_run_many_nonfinite_reports_run_step(hexsys, fwd_art):
                           kp_pi=0.0, ki_pi=0.0)
             for off in (1e-3, 1e100, 1.0)]
     steps = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for scn in scns:
-            with pytest.raises(hexreg.NonFiniteError) as alone:
-                hexreg.run(scn)
-            steps.append(alone.value.step)
-        with pytest.raises(hexreg.NonFiniteError) as batch:
-            hexreg.run_many(scns)
+    for scn in scns:
+        with pytest.raises(hexreg.NonFiniteError) as alone:
+            hexreg.run(scn)
+        steps.append(alone.value.step)
+    with pytest.raises(hexreg.NonFiniteError) as batch:
+        hexreg.run_many(scns)
     assert steps[1] == min(steps) and steps[1] < max(steps)
     assert batch.value.step == steps[1]
     assert batch.value.t == 20.0 * steps[1]
