@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .controllers import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI
 from .design import (
     DesignArtifacts,
     _dc_path,
@@ -26,7 +25,7 @@ from .design import (
     robust_decay_block,
 )
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
-from .kernels import _rowdot, _rowwise
+from .kernels import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI, _rowdot, _rowwise
 from .model import BilinearSystem
 from .steady_state import (
     _ROOT_TOL,
@@ -340,11 +339,15 @@ def trajectory_monitors(
     forwarding, V and W for integral-only, V, U and W for output feedback.
 
     scn is a sim.SimScenario; its plant, artifacts and law define the
-    monitors.  Rows of X, XH and Z are samples, one block of them: sim
-    calls it on each block of rows the kernel reports (kernels._BLOCK
-    rows, the last block shorter), which bounds the integral-only law's
-    (block, n, n) temporaries.  Called on consecutive blocks that start at
-    multiples of 1024, it gives the whole series' bits, block by block.
+    monitors.  sim.scenario_from_dict has checked what the law needs
+    (pi_bar for integral-only, observer artifacts for output feedback), and
+    XH is the kernel's estimate series for output feedback, so nothing is
+    checked here again.  Rows of X, XH and Z are samples, one block of
+    them: sim calls it on each block of rows the kernel reports
+    (kernels._BLOCK rows, the last block shorter), which bounds the
+    integral-only law's (block, n, n) temporaries.  Called on consecutive
+    blocks that start at multiples of 1024, it gives the whole series'
+    bits, block by block.
     Blocks that start elsewhere need not: XT @ M is one BLAS call over the
     block, and a row's bits there depend on its position in it.
     """
@@ -352,19 +355,10 @@ def trajectory_monitors(
     if law == PI:
         return {}
     if law == INTEGRAL_ONLY:
-        if art.pi_bar is None:
-            raise ValueError("integral-only monitors require pi_bar in the artifacts")
         V = _integral_only_V_rows(scn, X, Z)
         p_max = float(np.linalg.eigvalsh(art.P)[-1])
         gamma = 2.0 * art.k_i * art.pi_bar * np.sqrt(p_max)
         return {"V": V, "W": np.sqrt(V) + gamma * np.abs(Z)}
-    if law == OUTPUT_FEEDBACK:
-        if art.observer is None:
-            raise MissingObserverStateError(
-                "output-feedback monitors require observer artifacts"
-            )
-        if XH is None:
-            raise MissingObserverStateError("x_hat is required for output-feedback monitors")
     Xc = X if law == FORWARDING else XH
     XT = Xc - art.x_ss
     ZT = Z - XT @ art.M

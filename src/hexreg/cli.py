@@ -17,9 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, design, model, sim, steady_state
-from .controllers import INTEGRAL_ONLY, LAW_CODES, OUTPUT_FEEDBACK, PI
 from .errors import (
-    HexRegError,
     InfeasibleError,
     MissingObserverStateError,
     NonFiniteError,
@@ -30,6 +28,7 @@ from .errors import (
     SingularMatrixError,
     ZeroDCGainError,
 )
+from .kernels import INTEGRAL_ONLY, LAWS, OUTPUT_FEEDBACK, PI
 from .serde import dump_json, dumps_json, read_object
 
 __all__ = ["main"]
@@ -176,29 +175,13 @@ def _cmd_verify(args) -> int:
 def _cmd_steady_state(args) -> int:
     sys_, _ = model.load_system(args.system)
     if args.u is not None:
-        eq = steady_state.equilibrium_at(sys_, args.u)
-        payload = {
-            "u_ss": eq.u_ss,
-            "x_ss": eq.x_ss.tolist(),
-            "y_ss": eq.y_ss,
-        }
+        payload = dataclasses.asdict(steady_state.equilibrium_at(sys_, args.u))
     elif args.ref is not None:
         r = args.ref + sim.kelvin_offset(args.units)
-        eq = steady_state.invert_reference(sys_, r)
-        payload = {
-            "reference": r,
-            "u_ss": eq.u_ss,
-            "x_ss": eq.x_ss.tolist(),
-            "y_ss": eq.y_ss,
-        }
+        payload = dataclasses.asdict(steady_state.invert_reference(sys_, r))
+        payload["reference"] = r
     else:
-        reach = steady_state.reachable_set(sys_)
-        payload = {
-            "r_min": reach.r_min,
-            "r_max": reach.r_max,
-            "u_at_min": reach.u_at_min,
-            "u_at_max": reach.u_at_max,
-        }
+        payload = dataclasses.asdict(steady_state.reachable_set(sys_))
     _emit(payload, args.out)
     return 0
 
@@ -235,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("design", help="synthesize control-law artifacts")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--law", required=True, choices=list(LAW_CODES),
+    p.add_argument("--law", required=True, choices=list(LAWS),
                    help="control law to design for")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--ref", type=float, default=None,
@@ -258,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dt", type=float, default=None,
                    help="override the scenario integration step")
-    p.add_argument("--law", default=None, choices=list(LAW_CODES),
+    p.add_argument("--law", default=None, choices=list(LAWS),
                    help="override the scenario law")
     p.set_defaults(func=_cmd_simulate)
 

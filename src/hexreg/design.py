@@ -36,7 +36,6 @@ __all__ = [
     "forwarding_design",
     "observer_design",
     "gain_rank_obstruction",
-    "observability_matrix",
     "check_observability",
     "input_coupling_bound",
     "robust_decay_block",
@@ -211,18 +210,13 @@ def _solve_output_row(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     return M
 
 
-def observability_matrix(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+def check_observability(A: np.ndarray, D: np.ndarray) -> None:
+    """Raise NotObservableError unless [D; D A; ...; D A^(n-1)] has rank n."""
     n = A.shape[0]
     blocks = [D]
     for _ in range(n - 1):
         blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
-
-
-def check_observability(A: np.ndarray, D: np.ndarray) -> None:
-    n = A.shape[0]
-    O = observability_matrix(A, D)
-    rank = np.linalg.matrix_rank(O)
+    rank = np.linalg.matrix_rank(np.vstack(blocks))
     if rank < n:
         raise NotObservableError(f"observability rank {rank} < {n}")
 

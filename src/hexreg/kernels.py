@@ -1,5 +1,26 @@
 """Hot-loop integration kernel: fixed-step RK4 over the stacked closed loop.
 
+closed_loop_rk4 is the one definition of the control laws, for one
+trajectory and for a batch alike.  Every law issues u = u_ss + phi, the
+plant applies sat(u), and every law integrates dz/dt = e.
+
+Laws
+----
+forwarding        phi = -(B (x - x_ss) + g_ss)^T [k_p P (x - x_ss)
+                        - k_i (z - M (x - x_ss)) M^T], with g_ss = B x_ss + b
+output_feedback   same formula evaluated on the observer estimate, which obeys
+                  dxhat/dt = A xhat + (B xhat + b) sat(u) + L (y - D xhat) + E
+integral_only     phi = sign_dc * k_i * z  (sign_dc = sgn(C F^-1 g); this
+                  direction makes the slow output loop contract, since the
+                  steady output slope is -C F^-1 g)
+pi                phi = -(kp_pi e + ki_pi z); gains are signed, so plants
+                  with a negative input-to-output DC gain take negative
+                  gains for a stabilizing loop
+
+What each law needs of a scenario (an observer for output feedback, pi_bar
+for integral-only, ki_pi for PI) is checked by sim.scenario_from_dict,
+before the kernel runs.
+
 The loop runs in deviations from the anchor: the state is
 s = [x - x_ss, 1, x_hat - x_ss, 1, z], with the estimate block only for the
 output-feedback law.  Through the constant ones, one stacked operator
@@ -40,13 +61,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .controllers import LAW_CODES
-
 __all__ = [
+    "FORWARDING",
+    "OUTPUT_FEEDBACK",
+    "INTEGRAL_ONLY",
+    "PI",
+    "LAWS",
     "closed_loop_rk4",
     "closed_loop_rk4_batch",
     "first_nonfinite",
 ]
+
+FORWARDING = "forwarding"
+OUTPUT_FEEDBACK = "output_feedback"
+INTEGRAL_ONLY = "integral_only"
+PI = "pi"
+LAWS = (FORWARDING, OUTPUT_FEEDBACK, INTEGRAL_ONLY, PI)
 
 _BLOCK = 1024  # rows per block: integrated, scanned and reported together
 
@@ -123,7 +153,9 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     sys, art = scn.sys, scn.artifacts
     dt, n_steps = scn.dt, scn.n_steps
     u_lo, u_hi = sys.u_min, sys.u_max
-    law = LAW_CODES[scn.law]
+    observer = scn.law == OUTPUT_FEEDBACK
+    feedback = observer or scn.law == FORWARDING
+    integral = scn.law == INTEGRAL_ONLY
     u_ss, sign_dc = art.u_ss, art.sign_dc
     kp, ki = art.k_p, art.k_i
     kp_pi, ki_pi = scn.kp_pi, scn.ki_pi
@@ -138,8 +170,6 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
                         [sys.C @ x_ss], sys.D @ x_ss])]))
     ia, ib, ip, iy = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n + 3, None)
     T = n_steps + 1
-    observer = law == 1
-    feedback = law == 0 or observer
     lead = x0.shape[:-1]   # () for one trajectory, (k,) for k
     if lead:
         # Per-trajectory scalars are (k, 1) columns, which broadcast against
@@ -272,7 +302,7 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
                         mx, mw = read_hmw()
                     if feedback:
                         phi = -kp * p_dot_w() + ki * (z - mx) * mw
-                    elif law == 2:
+                    elif integral:
                         phi = sign_dc * ki * z
                     else:
                         phi = -(kp_pi * e + ki_pi * z)

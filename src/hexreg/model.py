@@ -26,8 +26,6 @@ from .serde import dump_json, read_object, require_fields
 __all__ = [
     "BilinearSystem",
     "HexParams",
-    "saturate",
-    "dynamics",
     "build_hex",
     "stream_shift_matrix",
     "block_average_sensors",
@@ -188,24 +186,6 @@ def _own(name: str, arr, ndim: int) -> np.ndarray:
     out = as_array(name, arr, ndim)
     out.setflags(write=False)
     return out
-
-
-def saturate(u, sys: BilinearSystem):
-    """Clamp the commanded input to the actuator range of ``sys``.
-
-    Accepts scalars or arrays; idempotent by construction.
-    """
-    return np.clip(u, sys.u_min, sys.u_max)
-
-
-def dynamics(sys: BilinearSystem, x: np.ndarray, u_raw: float) -> np.ndarray:
-    """State derivative with the saturation applied inside.
-
-    dx/dt = A x + (B x + b) sat(u_raw) + E.  Affine in sat(u) for fixed x.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    us = float(np.clip(u_raw, sys.u_min, sys.u_max))
-    return sys.A @ x + (sys.B @ x + sys.b) * us + sys.E
 
 
 def stream_shift_matrix(n: int) -> np.ndarray:

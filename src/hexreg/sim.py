@@ -36,7 +36,6 @@ from .analysis import (
     observer_monitor_constants,
     trajectory_monitors,
 )
-from .controllers import LAW_CODES, OUTPUT_FEEDBACK, PI
 from .design import DesignArtifacts, require_artifacts_fit
 from .errors import (
     NonFiniteError,
@@ -45,7 +44,16 @@ from .errors import (
     as_float,
     require_finite,
 )
-from .kernels import _BLOCK, closed_loop_rk4, closed_loop_rk4_batch, first_nonfinite
+from .kernels import (
+    _BLOCK,
+    INTEGRAL_ONLY,
+    LAWS,
+    OUTPUT_FEEDBACK,
+    PI,
+    closed_loop_rk4,
+    closed_loop_rk4_batch,
+    first_nonfinite,
+)
 from .model import BilinearSystem
 from .parallel import fork_join, fork_stream
 from .serde import read_object, require_fields
@@ -67,7 +75,6 @@ __all__ = [
 _MAX_STEPS = 10**7  # longest run a scenario may ask for; the kernel stores every step
 _SCENARIO_REQUIRED = ("units", "law", "t_end", "dt", "reference_schedule")
 _SCENARIO_OPTIONAL = ("output_disturbance", "x0", "x_hat0", "kp_pi", "ki_pi")
-_SCENARIO_KEYS = {*_SCENARIO_REQUIRED, *_SCENARIO_OPTIONAL}
 
 
 @dataclass
@@ -144,19 +151,21 @@ def scenario_from_dict(
     strictly increasing schedules starting at t = 0 and contained in
     [0, t_end]; t_end an exact multiple of dt of at most 10**7 steps; every
     reference inside the reachable set; artifact arrays whose shapes fit
-    sys; for output feedback, observer artifacts whose monitor constants
-    exist, so a refused monitor stops the scenario before it runs.  x0
-    defaults to the open-loop equilibrium of the first reference, x_hat0 to
-    x0.  The reachable set is the one reachable_set keeps on sys, so every
-    scenario on one plant shares it.
+    sys.  It is the one place that checks what each law needs: PI gains
+    only with the pi law, and ki_pi for it; for integral-only, pi_bar in
+    the artifacts; for output feedback, observer artifacts whose monitor
+    constants exist.  So neither the kernel nor the monitors refuse a
+    scenario this accepts.  x0 defaults to the open-loop equilibrium of the
+    first reference, x_hat0 to x0.  The reachable set is the one
+    reachable_set keeps on sys, so every scenario on one plant shares it.
     """
     require_fields(data, "scenario", _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL)
     require_artifacts_fit(sys, artifacts)
     offset = kelvin_offset(data["units"])
 
     law = data["law"]
-    if not isinstance(law, str) or law not in LAW_CODES:
-        raise ValueError(f"unknown law {law!r}; expected one of {sorted(LAW_CODES)}")
+    if not isinstance(law, str) or law not in LAWS:
+        raise ValueError(f"unknown law {law!r}; expected one of {sorted(LAWS)}")
 
     t_end = as_float("t_end", data["t_end"])
     dt = as_float("dt", data["dt"])
@@ -206,6 +215,8 @@ def scenario_from_dict(
         raise ValueError("kp_pi/ki_pi are only valid with the pi law")
     if law == PI and "ki_pi" not in data:
         raise ValueError("the pi law requires ki_pi in the scenario")
+    if law == INTEGRAL_ONLY and artifacts.pi_bar is None:
+        raise ValueError("the integral-only law requires pi_bar in the artifacts")
     if law == OUTPUT_FEEDBACK:
         # the monitor refuses missing observer artifacts and an indefinite
         # blkdiag(k_p P, k_i) here, before the run

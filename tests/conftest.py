@@ -118,6 +118,15 @@ def synthetic_observer(synthetic_observable):
     return hexreg.observer_design(synthetic_observable)
 
 
+def plant_rhs(sys, x, u_raw):
+    """The plant's state derivative with the saturation applied inside,
+    dx/dt = A x + (B x + b) sat(u_raw) + E, written out apart from the
+    kernel as a reference for the tests."""
+    x = np.asarray(x, dtype=np.float64)
+    us = float(np.clip(u_raw, sys.u_min, sys.u_max))
+    return sys.A @ x + (sys.B @ x + sys.b) * us + sys.E
+
+
 def make_scenario(sys, art, law, t_end, dt, refs, dists=(), x0=None,
                   x_hat0=None, kp_pi=0.0, ki_pi=0.0):
     """Build a SimScenario from kelvin-valued schedules without JSON.

@@ -592,16 +592,18 @@ def test_simulate_unwritable_out_exit2_before_the_first_step(ws, tmp_path, capsy
 
 
 def test_simulate_checks_every_scenario_before_the_first_run(ws, tmp_path, monkeypatch):
-    """A malformed second scenario exits 2 before the first one runs, and
-    nothing is written."""
+    """A second scenario that is malformed, or whose law the artifacts
+    cannot serve (integral-only on forwarding artifacts, which carry no
+    pi_bar), exits 2 before the first one runs, and nothing is written."""
     monkeypatch.setattr(sim, "closed_loop_rk4", lambda *a, **k: pytest.fail("kernel ran"))
     good = scenario_file(tmp_path, name="good.json")
-    bad = scenario_file(tmp_path, name="bad.json", t_end=-1.0)
-    out = tmp_path / "runs_two"
-    rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
-               str(good), str(bad), "--out", str(out)])
-    assert rc == 2
-    assert not out.exists()
+    for i, over in enumerate([{"t_end": -1.0}, {"law": "integral_only"}]):
+        bad = scenario_file(tmp_path, name=f"bad{i}.json", **over)
+        out = tmp_path / f"runs_two_{i}"
+        rc = main(["simulate", str(ws / "hex.json"), str(ws / "fwd.json"),
+                   str(good), str(bad), "--out", str(out)])
+        assert rc == 2, over
+        assert not out.exists()
 
 
 def test_simulate_repeated_stem_exit2_before_the_first_run(ws, tmp_path, monkeypatch,
@@ -724,7 +726,8 @@ def test_verify_malformed_system_exit2(ws, tmp_path, capsys, edit, message):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
-@given(key=st.sampled_from(sorted(sim._SCENARIO_KEYS - {"t_end", "dt"})),
+@given(key=st.sampled_from(sorted({*sim._SCENARIO_REQUIRED, *sim._SCENARIO_OPTIONAL}
+                                    - {"t_end", "dt"})),
        value=json_values)
 def test_simulate_fuzzed_scenario_exits_cleanly(ws, tmp_path, key, value):
     """A 10 s scenario with one field replaced by an arbitrary JSON value

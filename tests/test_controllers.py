@@ -13,21 +13,12 @@ import numpy as np
 import pytest
 
 import hexreg
-from hexreg import controllers
 from hexreg.kernels import closed_loop_rk4
 
 from conftest import make_scenario
 
 DT = 0.05  # the step of the shipped experiments; at 0.5 s the forwarding
 #           step already amplifies a 1-ulp change of x0 to 2e-12 in X[1]
-
-
-def test_law_codes_stable():
-    # the kernel dispatches on these integers; they are part of the
-    # artifact/CSV compatibility surface and must not be renumbered
-    assert controllers.LAW_CODES == {
-        "forwarding": 0, "output_feedback": 1, "integral_only": 2, "pi": 3,
-    }
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +58,8 @@ def held(times, vals, t, before):
 
 
 def phi(scn, x, x_hat, z, e):
-    """The law increment u - u_ss, from the formulas in controllers."""
+    """The law increment u - u_ss, from the formulas in the kernel's
+    docstring."""
     sys, art = scn.sys, scn.artifacts
     if scn.law in (hexreg.FORWARDING, hexreg.OUTPUT_FEEDBACK):
         xt = (x if scn.law == hexreg.FORWARDING else x_hat) - art.x_ss

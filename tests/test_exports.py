@@ -1,5 +1,7 @@
-"""Every export list names only what its module defines."""
+"""Every export list names only what its module defines, and every
+import is used or exported."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -29,3 +31,21 @@ def test_submodules_export_only_their_own_definitions(module):
                if (inspect.isfunction(getattr(mod, name)) or inspect.isclass(getattr(mod, name)))
                and getattr(mod, name).__module__ != module]
     assert foreign == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    """A module imports no name that it neither uses nor lists in __all__."""
+    mod = importlib.import_module(module)
+    tree = ast.parse(inspect.getsource(mod))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported) - used - set(getattr(mod, "__all__", [])))
+    assert [(name, imported[name]) for name in unused] == []

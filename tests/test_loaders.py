@@ -105,7 +105,8 @@ def test_artifacts_loader(documents, key, value):
 
 
 @loader_settings
-@given(key=st.sampled_from(sorted(sim._SCENARIO_KEYS)), value=json_values)
+@given(key=st.sampled_from(sorted({*sim._SCENARIO_REQUIRED, *sim._SCENARIO_OPTIONAL})),
+       value=json_values)
 def test_scenario_loader(documents, key, value):
     doc = dict(documents["scenario"], **{key: value})
     _load_or_usage_error(

@@ -1,4 +1,4 @@
-"""Model construction: saturation, compartment matrices, serialization."""
+"""Model construction: compartment matrices, the plant equation, serialization."""
 
 import json
 
@@ -8,24 +8,7 @@ import pytest
 import hexreg
 from hexreg import model
 
-from conftest import TABLE1
-
-
-def test_saturate_interior_identity(hexsys):
-    assert hexreg.saturate(0.02, hexsys) == 0.02
-
-
-def test_saturate_upper_clamp(hexsys):
-    assert hexreg.saturate(0.06, hexsys) == 0.05
-
-
-def test_saturate_lower_clamp(hexsys):
-    assert hexreg.saturate(-0.01, hexsys) == 0.0
-
-
-def test_saturate_elementwise(hexsys):
-    u = np.array([-1.0, 0.01, 1.0])
-    assert np.array_equal(hexreg.saturate(u, hexsys), [0.0, 0.01, 0.05])
+from conftest import TABLE1, make_scenario, plant_rhs
 
 
 def test_stream_shift_matrix_small():
@@ -112,18 +95,16 @@ def test_dynamics_uniform_temperature_is_equilibrium():
     sys = hexreg.build_hex(p)
     x = np.array([300.0, 300.0])
     for u in (0.0, 0.02, 0.05):
-        assert np.allclose(hexreg.dynamics(sys, x, u), 0.0, atol=1e-12)
+        assert np.allclose(plant_rhs(sys, x, u), 0.0, atol=1e-12)
 
 
 def test_dynamics_zero_at_equilibrium(hexsys, eq02):
-    rhs = hexreg.dynamics(hexsys, eq02.x_ss, eq02.u_ss)
+    rhs = plant_rhs(hexsys, eq02.x_ss, eq02.u_ss)
     assert np.max(np.abs(rhs)) <= 1e-10
 
 
 def test_dynamics_matches_one_step_finite_difference(hexsys, eq02, io_art):
     """RK4 over a tiny step agrees with the derivative to O(dt)."""
-    from conftest import make_scenario
-
     rng = np.random.default_rng(7)
     x0 = eq02.x_ss + rng.uniform(-1.0, 1.0, 16)
     dt = 1e-6
@@ -131,7 +112,7 @@ def test_dynamics_matches_one_step_finite_difference(hexsys, eq02, io_art):
                         [[0.0, eq02.y_ss]], x0=x0)
     res = hexreg.run(scn)
     fd = (res.x[1] - res.x[0]) / dt
-    rhs = hexreg.dynamics(hexsys, x0, res.u_sat[0])
+    rhs = plant_rhs(hexsys, x0, res.u_sat[0])
     assert np.max(np.abs(fd - rhs)) <= 1e-6
 
 

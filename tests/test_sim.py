@@ -179,6 +179,29 @@ def test_scenario_output_feedback_needs_observer(hexsys, fwd_art):
                                   hexsys, fwd_art)
 
 
+def test_scenario_integral_only_needs_pi_bar(hexsys, fwd_art):
+    """Forwarding artifacts carry no pi_bar, which the integral-only
+    monitors need: refused before the run."""
+    with pytest.raises(ValueError, match="pi_bar"):
+        hexreg.scenario_from_dict(base_dict(law="integral_only"), hexsys, fwd_art)
+
+
+@pytest.mark.parametrize("law", kernels.LAWS)
+@pytest.mark.parametrize("art", ["fwd_art", "io_art"])
+def test_every_accepted_scenario_runs(hexsys, request, law, art):
+    """Every law on either artifact set is refused by scenario_from_dict
+    or runs: a one-block run and a two-row run_many raise nothing."""
+    art = request.getfixturevalue(art)
+    gains = {"kp_pi": -0.01, "ki_pi": -0.001} if law == hexreg.PI else {}
+    try:
+        scn = hexreg.scenario_from_dict(base_dict(law=law, **gains), hexsys, art)
+    except (ValueError, hexreg.MissingObserverStateError):
+        return
+    assert scn.n_steps < kernels._BLOCK
+    hexreg.run(scn)
+    assert len(hexreg.run_many([scn, scn])) == 2
+
+
 def test_scenario_bad_law_and_units(hexsys, fwd_art):
     with pytest.raises(ValueError, match="unknown law"):
         hexreg.scenario_from_dict(base_dict(law="mpc"), hexsys, fwd_art)
