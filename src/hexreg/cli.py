@@ -17,38 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, design, model, sim, steady_state
-from .errors import (
-    InfeasibleError,
-    MissingObserverStateError,
-    NonFiniteError,
-    NotHurwitzError,
-    NotObservableError,
-    ReferenceUnreachableError,
-    SchedulesDifferError,
-    SingularMatrixError,
-    ZeroDCGainError,
-)
+from .errors import HexRegError
 from .kernels import INTEGRAL_ONLY, LAWS, OUTPUT_FEEDBACK, PI
 from .serde import dump_json, dumps_json, read_object
 
 __all__ = ["main"]
 
-_USAGE_ERRORS = (
-    ValueError,
-    OSError,
-    KeyError,
-    ReferenceUnreachableError,
-    MissingObserverStateError,
-    SchedulesDifferError,
-)
-_NUMERICAL_ERRORS = (
-    NonFiniteError,
-    InfeasibleError,
-    SingularMatrixError,
-    NotHurwitzError,
-    ZeroDCGainError,
-    NotObservableError,
-)
+# Malformed input and files that cannot be read exit 2; so does every
+# HexRegError that is also a ValueError, and any other HexRegError exits 3.
+_USAGE_ERRORS = (ValueError, OSError, KeyError)
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -289,12 +266,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: parse failure at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=_sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 3
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except HexRegError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -48,6 +48,9 @@ def as_array(name: str, value, ndim: int) -> np.ndarray:
 class HexRegError(Exception):
     """Base class for all package-specific errors.
 
+    A subclass that is also a ValueError is an input the caller can fix
+    (the CLI exits 2 on it); any other is a numerical failure (exit 3).
+
     Every subclass pickles: it is rebuilt from its args and attributes
     without calling __init__, whose parameters differ from args in the
     subclasses that format their message, so an error raised in another
@@ -92,7 +95,7 @@ class InfeasibleError(HexRegError):
         self.best_residual = best_residual
 
 
-class ReferenceUnreachableError(HexRegError):
+class ReferenceUnreachableError(HexRegError, ValueError):
     """A requested reference lies outside the steady-state reachable set."""
 
     def __init__(self, r: float, r_min: float, r_max: float):
@@ -104,11 +107,11 @@ class ReferenceUnreachableError(HexRegError):
         self.r_max = r_max
 
 
-class MissingObserverStateError(HexRegError):
+class MissingObserverStateError(HexRegError, ValueError):
     """An output-feedback evaluation was attempted without an estimate."""
 
 
-class SchedulesDifferError(HexRegError):
+class SchedulesDifferError(HexRegError, ValueError):
     """Two scenarios meant to be compared do not share system/schedule/x0."""
 
 

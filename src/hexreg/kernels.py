@@ -43,18 +43,22 @@ batch row is bit for bit the single-trajectory result on that start,
 whatever k is (tests/test_kernels.py pins the BLAS side of that).
 
 The loop walks the rows in blocks of _BLOCK steps: rows [0, 1024),
-[1024, 2048), ..., the last one shorter.  It integrates each block with
-numpy's overflow and invalid warnings off, since a diverging run ends in
-bad_step and those warnings would only repeat it.  A non-finite entry of
-the state stays non-finite under s += ds, and the constant ones never
-change, so the state is finite at a step exactly when the rows stored for
-it are.  The loop therefore checks no state per step: it scans the rows
-of each block once it is integrated.  A diverging run integrates up to
-one block past the failure and then reports the same first non-finite
-step as a per-step check would.  The scan also turns the block's rows
-from deviations into absolute states, so a block is final once scanned,
-and a caller that asked for notice (on_final) may read it, under its own
-numpy error state, while the loop goes on.
+[1024, 2048), ..., the last one shorter.  Each block looks up the
+reference and the disturbance at all four stage times of its steps with
+one np.searchsorted per schedule, so the loop itself keeps no schedule
+state.  It integrates each block with numpy's overflow and invalid
+warnings off, since a diverging run ends in the reported failure and
+those warnings would only repeat it.  A non-finite entry of the state
+stays non-finite under s += ds, and the constant ones never change, so
+the state is finite at a step exactly when the rows stored for it are.
+The loop therefore checks no state per step: it scans the rows of each
+block once it is integrated.  A diverging run integrates up to one block
+past the failure and then reports the same first non-finite step as a
+per-step check would, with the batch row and the column that went first,
+so nothing scans the failed step again.  The scan also turns the block's
+rows from deviations into absolute states, so a block is final once
+scanned, and a caller that asked for notice (on_final) may read it,
+under its own numpy error state, while the loop goes on.
 """
 
 from __future__ import annotations
@@ -128,16 +132,16 @@ def first_nonfinite(X, XH, Z, lo, hi):
 
 def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     """Classic RK4 of the scenario scn; returns X, XH, Z, U_raw, U_sat, Err,
-    Y, bad_step.
+    Y, bad.
 
     scn is a sim.SimScenario: the kernel reads its plant, artifacts, law,
     PI gains, grid and schedules.  A start x0, xhat0 of shape (n,) gives
     series of shape (n_steps + 1, ...); of shape (k, n), series of shape
     (k, n_steps + 1, ...), one row per start.  XH is stored only for the
-    output-feedback law and is None otherwise.  bad_step is the first step
-    after the start at which the state (of any row) is non-finite, or -1;
-    the series then hold every step up to bad_step, and first_nonfinite
-    finds what went non-finite there.
+    output-feedback law and is None otherwise.  bad is None for a finite
+    run, or else first_nonfinite's (step, row, column) for the first step
+    after the start at which the state (of any row) is non-finite; the
+    series then hold every step up to that step.
 
     The rank of x0 picks the product calls: np.dot for one trajectory,
     the stacked np.matmul for k, with the same bits per row.
@@ -257,46 +261,32 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     # Stage j is evaluated at t + a_j dt with a = (0, 1/2, 1/2, 1).  The
     # reference is the last entry whose time is <= t_j (the first entry
     # before that), the disturbance likewise (0 before its first entry).
-    # t_j never decreases at a fixed offset, so one cursor per offset and
-    # schedule replaces a scan from the start.
-    ref_times, ref_vals = scn.ref_t.tolist(), scn.ref_v.tolist()
-    dist_times, dist_vals = scn.dist_t.tolist(), scn.dist_v.tolist()
-    nref, ndist = len(ref_times), len(dist_times)
-    r_first = ref_vals[0]
-    stage_h = (0.0, 0.5 * dt, 0.5 * dt, 1.0 * dt)   # a_j * dt
+    # Each block looks up all of its stage times at once: the count of
+    # entries <= t_j indexes values led by the one before the first entry.
+    ref_v = np.concatenate([scn.ref_v[:1], scn.ref_v])
+    dist_v = np.concatenate([[0.0], scn.dist_v])
+    stage_h = np.array([0.0, 0.5 * dt, 0.5 * dt, 1.0 * dt])   # a_j * dt
     stage_h0d = [np.array(h) for h in stage_h]
-    stage_slot = (0, 1, 1, 2)
     stage_b = dt * np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])  # dt b_j
-    ref_at, dist_at = [0, 0, 0], [0, 0, 0]
 
-    bad_step = -1
     for lo in range(0, T, _BLOCK):
         hi = min(lo + _BLOCK, T)
+        tj = (np.arange(lo, hi) * dt)[:, None] + stage_h
+        # each step's four values become floats as the loop reaches it: a
+        # block's worth of float lists would raise the run's peak memory
+        refs = map(np.ndarray.tolist, ref_v[np.searchsorted(scn.ref_t, tj, "right")])
+        dists = map(np.ndarray.tolist, dist_v[np.searchsorted(scn.dist_t, tj, "right")])
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(lo, hi):
-                t = step * dt
+            for step, r_row, d_row in zip(range(lo, hi), refs, dists):
                 at = (slice(None), step) if lead else step
                 for j in range(4):
                     if j:
                         np.multiply(Kj[j - 1], stage_h0d[j], st)
                         np.add(st, s, st)
-                    tj = t + stage_h[j]
-                    slot = stage_slot[j]
-                    i = ref_at[slot]
-                    while i < nref and ref_times[i] <= tj:
-                        i += 1
-                    ref_at[slot] = i
-                    r = ref_vals[i - 1] if i else r_first
-                    i = dist_at[slot]
-                    while i < ndist and dist_times[i] <= tj:
-                        i += 1
-                    dist_at[slot] = i
-                    d = dist_vals[i - 1] if i else 0.0
-
                     mul(G, stage_x[j], gx_out)
                     mx, mw, yc = read_mwc()
                     (z,) = read_z[j]()
-                    e = yc - r + d
+                    e = yc - r_row[j] + d_row[j]
                     if observer:
                         mul(G, stage_xh[j], gxh_out)
                         mx, mw = read_hmw()
@@ -341,14 +331,13 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
         if observer:
             XH[..., lo:hi, :] += x_ss
         if bad is not None:
-            bad_step = bad[0]
             break
         if on_final is not None:
             on_final(lo, hi)
 
     if lead:
         Z, U_raw, U_sat, Err = (a[..., 0] for a in (Z, U_raw, U_sat, Err))
-    return X, XH, Z, U_raw, U_sat, Err, Y, bad_step
+    return X, XH, Z, U_raw, U_sat, Err, Y, bad
 
 
 # sim.run_many calls the kernel under this name, and the benchmark's

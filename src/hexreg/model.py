@@ -35,6 +35,8 @@ __all__ = [
     "save_system",
 ]
 
+_MAX_CELLS = 1024  # most cells HexParams accepts; A alone holds (2 n_cells)^2 floats
+
 # JSON field names for HexParams, in canonical order.  "lambda" is a Python
 # keyword, so the dataclass attribute is ``lam``.
 _HEX_FIELDS = (
@@ -81,6 +83,8 @@ class HexParams:
         n_cells = as_float("n_cells", self.n_cells)
         if int(n_cells) != n_cells or n_cells < 1:
             raise ValueError(f"n_cells must be a positive integer, got {self.n_cells!r}")
+        if n_cells > _MAX_CELLS:
+            raise ValueError(f"n_cells={self.n_cells!r} is above the limit of {_MAX_CELLS}")
         self.n_cells = int(n_cells)
         for key in ("lambda", "rho", "cp", "V_hot", "V_cold", "q_bar", "T_in_hot", "T_in_cold"):
             value = as_float(key, getattr(self, "lam" if key == "lambda" else key))

@@ -11,23 +11,13 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_value(obj):
+    """json.dumps's default hook: a numpy array or scalar as the list or
+    Python number its tolist gives; anything else is refused, as json does."""
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def read_object(path) -> dict:
@@ -54,7 +44,8 @@ def require_fields(data, what: str, required, optional=()) -> None:
 
 
 def dumps_json(data) -> str:
-    return json.dumps(_plain(data), indent=2, sort_keys=True, allow_nan=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=True,
+                      default=_numpy_value) + "\n"
 
 
 def dump_json(path: str, data) -> None:

@@ -52,7 +52,6 @@ from .kernels import (
     PI,
     closed_loop_rk4,
     closed_loop_rk4_batch,
-    first_nonfinite,
 )
 from .model import BilinearSystem
 from .parallel import fork_join, fork_stream
@@ -245,11 +244,11 @@ def load_scenario(
     return scenario_from_dict(read_object(path), sys, artifacts)
 
 
-def _nonfinite(scn: SimScenario, series, bad_step: int) -> NonFiniteError:
-    """The error for kernel series that went non-finite at bad_step: what
-    went first, in which batch row, and the last finite u_sat before it."""
-    X, XH, Z, _, U_sat, _, _ = series
-    step, row, column = first_nonfinite(X, XH, Z, bad_step, bad_step + 1)
+def _nonfinite(scn: SimScenario, U_sat: np.ndarray, bad) -> NonFiniteError:
+    """The error for a run whose kernel reported bad = (step, row, column):
+    the kernel's location, with the last finite u_sat of that row before
+    that step."""
+    step, row, column = bad
     before = (U_sat if row is None else U_sat[row])[:step]
     finite = before[np.isfinite(before)]
     return NonFiniteError(step, step * scn.dt, column, row,
@@ -302,10 +301,10 @@ def run(scn: SimScenario, csv_path: str | Path | None = None) -> SimResult:
             _block_monitors(scn, res, Z, lo, hi)
             send(hi)
 
-        *_, bad_step = closed_loop_rk4(scn, scn.x0, scn.x_hat0,
-                                       out=out, on_final=on_final)
-        if bad_step >= 0:
-            raise _nonfinite(scn, out, bad_step)
+        *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0,
+                                  out=out, on_final=on_final)
+        if bad is not None:
+            raise _nonfinite(scn, res.u_sat, bad)
 
     if csv_path is None:
         integrate(lambda hi: None)
@@ -346,9 +345,9 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
             raise SchedulesDifferError("kp_pi/ki_pi differ between the scenarios")
     x0 = np.stack([scn.x0 for scn in scenarios])
     x_hat0 = np.stack([scn.x_hat0 for scn in scenarios])
-    *series, bad_step = closed_loop_rk4_batch(first, x0, x_hat0)
-    if bad_step >= 0:
-        raise _nonfinite(first, series, bad_step)
+    *series, bad = closed_loop_rk4_batch(first, x0, x_hat0)
+    if bad is not None:
+        raise _nonfinite(first, series[4], bad)  # series[4] is U_sat
     T = first.n_steps + 1
     results = []
     for i, scn in enumerate(scenarios):

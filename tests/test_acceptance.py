@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hexreg
-from hexreg import analysis, design, sim
+from hexreg import analysis, sim
 from hexreg.cli import main as cli_main
 
 from conftest import KELVIN, make_scenario

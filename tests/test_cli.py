@@ -14,12 +14,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hexreg
-from hexreg import sim
+from hexreg import model, sim
 from hexreg.cli import main
 from hexreg.errors import as_float
 
 from conftest import child_env
 from test_loaders import json_values
+from test_parallel import ERRORS
 from test_steady_state import _pole_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -101,6 +102,49 @@ def test_build_model_input_range_empty_exit2(tmp_path, capsys, u_max):
     assert capsys.readouterr().err.splitlines() == [
         f"error: u_min < u_max required, got [0.0, {u_max!r}]"]
     assert not out.exists()
+
+
+def test_build_model_too_many_cells_exit2(tmp_path, capsys, monkeypatch):
+    """An n_cells above the limit is refused before the plant is built, so
+    nothing the size of the plant is allocated."""
+    params = json.loads((CONFIGS / "hex_table1.json").read_text())
+    params["n_cells"] = 10**7
+    hex_file = tmp_path / "hex_huge.json"
+    hex_file.write_text(json.dumps(params))
+    out = tmp_path / "never.json"
+    monkeypatch.setattr(model, "build_hex", lambda params: pytest.fail("plant built"))
+    rc = main(["build-model", str(hex_file), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: n_cells=10000000 is above the limit of 1024"]
+    assert not out.exists()
+
+
+# The exit code of each HexRegError: 2 for an input the caller can fix, 3
+# for a numerical failure.
+EXIT_CODES = {
+    "SingularMatrixError": 3,
+    "NotHurwitzError": 3,
+    "ZeroDCGainError": 3,
+    "NotObservableError": 3,
+    "InfeasibleError": 3,
+    "ReferenceUnreachableError": 2,
+    "MissingObserverStateError": 2,
+    "SchedulesDifferError": 2,
+    "NonFiniteError": 3,
+}
+
+
+@pytest.mark.parametrize("exc", ERRORS, ids=lambda e: type(e).__name__)
+def test_error_exit_code(tmp_path, capsys, monkeypatch, exc):
+    """main returns each error's exit code, with its message on stderr."""
+    def load_system(path):
+        raise exc
+
+    monkeypatch.setattr(model, "load_system", load_system)
+    rc = main(["steady-state", str(tmp_path / "hex.json")])
+    assert rc == EXIT_CODES[type(exc).__name__]
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_build_model_missing_file(tmp_path):

@@ -44,7 +44,7 @@ def scenario(sys, art, law, x0, x_hat0=None, refs=None, dists=(), **pi):
 def kernel_step(scn, z0):
     """(X, XH, Z, U_raw, Err) of one kernel step from (x0, x_hat0, z0)."""
     X, XH, Z, U_raw, _, Err, _, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, z0)
-    assert bad == -1
+    assert bad is None
     return X, XH, Z, U_raw, Err
 
 
@@ -306,7 +306,7 @@ def test_kernel_matches_chained_rk4_steps(law, hexsys, fwd_art, io_art,
                             dists=[[20.6 * DT, dd], [30.2 * DT, 0.0]],
                             x0=x0, x_hat0=x_hat0, **gains)
         X, XH, Z, U_raw, _, _, _, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, z0)
-        assert bad == -1
+        assert bad is None
         s = np.concatenate([scn.x0, scn.x_hat0, [z0]])
         states, u_raw = [], []
         for step in range(STEPS + 1):

@@ -5,12 +5,15 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import hexreg
 
 MODULES = ["hexreg"] + [f"hexreg.{m.name}" for m in pkgutil.iter_modules(hexreg.__path__)]
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(path.name for path in TESTS.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -33,11 +36,16 @@ def test_submodules_export_only_their_own_definitions(module):
     assert foreign == []
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES + TEST_FILES)
 def test_no_unused_imports(module):
-    """A module imports no name that it neither uses nor lists in __all__."""
-    mod = importlib.import_module(module)
-    tree = ast.parse(inspect.getsource(mod))
+    """A module imports no name that it neither uses nor lists in __all__.
+    The modules under tests/ are named by file and parsed the same way."""
+    if module.endswith(".py"):
+        source, exported = (TESTS / module).read_text(encoding="utf-8"), []
+    else:
+        mod = importlib.import_module(module)
+        source, exported = inspect.getsource(mod), getattr(mod, "__all__", [])
+    tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -47,5 +55,5 @@ def test_no_unused_imports(module):
                 name = alias.asname or alias.name.partition(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = sorted(set(imported) - used - set(getattr(mod, "__all__", [])))
+    unused = sorted(set(imported) - used - set(exported))
     assert [(name, imported[name]) for name in unused] == []

@@ -177,7 +177,7 @@ def test_on_final_reports_each_block_once_final(hexsys, fwd_art):
         seen.append(X[lo:hi].copy())
 
     *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, out=out, on_final=on_final)
-    assert bad == -1
+    assert bad is None
     assert calls == [(0, 1024), (1024, 2048), (2048, 2049)]
     assert np.concatenate(seen).tobytes() == X.tobytes()
 

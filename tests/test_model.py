@@ -22,6 +22,11 @@ def test_hex_params_validation():
     bad["n_cells"] = 0
     with pytest.raises(ValueError):
         hexreg.HexParams(**bad)
+    assert hexreg.HexParams(**{**TABLE1, "n_cells": 1024}).n_cells == 1024
+    bad = dict(TABLE1)
+    bad["n_cells"] = 1025
+    with pytest.raises(ValueError, match=r"n_cells=1025 is above the limit of 1024"):
+        hexreg.HexParams(**bad)
     bad = dict(TABLE1)
     bad["u_min"] = -1.0
     with pytest.raises(ValueError, match=r"u_min must be >= 0"):
