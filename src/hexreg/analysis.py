@@ -29,6 +29,7 @@ from .kernels import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI, _rowdot, _r
 from .model import BilinearSystem
 from .steady_state import (
     _ROOT_TOL,
+    _STACK_BLOCK,
     _equilibria,
     _in_range,
     _pencil_eigenvalues,
@@ -159,14 +160,16 @@ def assumption_report(
 
     At each input u in [u_min, u_max] it takes the largest real eigenvalue
     part of F_u and the DC gain C F_u^-1 g_u, with g_u = B pi(u) + b and pi
-    from one stacked steady_state._equilibria.  The eigenvalues, the solves
-    and the A3(b) pencils below are stacked over the inputs; a stacked
-    numpy.linalg call makes the LAPACK call of a single one per matrix, and
-    kernels._rowwise and _rowdot the BLAS calls of B @ x and C @ y, so every
-    field has the bits of an input-by-input loop.  Without P or a3b, when
-    that call raises, pi is taken input by input: a point where pi_map finds
-    F_u singular is left out of the gain minimum.  Otherwise the
-    SingularMatrixError propagates.  The DC-gain sign is decided with no grid: it is constant
+    from steady_state._equilibria.  The sweep walks the inputs in blocks of
+    steady_state._STACK_BLOCK, so its memory does not grow with u_grid.  In
+    each block, pi, the eigenvalues, the solves and the A3(b) pencils below
+    are stacked; a stacked numpy.linalg call makes the LAPACK call of a
+    single one per matrix, and kernels._rowwise and _rowdot the BLAS calls
+    of B @ x and C @ y, so every field has the bits of an input-by-input
+    loop.  Without P or a3b, when _equilibria raises on a block, pi is taken
+    input by input there: a point where pi_map finds F_u singular is left
+    out of the gain minimum.  Otherwise the SingularMatrixError
+    propagates.  The DC-gain sign is decided with no grid: it is constant
     iff the pencil (A, B) has no root in [u_min, u_max] and
     steady_state._stationary_points, the zeros of the DC gain, is empty.
     The roots of (A, B) come from one shift-invert over the wider range
@@ -214,42 +217,53 @@ def assumption_report(
         if nu <= 0.0 or eps <= 0.0:
             raise ValueError("nu and eps must be positive")
 
-    try:
-        X = _equilibria(sys, us)
-    except SingularMatrixError:
-        if P is not None or a3b:
-            raise
-        X = np.full((n_u, n), np.nan)
-        for i, u in enumerate(us):
-            with suppress(SingularMatrixError):
-                X[i] = pi_map(sys, u)
-    Fu = sys.A + sys.B * us[:, None, None]
-    gu = _rowwise(sys.B, X) + sys.b
-    ok = ~np.isnan(X[:, 0])
-    gains = _rowdot(sys.C, np.linalg.solve(Fu[ok], gu[ok][..., None])[..., 0])[:, 0]
-    finite = gains[np.isfinite(gains)]
     w_lo, w_hi = 2.0 * lo - hi, 2.0 * hi - lo
     ab_roots = _pencil_eigenvalues(sys.A, sys.B, w_lo, w_hi)
+    ab_poles = _in_range(ab_roots, w_lo, w_hi)
+    v_lo, v_hi = lo - hi, hi - lo
+    tol = _ROOT_TOL * (v_hi - v_lo)
+    M1 = np.pad(sys.B, ((0, 1), (0, 1)))
+    margins, gain_mins = [], []
+    a3b_counts = np.zeros(3, dtype=np.int64)   # roots, poles, admissible
+    for k in range(0, n_u, _STACK_BLOCK):
+        u = us[k : k + _STACK_BLOCK]
+        try:
+            X = _equilibria(sys, u)
+        except SingularMatrixError:
+            if P is not None or a3b:
+                raise
+            X = np.full((len(u), n), np.nan)
+            for i, ui in enumerate(u):
+                with suppress(SingularMatrixError):
+                    X[i] = pi_map(sys, ui)
+        Fu = sys.A + sys.B * u[:, None, None]
+        gu = _rowwise(sys.B, X) + sys.b
+        ok = ~np.isnan(X[:, 0])
+        gains = _rowdot(sys.C, np.linalg.solve(Fu[ok], gu[ok][..., None])[..., 0])[:, 0]
+        finite = gains[np.isfinite(gains)]
+        if finite.size:
+            gain_mins.append(np.min(np.abs(finite)))
+        margins.append(np.max(np.linalg.eigvals(Fu).real))
+        if P is None and not a3b:
+            continue
+        M0 = np.zeros((len(u), n + 1, n + 1))
+        M0[:, :n, :n], M0[:, :n, n], M0[:, n, :n] = Fu, gu, sys.C
+        rows, zeros = _stacked_pencil_roots(M0, M1, v_lo, v_hi)
+        poles = ab_poles - u[:, None]
+        in_range = (poles >= v_lo - tol) & (poles <= v_hi + tol)
+        w = np.concatenate((u[rows] + zeros, (u[:, None] + poles)[in_range]))
+        a3b_counts += (len(zeros), np.count_nonzero(in_range),
+                       np.count_nonzero((w >= lo) & (w <= hi)))
     rep = AssumptionReport(
-        hurwitz_margin=float(np.max(np.linalg.eigvals(Fu).real)),
-        dc_gain_min_abs=float(np.min(np.abs(finite))) if finite.size else float("nan"),
+        hurwitz_margin=float(np.max(margins)),
+        dc_gain_min_abs=float(np.min(gain_mins)) if gain_mins else float("nan"),
         dc_sign_constant=not (_in_range(ab_roots, lo, hi).size
                               or _stationary_points(sys).size),
         grid_sizes={"u": n_u},
     )
     if P is None and not a3b:
         return rep
-    M0 = np.zeros((n_u, n + 1, n + 1))
-    M0[:, :n, :n], M0[:, :n, n], M0[:, n, :n] = Fu, gu, sys.C
-    v_lo, v_hi = lo - hi, hi - lo
-    rows, zeros = _stacked_pencil_roots(M0, np.pad(sys.B, ((0, 1), (0, 1))), v_lo, v_hi)
-    tol = _ROOT_TOL * (v_hi - v_lo)
-    poles = _in_range(ab_roots, w_lo, w_hi) - us[:, None]
-    in_range = (poles >= v_lo - tol) & (poles <= v_hi + tol)
-    w = np.concatenate((us[rows] + zeros, (us[:, None] + poles)[in_range]))
-    rep.a3b_roots = len(zeros)
-    rep.a3b_poles = int(np.count_nonzero(in_range))
-    rep.a3b_admissible = int(np.count_nonzero((w >= lo) & (w <= hi)))
+    rep.a3b_roots, rep.a3b_poles, rep.a3b_admissible = map(int, a3b_counts)
     rep.a3b_sign_constant = rep.dc_sign_constant and rep.a3b_roots + rep.a3b_poles == 0
     if P is None:
         return rep

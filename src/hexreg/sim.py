@@ -327,7 +327,8 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
     plant, the schedules and the grid (as compare_pi checks), the law and
     its PI gains, and one artifact set (the same object); otherwise
     SchedulesDifferError is raised.  Each result is bit-identical to
-    run() on that scenario; a non-finite state raises NonFiniteError at the
+    run() on that scenario, and all share one read-only times array; a
+    non-finite state raises NonFiniteError at the
     first step where any scenario went non-finite, naming the first such
     scenario.
     """
@@ -349,10 +350,12 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
     if bad is not None:
         raise _nonfinite(first, series[4], bad)  # series[4] is U_sat
     T = first.n_steps + 1
+    times = np.arange(T) * first.dt   # one grid, shared read-only by every result
+    times.flags.writeable = False
     results = []
     for i, scn in enumerate(scenarios):
         X, XH, Z, U_raw, U_sat, Err, Y = (None if s is None else s[i] for s in series)
-        res = SimResult(np.arange(T) * scn.dt, X, XH, U_raw, U_sat, Err, Y,
+        res = SimResult(times, X, XH, U_raw, U_sat, Err, Y,
                         {name: np.empty(T) for name in _MONITOR_NAMES[scn.law]})
         for lo in range(0, T, _BLOCK):
             _block_monitors(scn, res, Z, lo, min(lo + _BLOCK, T))

@@ -4,6 +4,7 @@ Everything heavy is session-scoped so the design work (Lyapunov solves,
 grid suprema) runs once for the whole suite.
 """
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import hexreg
+from hexreg import native
 from hexreg.kernels import closed_loop_rk4
 
 KELVIN = 273.15
@@ -41,6 +43,55 @@ def child_env() -> dict:
     pkg_root = str(Path(hexreg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture(scope="session", autouse=True)
+def build_cache(tmp_path_factory):
+    """The compiled step loop's build cache for the whole session, child
+    processes included: a session directory, so the suite compiles once
+    and writes no build outside it."""
+    with pytest.MonkeyPatch.context() as mp:
+        path = tmp_path_factory.mktemp("cache")
+        mp.setenv("XDG_CACHE_HOME", str(path))
+        native.compiled_rows.cache_clear()
+        yield path
+    native.compiled_rows.cache_clear()
+
+
+def _bits(value):
+    """value with every array, at any depth, as its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def both_loops(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the kernel on its compiled step loop, then
+    on its numpy loop.  Asserts that both return the same bytes, or raise
+    the same error with the same attributes, and returns (or raises) what
+    the compiled loop gave."""
+    outcomes = []
+    for loop in ("compiled", "numpy"):
+        with pytest.MonkeyPatch.context() as mp:
+            if loop == "numpy":
+                mp.setattr(native, "compiled_rows", lambda: None)
+            try:
+                outcomes.append((fn(*args, **kwargs), None))
+            except Exception as err:  # compared below, then raised
+                outcomes.append((None, err))
+    (value, err), (np_value, np_err) = outcomes
+    if err is not None or np_err is not None:
+        assert (type(err), str(err), _bits(vars(err))) == \
+            (type(np_err), str(np_err), _bits(vars(np_err)))
+        raise err
+    assert _bits(value) == _bits(np_value)
+    return value
 
 
 @pytest.fixture

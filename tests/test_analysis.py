@@ -1,5 +1,6 @@
 """Assumption checks, monitors, and the linearized gain sweep."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -336,6 +337,29 @@ def test_assumption_report_builds_the_a3a_block_twice(hexsys, table1, monkeypatc
     P = hexreg.hex_analytic_P(table1)
     hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3, u_grid=u_grid, v_grid=2)
     assert len(built) == 2
+
+
+def test_assumption_report_blocks_keep_bits_and_bound_memory(hexsys, table1, monkeypatch):
+    """The sweep walks its inputs in blocks: the report at 200 inputs (four
+    blocks) has the bits of one taken in a single block, and the traced
+    peak at 4096 inputs stays within twice the peak at 256."""
+    P = hexreg.hex_analytic_P(table1)
+    report = lambda u_grid: hexreg.assumption_report(hexsys, P, nu=1.0, eps=1e-3,
+                                                     u_grid=u_grid, a3b=True)
+    blocked = report(200).to_dict()
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "_STACK_BLOCK", 10**6)
+        whole = report(200).to_dict()
+    assert repr(blocked) == repr(whole)
+    peaks = []
+    for u_grid in (256, 4096):
+        tracemalloc.start()
+        try:
+            report(u_grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def a3b_per_pair(sys, us, vs):

@@ -4,7 +4,8 @@ kernels.closed_loop_rk4 is the one definition of the laws that runs.  Each
 test takes one step of it (t_end = dt) on a scenario, and
 compares the input it issued and the state it reached with the paper's
 formulas and one RK4 step of the plant, observer and integrator written
-out below.
+out below.  Every kernel call runs on the compiled step loop and on the
+numpy loop, which must agree bit for bit (conftest.both_loops).
 """
 
 from dataclasses import replace
@@ -15,7 +16,7 @@ import pytest
 import hexreg
 from hexreg.kernels import closed_loop_rk4
 
-from conftest import make_scenario
+from conftest import both_loops, make_scenario
 
 DT = 0.05  # the step of the shipped experiments; at 0.5 s the forwarding
 #           step already amplifies a 1-ulp change of x0 to 2e-12 in X[1]
@@ -43,7 +44,8 @@ def scenario(sys, art, law, x0, x_hat0=None, refs=None, dists=(), **pi):
 
 def kernel_step(scn, z0):
     """(X, XH, Z, U_raw, Err) of one kernel step from (x0, x_hat0, z0)."""
-    X, XH, Z, U_raw, _, Err, _, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, z0)
+    X, XH, Z, U_raw, _, Err, _, bad = both_loops(closed_loop_rk4, scn, scn.x0,
+                                                 scn.x_hat0, z0)
     assert bad is None
     return X, XH, Z, U_raw, Err
 
@@ -305,7 +307,8 @@ def test_kernel_matches_chained_rk4_steps(law, hexsys, fwd_art, io_art,
                             [[0.0, r0], [10.3 * DT, r0 + dr]],
                             dists=[[20.6 * DT, dd], [30.2 * DT, 0.0]],
                             x0=x0, x_hat0=x_hat0, **gains)
-        X, XH, Z, U_raw, _, _, _, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, z0)
+        X, XH, Z, U_raw, _, _, _, bad = both_loops(closed_loop_rk4, scn, scn.x0,
+                                                   scn.x_hat0, z0)
         assert bad is None
         s = np.concatenate([scn.x0, scn.x_hat0, [z0]])
         states, u_raw = [], []

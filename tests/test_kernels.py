@@ -11,7 +11,7 @@ import scipy.linalg as sla
 import hexreg
 from hexreg.kernels import closed_loop_rk4
 
-from conftest import KELVIN, child_env, make_scenario, per_step_nonfinite
+from conftest import KELVIN, both_loops, child_env, make_scenario, per_step_nonfinite
 
 _LANE_SCRIPT = r"""
 import sys
@@ -154,9 +154,9 @@ def test_block_scan_reports_per_step_nonfinite(hexsys, fwd_art, synthetic_observ
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(hexreg.NonFiniteError) as alone:
-            hexreg.run(scn)
+            both_loops(hexreg.run, scn)
         with pytest.raises(hexreg.NonFiniteError) as batch:
-            hexreg.run_many([scn])
+            both_loops(hexreg.run_many, [scn])
     for err, row in ((alone.value, None), (batch.value, 0)):
         assert (err.step, err.t, err.column, err.row) == (step, step * scn.dt, column, row)
         assert np.isfinite(err.u_sat)
@@ -168,29 +168,41 @@ def test_on_final_reports_each_block_once_final(hexsys, fwd_art):
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 204.8, 0.1,
                         [[0.0, 26.5 + KELVIN], [100.0, 26.0 + KELVIN]],
                         x0=fwd_art.x_ss + 1.0)
-    calls, seen = [], []
-    X = np.empty((2049, 16))
-    out = (X, None, np.empty(2049), *(np.empty(2049) for _ in range(3)), np.empty((2049, 1)))
 
-    def on_final(lo, hi):
-        calls.append((lo, hi))
-        seen.append(X[lo:hi].copy())
+    def run():
+        calls, seen = [], []
+        X = np.empty((2049, 16))
+        out = (X, None, np.empty(2049), *(np.empty(2049) for _ in range(3)),
+               np.empty((2049, 1)))
 
-    *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, out=out, on_final=on_final)
+        def on_final(lo, hi):
+            calls.append((lo, hi))
+            seen.append(X[lo:hi].copy())
+
+        *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, out=out, on_final=on_final)
+        return bad, calls, seen, out
+
+    bad, calls, seen, out = both_loops(run)
     assert bad is None
     assert calls == [(0, 1024), (1024, 2048), (2048, 2049)]
-    assert np.concatenate(seen).tobytes() == X.tobytes()
+    assert np.concatenate(seen).tobytes() == out[0].tobytes()
 
 
 def test_only_z_diverges(hexsys, fwd_art):
     """The PI integrator runs off to infinity while the clamped input keeps
     the plant finite; the error names z and the clamped input."""
     scn = _diverging(hexsys, fwd_art, None, 65)
-    X, _, Z, _, U_sat, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
-    assert np.isfinite(X[:66]).all() and not np.isfinite(Z[65])
+
+    def kernel():
+        """The series up to the failed step, which they hold."""
+        X, _, Z, _, U_sat, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+        return X[:66], Z[:66], U_sat[:66]
+
+    X, Z, U_sat = both_loops(kernel)
+    assert np.isfinite(X).all() and not np.isfinite(Z[65])
     assert U_sat[64] == hexsys.u_max
     with pytest.raises(hexreg.NonFiniteError) as err:
-        hexreg.run(scn)
+        both_loops(hexreg.run, scn)
     assert str(err.value) == ("non-finite state at step 65 (t = 65 s): z first, "
                               "last finite u_sat = 0.05")
 

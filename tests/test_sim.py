@@ -12,7 +12,7 @@ from hexreg import analysis, kernels, sim
 from hexreg.kernels import closed_loop_rk4
 from hexreg.serde import dumps_json
 
-from conftest import KELVIN, make_scenario, per_step_nonfinite
+from conftest import KELVIN, both_loops, make_scenario, per_step_nonfinite
 
 
 def base_dict(**over):
@@ -473,10 +473,22 @@ def test_run_many_matches_run_bitwise(law, hexsys, fwd_art, io_art,
                   synthetic_observer, 4)
     # a batch of four, and a batch of one against the one-trajectory path
     for batch in (scns, scns[:1]):
-        many = hexreg.run_many(batch)
+        many = both_loops(hexreg.run_many, batch)
         assert len(many) == len(batch)
         for scn, res in zip(batch, many):
-            _assert_same_result(hexreg.run(scn), res)
+            _assert_same_result(both_loops(hexreg.run, scn), res)
+
+
+def test_run_many_results_share_one_read_only_grid(hexsys, fwd_art, io_art,
+                                                  synthetic_observable, synthetic_observer):
+    scns = _sweep(hexreg.FORWARDING, hexsys, fwd_art, io_art,
+                  synthetic_observable, synthetic_observer, 3)
+    results = hexreg.run_many(scns)
+    times = results[0].times
+    assert all(res.times is times for res in results)
+    assert not times.flags.writeable
+    assert times.tobytes() == hexreg.run(scns[0]).times.tobytes()
+    assert times.tobytes() == (np.arange(scns[0].n_steps + 1) * scns[0].dt).tobytes()
 
 
 def test_run_many_bits_independent_of_batch_size(
@@ -484,9 +496,9 @@ def test_run_many_bits_independent_of_batch_size(
     scns = _sweep(hexreg.FORWARDING, hexsys, fwd_art, io_art,
                   synthetic_observable, synthetic_observer, 7)
     target = scns[3]
-    (alone,) = hexreg.run_many([target])
-    in_pair = hexreg.run_many([scns[0], target])[1]
-    in_seven = hexreg.run_many(scns)[3]
+    (alone,) = both_loops(hexreg.run_many, [target])
+    in_pair = both_loops(hexreg.run_many, [scns[0], target])[1]
+    in_seven = both_loops(hexreg.run_many, scns)[3]
     _assert_same_result(alone, in_pair)
     _assert_same_result(alone, in_seven)
     assert hexreg.run_many([]) == []
@@ -525,9 +537,9 @@ def test_run_many_names_the_row_that_diverges_after_the_first_block(hexsys, fwd_
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(hexreg.NonFiniteError) as alone:
-            hexreg.run(scns[13])
+            both_loops(hexreg.run, scns[13])
         with pytest.raises(hexreg.NonFiniteError) as batch:
-            hexreg.run_many(scns)
+            both_loops(hexreg.run_many, scns)
     assert (alone.value.step, alone.value.row) == (1160, None)
     assert (batch.value.step, batch.value.row, batch.value.t) == (1160, 13, 2900.0)
     assert batch.value.column == alone.value.column
