@@ -18,8 +18,8 @@ multiply and add rounded apart, as numpy rounds them, and no fast-math
 flag may let the compiler reorder them or flush subnormals to zero.
 
 A build is cached per user under $XDG_CACHE_HOME/hexreg (~/.cache/hexreg
-by default), a directory made owner-only.  Its name carries the hash of
-the source and the flags, and it is written to a temporary file and moved
+by default), a directory made owner-only.  Its name carries the length
+and the CRC-32 of the source and the flags, and it is written to a temporary file and moved
 into place, so concurrent processes (compare-pi's two halves, consecutive
 commands) share one build.  When that directory cannot be written, or
 another user owns it, or others may write to it, the build goes to a
@@ -32,16 +32,16 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Loop", "compiled_rows", "rows_function"]
+__all__ = ["compiled_rows", "rows_function"]
 
 _SOURCE = Path(__file__).with_name("rk4_rows.c")
 # never -ffast-math, -Ofast or -march=native: each changes the bits
@@ -53,7 +53,7 @@ _COMPILE_TIMEOUT_S = 120.0
 _LAW_CODES = {"forwarding": 0, "output_feedback": 1, "integral_only": 2, "pi": 3}
 
 
-class Loop(ctypes.Structure):
+class _Loop(ctypes.Structure):
     """rk4_rows.c's struct loop: the BLAS entries, the law and its sizes,
     its scalars, and the addresses of the operands, buffers and series."""
 
@@ -132,7 +132,7 @@ def _compile(dest: Path) -> bool:
 def _load(path: Path):
     """rk4_rows from the library at path, with its argument types."""
     fn = ctypes.CDLL(str(path)).rk4_rows
-    fn.argtypes = [ctypes.POINTER(Loop), ctypes.c_int64, ctypes.c_int64,
+    fn.argtypes = [ctypes.POINTER(_Loop), ctypes.c_int64, ctypes.c_int64,
                    ctypes.c_void_p, ctypes.c_void_p]
     fn.restype = None
     return fn
@@ -150,8 +150,10 @@ def compiled_rows():
         source = _SOURCE.read_bytes()
     except OSError:
         return None
-    digest = hashlib.sha256(source + "\0".join(_FLAGS).encode()).hexdigest()[:16]
-    name = f"rk4_rows-{digest}.so"
+    # CRC-32, not hashlib: hashlib loads OpenSSL, about 3.7 MiB more
+    # resident memory in every process that simulates
+    key = source + "\0".join(_FLAGS).encode()
+    name = f"rk4_rows-{len(key):x}-{zlib.crc32(key):08x}.so"
     try:
         cache = _cache_dir()
         if cache is not None and ((cache / name).exists() or _compile(cache / name)):
@@ -167,7 +169,7 @@ def rows_function(law: str, **fields):
     """rows(lo, hi, ref, dist), which runs rk4_rows.c on the struct of law
     and fields, or None when the kernel must run its numpy loop.
 
-    fields names every other field of Loop except the BLAS entries; an
+    fields names every other field of _Loop except the BLAS entries; an
     array field takes a C-contiguous float64 array, or None, and the
     function holds each array while it lives.  ref and dist give each
     step's four stage values of the reference and the disturbance, as
@@ -177,7 +179,7 @@ def rows_function(law: str, **fields):
     if built is None:
         return None
     fn, blas = built
-    loop = Loop(law=_LAW_CODES[law], **blas, **{
+    loop = _Loop(law=_LAW_CODES[law], **blas, **{
         name: (value.ctypes.data if isinstance(value, np.ndarray) else value)
         for name, value in fields.items()})
     ref_loop = ctypes.byref(loop)

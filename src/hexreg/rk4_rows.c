@@ -23,7 +23,7 @@ typedef double (*ddot_fn)(blasint, const double *, blasint, const double *,
 enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
 enum { FORWARDING, OUTPUT_FEEDBACK, INTEGRAL_ONLY, PI };
 
-/* The kernel's operands, buffers and series; native.Loop lists the same
+/* The kernel's operands, buffers and series; native._Loop lists the same
  * fields in the same order. */
 struct loop {
     dgemv_fn dgemv;
