@@ -58,8 +58,9 @@ numpy loop takes about 15 us for one trajectory and 4 us per batch row.
 Otherwise the numpy loop runs; it stays the reference that the tests
 hold the C loop to.  It integrates with numpy's overflow and invalid
 warnings off, since a diverging run ends in the reported failure and
-those warnings would only repeat it; the C loop warns of nothing.  A non-finite entry of the state
-stays non-finite under s += ds, and the constant ones never change, so
+those warnings would only repeat it; the C loop warns of nothing.  A
+non-finite entry of the state stays non-finite under s += ds, and the
+constant ones never change, so
 the state is finite at a step exactly when the rows stored for it are.
 The loop therefore checks no state per step: it scans the rows of each
 block once it is integrated.  A diverging run integrates up to one block
@@ -155,8 +156,8 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0, out=None, on_final=None):
     after the start at which the state (of any row) is non-finite; the
     series then hold every step up to that step.
 
-    The rank of x0 picks the product calls: np.dot for one trajectory,
-    the stacked np.matmul for k, with the same bits per row.
+    The rank of x0 picks the numpy loop's product calls: np.dot for one
+    trajectory, the stacked np.matmul for k, with the same bits per row.
 
     For one trajectory, out may give the arrays to fill, in the order and
     the shapes returned (XH None unless the law is output feedback).

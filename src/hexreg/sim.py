@@ -328,9 +328,8 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
     its PI gains, and one artifact set (the same object); otherwise
     SchedulesDifferError is raised.  Each result is bit-identical to
     run() on that scenario, and all share one read-only times array; a
-    non-finite state raises NonFiniteError at the
-    first step where any scenario went non-finite, naming the first such
-    scenario.
+    non-finite state raises NonFiniteError at the first step where any
+    scenario went non-finite, naming the first such scenario.
     """
     scenarios = list(scenarios)
     if not scenarios:
