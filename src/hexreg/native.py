@@ -11,17 +11,17 @@ runs its numpy loop, which gives the same bits.  That happens when:
 - the compile or the load fails.
 
 The C loop calls the BLAS entries that numpy's np.dot and np.matmul call.
-It finds them by name in numpy's _multiarray_umath, and the caller passes
-them in as pointers, so the library links against nothing.  It is compiled
+This module finds them by name in numpy's _multiarray_umath and passes
+them to the loop as pointers, so the library links against nothing.  It is compiled
 with the system `cc` and the flags in _FLAGS: -ffp-contract=off keeps every
 multiply and add rounded apart, as numpy rounds them, and no fast-math
 flag may let the compiler reorder them or flush subnormals to zero.
 
 A build is cached per user under $XDG_CACHE_HOME/hexreg (~/.cache/hexreg
 by default), a directory made owner-only.  Its name carries the length
-and the CRC-32 of the source and the flags, and it is written to a temporary file and moved
-into place, so concurrent processes (compare-pi's two halves, consecutive
-commands) share one build.  When that directory cannot be written, or
+and the CRC-32 of the source and the flags, and it is written to a
+temporary file and moved into place, so concurrent processes (compare-pi's
+two halves, consecutive commands) share one build.  When that directory cannot be written, or
 another user owns it, or others may write to it, the build goes to a
 private temporary directory that is removed once the library is loaded.
 Nothing here runs at import: only the kernel's first call compiles or
@@ -161,7 +161,7 @@ def compiled_rows():
         with tempfile.TemporaryDirectory(prefix="hexreg-") as private:
             path = Path(private) / name
             return (_load(path), blas) if _compile(path) else None
-    except OSError:
+    except (OSError, AttributeError):   # unreadable, or a library without rk4_rows
         return None
 
 
