@@ -1,8 +1,8 @@
-"""The kernel's step loop in compiled C, on numpy's own BLAS.
+"""The compiled C of the kernel's step loop and of the CSV formatter.
 
-rk4_rows.c, which ships beside this module, holds the C loop.
-compiled_rows() builds it once per process at its first call, and returns
-its entry point, or None when this process cannot run it.  Then the kernel
+rk4_rows.c and csv_rows.c, which ship beside this module, are built into
+one library with one `cc` call.  compiled_rows() returns the step loop's
+entry point, or None when this process cannot run it.  Then the kernel
 runs its numpy loop, which gives the same bits.  That happens when:
 
 - numpy's BLAS is not scipy-openblas with 64-bit integers;
@@ -17,15 +17,22 @@ with the system `cc` and the flags in _FLAGS: -ffp-contract=off keeps every
 multiply and add rounded apart, as numpy rounds them, and no fast-math
 flag may let the compiler reorder them or flush subnormals to zero.
 
+csv_rows(block) formats rows of the CSV that sim.write_csv writes, in
+integer arithmetic, or returns None, and write_csv formats the block in
+Python with the same bytes.  That happens when the library is
+unavailable, or when the block holds a value csv_rows.c refuses.  The
+formatter needs no BLAS, so it is not gated on numpy's.
+
 A build is cached per user under $XDG_CACHE_HOME/hexreg (~/.cache/hexreg
 by default), a directory made owner-only.  Its name carries the length
-and the CRC-32 of the source and the flags, and it is written to a
-temporary file and moved into place, so concurrent processes (compare-pi's
-two halves, consecutive commands) share one build.  When that directory cannot be written, or
-another user owns it, or others may write to it, the build goes to a
-private temporary directory that is removed once the library is loaded.
-Nothing here runs at import: only the kernel's first call compiles or
-loads.
+and the CRC-32 of the sources and the flags, and it is written to a
+temporary file and moved into place, so concurrent processes share one
+build.  After a build into the cache, the other builds there that this
+user owns and that nobody has modified for 30 days are removed.  When
+that directory cannot be written, or another user owns it, or others
+may write to it, the build goes to a private temporary directory that is
+removed once the library is loaded.  Nothing here runs at import: only
+the first kernel call or the first CSV compiles or loads.
 """
 
 from __future__ import annotations
@@ -36,18 +43,23 @@ import os
 import shutil
 import subprocess
 import tempfile
+import time
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["compiled_rows", "rows_function"]
+__all__ = ["compiled_rows", "csv_rows", "rows_function"]
 
-_SOURCE = Path(__file__).with_name("rk4_rows.c")
+_SOURCES = tuple(Path(__file__).with_name(name) for name in ("rk4_rows.c", "csv_rows.c"))
 # never -ffast-math, -Ofast or -march=native: each changes the bits
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _BLAS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 _COMPILE_TIMEOUT_S = 120.0
+_CSV_VALUE_BYTES = 24  # the most csv_rows.c writes per value, separator included
+# this library's builds, and those of the step loop alone that came before
+_BUILDS = ("hexreg-*.so", "rk4_rows-*.so")
+_STALE_S = 30 * 86400  # a build unmodified this long is removed after a build
 
 # rk4_rows.c's law codes, by the kernel's law names
 _LAW_CODES = {"forwarding": 0, "output_feedback": 1, "integral_only": 2, "pi": 3}
@@ -103,18 +115,18 @@ def _cache_dir() -> Path | None:
 
 
 def _compile(dest: Path) -> bool:
-    """Compile rk4_rows.c to dest through a temporary file beside it; False
+    """Compile the sources to dest through a temporary file beside it; False
     when there is no `cc` or the compile fails.  Prints nothing."""
     cc = shutil.which("cc")
     if cc is None:
         return False
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".rk4_rows-", suffix=".so", dir=dest.parent)
+        fd, tmp = tempfile.mkstemp(prefix=".hexreg-", suffix=".so", dir=dest.parent)
     except OSError:
         return False
     os.close(fd)
     try:
-        done = subprocess.run([cc, *_FLAGS, "-o", tmp, str(_SOURCE)],
+        done = subprocess.run([cc, *_FLAGS, "-o", tmp, *map(str, _SOURCES)],
                               stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=_COMPILE_TIMEOUT_S,
                               check=False)
@@ -129,13 +141,41 @@ def _compile(dest: Path) -> bool:
             os.unlink(tmp)
 
 
-def _load(path: Path):
-    """rk4_rows from the library at path, with its argument types."""
-    fn = ctypes.CDLL(str(path)).rk4_rows
-    fn.argtypes = [ctypes.POINTER(_Loop), ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_void_p, ctypes.c_void_p]
-    fn.restype = None
-    return fn
+def _evict_stale(cache: Path, keep: str) -> None:
+    """Remove the builds in cache other than keep that this user owns and
+    that nobody has modified for _STALE_S seconds; a build that cannot be
+    read or removed stays."""
+    cutoff = time.time() - _STALE_S
+    for pattern in _BUILDS:
+        for path in cache.glob(pattern):
+            try:
+                st = path.lstat()
+                if path.name != keep and st.st_uid == os.getuid() and st.st_mtime < cutoff:
+                    path.unlink()
+            except OSError:
+                pass
+
+
+def _library() -> ctypes.CDLL | None:
+    """The library of both sources, loaded from the cache, or built there
+    (or in a private directory) first; None when it cannot be built or
+    loaded."""
+    try:
+        # CRC-32, not hashlib: hashlib loads OpenSSL, about 3.7 MiB more
+        # resident memory in every process that simulates
+        key = b"\0".join(path.read_bytes() for path in _SOURCES) + "\0".join(_FLAGS).encode()
+        name = f"hexreg-{len(key):x}-{zlib.crc32(key):08x}.so"
+        cache = _cache_dir()
+        if cache is not None and (cache / name).exists():
+            return ctypes.CDLL(str(cache / name))
+        if cache is not None and _compile(cache / name):
+            _evict_stale(cache, name)
+            return ctypes.CDLL(str(cache / name))
+        with tempfile.TemporaryDirectory(prefix="hexreg-") as private:
+            path = Path(private) / name
+            return ctypes.CDLL(str(path)) if _compile(path) else None
+    except OSError:   # an unreadable source, or a library that does not load
+        return None
 
 
 @functools.cache
@@ -144,25 +184,41 @@ def compiled_rows():
     when the kernel must run its numpy loop.  The first call compiles or
     loads; every later one returns its result."""
     blas = _blas_entries()
-    if blas is None:
+    # None too for a library without rk4_rows
+    fn = None if blas is None else getattr(_library(), "rk4_rows", None)
+    if fn is None:
         return None
-    try:
-        source = _SOURCE.read_bytes()
-    except OSError:
+    fn.argtypes = [ctypes.POINTER(_Loop), ctypes.c_int64, ctypes.c_int64,
+                   ctypes.c_void_p, ctypes.c_void_p]
+    fn.restype = None
+    return fn, blas
+
+
+@functools.cache
+def _csv_function():
+    """csv_rows.c's entry point for this process, or None when the library
+    is unavailable.  The first call compiles or loads."""
+    fn = getattr(_library(), "csv_rows", None)  # None too for a library without it
+    if fn is not None:
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
+        fn.restype = ctypes.c_int64
+    return fn
+
+
+def csv_rows(block: np.ndarray) -> bytes | None:
+    """The bytes of ",".join("%.17g" % v for v in row) + "\n" for each row
+    of the 2-D block, formatted by csv_rows.c; None when the library is
+    unavailable or csv_rows.c refuses a value of the block (see its
+    header), and the caller formats the block itself."""
+    fn = _csv_function()
+    if fn is None:
         return None
-    # CRC-32, not hashlib: hashlib loads OpenSSL, about 3.7 MiB more
-    # resident memory in every process that simulates
-    key = source + "\0".join(_FLAGS).encode()
-    name = f"rk4_rows-{len(key):x}-{zlib.crc32(key):08x}.so"
-    try:
-        cache = _cache_dir()
-        if cache is not None and ((cache / name).exists() or _compile(cache / name)):
-            return _load(cache / name), blas
-        with tempfile.TemporaryDirectory(prefix="hexreg-") as private:
-            path = Path(private) / name
-            return (_load(path), blas) if _compile(path) else None
-    except (OSError, AttributeError):   # unreadable, or a library without rk4_rows
-        return None
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError(f"csv_rows takes a 2-D block, got shape {block.shape}")
+    out = np.empty(block.size * _CSV_VALUE_BYTES, dtype=np.uint8)
+    count = fn(block.ctypes.data, block.shape[0], block.shape[1], out.ctypes.data)
+    return None if count < 0 else out[:count].tobytes()
 
 
 def rows_function(law: str, **fields):

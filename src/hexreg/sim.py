@@ -5,8 +5,8 @@ piecewise-constant reference / output-disturbance schedules.  `run` advances
 plant, observer, and integrator together with one fixed-step RK4 pass
 (kernels.closed_loop_rk4) and takes the applicable Lyapunov monitor series
 of each 1024-row block the kernel reports final while the kernel goes on.
-It has one path: given a CSV path, a forked process writes the CSV from
-those blocks beside the kernel; without one, no process starts.
+Given a CSV path, it then writes the CSV with write_csv, whose rows
+hexreg.native formats in compiled C when it can.
 `run_many` passes the same kernel one start per row and takes the monitors
 of the same blocks once it returns, so each of its results is bit for bit
 what `run` gives on that scenario.
@@ -22,14 +22,13 @@ moves only through the feedback path.
 
 from __future__ import annotations
 
-import math
-import mmap
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .analysis import (
     _MONITOR_NAMES,
     max_monotone_violation,
@@ -54,7 +53,6 @@ from .kernels import (
     closed_loop_rk4_batch,
 )
 from .model import BilinearSystem
-from .parallel import fork_join, fork_stream
 from .serde import read_object, require_fields
 from .steady_state import invert_reference, reachable_set
 
@@ -255,14 +253,6 @@ def _nonfinite(scn: SimScenario, U_sat: np.ndarray, bad) -> NonFiniteError:
                           float(finite[-1]) if finite.size else None)
 
 
-def _shared_empty(*shape: int) -> np.ndarray:
-    """A float64 array in anonymous shared memory: a process forked after
-    this call sees what this one writes into it."""
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, 8 * count)
-    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
-
-
 def _block_monitors(scn: SimScenario, res: SimResult, Z: np.ndarray,
                     lo: int, hi: int) -> None:
     """Fill rows lo..hi-1 of res.monitors from those rows of res and Z."""
@@ -276,44 +266,37 @@ def _block_monitors(scn: SimScenario, res: SimResult, Z: np.ndarray,
 def run(scn: SimScenario, csv_path: str | Path | None = None) -> SimResult:
     """Integrate the closed loop and attach monitor series.
 
-    The series live in anonymous shared memory.  The kernel fills them,
-    and each block of rows it reports final gets its monitors there and
-    is sent on.  Without csv_path nothing receives the blocks and no
-    process starts.  With csv_path, parallel.fork_stream runs a forked
-    writer beside the kernel, which formats each block as it arrives into
-    a partial file beside csv_path; the bytes are those of
-    write_csv(run(scn), csv_path).  A path that cannot be written fails
-    before the first step, and a run that fails writes nothing: no CSV
-    and no partial file.
+    Each block of rows the kernel reports final gets its monitors while
+    the kernel goes on.  With csv_path, write_csv then writes the result
+    into a partial file beside csv_path, which takes csv_path's name once
+    it is whole.  A path that cannot be written fails before the first
+    step, and a run that fails writes nothing: no CSV and no partial file.
     """
     T, n, p = scn.n_steps + 1, scn.sys.n_states, scn.sys.n_outputs
     Z = np.empty(T)  # the integrator state, which no CSV column holds
-    XH = _shared_empty(T, n) if scn.law == OUTPUT_FEEDBACK else None
+    XH = np.empty((T, n)) if scn.law == OUTPUT_FEEDBACK else None
     res = SimResult(
-        times=np.arange(T) * scn.dt, x=_shared_empty(T, n), x_hat=XH,
-        u_raw=_shared_empty(T), u_sat=_shared_empty(T), e=_shared_empty(T),
-        y=_shared_empty(T, p),
-        monitors={name: _shared_empty(T) for name in _MONITOR_NAMES[scn.law]})
+        times=np.arange(T) * scn.dt, x=np.empty((T, n)), x_hat=XH,
+        u_raw=np.empty(T), u_sat=np.empty(T), e=np.empty(T), y=np.empty((T, p)),
+        monitors={name: np.empty(T) for name in _MONITOR_NAMES[scn.law]})
     out = (res.x, XH, Z, res.u_raw, res.u_sat, res.e, res.y)
 
-    def integrate(send) -> None:
-        def on_final(lo: int, hi: int) -> None:
-            _block_monitors(scn, res, Z, lo, hi)
-            send(hi)
-
-        *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0,
-                                  out=out, on_final=on_final)
+    def integrate() -> None:
+        *_, bad = closed_loop_rk4(
+            scn, scn.x0, scn.x_hat0, out=out,
+            on_final=lambda lo, hi: _block_monitors(scn, res, Z, lo, hi))
         if bad is not None:
             raise _nonfinite(scn, res.u_sat, bad)
 
     if csv_path is None:
-        integrate(lambda hi: None)
+        integrate()
         return res
     path = Path(csv_path)
     part = path.with_name(f".{path.name}.part")
     open(part, "w").close()  # an unwritable path fails before the first step
     try:
-        fork_stream(lambda received: _write_rows(part, res, received), integrate)
+        integrate()
+        write_csv(res, part)  # the module global, which the benchmark's tracing wraps
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)
@@ -366,11 +349,16 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
 # outputs
 
 
-def _write_rows(path: str | Path, res: SimResult, received) -> None:
-    """Write res's CSV to path: for each count hi that received yields,
-    rows lo..hi-1 of its columns in one stacked block, lo being the count
-    before (0 at first); the last count is the row total.  run and
-    write_csv send the ends of the kernel's blocks."""
+def write_csv(res: SimResult, path: str | Path) -> None:
+    """Time series as CSV with 17-significant-digit floats.
+
+    Column order: t, states, estimates (when present), u_raw, u_sat, e,
+    measured outputs, then whichever monitors the law produced.  Every
+    value reads as "%.17g" % v.  The rows go in blocks of 1024, stacked
+    one block at a time (the whole table would hold a second copy of
+    it); native.csv_rows formats a block, or Python does when it returns
+    None, with the same bytes.
+    """
     n = res.x.shape[1]
     p = res.y.shape[1]
     cols: list[tuple[str, np.ndarray]] = [("t", res.times)]
@@ -382,25 +370,15 @@ def _write_rows(path: str | Path, res: SimResult, received) -> None:
     cols += res.monitors.items()
     data = [col for _, col in cols]
     row_fmt = ",".join(["%.17g"] * len(data)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(name for name, _ in cols) + "\n")
-        lo = 0
-        for hi in received:
-            # a block of rows at a time: stacking the whole table would
-            # hold a second copy of it
-            rows = np.column_stack([col[lo:hi] for col in data]).tolist()
-            fh.writelines(row_fmt % tuple(row) for row in rows)
-            lo = hi
-
-
-def write_csv(res: SimResult, path: str | Path) -> None:
-    """Time series as CSV with 17-significant-digit floats.
-
-    Column order: t, states, estimates (when present), u_raw, u_sat, e,
-    measured outputs, then whichever monitors the law produced.
-    """
     T = res.times.shape[0]
-    _write_rows(path, res, [*range(_BLOCK, T, _BLOCK), T])
+    with open(path, "wb") as fh:
+        fh.write((",".join(name for name, _ in cols) + "\n").encode())
+        for lo in range(0, T, _BLOCK):
+            block = np.column_stack([col[lo:lo + _BLOCK] for col in data])
+            text = native.csv_rows(block)
+            if text is None:
+                text = "".join(row_fmt % tuple(row) for row in block.tolist()).encode()
+            fh.write(text)
 
 
 def _segment_bounds(scn: SimScenario, res: SimResult) -> list[tuple[int, int, float]]:
@@ -511,11 +489,9 @@ def compare_pi(scn_ours: SimScenario, scn_pi: SimScenario) -> dict:
 
     The two scenarios must agree on the plant, both schedules, the grid
     (dt, t_end), and the initial state; only the law and its gains differ.
-    The two runs share nothing, so parallel.fork_join runs the PI run and
-    its metrics in a forked process while the proposed law runs in this
-    one; the report is the one the two runs give in turn.  An error of
-    the proposed law's run comes first, as it did when it ran first.
+    The proposed law runs first, then the PI baseline, so an error of the
+    proposed law's run is the one raised.
     """
     _require_shared(scn_ours, scn_pi, ("ref_t", "ref_v", "dist_t", "dist_v", "x0"))
-    pi, ours = fork_join(lambda: _summary(scn_pi), lambda: _summary(scn_ours))
-    return {"ours": ours, "pi": pi}
+    ours = _summary(scn_ours)
+    return {"ours": ours, "pi": _summary(scn_pi)}

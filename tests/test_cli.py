@@ -1,8 +1,9 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import inspect
 import json
 import math
-import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -14,13 +15,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hexreg
-from hexreg import model, sim
+from hexreg import errors, model, sim
 from hexreg.cli import main
 from hexreg.errors import as_float
 
 from conftest import child_env
 from test_loaders import json_values
-from test_parallel import ERRORS
 from test_steady_state import _pole_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -118,6 +118,42 @@ def test_build_model_too_many_cells_exit2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [
         "error: n_cells=10000000 is above the limit of 1024"]
     assert not out.exists()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# one instance of every HexRegError subclass, with every attribute set
+ERRORS = [
+    hexreg.SingularMatrixError("A + B u numerically singular at u = 0.5", cond=3.0e15),
+    hexreg.NotHurwitzError("linearized loop unstable"),
+    hexreg.ZeroDCGainError("DC gain vanished"),
+    hexreg.NotObservableError("rank 3 < 4"),
+    hexreg.InfeasibleError("observer LMI", best_residual=0.25),
+    hexreg.ReferenceUnreachableError(280.0, 288.9, 307.0),
+    hexreg.MissingObserverStateError("x_hat is required"),
+    hexreg.SchedulesDifferError("scenario field ref_t differs"),
+    hexreg.NonFiniteError(38, 760.0, "x_1", row=None, u_sat=0.05),
+]
+
+
+def test_every_error_class_is_covered():
+    assert {type(e) for e in ERRORS} == set(_subclasses(errors.HexRegError))
+    assert {type(e) for e in ERRORS} == {
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.HexRegError) and cls is not errors.HexRegError}
+
+
+@pytest.mark.parametrize("exc", ERRORS, ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(exc):
+    """Type, message and attributes survive a pickle round trip."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) and back.args == exc.args
+    assert vars(back) == vars(exc)
 
 
 # The exit code of each HexRegError: 2 for an input the caller can fix, 3
@@ -557,7 +593,6 @@ def scenario_file(tmp_path, name="scn.json", **over):
     return path
 
 
-@pytest.mark.usefixtures("no_child_left")
 def test_simulate_writes_csv_and_metrics(ws, tmp_path):
     scn = scenario_file(tmp_path)
     out = tmp_path / "runs"
@@ -598,7 +633,6 @@ def test_simulate_several_scenarios(ws, tmp_path):
     assert (out / "j1.csv").exists() and (out / "j2.csv").exists()
 
 
-@pytest.mark.usefixtures("no_child_left")
 def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
     """RK4 at dt = 20 s diverges on this plant; the run ends with the
     exit-3 message, naming the first non-finite state entry and the last
@@ -621,7 +655,6 @@ def test_simulate_diverging_run_only_reports_exit3(ws, tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.usefixtures("no_child_left")
 def test_simulate_unwritable_out_exit2_before_the_first_step(ws, tmp_path, capsys,
                                                              monkeypatch):
     """An --out under a regular file cannot be made: exit 2 with the
@@ -851,8 +884,8 @@ def test_compare_pi_command(ws, tmp_path):
 
 
 def test_compare_pi_nonfinite_pi_run_exit3(ws, tmp_path, monkeypatch, capsys):
-    """A NonFiniteError of the PI run, which runs in a forked process,
-    reaches main as exit 3 with its message, and leaves no child behind."""
+    """A NonFiniteError of the PI run reaches main as exit 3 with its
+    message, and no report is written."""
     real_run = sim.run
 
     def run(scn):
@@ -871,8 +904,6 @@ def test_compare_pi_nonfinite_pi_run_exit3(ws, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: non-finite state at step 5 (t = 0.5 s): z first, last finite u_sat = 0.02"]
     assert not (tmp_path / "c3.json").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_compare_pi_schedule_mismatch_exit2(ws, tmp_path):

@@ -1,11 +1,14 @@
 """The kernel's compiled step loop: the same bits as the numpy loop, its
-fallbacks, its build, and the floating-point state it leaves."""
+fallbacks, its build, its cache, and the floating-point state it leaves."""
 
 import dataclasses
 import json
+import os
+import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -229,3 +232,42 @@ def test_nothing_but_a_kernel_call_builds(cli_ws, tmp_path, monkeypatch):
                  ["steady-state", hex_json, "--ref", "26.5", "--units", "C",
                   "--out", str(tmp_path / "ss.json")]):
         assert main(argv) in (0, 1), argv
+
+
+@pytest.mark.parametrize("source", sorted(p.name for p in Path(native.__file__).parent.glob("*.c")))
+def test_c_source_compiles_without_warnings(source):
+    """Each C source passes cc -Wall -Wextra -Werror."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc")
+    done = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                           str(Path(native.__file__).with_name(source))],
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+
+
+def test_build_removes_stale_builds(tmp_path, monkeypatch):
+    """A build into the cache removes the other builds, of this library
+    or of the step loop alone, unmodified for more than 30 days; it keeps
+    newer builds and other files.  Loading a cached build removes
+    nothing."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "hexreg"
+    cache.mkdir(mode=0o700)
+    old, recent = time.time() - 31 * 86400, time.time() - 29 * 86400
+    ages = {"hexreg-1-00000000.so": old, "rk4_rows-2-00000000.so": old,
+            "hexreg-3-00000000.so": recent, "rk4_rows-4-00000000.so": recent,
+            "other-5.so": old, "notes.txt": old}
+    for name, when in ages.items():
+        (cache / name).write_bytes(b"")
+        os.utime(cache / name, (when, when))
+    if native._library() is None:
+        pytest.skip("no library here: no cc, or the build failed")
+    (built,) = {p.name for p in cache.iterdir()} - set(ages)
+    kept = {built, "hexreg-3-00000000.so", "rk4_rows-4-00000000.so", "other-5.so",
+            "notes.txt"}
+    assert {p.name for p in cache.iterdir()} == kept
+    (cache / "rk4_rows-6-00000000.so").write_bytes(b"")
+    os.utime(cache / "rk4_rows-6-00000000.so", (old, old))
+    assert native._library() is not None
+    assert {p.name for p in cache.iterdir()} == kept | {"rk4_rows-6-00000000.so"}

@@ -1,7 +1,5 @@
 """Scenario parsing, closed-loop runs, metrics, CSV output."""
 
-import contextlib
-import threading
 import warnings
 
 import numpy as np
@@ -371,8 +369,8 @@ def test_compare_pi_identical_laws(hexsys, fwd_art):
 
 
 def test_compare_pi_equals_the_two_runs_in_this_process(hexsys, fwd_art):
-    """The PI half runs in a forked process; the report is the one two
-    in-process run + run_metrics calls give, to the byte of its JSON."""
+    """The report is the one two run + run_metrics calls give, to the
+    byte of its JSON."""
     refs = [[0.0, 26.5 + KELVIN], [20.0, 28.0 + KELVIN], [60.0, 24.4 + KELVIN]]
     ours = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 120.0, 0.5, refs)
     pi = make_scenario(hexsys, fwd_art, hexreg.PI, 120.0, 0.5, refs,
@@ -625,42 +623,19 @@ def test_monitors_on_aligned_blocks_keep_their_bits(
         assert _same_bits(np.concatenate([part[name] for part in parts]), series), name
 
 
-@contextlib.contextmanager
-def _forking(mode, monkeypatch):
-    """Within it, fork_stream forks ("fork") or runs its halves in turn,
-    because os.fork is missing ("no_fork") or another thread runs
-    ("thread")."""
-    if mode == "no_fork":
-        monkeypatch.delattr(sim.os, "fork")
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if mode == "thread":
-        thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        if thread.is_alive():
-            thread.join(timeout=10.0)
-        assert not thread.is_alive()
-
-
-@pytest.mark.usefixtures("no_child_left")
-@pytest.mark.parametrize("mode", ["fork", "no_fork", "thread"])
 @pytest.mark.parametrize("n_steps", [700, 2047, 2048])
 @pytest.mark.parametrize("law", LAWS)
 def test_run_to_csv_writes_write_csv_bytes(
-        law, n_steps, mode, tmp_path, monkeypatch, hexsys, fwd_art, io_art,
+        law, n_steps, tmp_path, hexsys, fwd_art, io_art,
         synthetic_observable, synthetic_observer):
     """run(scn, path) writes the bytes of write_csv(run(scn), path) and
     returns a result with the same run_metrics, for fewer than 1024 rows,
-    exactly 2 * 1024 and 2 * 1024 + 1; forked, and in turn."""
+    exactly 2 * 1024 and 2 * 1024 + 1."""
     scn = _law_scenario(law, n_steps, hexsys, fwd_art, io_art,
                         synthetic_observable, synthetic_observer)
     ref = hexreg.run(scn)
     hexreg.write_csv(ref, tmp_path / "ref.csv")
-    with _forking(mode, monkeypatch):
-        res = hexreg.run(scn, tmp_path / "run.csv")
+    res = hexreg.run(scn, tmp_path / "run.csv")
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.csv", "run.csv"]
     assert res.x.shape[0] == n_steps + 1
@@ -668,46 +643,41 @@ def test_run_to_csv_writes_write_csv_bytes(
     assert dumps_json(hexreg.run_metrics(scn, res)) == dumps_json(hexreg.run_metrics(scn, ref))
 
 
-@pytest.mark.usefixtures("no_child_left")
-@pytest.mark.parametrize("mode", ["fork", "no_fork"])
-def test_run_to_csv_nonfinite_run_writes_nothing(mode, tmp_path, monkeypatch,
-                                                 hexsys, fwd_art):
-    """A run that diverges after its first 1024-row block went to the
-    writer (a 20 K disturbance at step 1100, with RK4 at dt = 6 s) raises
-    run's NonFiniteError and leaves neither the CSV nor a partial file."""
+def test_run_to_csv_nonfinite_run_writes_nothing(tmp_path, hexsys, fwd_art):
+    """A run that diverges after its first 1024-row block (a 20 K
+    disturbance at step 1100, with RK4 at dt = 6 s) raises run's
+    NonFiniteError and leaves neither the CSV nor a partial file."""
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 12000.0, 6.0,
                         [[0.0, 26.5 + KELVIN]], dists=[[6600.0, 20.0]])
     with pytest.raises(hexreg.NonFiniteError) as alone:
         hexreg.run(scn)
     assert alone.value.step > 1024
-    with _forking(mode, monkeypatch), pytest.raises(hexreg.NonFiniteError) as streamed:
+    with pytest.raises(hexreg.NonFiniteError) as to_csv:
         hexreg.run(scn, tmp_path / "div.csv")
-    assert str(streamed.value) == str(alone.value)
+    assert str(to_csv.value) == str(alone.value)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.usefixtures("no_child_left")
 def test_run_to_csv_writer_error_comes_back_with_its_type(tmp_path, monkeypatch,
                                                          hexsys, fwd_art):
-    """The forked writer's exception reaches the caller as itself, and
-    no file is left."""
-    def failing(path, res, received):
-        for hi in received:
-            raise IsADirectoryError(f"writer failed at row {hi}")
+    """An error of write_csv, raised after it has written part of the
+    file, reaches the caller as itself, and no file is left."""
+    def failing(res, path):
+        with open(path, "w") as fh:
+            fh.write("t\n")
+        raise IsADirectoryError(f"writer failed at row {res.times.shape[0]}")
 
-    monkeypatch.setattr(sim, "_write_rows", failing)
+    monkeypatch.setattr(sim, "write_csv", failing)
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 1500.0, 0.5,
                         [[0.0, 26.5 + KELVIN]])
-    with pytest.raises(IsADirectoryError, match="writer failed at row 1024"):
+    with pytest.raises(IsADirectoryError, match="writer failed at row 3001"):
         hexreg.run(scn, tmp_path / "w.csv")
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.usefixtures("no_child_left")
-def test_run_to_csv_parent_error_kills_the_writer(tmp_path, monkeypatch, hexsys, fwd_art):
-    """An error in this process mid-run (here in the second block's
-    monitors) propagates at once; the writer, waiting for rows, is
-    killed and reaped, and no file is left."""
+def test_run_to_csv_mid_run_error_writes_nothing(tmp_path, monkeypatch, hexsys, fwd_art):
+    """An error mid-run (here in the second block's monitors) propagates
+    at once, and no file is left."""
     real = sim.trajectory_monitors
     calls = []
 
