@@ -1,9 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
-import inspect
 import json
 import math
-import pickle
 import subprocess
 import sys
 import warnings
@@ -15,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hexreg
-from hexreg import errors, model, sim
+from hexreg import model, sim
 from hexreg.cli import main
 from hexreg.errors import as_float
 
@@ -120,12 +118,6 @@ def test_build_model_too_many_cells_exit2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def _subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
-
-
 # one instance of every HexRegError subclass, with every attribute set
 ERRORS = [
     hexreg.SingularMatrixError("A + B u numerically singular at u = 0.5", cond=3.0e15),
@@ -138,22 +130,6 @@ ERRORS = [
     hexreg.SchedulesDifferError("scenario field ref_t differs"),
     hexreg.NonFiniteError(38, 760.0, "x_1", row=None, u_sat=0.05),
 ]
-
-
-def test_every_error_class_is_covered():
-    assert {type(e) for e in ERRORS} == set(_subclasses(errors.HexRegError))
-    assert {type(e) for e in ERRORS} == {
-        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
-        if issubclass(cls, errors.HexRegError) and cls is not errors.HexRegError}
-
-
-@pytest.mark.parametrize("exc", ERRORS, ids=lambda e: type(e).__name__)
-def test_errors_survive_pickling(exc):
-    """Type, message and attributes survive a pickle round trip."""
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is type(exc)
-    assert str(back) == str(exc) and back.args == exc.args
-    assert vars(back) == vars(exc)
 
 
 # The exit code of each HexRegError: 2 for an input the caller can fix, 3

@@ -1,5 +1,8 @@
 """Scenario parsing, closed-loop runs, metrics, CSV output."""
 
+import contextlib
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -570,7 +573,7 @@ def test_run_many_rejects_scenarios_differing_beyond_start(
         hexreg.run_many([pi_a, pi_b])
 
 
-# -- the CSV written while the kernel runs ----------------------------------
+# -- the CSV written by run ------------------------------------------------
 
 
 def _law_scenario(law, n_steps, hexsys, fwd_art, io_art, synthetic_observable,
@@ -623,19 +626,45 @@ def test_monitors_on_aligned_blocks_keep_their_bits(
         assert _same_bits(np.concatenate([part[name] for part in parts]), series), name
 
 
+@contextlib.contextmanager
+def _forking(mode, monkeypatch):
+    """Within it, os.fork exists ("fork"), is missing ("no_fork"), or
+    exists while another thread runs ("thread").  Where it exists, a call
+    to it fails the test: run starts no process in any of them."""
+    if mode == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if mode == "thread":
+        thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("mode", ["fork", "no_fork", "thread"])
 @pytest.mark.parametrize("n_steps", [700, 2047, 2048])
 @pytest.mark.parametrize("law", LAWS)
 def test_run_to_csv_writes_write_csv_bytes(
-        law, n_steps, tmp_path, hexsys, fwd_art, io_art,
+        law, n_steps, mode, tmp_path, monkeypatch, hexsys, fwd_art, io_art,
         synthetic_observable, synthetic_observer):
     """run(scn, path) writes the bytes of write_csv(run(scn), path) and
     returns a result with the same run_metrics, for fewer than 1024 rows,
-    exactly 2 * 1024 and 2 * 1024 + 1."""
+    exactly 2 * 1024 and 2 * 1024 + 1; with os.fork there, missing, or
+    beside another thread, and without starting a process."""
     scn = _law_scenario(law, n_steps, hexsys, fwd_art, io_art,
                         synthetic_observable, synthetic_observer)
     ref = hexreg.run(scn)
     hexreg.write_csv(ref, tmp_path / "ref.csv")
-    res = hexreg.run(scn, tmp_path / "run.csv")
+    with _forking(mode, monkeypatch):
+        res = hexreg.run(scn, tmp_path / "run.csv")
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.csv", "run.csv"]
     assert res.x.shape[0] == n_steps + 1
@@ -643,16 +672,20 @@ def test_run_to_csv_writes_write_csv_bytes(
     assert dumps_json(hexreg.run_metrics(scn, res)) == dumps_json(hexreg.run_metrics(scn, ref))
 
 
-def test_run_to_csv_nonfinite_run_writes_nothing(tmp_path, hexsys, fwd_art):
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("mode", ["fork", "no_fork"])
+def test_run_to_csv_nonfinite_run_writes_nothing(mode, tmp_path, monkeypatch,
+                                                 hexsys, fwd_art):
     """A run that diverges after its first 1024-row block (a 20 K
     disturbance at step 1100, with RK4 at dt = 6 s) raises run's
-    NonFiniteError and leaves neither the CSV nor a partial file."""
+    NonFiniteError and leaves neither the CSV nor a partial file, with
+    os.fork there or missing."""
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 12000.0, 6.0,
                         [[0.0, 26.5 + KELVIN]], dists=[[6600.0, 20.0]])
     with pytest.raises(hexreg.NonFiniteError) as alone:
         hexreg.run(scn)
     assert alone.value.step > 1024
-    with pytest.raises(hexreg.NonFiniteError) as to_csv:
+    with _forking(mode, monkeypatch), pytest.raises(hexreg.NonFiniteError) as to_csv:
         hexreg.run(scn, tmp_path / "div.csv")
     assert str(to_csv.value) == str(alone.value)
     assert list(tmp_path.iterdir()) == []
@@ -675,9 +708,9 @@ def test_run_to_csv_writer_error_comes_back_with_its_type(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_to_csv_mid_run_error_writes_nothing(tmp_path, monkeypatch, hexsys, fwd_art):
+def test_run_to_csv_parent_error_kills_the_writer(tmp_path, monkeypatch, hexsys, fwd_art):
     """An error mid-run (here in the second block's monitors) propagates
-    at once, and no file is left."""
+    at once: the writer never starts, and no file is left."""
     real = sim.trajectory_monitors
     calls = []
 
@@ -688,6 +721,7 @@ def test_run_to_csv_mid_run_error_writes_nothing(tmp_path, monkeypatch, hexsys, 
         return real(scn, X, XH, Z)
 
     monkeypatch.setattr(sim, "trajectory_monitors", monitors)
+    monkeypatch.setattr(sim, "write_csv", lambda res, path: pytest.fail("writer ran"))
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 2500.0, 0.5,
                         [[0.0, 26.5 + KELVIN]])
     with pytest.raises(KeyError, match="monitor"):
