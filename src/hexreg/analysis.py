@@ -8,7 +8,9 @@ and the DC-gain minimum are sampled on an input grid.  The DC-gain sign and
 the shifted DC gain's sign in the deviation v come from the real roots of
 linear pencils, and the robust-decay inequality, affine in the input, is
 decided at its two bounds.  Negative findings are reported as data; only
-malformed inputs raise.
+malformed inputs raise.  The monitors' quadratic forms x^T P x run in
+compiled C (native.quad_rows) with np.einsum's bits, or in einsum itself
+where the library is unavailable.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .design import (
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
 from .kernels import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI, _rowdot, _rowwise
 from .model import BilinearSystem
+from .native import quad_rows
 from .steady_state import (
     _ROOT_TOL,
     _STACK_BLOCK,
@@ -364,6 +367,13 @@ def trajectory_monitors(
     bits, block by block.
     Blocks that start elsewhere need not: XT @ M is one BLAS call over the
     block, and a row's bits there depend on its position in it.
+
+    The quadratic forms of V (forwarding and output feedback) and of U go
+    through native.quad_rows: compiled C that keeps einsum's order of
+    summation, and so its bits, on C-contiguous operands, and
+    np.einsum("ij,jk,ik->i") itself without the library or on other
+    layouts.  The integral-only V stays in numpy: its cost is the stacked
+    solve, which LAPACK's dgesv dominates.
     """
     sys, art, law = scn.sys, scn.artifacts, scn.law
     if law == PI:
@@ -376,12 +386,12 @@ def trajectory_monitors(
     Xc = X if law == FORWARDING else XH
     XT = Xc - art.x_ss
     ZT = Z - XT @ art.M
-    V = art.k_p * np.maximum(np.einsum("ij,jk,ik->i", XT, art.P, XT), 0.0)
+    V = art.k_p * np.maximum(quad_rows(XT, art.P), 0.0)
     V += art.k_i * ZT * ZT
     if law == FORWARDING:
         return {"V": V}
     E = XH - X
-    U = np.maximum(np.einsum("ij,jk,ik->i", E, art.observer.Q, E), 0.0)
+    U = np.maximum(quad_rows(E, art.observer.Q), 0.0)
     _, c_of = observer_monitor_constants(sys, art)
     return {"V": V, "U": U, "W": np.sqrt(V) + c_of * np.sqrt(U)}
 

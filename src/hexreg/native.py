@@ -1,9 +1,11 @@
-"""The compiled C of the kernel's step loop and of the CSV formatter.
+"""The compiled C of the kernel's step loop, the CSV formatter and the
+monitors' quadratic forms.
 
-rk4_rows.c and csv_rows.c, which ship beside this module, are built into
-one library with one `cc` call.  compiled_rows() returns the step loop's
-entry point, or None when this process cannot run it.  Then the kernel
-runs its numpy loop, which gives the same bits.  That happens when:
+rk4_rows.c, csv_rows.c and quad_rows.c, which ship beside this module,
+are built into one library with one `cc` call.  compiled_rows() returns
+the step loop's entry point, or None when this process cannot run it.
+Then the kernel runs its numpy loop, which gives the same bits.  That
+happens when:
 
 - numpy's BLAS is not scipy-openblas with 64-bit integers;
 - numpy's library lacks one of the BLAS entries the loop calls;
@@ -20,8 +22,14 @@ flag may let the compiler reorder them or flush subnormals to zero.
 csv_rows(block) formats rows of the CSV that sim.write_csv writes, in
 integer arithmetic, or returns None, and write_csv formats the block in
 Python with the same bytes.  That happens when the library is
-unavailable, or when the block holds a value csv_rows.c refuses.  The
-formatter needs no BLAS, so it is not gated on numpy's.
+unavailable, or when the block holds a value csv_rows.c refuses.
+
+quad_rows(x, P) gives np.einsum("ij,jk,ik->i", x, P, x) with einsum's
+bits, from quad_rows.c when the library is loaded and x and P are
+C-contiguous float64, and from einsum itself otherwise: with an F-ordered
+or strided P, or on a block of at most 8 products, einsum sums in another
+order (see quad_rows.c).  Neither the formatter nor the quadratic forms
+need BLAS, so neither is gated on numpy's.
 
 A build is cached per user under $XDG_CACHE_HOME/hexreg (~/.cache/hexreg
 by default), a directory made owner-only.  Its name carries the length
@@ -32,7 +40,7 @@ user owns and that nobody has modified for 30 days are removed.  When
 that directory cannot be written, or another user owns it, or others
 may write to it, the build goes to a private temporary directory that is
 removed once the library is loaded.  Nothing here runs at import: only
-the first kernel call or the first CSV compiles or loads.
+the first kernel call, CSV or quadratic form compiles or loads.
 """
 
 from __future__ import annotations
@@ -49,9 +57,10 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["compiled_rows", "csv_rows", "rows_function"]
+__all__ = ["compiled_rows", "csv_rows", "quad_rows", "rows_function"]
 
-_SOURCES = tuple(Path(__file__).with_name(name) for name in ("rk4_rows.c", "csv_rows.c"))
+_SOURCES = tuple(Path(__file__).with_name(name)
+                 for name in ("rk4_rows.c", "csv_rows.c", "quad_rows.c"))
 # never -ffast-math, -Ofast or -march=native: each changes the bits
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _BLAS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
@@ -60,6 +69,17 @@ _CSV_VALUE_BYTES = 24  # the most csv_rows.c writes per value, separator include
 # this library's builds, and those of the step loop alone that came before
 _BUILDS = ("hexreg-*.so", "rk4_rows-*.so")
 _STALE_S = 30 * 86400  # a build unmodified this long is removed after a build
+
+# einsum sums a block of this many products or fewer in another order (see
+# quad_rows.c), so such a block stays with einsum
+_EINSUM_PRODUCTS = 8
+# the argument and result types of csv_rows.c's and quad_rows.c's entries
+_ENTRIES = {
+    "csv_rows": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p],
+                 ctypes.c_int64),
+    "quad_rows": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p], None),
+}
 
 # rk4_rows.c's law codes, by the kernel's law names
 _LAW_CODES = {"forwarding": 0, "output_feedback": 1, "integral_only": 2, "pi": 3}
@@ -157,7 +177,7 @@ def _evict_stale(cache: Path, keep: str) -> None:
 
 
 def _library() -> ctypes.CDLL | None:
-    """The library of both sources, loaded from the cache, or built there
+    """The library of _SOURCES, loaded from the cache, or built there
     (or in a private directory) first; None when it cannot be built or
     loaded."""
     try:
@@ -195,13 +215,13 @@ def compiled_rows():
 
 
 @functools.cache
-def _csv_function():
-    """csv_rows.c's entry point for this process, or None when the library
-    is unavailable.  The first call compiles or loads."""
-    fn = getattr(_library(), "csv_rows", None)  # None too for a library without it
+def _entry(name: str):
+    """The library's entry point name, csv_rows or quad_rows, for this
+    process, or None when the library is unavailable.  The first call
+    compiles or loads."""
+    fn = getattr(_library(), name, None)  # None too for a library without it
     if fn is not None:
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
-        fn.restype = ctypes.c_int64
+        fn.argtypes, fn.restype = _ENTRIES[name]
     return fn
 
 
@@ -210,7 +230,7 @@ def csv_rows(block: np.ndarray) -> bytes | None:
     of the 2-D block, formatted by csv_rows.c; None when the library is
     unavailable or csv_rows.c refuses a value of the block (see its
     header), and the caller formats the block itself."""
-    fn = _csv_function()
+    fn = _entry("csv_rows")
     if fn is None:
         return None
     block = np.ascontiguousarray(block, dtype=np.float64)
@@ -219,6 +239,22 @@ def csv_rows(block: np.ndarray) -> bytes | None:
     out = np.empty(block.size * _CSV_VALUE_BYTES, dtype=np.uint8)
     count = fn(block.ctypes.data, block.shape[0], block.shape[1], out.ctypes.data)
     return None if count < 0 else out[:count].tobytes()
+
+
+def quad_rows(x: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """x_i^T P x_i for each row x_i of the 2-D x, with the bits of
+    np.einsum("ij,jk,ik->i", x, P, x): quad_rows.c computes it when the
+    library is loaded and x and P are C-contiguous float64 of shapes
+    (rows, n) and (n, n) with more than _EINSUM_PRODUCTS products in all;
+    einsum itself otherwise."""
+    fn = _entry("quad_rows")
+    if (fn is None or x.dtype != np.float64 or P.dtype != np.float64 or x.ndim != 2
+            or P.shape != (x.shape[1],) * 2 or not x.flags.c_contiguous
+            or not P.flags.c_contiguous or x.size * x.shape[1] <= _EINSUM_PRODUCTS):
+        return np.einsum("ij,jk,ik->i", x, P, x)
+    out = np.empty(x.shape[0])
+    fn(x.ctypes.data, x.shape[0], x.shape[1], P.ctypes.data, out.ctypes.data)
+    return out
 
 
 def rows_function(law: str, **fields):

@@ -166,6 +166,11 @@ def synthetic_observable():
 
 @pytest.fixture(scope="session")
 def synthetic_observer(synthetic_observable):
+    """observer_design on the toy plant.  Its gain L is exactly zero: the
+    toy's own decay meets the observer inequality with no output
+    injection.  So a run with it integrates the estimate with no
+    innovation correction; tests/test_native.py's observers set a nonzero
+    L to run that term."""
     return hexreg.observer_design(synthetic_observable)
 
 

@@ -24,6 +24,9 @@ DT = 0.05  # the step of the shipped experiments; at 0.5 s the forwarding
 
 @pytest.fixture(scope="module")
 def of_art(synthetic_observable, synthetic_observer):
+    """Forwarding artifacts on the toy plant with synthetic_observer, whose
+    L is zero: the output-feedback steps run with no innovation
+    correction."""
     eq = hexreg.equilibrium_at(synthetic_observable, 0.0)
     art = hexreg.forwarding_design(synthetic_observable, eq, k_p=0.7, k_i=0.3)
     art.observer = synthetic_observer

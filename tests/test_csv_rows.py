@@ -20,14 +20,14 @@ WIDTHS = (1, 22, 40)
 @pytest.fixture
 def fresh_formatter():
     """The first CSV in the test decides afresh whether the library runs."""
-    native._csv_function.cache_clear()
+    native._entry.cache_clear()
     yield
-    native._csv_function.cache_clear()
+    native._entry.cache_clear()
 
 
 @pytest.fixture(scope="module")
 def formatter():
-    if native._csv_function() is None:
+    if native._entry("csv_rows") is None:
         pytest.skip("no library here: no cc, or the build failed")
 
 
@@ -195,12 +195,12 @@ def test_without_the_library_write_csv_gives_the_same_bytes(
     rng = np.random.default_rng(4)
     block = rng.standard_normal((2100, 22)) * 10.0 ** rng.integers(-8, 8, (2100, 22))
     want = _csv_of(block, tmp_path)
-    native._csv_function.cache_clear()
+    native._entry.cache_clear()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
     private = tmp_path / "tmp"
     private.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(private))
     assert _csv_of(block, tmp_path) == want == _header() + _python_rows(block)
-    assert native._csv_function() is None
+    assert native._entry("csv_rows") is None
     assert list(private.iterdir()) == []

@@ -72,6 +72,8 @@ def outputs(tmp_path_factory, synthetic_observable):
 
     toy = synthetic_observable
     hexreg.save_system(root / "toy.json", toy)
+    # the designed observer gain is zero (see conftest.synthetic_observer):
+    # the output-feedback run's estimate has no innovation correction
     run("design", root / "toy.json", "--law", "output_feedback", "--uss", "0.0",
         "--out", root / "toy_of.json")
     (root / "of_scn.json").write_text(json.dumps({

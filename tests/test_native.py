@@ -26,10 +26,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 @pytest.fixture
 def fresh_build():
-    """The first kernel call in the test decides afresh which loop runs."""
+    """The first kernel call, CSV or quadratic form in the test decides
+    afresh whether compiled code runs."""
     native.compiled_rows.cache_clear()
+    native._entry.cache_clear()
     yield
     native.compiled_rows.cache_clear()
+    native._entry.cache_clear()
 
 
 def _observer(L):
@@ -97,6 +100,67 @@ def test_loops_agree_on_every_law(hexsys, fwd_art, io_art, synthetic_observable)
         assert one[-1] is None and batch[-1] is None, name
         for a, b in zip(one[:7], batch[:7]):
             assert (a is None and b is None) or a.tobytes() == b[0].tobytes(), name
+
+
+def test_monitors_without_the_library_keep_their_bits(
+        hexsys, fwd_art, io_art, synthetic_observable, tmp_path, monkeypatch, fresh_build):
+    """Every law's monitors, over a run of two blocks, have the same bits
+    with the library and, with no `cc` on PATH and an empty cache, with
+    einsum's quadratic forms.  Each output-feedback run's estimate starts
+    apart from its state under a nonzero L, so U is not zero."""
+    if native._entry("quad_rows") is None:
+        pytest.skip("no library here: no cc, or the build failed")
+    rng = np.random.default_rng(37)
+    scenarios = []
+    for name, plant, art, law, gains in _cases(hexsys, fwd_art, io_art,
+                                               synthetic_observable):
+        n = plant.n_states
+        spread = 5.0 if n == 16 else 0.5
+        x0 = art.x_ss + rng.normal(0.0, spread, n)
+        scenarios.append((name, make_scenario(
+            plant, art, law, 1100 * 0.05, 0.05, [[0.0, float(plant.C @ art.x_ss)]],
+            x0=x0, x_hat0=x0 + rng.normal(0.0, spread, n), **gains)))
+    want = {name: hexreg.run(scn).monitors for name, scn in scenarios}
+    native._entry.cache_clear()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
+    private = tmp_path / "tmp"
+    private.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(private))
+    for name, scn in scenarios:
+        got = hexreg.run(scn).monitors
+        assert got.keys() == want[name].keys(), name
+        for key in got:
+            assert got[key].tobytes() == want[name][key].tobytes(), (name, key)
+        if scn.law == hexreg.OUTPUT_FEEDBACK:
+            assert (got["U"] > 0.0).any(), name
+    assert native._entry("quad_rows") is None
+    assert list(private.iterdir()) == []
+
+
+def test_every_c_source_is_built_and_shipped(tmp_path, monkeypatch):
+    """Each C source beside native.py is in native._SOURCES, which names
+    the files of the `cc` call and of the cache key, and in pyproject.toml's
+    package data: no source builds here and is missing from a wheel, or
+    changes without a rebuild."""
+    tomllib = pytest.importorskip("tomllib")
+    sources = sorted(p.name for p in Path(native.__file__).parent.glob("*.c"))
+    assert sorted(p.name for p in native._SOURCES) == sources
+    assert {p.parent for p in native._SOURCES} == {Path(native.__file__).parent}
+    pyproject = tomllib.loads((Path(__file__).resolve().parent.parent
+                               / "pyproject.toml").read_text())
+    assert sorted(pyproject["tool"]["setuptools"]["package-data"]["hexreg"]) == sources
+    commands = []
+
+    def failing_cc(argv, **kwargs):
+        commands.append(argv)
+        return subprocess.CompletedProcess(argv, 1)
+
+    monkeypatch.setattr(native.shutil, "which", lambda name: "cc")
+    monkeypatch.setattr(native.subprocess, "run", failing_cc)
+    assert not native._compile(tmp_path / "lib.so")
+    (argv,) = commands
+    assert sorted(Path(a).name for a in argv if a.endswith(".c")) == sources
 
 
 def test_compiled_loop_builds_here():
@@ -219,11 +283,12 @@ def test_nothing_but_a_kernel_call_builds(cli_ws, tmp_path, monkeypatch):
     """import hexreg builds nothing, and neither do the commands that do
     not simulate."""
     code = ("import hexreg, hexreg.cli, hexreg.native as n; "
-            "print(n.compiled_rows.cache_info().misses)")
+            "print(n.compiled_rows.cache_info().misses, n._entry.cache_info().misses)")
     done = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "0\n"
+    assert done.stdout == "0 0\n"
     monkeypatch.setattr(native, "compiled_rows", lambda: pytest.fail("built the loop"))
+    monkeypatch.setattr(native, "_entry", lambda name: pytest.fail(f"loaded {name}"))
     hex_json = str(tmp_path / "hex.json")
     for argv in (["build-model", str(CONFIGS / "hex_table1.json"), "--out", hex_json],
                  ["design", hex_json, "--law", "integral_only", "--ref", "26.5",

@@ -444,7 +444,9 @@ def _assert_same_result(a, b):
 
 def _sweep(law, hexsys, fwd_art, io_art, synthetic_observable,
            synthetic_observer, count, seed=11):
-    """`count` scenarios of one law that differ only in their start."""
+    """`count` scenarios of one law that differ only in their start.  The
+    output-feedback ones use synthetic_observer, whose L is zero, so their
+    estimates run with no innovation correction."""
     rng = np.random.default_rng(seed)
     if law == hexreg.OUTPUT_FEEDBACK:
         sys_ = synthetic_observable
