@@ -3,7 +3,9 @@
 Subcommands: build-model, design, simulate, verify, steady-state,
 compare-pi.  Every command is deterministic: identical inputs produce
 byte-identical JSON/CSV outputs.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error, 3 numerical failure.
+failure, 2 usage or parse error, 3 numerical failure, 4 this process
+cannot build or load the compiled step loop that simulate and compare-pi
+run on.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, design, model, sim, steady_state
-from .errors import HexRegError
+from . import analysis, design, model, native, sim, steady_state
+from .errors import CompiledLoopError, HexRegError
 from .kernels import INTEGRAL_ONLY, LAWS, OUTPUT_FEEDBACK, PI
 from .serde import dump_json, dumps_json, read_object
 
 __all__ = ["main"]
 
 # Malformed input and files that cannot be read exit 2; so does every
-# HexRegError that is also a ValueError, and any other HexRegError exits 3.
+# HexRegError that is also a ValueError.  CompiledLoopError exits 4, and
+# any other HexRegError exits 3.
 _USAGE_ERRORS = (ValueError, OSError, KeyError)
 
 
@@ -102,8 +105,9 @@ def _cmd_simulate(args) -> int:
         if args.law is not None:
             data["law"] = args.law
         runs.append((stem, sim.scenario_from_dict(data, sys_, art)))
-    # every input is checked, and the output directory made, before the
-    # first step
+    # every input is checked, the step loop found, and the output directory
+    # made, before the first step
+    native.step_loop()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for stem, scn in runs:
@@ -269,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except CompiledLoopError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 4
     except HexRegError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3

@@ -49,7 +49,8 @@ class HexRegError(Exception):
     """Base class for all package-specific errors.
 
     A subclass that is also a ValueError is an input the caller can fix
-    (the CLI exits 2 on it); any other is a numerical failure (exit 3).
+    (the CLI exits 2 on it); CompiledLoopError is a process that cannot
+    simulate (exit 4); any other is a numerical failure (exit 3).
 
     Every subclass pickles: it is rebuilt from its args and attributes
     without calling __init__, whose parameters differ from args in the
@@ -135,6 +136,15 @@ class NonFiniteError(HexRegError):
         self.column = column
         self.row = row
         self.u_sat = u_sat
+
+
+class CompiledLoopError(HexRegError):
+    """This process cannot build or load the compiled step loop, which
+    every simulation runs on; reason names the cause."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"this process cannot build or load the compiled step loop: {reason}")
+        self.reason = reason
 
 
 class GainAboveBoundWarning(UserWarning):

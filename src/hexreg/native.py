@@ -2,15 +2,17 @@
 monitors' quadratic forms.
 
 rk4_rows.c, csv_rows.c and quad_rows.c, which ship beside this module,
-are built into one library with one `cc` call.  compiled_rows() returns
-the step loop's entry point, or None when this process cannot run it.
-Then the kernel runs its numpy loop, which gives the same bits.  That
-happens when:
+are built into one library with one `cc` call, at most once per process.
+The kernel's steps run only in rk4_rows.c.  step_loop() returns its entry
+point, or raises CompiledLoopError naming why this process cannot run it:
 
 - numpy's BLAS is not scipy-openblas with 64-bit integers;
 - numpy's library lacks one of the BLAS entries the loop calls;
 - no `cc` is on PATH;
 - the compile or the load fails.
+
+The first call decides, and every later call in the process repeats its
+answer.  The CLI asks before it makes a simulation's output directory.
 
 The C loop calls the BLAS entries that numpy's np.dot and np.matmul call.
 This module finds them by name in numpy's _multiarray_umath and passes
@@ -40,7 +42,8 @@ user owns and that nobody has modified for 30 days are removed.  When
 that directory cannot be written, or another user owns it, or others
 may write to it, the build goes to a private temporary directory that is
 removed once the library is loaded.  Nothing here runs at import: only
-the first kernel call, CSV or quadratic form compiles or loads.
+the first kernel call, CSV or quadratic form compiles or loads, and the
+three share that one build.
 """
 
 from __future__ import annotations
@@ -57,7 +60,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["compiled_rows", "csv_rows", "quad_rows", "rows_function"]
+from .errors import CompiledLoopError
+
+__all__ = ["csv_rows", "quad_rows", "rows_function", "step_loop"]
 
 _SOURCES = tuple(Path(__file__).with_name(name)
                  for name in ("rk4_rows.c", "csv_rows.c", "quad_rows.c"))
@@ -73,13 +78,6 @@ _STALE_S = 30 * 86400  # a build unmodified this long is removed after a build
 # einsum sums a block of this many products or fewer in another order (see
 # quad_rows.c), so such a block stays with einsum
 _EINSUM_PRODUCTS = 8
-# the argument and result types of csv_rows.c's and quad_rows.c's entries
-_ENTRIES = {
-    "csv_rows": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p],
-                 ctypes.c_int64),
-    "quad_rows": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_void_p], None),
-}
 
 # rk4_rows.c's law codes, by the kernel's law names
 _LAW_CODES = {"forwarding": 0, "output_feedback": 1, "integral_only": 2, "pi": 3}
@@ -101,20 +99,39 @@ class _Loop(ctypes.Structure):
     ]
 
 
-def _blas_entries() -> dict[str, int] | None:
-    """The addresses of the BLAS entries that numpy calls, or None unless
-    numpy's BLAS is scipy-openblas with 64-bit integers and has them all."""
+# the argument and result types of the library's entries
+_ENTRIES = {
+    "rk4_rows": ([ctypes.POINTER(_Loop), ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                  ctypes.c_void_p], None),
+    "csv_rows": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p],
+                 ctypes.c_int64),
+    "quad_rows": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p], None),
+}
+
+
+@functools.cache
+def _blas_entries() -> tuple[dict[str, int] | None, str | None]:
+    """(the addresses of the BLAS entries that numpy calls, None), or
+    (None, why not) unless numpy's BLAS is scipy-openblas with 64-bit
+    integers and has them all."""
     config = getattr(np.__config__, "CONFIG", {})
     blas = config.get("Build Dependencies", {}).get("blas", {})
     if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in str(
             blas.get("openblas configuration", "")):
-        return None
+        return None, (f"numpy's BLAS is {blas.get('name', 'unknown')!s:.40}, "
+                      "not scipy-openblas with 64-bit integers")
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        return {name: ctypes.cast(getattr(lib, sym), ctypes.c_void_p).value
-                for name, sym in zip(("dgemv", "ddot"), _BLAS)}
-    except (AttributeError, OSError):
-        return None
+    except (AttributeError, OSError) as exc:
+        return None, f"numpy's library does not load: {exc}"
+    entries = {}
+    for name, sym in zip(("dgemv", "ddot"), _BLAS):
+        try:
+            entries[name] = ctypes.cast(getattr(lib, sym), ctypes.c_void_p).value
+        except AttributeError:
+            return None, f"numpy's library lacks the BLAS entry {sym}"
+    return entries, None
 
 
 def _cache_dir() -> Path | None:
@@ -134,16 +151,16 @@ def _cache_dir() -> Path | None:
     return path
 
 
-def _compile(dest: Path) -> bool:
-    """Compile the sources to dest through a temporary file beside it; False
-    when there is no `cc` or the compile fails.  Prints nothing."""
+def _compile(dest: Path) -> str | None:
+    """Compile the sources to dest through a temporary file beside it; None
+    when it is built, or else why not.  Prints nothing."""
     cc = shutil.which("cc")
     if cc is None:
-        return False
+        return "no `cc` on PATH"
     try:
         fd, tmp = tempfile.mkstemp(prefix=".hexreg-", suffix=".so", dir=dest.parent)
-    except OSError:
-        return False
+    except OSError as exc:
+        return f"no build can be written in {dest.parent}: {exc.strerror}"
     os.close(fd)
     try:
         done = subprocess.run([cc, *_FLAGS, "-o", tmp, *map(str, _SOURCES)],
@@ -151,11 +168,13 @@ def _compile(dest: Path) -> bool:
                               stderr=subprocess.DEVNULL, timeout=_COMPILE_TIMEOUT_S,
                               check=False)
         if done.returncode != 0:
-            return False
+            return f"`{cc} {' '.join(_FLAGS)}` exited with status {done.returncode}"
         os.replace(tmp, dest)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
+        return None
+    except subprocess.TimeoutExpired:
+        return f"`{cc}` ran for more than {_COMPILE_TIMEOUT_S:g} s"
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"`{cc}` failed: {exc}"
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -176,53 +195,64 @@ def _evict_stale(cache: Path, keep: str) -> None:
                 pass
 
 
-def _library() -> ctypes.CDLL | None:
-    """The library of _SOURCES, loaded from the cache, or built there
-    (or in a private directory) first; None when it cannot be built or
-    loaded."""
+def _load(path: Path) -> tuple[ctypes.CDLL | None, str | None]:
+    """(the library at path with its entries typed, None), or (None, why
+    it does not load)."""
+    try:
+        lib = ctypes.CDLL(str(path))
+        for name, (argtypes, restype) in _ENTRIES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, restype
+    except (OSError, AttributeError) as exc:
+        return None, f"the build {path.name} does not load: {exc}"
+    return lib, None
+
+
+@functools.cache
+def _library() -> tuple[ctypes.CDLL | None, str | None]:
+    """(the library of _SOURCES, None), loaded from the cache, or built
+    there (or in a private directory) first; or (None, why it cannot be
+    built or loaded).  The first call compiles at most once; every later
+    one returns its result."""
     try:
         # CRC-32, not hashlib: hashlib loads OpenSSL, about 3.7 MiB more
         # resident memory in every process that simulates
         key = b"\0".join(path.read_bytes() for path in _SOURCES) + "\0".join(_FLAGS).encode()
-        name = f"hexreg-{len(key):x}-{zlib.crc32(key):08x}.so"
-        cache = _cache_dir()
-        if cache is not None and (cache / name).exists():
-            return ctypes.CDLL(str(cache / name))
-        if cache is not None and _compile(cache / name):
+    except OSError as exc:
+        return None, f"a C source cannot be read: {exc}"
+    name = f"hexreg-{len(key):x}-{zlib.crc32(key):08x}.so"
+    cache = _cache_dir()
+    if cache is not None:
+        if not (cache / name).exists():
+            reason = _compile(cache / name)
+            if reason is not None:
+                return None, reason
             _evict_stale(cache, name)
-            return ctypes.CDLL(str(cache / name))
+        return _load(cache / name)
+    try:
         with tempfile.TemporaryDirectory(prefix="hexreg-") as private:
             path = Path(private) / name
-            return ctypes.CDLL(str(path)) if _compile(path) else None
-    except OSError:   # an unreadable source, or a library that does not load
-        return None
+            reason = _compile(path)
+            return (None, reason) if reason is not None else _load(path)
+    except OSError as exc:
+        return None, f"no private build directory: {exc}"
 
 
-@functools.cache
-def compiled_rows():
-    """(rk4_rows, BLAS addresses by field name) for this process, or None
-    when the kernel must run its numpy loop.  The first call compiles or
-    loads; every later one returns its result."""
-    blas = _blas_entries()
-    # None too for a library without rk4_rows
-    fn = None if blas is None else getattr(_library(), "rk4_rows", None)
-    if fn is None:
-        return None
-    fn.argtypes = [ctypes.POINTER(_Loop), ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_void_p, ctypes.c_void_p]
-    fn.restype = None
-    return fn, blas
-
-
-@functools.cache
 def _entry(name: str):
-    """The library's entry point name, csv_rows or quad_rows, for this
-    process, or None when the library is unavailable.  The first call
-    compiles or loads."""
-    fn = getattr(_library(), name, None)  # None too for a library without it
-    if fn is not None:
-        fn.argtypes, fn.restype = _ENTRIES[name]
-    return fn
+    """The library's entry point name, for this process, or None when the
+    library is unavailable."""
+    return getattr(_library()[0], name, None)
+
+
+def step_loop():
+    """(rk4_rows, BLAS addresses by _Loop field) for this process; raises
+    CompiledLoopError, naming why, when this process cannot run it."""
+    blas, reason = _blas_entries()
+    if reason is None:
+        lib, reason = _library()
+    if reason is not None:
+        raise CompiledLoopError(reason)
+    return lib.rk4_rows, blas
 
 
 def csv_rows(block: np.ndarray) -> bytes | None:
@@ -259,7 +289,7 @@ def quad_rows(x: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def rows_function(law: str, **fields):
     """rows(lo, hi, ref, dist), which runs rk4_rows.c on the struct of law
-    and fields, or None when the kernel must run its numpy loop.
+    and fields; raises CompiledLoopError as step_loop() does.
 
     fields names every other field of _Loop except the BLAS entries; an
     array field takes a C-contiguous float64 array, or None, and the
@@ -267,10 +297,11 @@ def rows_function(law: str, **fields):
     step's four stage values of the reference and the disturbance, as
     C-contiguous float64 arrays of shape (hi - lo, 4).
     """
-    built = compiled_rows()
-    if built is None:
-        return None
-    fn, blas = built
+    fn, blas = step_loop()
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray) and not (
+                value.dtype == np.float64 and value.flags.c_contiguous):
+            raise ValueError(f"the step loop's {name} must be a C-contiguous float64 array")
     loop = _Loop(law=_LAW_CODES[law], **blas, **{
         name: (value.ctypes.data if isinstance(value, np.ndarray) else value)
         for name, value in fields.items()})

@@ -15,6 +15,8 @@ import hexreg
 from hexreg import native
 from hexreg.kernels import closed_loop_rk4
 
+import numpy_loop
+
 KELVIN = 273.15
 
 # Physical data sheet of the reference rig (SI units, temperatures in K).
@@ -53,9 +55,9 @@ def build_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         path = tmp_path_factory.mktemp("cache")
         mp.setenv("XDG_CACHE_HOME", str(path))
-        native.compiled_rows.cache_clear()
+        native._library.cache_clear()
         yield path
-    native.compiled_rows.cache_clear()
+    native._library.cache_clear()
 
 
 def _bits(value):
@@ -73,14 +75,14 @@ def _bits(value):
 
 def both_loops(fn, *args, **kwargs):
     """fn(*args, **kwargs) with the kernel on its compiled step loop, then
-    on its numpy loop.  Asserts that both return the same bytes, or raise
-    the same error with the same attributes, and returns (or raises) what
-    the compiled loop gave."""
+    on the numpy oracle (numpy_loop.rows_function).  Asserts that both
+    return the same bytes, or raise the same error with the same
+    attributes, and returns (or raises) what the compiled loop gave."""
     outcomes = []
     for loop in ("compiled", "numpy"):
         with pytest.MonkeyPatch.context() as mp:
             if loop == "numpy":
-                mp.setattr(native, "compiled_rows", lambda: None)
+                mp.setattr(native, "rows_function", numpy_loop.rows_function)
             try:
                 outcomes.append((fn(*args, **kwargs), None))
             except Exception as err:  # compared below, then raised

@@ -1,5 +1,6 @@
 """Assumption checks, monitors, and the linearized gain sweep."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -745,6 +746,31 @@ def test_integral_gain_stability_limit(hexsys, io_art):
     assert io_art.ki_star <= limit
     # certified bound is conservative by a wide margin here
     assert limit / io_art.ki_star > 100.0
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_integral_gain_stability_limit_is_sharp_in_simulation(hexsys, io_art, factor):
+    """integral_gain_stability_limit is a limit of the linearization, and
+    it is sharp in simulation from both sides.  The integral-only loop at
+    26.5 C, with k_i at 0.9 and 1.1 times the limit, takes a 0.01 K
+    reference step at 10 s from x_ss (dt 0.5 s, 40 000 s).  The input
+    stays off both bounds, so the plant runs in its linear regime.
+
+    Measured: at 0.9x the largest |e| over the last quarter is 3.43e-6 K;
+    at 1.1x it is 0.554 K, up from 0.121 K over the second eighth."""
+    limit = hexreg.integral_gain_stability_limit(hexsys, io_art)
+    art = dataclasses.replace(io_art, k_i=factor * limit)
+    y_ss = float(hexsys.C @ io_art.x_ss)
+    res = hexreg.run(make_scenario(hexsys, art, hexreg.INTEGRAL_ONLY, 40000.0, 0.5,
+                                   [[0.0, y_ss], [10.0, y_ss + 0.01]]))
+    assert hexsys.u_min < res.u_sat.min() and res.u_sat.max() < hexsys.u_max
+    e, T = np.abs(res.e), len(res.e)
+    last_quarter, second_eighth = e[3 * T // 4:].max(), e[T // 8:T // 4].max()
+    if factor < 1.0:
+        assert last_quarter < 1e-4          # 1 % of the step; 3.43e-6 measured
+    else:
+        assert last_quarter > 0.1           # 10 times the step; 0.554 measured
+        assert last_quarter > 2.0 * second_eighth   # 4.6 times measured
 
 
 def per_k_linearization(sys, art, k_i):

@@ -129,11 +129,12 @@ ERRORS = [
     hexreg.MissingObserverStateError("x_hat is required"),
     hexreg.SchedulesDifferError("scenario field ref_t differs"),
     hexreg.NonFiniteError(38, 760.0, "x_1", row=None, u_sat=0.05),
+    hexreg.CompiledLoopError("no `cc` on PATH"),
 ]
 
 
 # The exit code of each HexRegError: 2 for an input the caller can fix, 3
-# for a numerical failure.
+# for a numerical failure, 4 for a process that cannot simulate.
 EXIT_CODES = {
     "SingularMatrixError": 3,
     "NotHurwitzError": 3,
@@ -144,7 +145,24 @@ EXIT_CODES = {
     "MissingObserverStateError": 2,
     "SchedulesDifferError": 2,
     "NonFiniteError": 3,
+    "CompiledLoopError": 4,
 }
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_has_an_instance_and_an_exit_code():
+    """ERRORS holds one instance of every HexRegError subclass that
+    hexreg.errors defines, found through __subclasses__, and EXIT_CODES
+    pins each one's code, so no error class lands without one."""
+    defined = sorted(cls.__name__ for cls in _subclasses(hexreg.HexRegError)
+                     if cls.__module__ == "hexreg.errors")
+    assert sorted(type(exc).__name__ for exc in ERRORS) == defined
+    assert sorted(EXIT_CODES) == defined
 
 
 @pytest.mark.parametrize("exc", ERRORS, ids=lambda e: type(e).__name__)

@@ -5,7 +5,7 @@ test takes one step of it (t_end = dt) on a scenario, and
 compares the input it issued and the state it reached with the paper's
 formulas and one RK4 step of the plant, observer and integrator written
 out below.  Every kernel call runs on the compiled step loop and on the
-numpy loop, which must agree bit for bit (conftest.both_loops).
+numpy oracle, which must agree bit for bit (conftest.both_loops).
 """
 
 from dataclasses import replace

@@ -20,9 +20,9 @@ WIDTHS = (1, 22, 40)
 @pytest.fixture
 def fresh_formatter():
     """The first CSV in the test decides afresh whether the library runs."""
-    native._entry.cache_clear()
+    native._library.cache_clear()
     yield
-    native._entry.cache_clear()
+    native._library.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +195,7 @@ def test_without_the_library_write_csv_gives_the_same_bytes(
     rng = np.random.default_rng(4)
     block = rng.standard_normal((2100, 22)) * 10.0 ** rng.integers(-8, 8, (2100, 22))
     want = _csv_of(block, tmp_path)
-    native._entry.cache_clear()
+    native._library.cache_clear()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
     private = tmp_path / "tmp"

@@ -1,5 +1,5 @@
-"""The kernel's compiled step loop: the same bits as the numpy loop, its
-fallbacks, its build, its cache, and the floating-point state it leaves."""
+"""The kernel's compiled step loop: the same bits as the numpy oracle, its
+refusals, its build, its cache, and the floating-point state it leaves."""
 
 import dataclasses
 import json
@@ -16,6 +16,7 @@ import pytest
 
 import hexreg
 from hexreg import native
+from hexreg.analysis import trajectory_monitors
 from hexreg.cli import main
 from hexreg.kernels import closed_loop_rk4
 
@@ -24,15 +25,18 @@ from conftest import KELVIN, both_loops, child_env, make_scenario
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _clear():
+    native._library.cache_clear()
+    native._blas_entries.cache_clear()
+
+
 @pytest.fixture
 def fresh_build():
     """The first kernel call, CSV or quadratic form in the test decides
     afresh whether compiled code runs."""
-    native.compiled_rows.cache_clear()
-    native._entry.cache_clear()
+    _clear()
     yield
-    native.compiled_rows.cache_clear()
-    native._entry.cache_clear()
+    _clear()
 
 
 def _observer(L):
@@ -105,35 +109,40 @@ def test_loops_agree_on_every_law(hexsys, fwd_art, io_art, synthetic_observable)
 def test_monitors_without_the_library_keep_their_bits(
         hexsys, fwd_art, io_art, synthetic_observable, tmp_path, monkeypatch, fresh_build):
     """Every law's monitors, over a run of two blocks, have the same bits
-    with the library and, with no `cc` on PATH and an empty cache, with
-    einsum's quadratic forms.  Each output-feedback run's estimate starts
-    apart from its state under a nonzero L, so U is not zero."""
+    from the library's quadratic forms and, with no `cc` on PATH and an
+    empty cache, from einsum's: trajectory_monitors, block by block on the
+    series of one run with the library, gives that run's monitors.  Each
+    output-feedback run's estimate starts apart from its state under a
+    nonzero L, so U is not zero."""
     if native._entry("quad_rows") is None:
         pytest.skip("no library here: no cc, or the build failed")
     rng = np.random.default_rng(37)
-    scenarios = []
+    runs = []
     for name, plant, art, law, gains in _cases(hexsys, fwd_art, io_art,
                                                synthetic_observable):
         n = plant.n_states
         spread = 5.0 if n == 16 else 0.5
         x0 = art.x_ss + rng.normal(0.0, spread, n)
-        scenarios.append((name, make_scenario(
-            plant, art, law, 1100 * 0.05, 0.05, [[0.0, float(plant.C @ art.x_ss)]],
-            x0=x0, x_hat0=x0 + rng.normal(0.0, spread, n), **gains)))
-    want = {name: hexreg.run(scn).monitors for name, scn in scenarios}
-    native._entry.cache_clear()
+        scn = make_scenario(plant, art, law, 1100 * 0.05, 0.05,
+                            [[0.0, float(plant.C @ art.x_ss)]],
+                            x0=x0, x_hat0=x0 + rng.normal(0.0, spread, n), **gains)
+        X, XH, Z, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+        runs.append((name, scn, X, XH, Z, hexreg.run(scn).monitors))
+    _clear()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
     private = tmp_path / "tmp"
     private.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(private))
-    for name, scn in scenarios:
-        got = hexreg.run(scn).monitors
-        assert got.keys() == want[name].keys(), name
-        for key in got:
-            assert got[key].tobytes() == want[name][key].tobytes(), (name, key)
+    for name, scn, X, XH, Z, want in runs:
+        for lo in range(0, len(Z), 1024):
+            at = slice(lo, lo + 1024)
+            got = trajectory_monitors(scn, X[at], None if XH is None else XH[at], Z[at])
+            assert got.keys() == want.keys(), name
+            for key in got:
+                assert got[key].tobytes() == want[key][at].tobytes(), (name, key, lo)
         if scn.law == hexreg.OUTPUT_FEEDBACK:
-            assert (got["U"] > 0.0).any(), name
+            assert (want["U"] > 0.0).any(), name
     assert native._entry("quad_rows") is None
     assert list(private.iterdir()) == []
 
@@ -158,18 +167,18 @@ def test_every_c_source_is_built_and_shipped(tmp_path, monkeypatch):
 
     monkeypatch.setattr(native.shutil, "which", lambda name: "cc")
     monkeypatch.setattr(native.subprocess, "run", failing_cc)
-    assert not native._compile(tmp_path / "lib.so")
+    assert native._compile(tmp_path / "lib.so").endswith("exited with status 1")
     (argv,) = commands
     assert sorted(Path(a).name for a in argv if a.endswith(".c")) == sources
 
 
 def test_compiled_loop_builds_here():
     """On this machine's numpy (scipy-openblas with 64-bit integers) and
-    with a `cc`, the kernel runs the compiled loop."""
+    with a `cc`, the kernel can run: the compiled loop builds."""
     config = np.__config__.CONFIG["Build Dependencies"]["blas"]
     if config["name"] != "scipy-openblas" or not native.shutil.which("cc"):
         pytest.skip("numpy's BLAS is not scipy-openblas, or there is no cc")
-    assert native.compiled_rows() is not None
+    native.step_loop()
 
 
 def _scenario_file(root):
@@ -209,43 +218,97 @@ def _simulate(ws, out, capfd):
     return codes, files, [text.replace(str(out), "<out>") for text in printed]
 
 
-@pytest.mark.usefixtures("no_child_left")
-@pytest.mark.parametrize("case", ["no_cc", "unwritable_cache", "open_cache",
-                                  "no_blas_entry", "other_blas"])
-def test_fallback_gives_the_same_run(case, cli_ws, tmp_path, monkeypatch, capfd,
-                                     fresh_build):
-    """With no `cc` on PATH, a missing BLAS entry or a BLAS that is not
-    scipy-openblas, simulate runs the numpy loop.  With a cache directory
-    that cannot be made, or one that others may write to, it builds into a
-    private temporary directory and removes it.  Either way the exit codes, the bytes and the printed text
-    are those of the compiled loop's run, nothing more is printed, no
-    process is left, and no build is written outside the private
-    directory."""
-    want = _simulate(cli_ws, tmp_path / "want", capfd)
-    native.compiled_rows.cache_clear()
+def _isolate(tmp_path, monkeypatch):
+    """A fresh cache directory and a private temporary directory for the
+    builds of this test; returns both."""
+    _clear()
     cache = tmp_path / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     private = tmp_path / "tmp"
     private.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(private))
-    if case == "no_cc":
-        monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
-    elif case == "unwritable_cache":
+    return cache, private
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("case", ["unwritable_cache", "open_cache"])
+def test_fallback_gives_the_same_run(case, cli_ws, tmp_path, monkeypatch, capfd,
+                                     fresh_build):
+    """With a cache directory that cannot be made, or one that others may
+    write to, simulate builds into a private temporary directory, once for
+    the process, and removes it.  The exit codes, the bytes and the
+    printed text are those of a run on the cached build, nothing more is
+    printed, no process is left, and no build is written outside the
+    private directory."""
+    want = _simulate(cli_ws, tmp_path / "want", capfd)
+    cache, private = _isolate(tmp_path, monkeypatch)
+    if case == "unwritable_cache":
         cache.write_text("a file where the cache directory would go")
-    elif case == "open_cache":
+    else:
         (cache / "hexreg").mkdir(parents=True)
         (cache / "hexreg").chmod(0o777)
-    elif case == "no_blas_entry":
-        monkeypatch.setattr(native, "_BLAS", ("scipy_cblas_dgemv64_", "no_such_ddot64_"))
-    else:
-        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-        monkeypatch.setitem(blas, "name", "openblas")
+    compiles = []
+    real_compile = native._compile
+    monkeypatch.setattr(native, "_compile",
+                        lambda dest: compiles.append(dest) or real_compile(dest))
     got = _simulate(cli_ws, tmp_path / "got", capfd)
     assert got == want
-    private_build = case in ("unwritable_cache", "open_cache")
-    assert (native.compiled_rows() is not None) == private_build
+    assert len(compiles) == 1
+    native.step_loop()
     assert list(private.iterdir()) == []
     assert cache.is_file() if case == "unwritable_cache" else not list(cache.rglob("*.so*"))
+
+
+def _refusal_case(case, tmp_path, monkeypatch):
+    """Make this process unable to run the compiled loop in the way case
+    names; returns the reason the refusal must name."""
+    if case == "no_cc":
+        monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
+        return "no `cc` on PATH"
+    if case == "cc_fails":
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        (bin_dir / "cc").write_text("#!/bin/sh\nexit 1\n")
+        (bin_dir / "cc").chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        return "exited with status 1"
+    if case == "no_blas_entry":
+        monkeypatch.setattr(native, "_BLAS", ("scipy_cblas_dgemv64_", "no_such_ddot64_"))
+        return "numpy's library lacks the BLAS entry no_such_ddot64_"
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    monkeypatch.setitem(blas, "name", "openblas")
+    return "numpy's BLAS is openblas, not scipy-openblas with 64-bit integers"
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("case", ["no_cc", "cc_fails", "no_blas_entry", "other_blas"])
+def test_refuses_without_the_compiled_loop(case, cli_ws, tmp_path, monkeypatch, capfd,
+                                           fresh_build):
+    """With no `cc` on PATH, a `cc` that fails, a missing BLAS entry or a
+    BLAS that is not scipy-openblas, simulate and compare-pi exit 4 and
+    print one line that names the reason, with no traceback.  They create
+    no --out, leave no process, and write no build outside the private
+    directory."""
+    cache, private = _isolate(tmp_path, monkeypatch)
+    reason = _refusal_case(case, tmp_path, monkeypatch)
+    capfd.readouterr()
+    out = tmp_path / "out"
+    for argv in (["simulate", str(cli_ws / "hex.json"), str(cli_ws / "fwd.json"),
+                  str(cli_ws / "scn.json"), "--out", str(out)],
+                 ["compare-pi", str(cli_ws / "hex.json"), str(cli_ws / "fwd.json"),
+                  str(CONFIGS / "experiment2.json"), str(CONFIGS / "experiment2_pi.json"),
+                  "--out", str(out)]):
+        assert main(argv) == 4, argv
+        printed = capfd.readouterr()
+        (line,) = printed.err.splitlines()
+        assert printed.out == ""
+        assert line.startswith("error: this process cannot build or load the "
+                               "compiled step loop: ") and reason in line, line
+        assert not out.exists()
+    with pytest.raises(hexreg.CompiledLoopError):
+        native.step_loop()
+    assert list(private.iterdir()) == []
+    assert not list(cache.rglob("*.so*"))
 
 
 def test_build_keeps_ieee_arithmetic(fresh_build, tmp_path, monkeypatch, hexsys, fwd_art):
@@ -262,8 +325,10 @@ def test_build_keeps_ieee_arithmetic(fresh_build, tmp_path, monkeypatch, hexsys,
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(native.subprocess, "run", run)
-    if native.compiled_rows() is None:
-        pytest.skip("this process runs the numpy loop")
+    try:
+        native.step_loop()
+    except hexreg.CompiledLoopError:
+        pytest.skip("this process cannot build the compiled loop")
     (argv,) = commands
     assert "-ffp-contract=off" in argv
     assert [a for a in argv if a in ("-Ofast", "-march=native") or "fast-math" in a
@@ -279,24 +344,36 @@ def test_build_keeps_ieee_arithmetic(fresh_build, tmp_path, monkeypatch, hexsys,
     assert (many + many == 1e-323).all()
 
 
-def test_nothing_but_a_kernel_call_builds(cli_ws, tmp_path, monkeypatch):
+def test_nothing_but_a_kernel_call_builds(cli_ws, tmp_path, monkeypatch, fresh_build):
     """import hexreg builds nothing, and neither do the commands that do
-    not simulate."""
+    not simulate.  With no `cc` on PATH, they give the same exit codes and
+    the same files."""
     code = ("import hexreg, hexreg.cli, hexreg.native as n; "
-            "print(n.compiled_rows.cache_info().misses, n._entry.cache_info().misses)")
+            "print(n._library.cache_info().misses, n._blas_entries.cache_info().misses)")
     done = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout == "0 0\n"
-    monkeypatch.setattr(native, "compiled_rows", lambda: pytest.fail("built the loop"))
-    monkeypatch.setattr(native, "_entry", lambda name: pytest.fail(f"loaded {name}"))
-    hex_json = str(tmp_path / "hex.json")
-    for argv in (["build-model", str(CONFIGS / "hex_table1.json"), "--out", hex_json],
-                 ["design", hex_json, "--law", "integral_only", "--ref", "26.5",
-                  "--units", "C", "--out", str(tmp_path / "io.json")],
-                 ["verify", hex_json, "--a3", "--grid", "64"],
-                 ["steady-state", hex_json, "--ref", "26.5", "--units", "C",
-                  "--out", str(tmp_path / "ss.json")]):
-        assert main(argv) in (0, 1), argv
+
+    def commands(out):
+        hex_json = str(out / "hex.json")
+        codes = [main(argv) for argv in (
+            ["build-model", str(CONFIGS / "hex_table1.json"), "--out", hex_json],
+            ["design", hex_json, "--law", "integral_only", "--ref", "26.5",
+             "--units", "C", "--out", str(out / "io.json")],
+            ["verify", hex_json, "--a3", "--grid", "64", "--out", str(out / "a3.json")],
+            ["steady-state", hex_json, "--ref", "26.5", "--units", "C",
+             "--out", str(out / "ss.json")])]
+        return codes, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_library", lambda: pytest.fail("built the library"))
+        mp.setattr(native, "_blas_entries", lambda: pytest.fail("looked up the BLAS"))
+        (tmp_path / "with_cc").mkdir()
+        codes, files = commands(tmp_path / "with_cc")
+    assert all(code in (0, 1) for code in codes), codes
+    monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
+    (tmp_path / "no_cc").mkdir()
+    assert commands(tmp_path / "no_cc") == (codes, files)
 
 
 @pytest.mark.parametrize("source", sorted(p.name for p in Path(native.__file__).parent.glob("*.c")))
@@ -311,7 +388,7 @@ def test_c_source_compiles_without_warnings(source):
     assert done.returncode == 0, done.stderr
 
 
-def test_build_removes_stale_builds(tmp_path, monkeypatch):
+def test_build_removes_stale_builds(tmp_path, monkeypatch, fresh_build):
     """A build into the cache removes the other builds, of this library
     or of the step loop alone, unmodified for more than 30 days; it keeps
     newer builds and other files.  Loading a cached build removes
@@ -326,7 +403,7 @@ def test_build_removes_stale_builds(tmp_path, monkeypatch):
     for name, when in ages.items():
         (cache / name).write_bytes(b"")
         os.utime(cache / name, (when, when))
-    if native._library() is None:
+    if native._library()[0] is None:
         pytest.skip("no library here: no cc, or the build failed")
     (built,) = {p.name for p in cache.iterdir()} - set(ages)
     kept = {built, "hexreg-3-00000000.so", "rk4_rows-4-00000000.so", "other-5.so",
@@ -334,5 +411,6 @@ def test_build_removes_stale_builds(tmp_path, monkeypatch):
     assert {p.name for p in cache.iterdir()} == kept
     (cache / "rk4_rows-6-00000000.so").write_bytes(b"")
     os.utime(cache / "rk4_rows-6-00000000.so", (old, old))
-    assert native._library() is not None
+    _clear()
+    assert native._library()[0] is not None
     assert {p.name for p in cache.iterdir()} == kept | {"rk4_rows-6-00000000.so"}

@@ -14,7 +14,7 @@ import hexreg
 from hexreg import errors
 
 from conftest import KELVIN, make_scenario
-from test_cli import ERRORS
+from test_cli import ERRORS, _subclasses
 from test_sim import _assert_same_result
 
 pytestmark = pytest.mark.usefixtures("no_child_left")
@@ -60,12 +60,6 @@ def test_child_error_is_raised_after_the_parent_returns(hexsys, fwd_art):
             future.result()
     assert str(info.value) == str(alone.value)
     assert vars(info.value) == vars(alone.value)
-
-
-def _subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
 
 
 def test_every_error_class_is_covered():
