@@ -27,7 +27,7 @@ from .design import (
     robust_decay_block,
 )
 from .errors import MissingObserverStateError, NotHurwitzError, SingularMatrixError
-from .kernels import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI, _rowdot, _rowwise
+from .kernels import FORWARDING, INTEGRAL_ONLY, OUTPUT_FEEDBACK, PI
 from .model import BilinearSystem
 from .native import quad_rows
 from .steady_state import (
@@ -36,6 +36,8 @@ from .steady_state import (
     _equilibria,
     _in_range,
     _pencil_eigenvalues,
+    _rowdot,
+    _rowwise,
     _stacked_pencil_roots,
     _stationary_points,
     pi_map,
@@ -167,12 +169,12 @@ def assumption_report(
     steady_state._STACK_BLOCK, so its memory does not grow with u_grid.  In
     each block, pi, the eigenvalues, the solves and the A3(b) pencils below
     are stacked; a stacked numpy.linalg call makes the LAPACK call of a
-    single one per matrix, and kernels._rowwise and _rowdot the BLAS calls
-    of B @ x and C @ y, so every field has the bits of an input-by-input
-    loop.  Without P or a3b, when _equilibria raises on a block, pi is taken
-    input by input there: a point where pi_map finds F_u singular is left
-    out of the gain minimum.  Otherwise the SingularMatrixError
-    propagates.  The DC-gain sign is decided with no grid: it is constant
+    single one per matrix, and steady_state._rowwise and _rowdot the BLAS
+    calls of B @ x and C @ y, so every field has the bits of an
+    input-by-input loop.  Without P or a3b, when _equilibria raises on a
+    block, pi is taken input by input there: a point where pi_map finds F_u
+    singular is left out of the gain minimum.  Otherwise the
+    SingularMatrixError propagates.  The DC-gain sign is decided with no grid: it is constant
     iff the pencil (A, B) has no root in [u_min, u_max] and
     steady_state._stationary_points, the zeros of the DC gain, is empty.
     The roots of (A, B) come from one shift-invert over the wider range
@@ -360,9 +362,9 @@ def trajectory_monitors(
     (pi_bar for integral-only, observer artifacts for output feedback), and
     XH is the kernel's estimate series for output feedback, so nothing is
     checked here again.  Rows of X, XH and Z are samples, one block of
-    them: sim calls it on each block of rows the kernel reports
-    (kernels._BLOCK rows, the last block shorter), which bounds the
-    integral-only law's (block, n, n) temporaries.  Called on consecutive
+    them: once the kernel has returned, sim calls it on each block of
+    kernels._BLOCK rows of a result (the last block shorter), which bounds
+    the integral-only law's (block, n, n) temporaries.  Called on consecutive
     blocks that start at multiples of 1024, it gives the whole series'
     bits, block by block.
     Blocks that start elsewhere need not: XT @ M is one BLAS call over the

@@ -22,10 +22,15 @@ from .errors import (
     as_array,
     as_float,
 )
-from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem, HexParams
 from .serde import dump_json, read_object, require_fields
-from .steady_state import Equilibrium, _refuse_poles, _slope_stationary_points
+from .steady_state import (
+    Equilibrium,
+    _refuse_poles,
+    _rowdot,
+    _rowwise,
+    _slope_stationary_points,
+)
 
 __all__ = [
     "DesignArtifacts",
@@ -404,9 +409,10 @@ def pi_shift_sup(sys: BilinearSystem) -> float:
     naming the lowest, as reachable_set does.  Otherwise it is the largest
     value at u_min, u_max and the zeros of d|dpi/du|^2/du
     (steady_state._slope_stationary_points), with no grid.  Stacked solves
-    and per-row products (kernels._rowwise, _rowdot) give each candidate the
-    bits of one input at a time.  The first call keeps its result on the
-    frozen sys, and later calls return it; a call that raises keeps nothing.
+    and per-row products (steady_state._rowwise, _rowdot) give each
+    candidate the bits of one input at a time.  The first call keeps its
+    result on the frozen sys, and later calls return it; a call that raises
+    keeps nothing.
     """
     if sys._pi_bar is not None:
         return sys._pi_bar

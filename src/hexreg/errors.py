@@ -113,7 +113,8 @@ class MissingObserverStateError(HexRegError, ValueError):
 
 
 class SchedulesDifferError(HexRegError, ValueError):
-    """Two scenarios meant to be compared do not share system/schedule/x0."""
+    """Scenarios meant to be compared or batched do not share
+    system/schedule/x0, or a compare_pi baseline does not run the pi law."""
 
 
 class NonFiniteError(HexRegError):

@@ -14,7 +14,7 @@ point, or raises CompiledLoopError naming why this process cannot run it:
 The first call decides, and every later call in the process repeats its
 answer.  The CLI asks before it makes a simulation's output directory.
 
-The C loop calls the BLAS entries that numpy's np.dot and np.matmul call.
+The C loop calls the BLAS entries that numpy's stacked np.matmul calls.
 This module finds them by name in numpy's _multiarray_umath and passes
 them to the loop as pointers, so the library links against nothing.  It is compiled
 with the system `cc` and the flags in _FLAGS: -ffp-contract=off keeps every
@@ -89,7 +89,7 @@ class _Loop(ctypes.Structure):
 
     _fields_ = [
         ("dgemv", ctypes.c_void_p), ("ddot", ctypes.c_void_p),
-        *((name, ctypes.c_int64) for name in ("law", "single", "n", "p", "m", "W", "T", "k")),
+        *((name, ctypes.c_int64) for name in ("law", "n", "p", "m", "W", "T", "k")),
         *((name, ctypes.c_double) for name in
           ("u_lo", "u_hi", "u_ss", "kp", "ki", "sign_dc", "kp_pi", "ki_pi")),
         ("h", ctypes.c_double * 4), ("b", ctypes.c_double * 4),

@@ -1,10 +1,10 @@
 /* The step loop of kernels.closed_loop_rk4, compiled.
  *
- * rk4_rows advances steps lo..hi-1 of one trajectory, or of each batch row
- * in turn, and stores the series as the kernel's numpy loop does.  Per
- * stage it makes the BLAS calls that loop's np.dot and np.matmul make, with
- * the same arguments, through the entries of numpy's own BLAS, which the
- * caller passes in.  Its scalar arithmetic follows the numpy loop's order of
+ * rk4_rows advances steps lo..hi-1 of each batch row in turn, and stores
+ * the series as the kernel's numpy loop does.  Per stage it makes the BLAS
+ * calls that loop's stacked np.matmul makes for each row, with the same
+ * arguments, through the entries of numpy's own BLAS, which the caller
+ * passes in.  Its scalar arithmetic follows the numpy loop's order of
  * operations, so every value it stores has that loop's bits.  That holds
  * only when the compiler neither fuses nor reorders a floating-point
  * operation: build with -ffp-contract=off and never with -ffast-math.
@@ -28,7 +28,7 @@ enum { FORWARDING, OUTPUT_FEEDBACK, INTEGRAL_ONLY, PI };
 struct loop {
     dgemv_fn dgemv;
     ddot_fn ddot;
-    int64_t law, single, n, p, m, W, T, k;
+    int64_t law, n, p, m, W, T, k;
     double u_lo, u_hi, u_ss, kp, ki, sign_dc, kp_pi, ki_pi;
     double h[4]; /* a_j dt */
     double b[4]; /* dt b_j */
@@ -37,19 +37,17 @@ struct loop {
     double *X, *XH, *Z, *U_raw, *U_sat, *Err, *Y;
 };
 
-/* a . b over len entries, as np.dot gives it: one trajectory multiplies
- * two one-entry operands directly; otherwise numpy adds BLAS's dot to 0.0 */
+/* a . b over len entries, as the stacked np.matmul gives it: BLAS's dot
+ * added to 0.0 */
 static double dot(const struct loop *c, blasint len, const double *a,
                   const double *b)
 {
-    if (len == 1 && c->single)
-        return a[0] * b[0];
     return 0.0 + c->ddot(len, a, 1, b, 1);
 }
 
-/* corr = L innov as np.dot (one trajectory) and np.matmul (a batch) give
- * it: with one output, numpy adds each product to 0.0 (through daxpy, or
- * in its own loop), which rounds as this loop does. */
+/* corr = L innov as np.matmul gives it: with one output, numpy adds each
+ * product to 0.0 (through daxpy, or in its own loop), which rounds as this
+ * loop does. */
 static void correction(const struct loop *c)
 {
     blasint n = c->n, p = c->p;

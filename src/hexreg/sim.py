@@ -1,16 +1,15 @@
 """Deterministic closed-loop simulation over scripted scenarios.
 
 A scenario bundles the plant, the design artifacts, the control law, and the
-piecewise-constant reference / output-disturbance schedules.  `run` advances
-plant, observer, and integrator together with one fixed-step RK4 pass
-(kernels.closed_loop_rk4) and takes the applicable Lyapunov monitor series
-of each 1024-row block the kernel reports final while the kernel goes on.
-Given a CSV path, it then writes the CSV with write_csv, whose rows
-hexreg.native formats in compiled C when it can.
-`run_many` passes the same kernel one start per row and takes the monitors
-of the same blocks once it returns, so each of its results is bit for bit
-what `run` gives on that scenario.
-Identical inputs give bit-identical outputs.
+piecewise-constant reference / output-disturbance schedules.  `run_many`
+advances plant, observer, and integrator of scenarios that differ only in
+their start together, with one fixed-step RK4 pass (kernels.closed_loop_rk4)
+over one start per row, and `run` is the batch of one.  Once the kernel
+returns, both take the applicable Lyapunov monitor series of each row in
+1024-row blocks, in one place (_results), so each result of `run_many` is
+bit for bit what `run` gives on that scenario.  Given a CSV path, `run`
+then writes the CSV with write_csv, whose rows hexreg.native formats in
+compiled C when it can.  Identical inputs give bit-identical outputs.
 
 Temperatures may be scripted in kelvin or Celsius; everything is converted
 to kelvin at load time.  Disturbances are offsets, so they carry across
@@ -242,60 +241,63 @@ def load_scenario(
     return scenario_from_dict(read_object(path), sys, artifacts)
 
 
-def _nonfinite(scn: SimScenario, U_sat: np.ndarray, bad) -> NonFiniteError:
-    """The error for a run whose kernel reported bad = (step, row, column):
-    the kernel's location, with the last finite u_sat of that row before
-    that step."""
-    step, row, column = bad
-    before = (U_sat if row is None else U_sat[row])[:step]
-    finite = before[np.isfinite(before)]
-    return NonFiniteError(step, step * scn.dt, column, row,
-                          float(finite[-1]) if finite.size else None)
+def _results(scenarios: list[SimScenario], kernel_out, batch: bool) -> list[SimResult]:
+    """One SimResult per scenario from kernel_out, what the kernel returned
+    on the scenarios' starts, one row each.
 
-
-def _block_monitors(scn: SimScenario, res: SimResult, Z: np.ndarray,
-                    lo: int, hi: int) -> None:
-    """Fill rows lo..hi-1 of res.monitors from those rows of res and Z."""
-    block = trajectory_monitors(scn, res.x[lo:hi],
-                                None if res.x_hat is None else res.x_hat[lo:hi],
-                                Z[lo:hi])
-    for name, series in block.items():
-        res.monitors[name][lo:hi] = series
+    A failed run raises NonFiniteError at the kernel's step and column,
+    with the last finite u_sat of the failed row before that step; the
+    error names that row only for a batch (run_many).  The results share
+    one read-only times array, and each takes its monitors over rows
+    [0, 1024), [1024, 2048), ..., through the module global
+    trajectory_monitors, which the benchmark's tracing wraps.
+    """
+    *series, bad = kernel_out
+    first = scenarios[0]
+    if bad is not None:
+        step, row, column = bad
+        before = series[4][row, :step]  # series[4] is U_sat
+        finite = before[np.isfinite(before)]
+        raise NonFiniteError(step, step * first.dt, column, row if batch else None,
+                             float(finite[-1]) if finite.size else None)
+    T = first.n_steps + 1
+    times = np.arange(T) * first.dt
+    times.flags.writeable = False
+    results = []
+    for i, scn in enumerate(scenarios):
+        X, XH, Z, U_raw, U_sat, Err, Y = (None if s is None else s[i] for s in series)
+        monitors = {name: np.empty(T) for name in _MONITOR_NAMES[scn.law]}
+        for lo in range(0, T, _BLOCK):
+            at = slice(lo, lo + _BLOCK)
+            block = trajectory_monitors(scn, X[at], None if XH is None else XH[at], Z[at])
+            for name, values in block.items():
+                monitors[name][at] = values
+        results.append(SimResult(times, X, XH, U_raw, U_sat, Err, Y, monitors))
+    return results
 
 
 def run(scn: SimScenario, csv_path: str | Path | None = None) -> SimResult:
     """Integrate the closed loop and attach monitor series.
 
-    Each block of rows the kernel reports final gets its monitors while
-    the kernel goes on.  With csv_path, write_csv then writes the result
-    into a partial file beside csv_path, which takes csv_path's name once
-    it is whole.  A path that cannot be written fails before the first
-    step, and a run that fails writes nothing: no CSV and no partial file.
+    The run is run_many's batch of one, with no row named in its
+    NonFiniteError.  With csv_path, write_csv then writes the result into
+    a partial file beside csv_path, which takes csv_path's name once it is
+    whole.  A path that cannot be written fails before the first step, and
+    a run that fails writes nothing: no CSV and no partial file.
     """
-    T, n, p = scn.n_steps + 1, scn.sys.n_states, scn.sys.n_outputs
-    Z = np.empty(T)  # the integrator state, which no CSV column holds
-    XH = np.empty((T, n)) if scn.law == OUTPUT_FEEDBACK else None
-    res = SimResult(
-        times=np.arange(T) * scn.dt, x=np.empty((T, n)), x_hat=XH,
-        u_raw=np.empty(T), u_sat=np.empty(T), e=np.empty(T), y=np.empty((T, p)),
-        monitors={name: np.empty(T) for name in _MONITOR_NAMES[scn.law]})
-    out = (res.x, XH, Z, res.u_raw, res.u_sat, res.e, res.y)
-
-    def integrate() -> None:
-        *_, bad = closed_loop_rk4(
-            scn, scn.x0, scn.x_hat0, out=out,
-            on_final=lambda lo, hi: _block_monitors(scn, res, Z, lo, hi))
-        if bad is not None:
-            raise _nonfinite(scn, res.u_sat, bad)
+    def integrate() -> SimResult:
+        # the module global, which the benchmark's tracing wraps apart
+        # from run_many's closed_loop_rk4_batch
+        out = closed_loop_rk4(scn, scn.x0[None], scn.x_hat0[None])
+        return _results([scn], out, batch=False)[0]
 
     if csv_path is None:
-        integrate()
-        return res
+        return integrate()
     path = Path(csv_path)
     part = path.with_name(f".{path.name}.part")
     open(part, "w").close()  # an unwritable path fails before the first step
     try:
-        integrate()
+        res = integrate()
         write_csv(res, part)  # the module global, which the benchmark's tracing wraps
         os.replace(part, path)
     finally:
@@ -328,21 +330,7 @@ def run_many(scenarios: list[SimScenario]) -> list[SimResult]:
             raise SchedulesDifferError("kp_pi/ki_pi differ between the scenarios")
     x0 = np.stack([scn.x0 for scn in scenarios])
     x_hat0 = np.stack([scn.x_hat0 for scn in scenarios])
-    *series, bad = closed_loop_rk4_batch(first, x0, x_hat0)
-    if bad is not None:
-        raise _nonfinite(first, series[4], bad)  # series[4] is U_sat
-    T = first.n_steps + 1
-    times = np.arange(T) * first.dt   # one grid, shared read-only by every result
-    times.flags.writeable = False
-    results = []
-    for i, scn in enumerate(scenarios):
-        X, XH, Z, U_raw, U_sat, Err, Y = (None if s is None else s[i] for s in series)
-        res = SimResult(times, X, XH, U_raw, U_sat, Err, Y,
-                        {name: np.empty(T) for name in _MONITOR_NAMES[scn.law]})
-        for lo in range(0, T, _BLOCK):
-            _block_monitors(scn, res, Z, lo, min(lo + _BLOCK, T))
-        results.append(res)
-    return results
+    return _results(scenarios, closed_loop_rk4_batch(first, x0, x_hat0), batch=True)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +477,14 @@ def compare_pi(scn_ours: SimScenario, scn_pi: SimScenario) -> dict:
 
     The two scenarios must agree on the plant, both schedules, the grid
     (dt, t_end), and the initial state; only the law and its gains differ.
-    The proposed law runs first, then the PI baseline, so an error of the
-    proposed law's run is the one raised.
+    The baseline must run the pi law; the proposed law may be any.  Either
+    misfit raises SchedulesDifferError before a run.  The proposed law runs
+    first, then the PI baseline, so an error of the proposed law's run is
+    the one raised.
     """
+    if scn_pi.law != PI:
+        raise SchedulesDifferError(
+            f"the baseline scenario runs the {scn_pi.law} law, not the pi law")
     _require_shared(scn_ours, scn_pi, ("ref_t", "ref_v", "dist_t", "dist_v", "x0"))
     ours = _summary(scn_ours)
     return {"ours": ours, "pi": _summary(scn_pi)}

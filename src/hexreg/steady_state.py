@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReferenceUnreachableError, SingularMatrixError
-from .kernels import _rowdot, _rowwise
 from .model import BilinearSystem
 
 __all__ = [
@@ -38,6 +37,22 @@ _COND_CLEAR = 1e12
 _STACK_BLOCK = 64  # matrices per stacked screen and solve; bounds the (block, n, n) temporaries
 _ROOT_TOL = 1e-9  # a pencil root is real, and in range, to this fraction of the range
 _SHIFTS = (0.5, 0.3819660112501051)  # where _pencil_roots shifts, as fractions of the range
+
+
+def _rowwise(Mat, v):
+    """Mat @ v[i] for every row i of v, one BLAS call per row.
+
+    A single (k, n) @ (n, m) product would let BLAS block across rows and
+    make each row's bits depend on k; the stacked matmul makes the same
+    gemv call that Mat @ v[i] does.
+    """
+    return np.matmul(Mat, v[:, :, None])[..., 0]
+
+
+def _rowdot(a, b):
+    """np.dot(a[i], b[i]) for every row i as a (k, 1) column, bit-identical
+    to the 1-D call; a may also be one row shared by all."""
+    return np.matmul(a[..., None, :], b[:, :, None])[..., 0]
 
 
 @dataclass
@@ -102,7 +117,7 @@ def _equilibria(sys: BilinearSystem, us: np.ndarray) -> np.ndarray:
 
     Each stack F_u = A + u B is formed once and tested by screen_singular.
     Then per input: one solve, one refinement and a check of the residual
-    F x + b u + E.  Stacked solves and kernels._rowwise keep the bits of
+    F x + b u + E.  Stacked solves and _rowwise keep the bits of
     pi_map at each input, and the first input that fails raises what
     pi_map raises there.
     """

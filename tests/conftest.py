@@ -203,11 +203,18 @@ def make_scenario(sys, art, law, t_end, dt, refs, dists=(), x0=None,
     )
 
 
+def one_start(scn, x0, x_hat0, z0=0.0):
+    """closed_loop_rk4 on the one start (x0, x_hat0, z0): row 0 of each
+    series, then bad."""
+    *series, bad = closed_loop_rk4(scn, x0[None], x_hat0[None], z0)
+    return (*(None if s is None else s[0] for s in series), bad)
+
+
 def per_step_nonfinite(scn):
     """The first step after the start at which the state of scn is
     non-finite, found by checking the kernel's stored x, x_hat and z one
     step at a time, as a per-step np.isfinite on the state would; or -1."""
-    X, XH, Z, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    X, XH, Z, *_ = one_start(scn, scn.x0, scn.x_hat0)
     for step in range(1, len(Z)):
         rows = (X[step], Z[step], XH[step] if XH is not None else 0.0)
         if not all(np.isfinite(row).all() for row in rows):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hexreg
 from hexreg import analysis, kernels, steady_state
 
-from conftest import KELVIN, make_scenario
+from conftest import KELVIN, make_scenario, one_start
 
 
 def test_saturation_gap_property():
@@ -367,7 +367,7 @@ def a3b_per_pair(sys, us, vs):
     """The dense A3(b) reference: C (F_u + B v)^-1 g_u at every (u, v)
     pair, one row per u, NaN where cond_2(F_u + B v) is above 1e14 or not
     finite.  g_u comes from pi_map, and C times each solution is the 1-D
-    dot product (kernels._rowdot)."""
+    dot product (steady_state._rowdot)."""
     out = np.full((len(us), len(vs)), np.nan)
     for i, u in enumerate(us):
         g_u = sys.input_gain(hexreg.pi_map(sys, float(u)))
@@ -376,7 +376,7 @@ def a3b_per_pair(sys, us, vs):
         ok = np.isfinite(cond) & (cond <= 1e14)
         if ok.any():
             sol = np.linalg.solve(Fv[ok], g_u[:, None])[..., 0]
-            out[i, ok] = kernels._rowdot(sys.C, sol)[:, 0]
+            out[i, ok] = steady_state._rowdot(sys.C, sol)[:, 0]
     return out
 
 
@@ -662,7 +662,7 @@ def test_trajectory_monitors_integral_only_matches_monitor_point(
     x0 = hexreg.invert_reference(hexsys, 26.0 + KELVIN).x_ss
     scn = make_scenario(hexsys, io_art, hexreg.INTEGRAL_ONLY, 6000.0, 4.0,
                         [[0.0, 26.5 + KELVIN]], dists=[[0.0, dist]], x0=x0)
-    X, XH, Z, U_raw, U_sat, _, _, bad = kernels.closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    X, XH, Z, U_raw, U_sat, _, _, bad = one_start(scn, scn.x0, scn.x_hat0)
     assert bad is None
     assert bool(np.any(U_raw != U_sat)) is saturates
     series = analysis.trajectory_monitors(scn, X, XH, Z)

@@ -900,6 +900,20 @@ def test_compare_pi_nonfinite_pi_run_exit3(ws, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "c3.json").exists()
 
 
+def test_compare_pi_baseline_without_the_pi_law_exit2(ws, tmp_path, capsys):
+    """A forwarding scenario as the baseline exits 2 naming its law, and no
+    report is written."""
+    ours = scenario_file(tmp_path, name="o4.json", t_end=5.0)
+    baseline = scenario_file(tmp_path, name="p4.json", t_end=5.0)
+    capsys.readouterr()
+    rc = main(["compare-pi", str(ws / "hex.json"), str(ws / "fwd.json"),
+               str(ours), str(baseline), "--out", str(tmp_path / "c4.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the baseline scenario runs the forwarding law, not the pi law"]
+    assert not (tmp_path / "c4.json").exists()
+
+
 def test_compare_pi_schedule_mismatch_exit2(ws, tmp_path):
     ours = scenario_file(tmp_path, name="o2.json", t_end=20.0)
     pi = scenario_file(tmp_path, name="p2.json", t_end=20.0, law="pi",

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import hexreg
-from hexreg.kernels import closed_loop_rk4
 
-from conftest import both_loops, make_scenario
+from conftest import both_loops, make_scenario, one_start
 
 DT = 0.05  # the step of the shipped experiments; at 0.5 s the forwarding
 #           step already amplifies a 1-ulp change of x0 to 2e-12 in X[1]
@@ -47,7 +46,7 @@ def scenario(sys, art, law, x0, x_hat0=None, refs=None, dists=(), **pi):
 
 def kernel_step(scn, z0):
     """(X, XH, Z, U_raw, Err) of one kernel step from (x0, x_hat0, z0)."""
-    X, XH, Z, U_raw, _, Err, _, bad = both_loops(closed_loop_rk4, scn, scn.x0,
+    X, XH, Z, U_raw, _, Err, _, bad = both_loops(one_start, scn, scn.x0,
                                                  scn.x_hat0, z0)
     assert bad is None
     return X, XH, Z, U_raw, Err
@@ -310,7 +309,7 @@ def test_kernel_matches_chained_rk4_steps(law, hexsys, fwd_art, io_art,
                             [[0.0, r0], [10.3 * DT, r0 + dr]],
                             dists=[[20.6 * DT, dd], [30.2 * DT, 0.0]],
                             x0=x0, x_hat0=x_hat0, **gains)
-        X, XH, Z, U_raw, _, _, _, bad = both_loops(closed_loop_rk4, scn, scn.x0,
+        X, XH, Z, U_raw, _, _, _, bad = both_loops(one_start, scn, scn.x0,
                                                    scn.x_hat0, z0)
         assert bad is None
         s = np.concatenate([scn.x0, scn.x_hat0, [z0]])

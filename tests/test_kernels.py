@@ -9,9 +9,11 @@ import pytest
 import scipy.linalg as sla
 
 import hexreg
+from hexreg import sim
 from hexreg.kernels import closed_loop_rk4
 
-from conftest import KELVIN, both_loops, child_env, make_scenario, per_step_nonfinite
+from conftest import (KELVIN, both_loops, child_env, make_scenario, one_start,
+                      per_step_nonfinite)
 
 _LANE_SCRIPT = r"""
 import sys
@@ -163,29 +165,42 @@ def test_block_scan_reports_per_step_nonfinite(hexsys, fwd_art, synthetic_observ
 
 
 def test_on_final_reports_each_block_once_final(hexsys, fwd_art):
-    """on_final gets the kernel's 1024-row blocks in order, the last one
-    shorter, and each block's rows are already the values returned."""
+    """run takes the monitors of the kernel's 1024-row blocks in order, the
+    last one shorter, and each block's rows are already the values
+    returned: every trajectory_monitors call reads rows lo..hi-1 of the
+    returned x, at their place in it."""
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 204.8, 0.1,
                         [[0.0, 26.5 + KELVIN], [100.0, 26.0 + KELVIN]],
                         x0=fwd_art.x_ss + 1.0)
+    monitors = sim.trajectory_monitors
 
     def run():
-        calls, seen = [], []
-        X = np.empty((2049, 16))
-        out = (X, None, np.empty(2049), *(np.empty(2049) for _ in range(3)),
-               np.empty((2049, 1)))
+        seen = []
 
-        def on_final(lo, hi):
-            calls.append((lo, hi))
-            seen.append(X[lo:hi].copy())
+        def record(scn, X, XH, Z):
+            seen.append((X.__array_interface__["data"][0], X.copy()))
+            return monitors(scn, X, XH, Z)
 
-        *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0, out=out, on_final=on_final)
-        return bad, calls, seen, out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "trajectory_monitors", record)
+            res = hexreg.run(scn)
+        base, stride = res.x.__array_interface__["data"][0], res.x.strides[0]
+        calls = [((at - base) // stride, (at - base) // stride + len(X)) for at, X in seen]
+        return res, calls, [X for _, X in seen]
 
-    bad, calls, seen, out = both_loops(run)
-    assert bad is None
+    res, calls, seen = both_loops(run)
     assert calls == [(0, 1024), (1024, 2048), (2048, 2049)]
-    assert np.concatenate(seen).tobytes() == out[0].tobytes()
+    for (lo, hi), X in zip(calls, seen):
+        assert X.tobytes() == res.x[lo:hi].tobytes()
+
+
+def test_kernel_takes_starts_of_shape_k_by_n(hexsys, fwd_art):
+    """One start of shape (n,) is refused, not broadcast into n rows."""
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 1.0, 0.1,
+                        [[0.0, 26.5 + KELVIN]])
+    with pytest.raises(ValueError, match=r"starts of shape \(k, n\), got \(16,\)"):
+        closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    assert one_start(scn, scn.x0, scn.x_hat0)[0].shape == (11, 16)
 
 
 def test_only_z_diverges(hexsys, fwd_art):
@@ -195,7 +210,7 @@ def test_only_z_diverges(hexsys, fwd_art):
 
     def kernel():
         """The series up to the failed step, which they hold."""
-        X, _, Z, _, U_sat, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+        X, _, Z, _, U_sat, *_ = one_start(scn, scn.x0, scn.x_hat0)
         return X[:66], Z[:66], U_sat[:66]
 
     X, Z, U_sat = both_loops(kernel)
@@ -224,11 +239,13 @@ def _draws(rng, shape):
     ((4,), (4, 18), True), ((4,), (4, 9), True),
 ])
 def test_dot_matches_stacked_matmul_bitwise(left, right, shared):
-    """np.dot, which one trajectory calls, returns the bits of the stacked
-    np.matmul on column operands, which a batch calls for all its rows.
+    """np.dot on one row returns the bits of the stacked np.matmul on
+    column operands, which the kernel's numpy oracle and
+    steady_state._rowwise and _rowdot call for all rows at once.
 
-    run_many's rows equal run's bits only while this holds, so a numpy or
-    BLAS change that breaks it fails here by name."""
+    A batch row keeps the bits of the same start taken alone, and the
+    stacked sweeps those of an input-by-input loop, only while this holds,
+    so a numpy or BLAS change that breaks it fails here by name."""
     rng = np.random.default_rng(20251020)
     groups, rows = 40, 50
     for g in range(groups):
@@ -244,6 +261,5 @@ def test_dot_matches_stacked_matmul_bitwise(left, right, shared):
         bad = np.flatnonzero((one != stacked).reshape(rows, -1).any(axis=1))
         assert bad.size == 0, (
             f"np.dot and the stacked np.matmul differ on {left} x {right} in "
-            f"{bad.size} of {rows} rows of draw group {g}: the one-trajectory "
-            "kernel no longer gives the bits of a batch row, so run and "
-            "run_many disagree")
+            f"{bad.size} of {rows} rows of draw group {g}: a row's bits now "
+            "depend on the rows stacked with it")

@@ -1,9 +1,11 @@
 """The kernel's compiled step loop: the same bits as the numpy oracle, its
 refusals, its build, its cache, and the floating-point state it leaves."""
 
+import ctypes
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from hexreg.analysis import trajectory_monitors
 from hexreg.cli import main
 from hexreg.kernels import closed_loop_rk4
 
-from conftest import KELVIN, both_loops, child_env, make_scenario
+from conftest import KELVIN, both_loops, child_env, make_scenario, one_start
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -99,7 +101,7 @@ def test_loops_agree_on_every_law(hexsys, fwd_art, io_art, synthetic_observable)
                             [[0.0, r0], [300.3 * dt, r0 + 0.1]],
                             dists=[[600.6 * dt, 0.2], [900.2 * dt, 0.0]],
                             x0=x0[0], **gains)
-        one = both_loops(closed_loop_rk4, scn, x0[0], x_hat0[0], 0.1)
+        one = both_loops(one_start, scn, x0[0], x_hat0[0], 0.1)
         batch = both_loops(closed_loop_rk4, scn, x0, x_hat0, 0.1)
         assert one[-1] is None and batch[-1] is None, name
         for a, b in zip(one[:7], batch[:7]):
@@ -126,7 +128,7 @@ def test_monitors_without_the_library_keep_their_bits(
         scn = make_scenario(plant, art, law, 1100 * 0.05, 0.05,
                             [[0.0, float(plant.C @ art.x_ss)]],
                             x0=x0, x_hat0=x0 + rng.normal(0.0, spread, n), **gains)
-        X, XH, Z, *_ = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+        X, XH, Z, *_ = one_start(scn, scn.x0, scn.x_hat0)
         runs.append((name, scn, X, XH, Z, hexreg.run(scn).monitors))
     _clear()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -170,6 +172,35 @@ def test_every_c_source_is_built_and_shipped(tmp_path, monkeypatch):
     assert native._compile(tmp_path / "lib.so").endswith("exited with status 1")
     (argv,) = commands
     assert sorted(Path(a).name for a in argv if a.endswith(".c")) == sources
+
+
+def test_loop_fields_match_the_c_struct():
+    """native._Loop lists the fields of rk4_rows.c's struct loop by name, in
+    order, with matching types: int64_t as c_int64, double as c_double,
+    double[4] as c_double * 4, and a pointer (a function pointer typedef
+    included) as c_void_p.  ctypes lays the fields out in this order, so
+    one missing, extra or mistyped field would shift every later one."""
+    source = Path(native.__file__).with_name("rk4_rows.c").read_text()
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    function_pointers = set(re.findall(r"typedef[^;]*\(\s*\*\s*(\w+)\s*\)", source))
+    (body,) = re.findall(r"struct loop\s*\{(.*?)\};", source, flags=re.S)
+    scalars = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    want = []
+    for decl in filter(str.strip, body.split(";")):
+        base, declarators = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", decl,
+                                         flags=re.S).groups()
+        for declarator in declarators.split(","):
+            star, name, length = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*(?:\[(\d+)\])?\s*",
+                                              declarator).groups()
+            if star or base in function_pointers:
+                want.append((name, ctypes.c_void_p))
+            elif length:
+                want.append((name, scalars[base] * int(length)))
+            else:
+                want.append((name, scalars[base]))
+    assert len(want) > 30
+    assert [name for name, _ in native._Loop._fields_] == [name for name, _ in want]
+    assert list(native._Loop._fields_) == want
 
 
 def test_compiled_loop_builds_here():
@@ -335,7 +366,7 @@ def test_build_keeps_ieee_arithmetic(fresh_build, tmp_path, monkeypatch, hexsys,
             or "unsafe-math" in a] == []
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 1.0, 0.1,
                         [[0.0, 26.5 + KELVIN]], x0=fwd_art.x_ss + 1.0)
-    assert closed_loop_rk4(scn, scn.x0, scn.x_hat0)[-1] is None
+    assert one_start(scn, scn.x0, scn.x_hat0)[-1] is None
     tiny = np.float64(5e-324)           # the smallest subnormal
     assert tiny * 1.0 == tiny           # DAZ would read it as zero
     assert tiny + tiny == np.float64(1e-323)

@@ -10,10 +10,9 @@ import pytest
 
 import hexreg
 from hexreg import analysis, kernels, sim
-from hexreg.kernels import closed_loop_rk4
 from hexreg.serde import dumps_json
 
-from conftest import KELVIN, both_loops, make_scenario, per_step_nonfinite
+from conftest import KELVIN, both_loops, make_scenario, one_start, per_step_nonfinite
 
 
 def base_dict(**over):
@@ -362,6 +361,19 @@ def test_compare_pi_requires_matching_scenarios(hexsys, fwd_art):
         hexreg.compare_pi(scn_a, scn_b)
 
 
+def test_compare_pi_refuses_a_baseline_without_the_pi_law(hexsys, fwd_art, monkeypatch):
+    """A baseline that runs another law is refused, by name, before either
+    run; the proposed law may be any."""
+    monkeypatch.setattr(sim, "run", lambda scn: pytest.fail("a scenario ran"))
+    ours = make_scenario(hexsys, fwd_art, hexreg.PI, 10.0, 0.1, [[0.0, 26.5 + KELVIN]],
+                         kp_pi=-0.01, ki_pi=-0.001)
+    baseline = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 10.0, 0.1,
+                             [[0.0, 26.5 + KELVIN]])
+    with pytest.raises(hexreg.SchedulesDifferError, match="runs the forwarding law") as info:
+        hexreg.compare_pi(ours, baseline)
+    assert isinstance(info.value, ValueError)
+
+
 def test_compare_pi_identical_laws(hexsys, fwd_art):
     scn_a = make_scenario(hexsys, fwd_art, hexreg.PI, 10.0, 0.1,
                           [[0.0, 26.5 + KELVIN]], kp_pi=-0.01, ki_pi=-0.001)
@@ -614,7 +626,7 @@ def test_monitors_on_aligned_blocks_keep_their_bits(
     are those _MONITOR_NAMES lists."""
     scn = _law_scenario(law, 3000, hexsys, fwd_art, io_art,
                         synthetic_observable, synthetic_observer)
-    X, XH, Z, *_, bad = closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    X, XH, Z, *_, bad = one_start(scn, scn.x0, scn.x_hat0)
     assert bad is None
     whole = sim.trajectory_monitors(scn, X, XH, Z)
     assert tuple(whole) == analysis._MONITOR_NAMES[law]

@@ -54,9 +54,10 @@ def test_tracer_reads_kernel_and_monitor_spans(hexsys, eq265, fwd_art):
 
 
 def test_tracer_reads_block_monitor_spans_of_one_run(hexsys, fwd_art):
-    """A 2049-row run takes its monitors on 1024-row blocks inside the
-    kernel's span: spans of 1024, 1024 and 1 samples, and one kernel span
-    of 2048 steps, which the per-sample monitor metrics divide by."""
+    """A 2049-row run takes its monitors on 1024-row blocks once the kernel
+    has returned: spans of 1024, 1024 and 1 samples under the run's span
+    and outside the kernel's, and one kernel span of 2048 steps, so the
+    per-step kernel metric times the kernel alone."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 204.8, 0.1,
@@ -67,8 +68,16 @@ def test_tracer_reads_block_monitor_spans_of_one_run(hexsys, fwd_art):
         sim.run(scn)
     finally:
         restore()
+    (run,) = [s for s in tracer.spans if s["name"] == "sim.run"]
     kernel = [s for s in tracer.spans if s["name"] == "kernels.closed_loop_rk4"]
     monitors = [s for s in tracer.spans if s["name"] == "analysis.trajectory_monitors"]
     assert [s["attrs"] for s in kernel] == [{"traj_steps": 2048}]
     assert [s["attrs"]["samples"] for s in monitors] == [1024, 1024, 1]
-    assert all(s["parent"] == kernel[0]["id"] for s in monitors)
+    assert all(s["parent"] == run["id"] for s in monitors)
+
+    def ancestors(span):
+        while span["parent"] is not None:
+            span = tracer.spans[span["parent"]]
+            yield span["id"]
+
+    assert all(kernel[0]["id"] not in ancestors(s) for s in monitors)
