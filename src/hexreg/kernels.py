@@ -40,14 +40,21 @@ reference and the disturbance at all four stage times of its steps with
 one np.searchsorted per schedule, so the loop itself keeps no schedule
 state.
 
-A block's steps run in compiled C (native.py, rk4_rows.c): one call
-integrates the block for each batch row in turn, at about 1 us per
-trajectory-step.  Per stage it makes the gemv and dot calls through
-numpy's own BLAS that the stacked np.matmul makes for each batch row, so
-each row's bits do not depend on k or on the other rows.  The tests hold
-it to a numpy loop of the same calls (tests/numpy_loop.py).  A process
-that cannot build or load the compiled loop gets CompiledLoopError,
-naming why, from its first kernel call; there is no other loop.
+A block's steps run in compiled C (native.py, rk4_rows.c), at about
+1 us per trajectory-step.  The batch rows are split into one contiguous
+chunk per core this process may run on (no more chunks than rows), and
+each chunk has its own compiled struct and one-row scratch buffers, over
+views of its rows of the state and series.  Per block, the first chunk
+runs on the calling thread and each other chunk on a thread of its own,
+since ctypes releases the GIL; the call joins them all before the block
+is scanned.  A batch of one, or a process on one core, is a single chunk
+and starts no thread.  Per stage the loop makes the gemv and dot calls
+through numpy's own BLAS that the stacked np.matmul makes for each batch
+row, so each row's bits depend neither on k, nor on the other rows, nor
+on the chunk that holds it.  The tests hold it to a numpy loop of the
+same calls (tests/numpy_loop.py).  A process that cannot build or load
+the compiled loop gets CompiledLoopError, naming why, from its first
+kernel call; there is no other loop.
 
 A non-finite entry of the state stays non-finite under s += ds, and the
 constant ones never change, so the state is finite at a step exactly when
@@ -60,6 +67,9 @@ scan also turns the block's rows from deviations into absolute states.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -83,6 +93,37 @@ PI = "pi"
 LAWS = (FORWARDING, OUTPUT_FEEDBACK, INTEGRAL_ONLY, PI)
 
 _BLOCK = 1024  # rows per block: integrated, scanned and monitored together
+
+
+def _worker_count(k):
+    """The number of chunks the kernel splits k batch rows into: one per
+    core this process may run on, and at most k."""
+    return min(k, len(os.sched_getaffinity(0)))
+
+
+def _run_chunks(chunks, lo, hi, refs, dists):
+    """Run steps lo..hi-1 of every chunk: the first on this thread, each
+    other one on a thread of its own.  Returns, or raises the error of the
+    lowest chunk that raised one, only once every thread has ended."""
+    errors = [None] * len(chunks)
+
+    def work(i):
+        try:
+            chunks[i](lo, hi, refs, dists)
+        except BaseException as exc:  # raised on the calling thread below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(chunks))]
+    for thread in threads:
+        thread.start()
+    try:
+        chunks[0](lo, hi, refs, dists)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def first_nonfinite(X, XH, Z, lo, hi):
@@ -139,8 +180,9 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
         np.concatenate([sys.A @ x_ss + sys.E, g_ss, np.zeros(n + 1), M @ g_ss,
                         [sys.C @ x_ss], sys.D @ x_ss])]))
     T = n_steps + 1
-    if x0.ndim != 2:
-        raise ValueError(f"the kernel takes starts of shape (k, n), got {x0.shape}")
+    if x0.ndim != 2 or not len(x0):
+        raise ValueError(f"the kernel takes starts of shape (k, n), got {x0.shape}, "
+                         "and k >= 1")
     k = len(x0)
 
     # The state is [x - x_ss, 1, x_hat - x_ss, 1, z], the estimate block
@@ -169,26 +211,30 @@ def closed_loop_rk4(scn, x0, xhat0, z0=0.0):
     stage_h = np.array([0.0, 0.5 * dt, 0.5 * dt, 1.0 * dt])   # a_j * dt
     stage_b = dt * np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])  # dt b_j
 
-    # The scratch buffers are one row wide: each batch row reuses them.
-    # K starts at zero, and the loop never writes its entries under the
-    # constant ones.
-    step_rows = native.rows_function(
-        scn.law, n=n, p=p, m=len(G), W=W, T=T, k=k,
+    # Each chunk of rows gets its own struct over views of those rows,
+    # which stay C-contiguous, and its own scratch buffers, one row wide:
+    # each of its rows reuses them.  K starts at zero, and the loop never
+    # writes its entries under the constant ones.
+    w = _worker_count(k)
+    chunks = [native.rows_function(
+        scn.law, n=n, p=p, m=len(G), W=W, T=T, k=rows.stop - rows.start,
         u_lo=float(sys.u_min), u_hi=float(sys.u_max),
         u_ss=float(art.u_ss), kp=float(art.k_p), ki=float(art.k_i),
         sign_dc=float(art.sign_dc), kp_pi=float(scn.kp_pi), ki_pi=float(scn.ki_pi),
         h=tuple(stage_h), b=tuple(stage_b), G=G,
         L=np.ascontiguousarray(art.observer.L) if observer else None,
-        s=s, st=np.empty(W), ds=np.empty(W), K=np.zeros((4, W)), gx=np.empty(len(G)),
+        s=s[rows], st=np.empty(W), ds=np.empty(W), K=np.zeros((4, W)), gx=np.empty(len(G)),
         gxh=np.empty(len(G)), innov=np.empty(p), corr=np.empty(n),
-        X=X, XH=XH, Z=Z, U_raw=U_raw, U_sat=U_sat, Err=Err, Y=Y)
+        X=X[rows], XH=XH[rows] if observer else None, Z=Z[rows], U_raw=U_raw[rows],
+        U_sat=U_sat[rows], Err=Err[rows], Y=Y[rows])
+        for rows in (slice(k * i // w, k * (i + 1) // w) for i in range(w))]
 
     for lo in range(0, T, _BLOCK):
         hi = min(lo + _BLOCK, T)
         tj = (np.arange(lo, hi) * dt)[:, None] + stage_h
         refs = ref_v[np.searchsorted(scn.ref_t, tj, "right")]
         dists = dist_v[np.searchsorted(scn.dist_t, tj, "right")]
-        step_rows(lo, hi, refs, dists)
+        _run_chunks(chunks, lo, hi, refs, dists)
         bad = first_nonfinite(X, XH, Z, max(lo, 1), hi)
         X[:, lo:hi] += x_ss
         if observer:

@@ -1,7 +1,11 @@
 /* The step loop of kernels.closed_loop_rk4, compiled.
  *
- * rk4_rows advances steps lo..hi-1 of each batch row in turn, and stores
- * the series as the kernel's numpy loop does.  Per stage it makes the BLAS
+ * rk4_rows advances steps lo..hi-1 of each row of one chunk of the batch
+ * in turn, and stores the series as the kernel's numpy loop does.  The
+ * kernel gives each chunk, one per core, its own struct over its own rows
+ * and scratch buffers, and runs the chunks at once, one thread each;
+ * rk4_rows writes nothing but what its struct points to, and a row's
+ * bits do not depend on its chunk.  Per stage it makes the BLAS
  * calls that loop's stacked np.matmul makes for each row, with the same
  * arguments, through the entries of numpy's own BLAS, which the caller
  * passes in.  Its scalar arithmetic follows the numpy loop's order of

@@ -6,6 +6,7 @@ grid suprema) runs once for the whole suite.
 
 import dataclasses
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,14 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def no_thread_left():
+    """After the test, this process runs the threads it ran before it."""
+    before = threading.enumerate()
+    yield
+    assert threading.enumerate() == before
 
 
 @pytest.fixture(scope="session")

@@ -397,7 +397,9 @@ def test_steady_state_and_scenario_leave_scipy_unimported(ws, toy_ws, tmp_path):
     on the exchanger and (--a3) on the toy plant; simulate, output feedback
     included; compare-pi; a scenario load and the certify path (an
     integral-only design, its gain's stability limit and a 256-input
-    assumption report with the closed-form P).  No scipy module is loaded."""
+    assumption report with the closed-form P).  No scipy module is loaded,
+    and neither is concurrent.futures (about 6 ms of a process): simulate
+    and compare-pi run batches of one, which start no thread."""
     ours = scenario_file(tmp_path, name="ours.json", t_end=2.0)
     pi = scenario_file(tmp_path, name="pi.json", t_end=2.0, law="pi",
                        kp_pi=-0.01, ki_pi=-0.001)
@@ -429,7 +431,8 @@ def test_steady_state_and_scenario_leave_scipy_unimported(ws, toy_ws, tmp_path):
         "assert io.ki_star <= analysis.integral_gain_stability_limit(plant, io)\n"
         "P = design.hex_analytic_P(params)\n"
         "analysis.assumption_report(plant, P=P, nu=1.0, eps=1e-3, u_grid=256)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "      'concurrent.futures' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(CONFIGS / "hex_table1.json"),
@@ -439,7 +442,7 @@ def test_steady_state_and_scenario_leave_scipy_unimported(ws, toy_ws, tmp_path):
          str(tmp_path)],
         env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-1] == "[] False"
     assert (tmp_path / "of" / "of_scn.metrics.json").exists()
 
 

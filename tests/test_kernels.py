@@ -1,7 +1,9 @@
 """Simulation kernel: determinism across processes, accuracy."""
 
+import dataclasses
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -9,13 +11,14 @@ import pytest
 import scipy.linalg as sla
 
 import hexreg
-from hexreg import sim
+from hexreg import kernels, native, sim
 from hexreg.kernels import closed_loop_rk4
 
 from conftest import (KELVIN, both_loops, child_env, make_scenario, one_start,
                       per_step_nonfinite)
 
 _LANE_SCRIPT = r"""
+import dataclasses
 import sys
 import numpy as np
 import hexreg
@@ -37,30 +40,81 @@ scn = hexreg.SimScenario(
     kp_pi=0.0, ki_pi=0.0,
 )
 res = hexreg.run(scn)
-np.savez(sys.argv[1], x=res.x, u_raw=res.u_raw, e=res.e, V=res.monitors["V"])
+many = hexreg.run_many([dataclasses.replace(scn, x0=x0, x_hat0=x0)
+                        for x0 in eq.x_ss + np.outer([1.0, -1.0, 0.5, 3.0],
+                                                     np.linspace(-2.0, 2.0, 16))])
+np.savez(sys.argv[1], x=res.x, u_raw=res.u_raw, e=res.e, V=res.monitors["V"],
+         many_x=[r.x for r in many], many_u_sat=[r.u_sat for r in many],
+         many_V=[r.monitors["V"] for r in many])
 """
 
 
-def _run_lane(tmp_path, tag):
-    """Run _LANE_SCRIPT in a fresh interpreter and load what it saved."""
+def _run_lane(tmp_path, tag, blas_threads):
+    """Run _LANE_SCRIPT in a fresh interpreter, with OPENBLAS_NUM_THREADS
+    set to blas_threads or, for None, unset, and load what it saved."""
     out = tmp_path / f"{tag}.npz"
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     subprocess.run([sys.executable, "-c", _LANE_SCRIPT, str(out)],
-                   check=True, env=child_env(), cwd=str(tmp_path))
+                   check=True, env=env, cwd=str(tmp_path))
     return np.load(out)
 
 
 def test_run_bits_repeat_across_processes(tmp_path, hexsys, eq265, fwd_art):
-    """Two fresh interpreters and this one give the same trajectory bits."""
+    """Two fresh interpreters and this one give the same bits of a run and
+    of a four-start run_many, which runs a chunk of rows per core: one
+    interpreter with one BLAS thread, the other with OpenBLAS's own count."""
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 50.0, 0.05,
                         [[0.0, 26.5 + KELVIN], [20.0, 26.0 + KELVIN]],
                         dists=[[35.0, 0.5]],
                         x0=eq265.x_ss + np.linspace(-2.0, 2.0, 16))
     res = hexreg.run(scn)
-    here = dict(x=res.x, u_raw=res.u_raw, e=res.e, V=res.monitors["V"])
-    for tag in ("first", "second"):
-        lane = _run_lane(tmp_path, tag)
+    many = hexreg.run_many([dataclasses.replace(scn, x0=x0, x_hat0=x0)
+                            for x0 in eq265.x_ss + np.outer([1.0, -1.0, 0.5, 3.0],
+                                                            np.linspace(-2.0, 2.0, 16))])
+    here = dict(x=res.x, u_raw=res.u_raw, e=res.e, V=res.monitors["V"],
+                many_x=[r.x for r in many], many_u_sat=[r.u_sat for r in many],
+                many_V=[r.monitors["V"] for r in many])
+    for tag, blas_threads in (("first", "1"), ("second", None)):
+        lane = _run_lane(tmp_path, tag, blas_threads)
         for name, value in here.items():
-            assert lane[name].tobytes() == value.tobytes(), (tag, name)
+            assert lane[name].tobytes() == np.asarray(value).tobytes(), (tag, name)
+
+
+@pytest.mark.usefixtures("no_thread_left")
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_kernel_joins_every_chunk_before_raising(failing, hexsys, fwd_art, monkeypatch):
+    """When one of three chunks raises, the kernel raises that error, with
+    its type, only after the other two have ended their block."""
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 10.0, 0.1,
+                        [[0.0, 26.5 + KELVIN]])
+    x0 = fwd_art.x_ss + np.linspace(-1.0, 1.0, 6)[:, None]
+    made, ended = [], []
+    real = native.rows_function
+
+    class ChunkError(Exception):
+        pass
+
+    def rows_function(law, **fields):
+        rows, index = real(law, **fields), len(made)
+        made.append(index)
+
+        def chunk(lo, hi, ref, dist):
+            if index == failing:
+                raise ChunkError(index)
+            time.sleep(0.05)
+            rows(lo, hi, ref, dist)
+            ended.append(index)
+        return chunk
+
+    monkeypatch.setattr(kernels, "_worker_count", lambda k: 3)
+    monkeypatch.setattr(native, "rows_function", rows_function)
+    with pytest.raises(ChunkError) as err:
+        closed_loop_rk4(scn, x0, x0)
+    assert err.value.args == (failing,)
+    assert sorted(ended) == sorted({0, 1, 2} - {failing})
 
 
 def test_rk4_matches_matrix_exponential(hexsys, io_art):
@@ -195,11 +249,14 @@ def test_on_final_reports_each_block_once_final(hexsys, fwd_art):
 
 
 def test_kernel_takes_starts_of_shape_k_by_n(hexsys, fwd_art):
-    """One start of shape (n,) is refused, not broadcast into n rows."""
+    """One start of shape (n,) is refused, not broadcast into n rows, and
+    so is a batch of no starts."""
     scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 1.0, 0.1,
                         [[0.0, 26.5 + KELVIN]])
     with pytest.raises(ValueError, match=r"starts of shape \(k, n\), got \(16,\)"):
         closed_loop_rk4(scn, scn.x0, scn.x_hat0)
+    with pytest.raises(ValueError, match=r"got \(0, 16\), and k >= 1"):
+        closed_loop_rk4(scn, scn.x0[None, :][:0], scn.x_hat0[None, :][:0])
     assert one_start(scn, scn.x0, scn.x_hat0)[0].shape == (11, 16)
 
 

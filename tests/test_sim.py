@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import sys
 import threading
 import warnings
 
@@ -494,6 +495,41 @@ def test_run_many_matches_run_bitwise(law, hexsys, fwd_art, io_art,
             _assert_same_result(both_loops(hexreg.run, scn), res)
 
 
+@pytest.mark.usefixtures("no_thread_left")
+@pytest.mark.parametrize("law", [hexreg.FORWARDING, hexreg.OUTPUT_FEEDBACK,
+                                 hexreg.INTEGRAL_ONLY, hexreg.PI])
+def test_run_many_bits_independent_of_worker_count(
+        law, hexsys, fwd_art, io_art, synthetic_observable, synthetic_observer,
+        monkeypatch):
+    """The kernel gives the same bytes with its seven rows split into 1, 2,
+    3 or 7 chunks, each chunk but the first on a thread of its own, while
+    the interpreter switches threads as often as it can."""
+    scns = _sweep(law, hexsys, fwd_art, io_art, synthetic_observable,
+                  synthetic_observer, 7)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(kernels, "_worker_count", lambda k, w=workers: w)
+            runs[workers] = both_loops(hexreg.run_many, scns)
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 3, 7):
+        for one, split in zip(runs[1], runs[workers]):
+            _assert_same_result(one, split)
+
+
+def test_run_starts_no_thread(hexsys, fwd_art, monkeypatch):
+    """run is a batch of one, and so one chunk on the calling thread, over
+    each of its three blocks."""
+    scn = make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 300.0, 0.1,
+                        [[0.0, 26.5 + KELVIN]], x0=fwd_art.x_ss + 1.0)
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("run started a thread"))
+    assert hexreg.run(scn).x.shape == (3001, 16)
+
+
 def test_run_many_results_share_one_read_only_grid(hexsys, fwd_art, io_art,
                                                   synthetic_observable, synthetic_observer):
     scns = _sweep(hexreg.FORWARDING, hexsys, fwd_art, io_art,
@@ -553,12 +589,18 @@ def test_run_many_names_the_row_that_diverges_after_the_first_block(hexsys, fwd_
         warnings.simplefilter("error")
         with pytest.raises(hexreg.NonFiniteError) as alone:
             both_loops(hexreg.run, scns[13])
-        with pytest.raises(hexreg.NonFiniteError) as batch:
-            both_loops(hexreg.run_many, scns)
     assert (alone.value.step, alone.value.row) == (1160, None)
-    assert (batch.value.step, batch.value.row, batch.value.t) == (1160, 13, 2900.0)
-    assert batch.value.column == alone.value.column
-    assert batch.value.u_sat == alone.value.u_sat
+    # with rows 0..19 in 1, 2 or 3 chunks, row 13 is in the first, second
+    # or third
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(kernels, "_worker_count", lambda k, w=workers: w)
+            warnings.simplefilter("error")
+            with pytest.raises(hexreg.NonFiniteError) as batch:
+                both_loops(hexreg.run_many, scns)
+        assert (batch.value.step, batch.value.row, batch.value.t) == (1160, 13, 2900.0)
+        assert batch.value.column == alone.value.column
+        assert batch.value.u_sat == alone.value.u_sat
 
 
 def test_run_many_rejects_scenarios_differing_beyond_start(
