@@ -97,8 +97,13 @@ _BLOCK = 1024  # rows per block: integrated, scanned and monitored together
 
 def _worker_count(k):
     """The number of chunks the kernel splits k batch rows into: one per
-    core this process may run on, and at most k."""
-    return min(k, len(os.sched_getaffinity(0)))
+    core this process may run on, and at most k.  Where the OS reports no
+    affinity (macOS, Windows), every core counts."""
+    if k == 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(k, len(os.sched_getaffinity(0)))
+    return min(k, os.cpu_count() or 1)
 
 
 def _run_chunks(chunks, lo, hi, refs, dists):

@@ -530,6 +530,24 @@ def test_run_starts_no_thread(hexsys, fwd_art, monkeypatch):
     assert hexreg.run(scn).x.shape == (3001, 16)
 
 
+@pytest.mark.usefixtures("no_thread_left")
+def test_kernel_runs_where_the_os_reports_no_affinity(hexsys, fwd_art, monkeypatch):
+    """On a host without os.sched_getaffinity (macOS, Windows), run needs
+    no core count, and run_many splits its rows over os.cpu_count() cores
+    with the same bits."""
+    scns = [make_scenario(hexsys, fwd_art, hexreg.FORWARDING, 300.0, 0.1,
+                          [[0.0, 26.5 + KELVIN]], x0=fwd_art.x_ss + off)
+            for off in (-1.0, 0.5, 2.0)]
+    here = hexreg.run_many(scns)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert kernels._worker_count(1) == 1
+    assert kernels._worker_count(3) == 2
+    _assert_same_result(hexreg.run(scns[0]), here[0])
+    for one, there in zip(here, hexreg.run_many(scns)):
+        _assert_same_result(one, there)
+
+
 def test_run_many_results_share_one_read_only_grid(hexsys, fwd_art, io_art,
                                                   synthetic_observable, synthetic_observer):
     scns = _sweep(hexreg.FORWARDING, hexsys, fwd_art, io_art,
